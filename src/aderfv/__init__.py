@@ -16,14 +16,7 @@ from .grid import (
     make_grid,
     observed_order,
 )
-from .predictor import (
-    DerivativeStack,
-    PredictorError,
-    PredictorTable,
-    build_predictor_table,
-    build_predictor_tables,
-    solve_predictor_point,
-)
+from .predictor import PredictorError, PredictorTable, build_predictor_tables
 from .solver import (
     ConvergenceRow,
     RunReport,
@@ -52,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellField",
     "ConvergenceRow",
-    "DerivativeStack",
     "Grid",
     "PredictorError",
     "PredictorTable",
@@ -64,7 +56,6 @@ __all__ = [
     "StepReport",
     "SystemDescriptor",
     "apply_boundary",
-    "build_predictor_table",
     "build_predictor_tables",
     "compute_dt",
     "conserved_to_primitive",
@@ -84,7 +75,6 @@ __all__ = [
     "reconstruct_batch",
     "run",
     "scalar_advection_reaction",
-    "solve_predictor_point",
     "stability_fraction",
     "stability_map",
     "step",

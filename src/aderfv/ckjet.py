@@ -4,9 +4,10 @@ Given the state and its spatial derivatives at one point, the balance law
 dQ/dt = S(Q) - A(Q) dQ/dx determines all time (and mixed) derivatives. The
 generic engine propagates a bivariate truncated power series in (x, t) layer
 by layer: the t-degree-(k+1) coefficients are the t-degree-k coefficients of
-S(Q) - A(Q) dQ/dx divided by k+1. Conservative systems may instead supply a
-flux, in which case A(Q) dQ/dx is evaluated as the x-derivative of F(Q);
-both forms agree to the truncation order.
+S(Q) - A(Q) dQ/dx divided by k+1. Each system states its law once, and the
+engine runs that generic form directly on series: a conservative law gives
+its flux, so A(Q) dQ/dx is the x-derivative of F(Q); a non-conservative law
+gives the rows of A(Q); either may add source terms S(Q).
 
 Constant-coefficient linear systems register closed-form coefficient
 matrices, used both as a fast path and as an independent cross-check.
@@ -23,7 +24,6 @@ from .systems import SystemDescriptor
 __all__ = [
     "SpaceTimeJet",
     "ck_time_derivatives",
-    "scalar_ck_closed_form",
     "predictor_residual",
     "residual_and_jacobian",
 ]
@@ -126,16 +126,6 @@ def ck_time_derivatives(
     if method == "series":
         return SpaceTimeJet(system, derivatives, order).time_derivatives()
     raise ValueError(f"unknown method {method!r}")
-
-
-def scalar_ck_closed_form(lam: float, beta: float, derivatives, k: int):
-    """d_t^k q for q_t + lam q_x = beta q: the binomial expansion of
-    (beta - lam d_x)^k applied to the derivative stack."""
-    derivatives = np.asarray(derivatives, dtype=float)
-    total = 0.0
-    for j in range(k + 1):
-        total = total + math.comb(k, j) * (-lam) ** j * beta ** (k - j) * derivatives[..., j]
-    return total
 
 
 def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:

@@ -145,10 +145,7 @@ class CellField:
         cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray], ghost: int
     ) -> "CellField":
         """Initialize with per-cell averages of ``fn`` (5-point Gauss-Legendre)."""
-        rule = gauss_legendre(_AVERAGING_POINTS)
-        x = grid.x_lo + (np.arange(grid.n_cells)[:, None] + rule.nodes[None, :]) * grid.dx
-        samples = np.asarray(fn(x), dtype=float)  # (n_cells, nq, m)
-        averages = np.einsum("q,cqm->cm", rule.weights, samples)
+        averages = exact_cell_averages(grid, lambda x, t: fn(x), 0.0)
         return cls.from_cell_averages(grid, averages, ghost)
 
 
@@ -174,7 +171,7 @@ def exact_cell_averages(
     """Cell averages of ``exact(x, t)`` via the 5-point Gauss-Legendre rule."""
     rule = gauss_legendre(_AVERAGING_POINTS)
     x = grid.x_lo + (np.arange(grid.n_cells)[:, None] + rule.nodes[None, :]) * grid.dx
-    samples = np.asarray(exact(x, t), dtype=float)
+    samples = np.asarray(exact(x, t), dtype=float)  # (n_cells, nq, m)
     return np.einsum("q,cqm->cm", rule.weights, samples)
 
 

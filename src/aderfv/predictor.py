@@ -32,12 +32,9 @@ __all__ = [
     "PredictorError",
     "SpaceTimeRules",
     "space_time_rules",
-    "DerivativeStack",
     "PredictorTable",
     "solve_derivative_chain",
-    "solve_predictor_from_derivatives",
-    "solve_predictor_point",
-    "build_predictor_table",
+    "solve_predictor_points",
     "build_predictor_tables",
 ]
 
@@ -119,18 +116,6 @@ def space_time_rules(order: int) -> SpaceTimeRules:
 
 
 @dataclass
-class DerivativeStack:
-    """State and spatial derivatives (D_0..D_M) at one space-time point."""
-
-    derivatives: np.ndarray  # (M+1, m)
-    iterations: int = 0
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.derivatives[0]
-
-
-@dataclass
 class PredictorTable:
     """Predictor evaluations of one cell (or a leading batch of cells).
 
@@ -190,7 +175,7 @@ def solve_derivative_chain(
     return out
 
 
-def _solve_point_batch(
+def solve_predictor_points(
     system: SystemDescriptor, w: np.ndarray, tau: np.ndarray, config: RunConfig
 ) -> tuple[np.ndarray, int]:
     """Nested fixed point for a flat batch of predictor points.
@@ -315,36 +300,6 @@ def _solve_point_batch(
     return np.concatenate([d0[:, None, :], d_rest], axis=1), sweeps
 
 
-def solve_predictor_from_derivatives(
-    system: SystemDescriptor, w: np.ndarray, tau: float, config: RunConfig
-) -> DerivativeStack:
-    """Predictor point solve seeded directly with a derivative stack w (M+1, m)."""
-    w = np.asarray(w, dtype=float)
-    stacks, sweeps = _solve_point_batch(system, w[None], np.array([float(tau)]), config)
-    order = w.shape[0] - 1
-    final = stacks[0]
-    # Re-solve the chain at the converged state so the stack is self-consistent.
-    if order > 0:
-        final = final.copy()
-        final[1:] = solve_derivative_chain(
-            system, final[0][None], w[None, 1:], np.array([float(tau)]), order
-        )[0]
-    return DerivativeStack(final, sweeps)
-
-
-def solve_predictor_point(
-    system: SystemDescriptor,
-    poly: weno.ReconstructionPolynomial,
-    xi: float,
-    tau: float,
-    config: RunConfig,
-) -> DerivativeStack:
-    """Solve the implicit Taylor system at unit-cell position xi, elapsed tau."""
-    degree = poly.degree
-    w = np.stack([weno.eval_derivative(poly, xi, k) for k in range(degree + 1)])
-    return solve_predictor_from_derivatives(system, w, tau, config)
-
-
 def _node_derivatives(coeffs: np.ndarray, basis: np.ndarray, dx: float) -> np.ndarray:
     """Reconstruction derivatives at basis nodes: (C, n_nodes, M+1, m), physical."""
     w = np.einsum("cmp,klp->clkm", coeffs, basis)
@@ -377,7 +332,7 @@ def _build_tables_chunk(
 
     w_all = np.concatenate([w_int_b, w_tr_b])
     tau_all = np.concatenate([tau_int, tau_tr])
-    stacks, sweeps = _solve_point_batch(system, w_all, tau_all, config)
+    stacks, sweeps = solve_predictor_points(system, w_all, tau_all, config)
     states = stacks[:, 0]
 
     split = ncells * n_tau * n_xi
@@ -438,26 +393,4 @@ def build_predictor_tables(
         trace_left=np.concatenate([p.trace_left for p in parts]),
         trace_right=np.concatenate([p.trace_right for p in parts]),
         iterations=max(p.iterations for p in parts),
-    )
-
-
-def build_predictor_table(
-    system: SystemDescriptor,
-    poly: weno.ReconstructionPolynomial,
-    dt: float,
-    config: RunConfig,
-) -> PredictorTable:
-    """Predictor table of a single cell from its reconstruction polynomial."""
-    batch = build_predictor_tables(system, poly.coefficients[None], dt, poly.dx, config)
-    return PredictorTable(
-        dt=batch.dt,
-        dx=batch.dx,
-        xi_nodes=batch.xi_nodes,
-        tau_nodes=batch.tau_nodes,
-        values=batch.values[0],
-        x_derivative=batch.x_derivative[0],
-        trace_taus=batch.trace_taus,
-        trace_left=batch.trace_left[0],
-        trace_right=batch.trace_right[0],
-        iterations=batch.iterations,
     )

@@ -39,12 +39,6 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def univariate(cls, coefficients) -> "TruncatedSeries":
-        """Series in the x variable only (t-degree 0)."""
-        c = np.asarray(coefficients, dtype=float)
-        return cls(c[..., None])
-
-    @classmethod
     def constant(cls, value, like: "TruncatedSeries") -> "TruncatedSeries":
         c = np.zeros_like(like.c)
         c[..., 0, 0] = value
@@ -59,9 +53,6 @@ class TruncatedSeries:
     @property
     def nt(self) -> int:
         return self.c.shape[-1]
-
-    def coefficient(self, j: int, k: int = 0) -> np.ndarray:
-        return self.c[..., j, k]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TruncatedSeries(nx={self.nx}, nt={self.nt}, batch={self.c.shape[:-2]})"
@@ -149,14 +140,6 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         return other.__truediv__(self)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, numbers.Integral) or exponent < 0:
-            return NotImplemented
-        result = TruncatedSeries.constant(1.0, self)
-        for _ in range(int(exponent)):
-            result = result * self
-        return result
 
     # -- calculus ------------------------------------------------------------
 

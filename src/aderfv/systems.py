@@ -1,10 +1,14 @@
 """Descriptors for the hyperbolic balance-law systems solved by the package.
 
-Each system is described by its quasi-linear matrix A(Q), algebraic source
-S(Q), source Jacobian, eigenvalues, and (for the manufactured tests) exact
-solutions. Every scalar formula is also exposed in a "generic" form written
-purely with arithmetic operators so the Cauchy-Kowalewskaya engine can
-evaluate it over truncated power series as well as over floats.
+Each balance law dQ/dt + A(Q) dQ/dx = S(Q) is written down once, in a generic
+form that uses only ring operations: a conservative law gives its flux F(Q)
+(so A = dF/dQ), a non-conservative law gives the rows of A(Q), and either may
+add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
+these forms over truncated power series; the vectorised matrix, source and
+source Jacobian used by the predictor and the fluxes are derived from the same
+forms on ndarray components, with Jacobians taken by complex-step
+differentiation. Eigenvalues, admissibility and the exact solutions of the
+manufactured tests are given per system.
 """
 from __future__ import annotations
 
@@ -28,40 +32,99 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# Complex-step size: a power of two near 1e-100, so scaling by it is exact
+# and the O(h^2) truncation error lies far below rounding.
+_COMPLEX_STEP = 2.0**-332
+
+
+def _components(q: np.ndarray) -> list:
+    return [q[..., i] for i in range(q.shape[-1])]
+
+
+def _stack_terms(terms: Sequence, batch: tuple) -> np.ndarray:
+    """Array batch + (len(terms),) from scalar-likes (constants or batch arrays)."""
+    out = np.empty(batch + (len(terms),), dtype=np.result_type(float, *terms))
+    for i, term in enumerate(terms):
+        out[..., i] = term
+    return out
+
+
+def _complex_step_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
+    """Jacobian d terms / dQ at states q (..., m), shape (..., m, m).
+
+    Column j is Im f(q + i h e_j) / h. The generic forms use only ring
+    operations, so this is exact to rounding with no cancellation
+    (Squire & Trapp, SIAM Rev. 40, 1998). The m perturbed states share one
+    evaluation: component i is stored contiguously as qc[i, j, ...].
+    """
+    m, nb = q.shape[-1], q.ndim - 1
+    qc = np.zeros((m, m) + q.shape[:-1], dtype=complex)
+    qc.real = q.transpose((nb,) + tuple(range(nb)))[:, None]
+    for j in range(m):
+        qc.imag[j, j] = _COMPLEX_STEP
+    jac = np.empty((m, m) + q.shape[:-1])
+    for i, value in enumerate(terms(list(qc))):
+        np.divide(np.imag(value), _COMPLEX_STEP, out=jac[i])
+    return jac.transpose(tuple(range(2, nb + 2)) + (0, 1))
+
 
 @dataclass(frozen=True)
 class SystemDescriptor:
-    """Bundle of callables defining one balance law dQ/dt + A(Q) dQ/dx = S(Q).
+    """One balance law dQ/dt + A(Q) dQ/dx = S(Q), written once.
 
-    Vectorized callables map state arrays of shape (..., m); the generic
-    callables take a sequence of m scalar-like components (floats or truncated
-    series) and return nested lists of scalar-likes.
+    Exactly one of ``flux_terms`` (conservative form, A = dF/dQ) and
+    ``matrix_rows`` (non-conservative form) is given; ``source_terms`` is
+    optional. These generic callables take a sequence of m scalar-like
+    components (floats, arrays or truncated series) and return lists of
+    scalar-likes. The vectorised ``matrix``, ``source`` and
+    ``source_jacobian`` map state arrays (..., m) and are derived from them.
     """
 
     name: str
     m: int
-    matrix: Callable[[np.ndarray], np.ndarray]
-    source: Callable[[np.ndarray], np.ndarray]
-    source_jacobian: Callable[[np.ndarray], np.ndarray]
     eigenvalues: Callable[[np.ndarray], np.ndarray]
     initial_condition: Callable[[np.ndarray], np.ndarray]
-    matrix_rows: Callable[[Sequence], list]
-    source_terms: Callable[[Sequence], list] | None = None
     flux_terms: Callable[[Sequence], list] | None = None
+    matrix_rows: Callable[[Sequence], list] | None = None
+    source_terms: Callable[[Sequence], list] | None = None
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
     admissible: Callable[[np.ndarray], np.ndarray] | None = None
-    source_free: bool = False
     ck_matrices: Callable[[int], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.flux_terms is None) == (self.matrix_rows is None):
+            raise ValueError(
+                f"system {self.name!r} needs exactly one of flux_terms and matrix_rows"
+            )
+
+    @property
+    def source_free(self) -> bool:
+        return self.source_terms is None
+
+    def matrix(self, q: np.ndarray) -> np.ndarray:
+        """Quasi-linear matrix A(Q), shape (..., m, m)."""
+        q = np.asarray(q, dtype=float)
+        if self.flux_terms is not None:
+            return _complex_step_jacobian(self.flux_terms, q)
+        rows = self.matrix_rows(_components(q))
+        return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
+
+    def source(self, q: np.ndarray) -> np.ndarray:
+        """Algebraic source S(Q), shape (..., m)."""
+        q = np.asarray(q, dtype=float)
+        if self.source_terms is None:
+            return np.zeros_like(q)
+        return _stack_terms(self.source_terms(_components(q)), q.shape[:-1])
+
+    def source_jacobian(self, q: np.ndarray) -> np.ndarray:
+        """Source Jacobian dS/dQ, shape (..., m, m)."""
+        q = np.asarray(q, dtype=float)
+        if self.source_terms is None:
+            return np.zeros(q.shape + (self.m,))
+        return _complex_step_jacobian(self.source_terms, q)
 
     def max_wave_speed(self, states: np.ndarray) -> float:
         return float(np.max(np.abs(self.eigenvalues(states))))
-
-
-def _batch_eye(states: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(states.shape[:-1] + (m, m))
-    for i in range(m):
-        out[..., i, i] = 1.0
-    return out
 
 
 def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -94,17 +157,6 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
     lam = float(lam)
     beta = float(beta)
 
-    def matrix(q):
-        q = np.asarray(q)
-        return np.full(q.shape[:-1] + (1, 1), lam)
-
-    def source(q):
-        return beta * np.asarray(q)
-
-    def source_jacobian(q):
-        q = np.asarray(q)
-        return np.full(q.shape[:-1] + (1, 1), beta)
-
     def eigenvalues(q):
         q = np.asarray(q)
         return np.full(q.shape[:-1] + (1,), lam)
@@ -117,29 +169,16 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
         x = np.asarray(x)
         return (math.exp(beta * t) * np.sin(TWO_PI * (x - lam * t)))[..., None]
 
-    def matrix_rows(q):
-        return [[lam]]
-
-    def source_terms(q):
-        return [beta * q[0]]
-
-    def flux_terms(q):
-        return [lam * q[0]]
-
     def ck(order):
         return linear_ck_matrices(np.array([[lam]]), np.array([[beta]]), order)
 
     return SystemDescriptor(
         name="scalar-advection-reaction",
         m=1,
-        matrix=matrix,
-        source=source,
-        source_jacobian=source_jacobian,
         eigenvalues=eigenvalues,
         initial_condition=initial_condition,
-        matrix_rows=matrix_rows,
-        source_terms=source_terms,
-        flux_terms=flux_terms,
+        flux_terms=lambda q: [lam * q[0]],
+        source_terms=lambda q: [beta * q[0]],
         exact_solution=exact_solution,
         ck_matrices=ck,
     )
@@ -155,19 +194,6 @@ def leveque_yee(beta: float = -1000.0, step_position: float = 0.3) -> SystemDesc
     beta = float(beta)
     x0 = float(step_position)
 
-    def matrix(q):
-        q = np.asarray(q)
-        return np.ones(q.shape[:-1] + (1, 1))
-
-    def source(q):
-        q = np.asarray(q)
-        return beta * q * (q - 1.0) * (q - 0.5)
-
-    def source_jacobian(q):
-        q = np.asarray(q)
-        jac = beta * (3.0 * q**2 - 3.0 * q + 0.5)
-        return jac[..., None]
-
     def eigenvalues(q):
         q = np.asarray(q)
         return np.ones(q.shape[:-1] + (1,))
@@ -176,26 +202,13 @@ def leveque_yee(beta: float = -1000.0, step_position: float = 0.3) -> SystemDesc
         x = np.asarray(x)
         return np.where(x < x0, 1.0, 0.0)[..., None]
 
-    def matrix_rows(q):
-        return [[1.0]]
-
-    def source_terms(q):
-        return [beta * q[0] * (q[0] - 1.0) * (q[0] - 0.5)]
-
-    def flux_terms(q):
-        return [q[0]]
-
     return SystemDescriptor(
         name="stiff-bistable-advection",
         m=1,
-        matrix=matrix,
-        source=source,
-        source_jacobian=source_jacobian,
         eigenvalues=eigenvalues,
         initial_condition=initial_condition,
-        matrix_rows=matrix_rows,
-        source_terms=source_terms,
-        flux_terms=flux_terms,
+        flux_terms=lambda q: [q[0]],
+        source_terms=lambda q: [beta * q[0] * (q[0] - 1.0) * (q[0] - 0.5)],
     )
 
 
@@ -207,18 +220,6 @@ def leveque_yee(beta: float = -1000.0, step_position: float = 0.3) -> SystemDesc
 def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
     lam = float(lam)
     beta = float(beta)
-    amat = np.array([[0.0, lam], [lam, 0.0]])
-
-    def matrix(q):
-        q = np.asarray(q)
-        return np.broadcast_to(amat, q.shape[:-1] + (2, 2)).copy()
-
-    def source(q):
-        return beta * np.asarray(q)
-
-    def source_jacobian(q):
-        q = np.asarray(q)
-        return beta * _batch_eye(q, 2)
 
     def eigenvalues(q):
         q = np.asarray(q)
@@ -238,29 +239,17 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
         amp = 0.5 * math.exp(beta * t)
         return np.stack([amp * (phi + psi), amp * (phi - psi)], axis=-1)
 
-    def matrix_rows(q):
-        return [[0.0, lam], [lam, 0.0]]
-
-    def source_terms(q):
-        return [beta * q[0], beta * q[1]]
-
-    def flux_terms(q):
-        return [lam * q[1], lam * q[0]]
-
     def ck(order):
+        amat = np.array([[0.0, lam], [lam, 0.0]])
         return linear_ck_matrices(amat, beta * np.eye(2), order)
 
     return SystemDescriptor(
         name="linear-2x2",
         m=2,
-        matrix=matrix,
-        source=source,
-        source_jacobian=source_jacobian,
         eigenvalues=eigenvalues,
         initial_condition=initial_condition,
-        matrix_rows=matrix_rows,
-        source_terms=source_terms,
-        flux_terms=flux_terms,
+        flux_terms=lambda q: [lam * q[1], lam * q[0]],
+        source_terms=lambda q: [beta * q[0], beta * q[1]],
         exact_solution=exact_solution,
         ck_matrices=ck,
     )
@@ -279,29 +268,6 @@ def noncons_system(lam: float = 1.0, eps: float = 0.02) -> SystemDescriptor:
     lam = float(lam)
     eps = float(eps)
 
-    def matrix(q):
-        q = np.asarray(q)
-        out = np.empty(q.shape[:-1] + (2, 2))
-        out[..., 0, 0] = lam
-        out[..., 0, 1] = q[..., 0]
-        out[..., 1, 0] = 1.0
-        out[..., 1, 1] = lam
-        return out
-
-    def source(q):
-        q = np.asarray(q)
-        return np.stack(
-            [TWO_PI * q[..., 0] * (q[..., 0] - 1.0), -TWO_PI * (q[..., 1] - 1.0)],
-            axis=-1,
-        )
-
-    def source_jacobian(q):
-        q = np.asarray(q)
-        out = np.zeros(q.shape[:-1] + (2, 2))
-        out[..., 0, 0] = TWO_PI * (2.0 * q[..., 0] - 1.0)
-        out[..., 1, 1] = -TWO_PI
-        return out
-
     def eigenvalues(q):
         q = np.asarray(q)
         root = np.sqrt(q[..., 0])
@@ -318,9 +284,6 @@ def noncons_system(lam: float = 1.0, eps: float = 0.02) -> SystemDescriptor:
         phase = TWO_PI * (x - lam * t)
         return np.stack([1.0 + eps * np.cos(phase), 1.0 + eps * np.sin(phase)], axis=-1)
 
-    def matrix_rows(q):
-        return [[lam, q[0]], [1.0, lam]]
-
     def source_terms(q):
         return [TWO_PI * q[0] * (q[0] - 1.0), -TWO_PI * (q[1] - 1.0)]
 
@@ -330,12 +293,9 @@ def noncons_system(lam: float = 1.0, eps: float = 0.02) -> SystemDescriptor:
     return SystemDescriptor(
         name="noncons-2x2",
         m=2,
-        matrix=matrix,
-        source=source,
-        source_jacobian=source_jacobian,
         eigenvalues=eigenvalues,
         initial_condition=initial_condition,
-        matrix_rows=matrix_rows,
+        matrix_rows=lambda q: [[lam, q[0]], [1.0, lam]],
         source_terms=source_terms,
         exact_solution=exact_solution,
         admissible=admissible,
@@ -367,28 +327,6 @@ def euler_ideal_gas(gamma: float = 1.4) -> SystemDescriptor:
     gamma = float(gamma)
     gm1 = gamma - 1.0
 
-    def matrix(q):
-        q = np.asarray(q)
-        u = q[..., 1] / q[..., 0]
-        e_over_rho = q[..., 2] / q[..., 0]
-        out = np.zeros(q.shape[:-1] + (3, 3))
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = 0.5 * (gamma - 3.0) * u**2
-        out[..., 1, 1] = (3.0 - gamma) * u
-        out[..., 1, 2] = gm1
-        out[..., 2, 0] = gm1 * u**3 - gamma * u * e_over_rho
-        out[..., 2, 1] = gamma * e_over_rho - 1.5 * gm1 * u**2
-        out[..., 2, 2] = gamma * u
-        return out
-
-    def source(q):
-        q = np.asarray(q)
-        return np.zeros_like(q)
-
-    def source_jacobian(q):
-        q = np.asarray(q)
-        return np.zeros(q.shape[:-1] + (3, 3))
-
     def eigenvalues(q):
         prim = conserved_to_primitive(q, gamma)
         sound = np.sqrt(gamma * prim[..., 2] / prim[..., 0])
@@ -404,18 +342,6 @@ def euler_ideal_gas(gamma: float = 1.4) -> SystemDescriptor:
         x = np.asarray(x)
         return primitive_to_conserved(1.0 + 0.2 * np.sin(TWO_PI * (x - t)), 1.0, 2.0, gamma)
 
-    def matrix_rows(q):
-        u = q[1] / q[0]
-        e_over_rho = q[2] / q[0]
-        u2 = u * u
-        return [
-            [0.0, 1.0, 0.0],
-            [0.5 * (gamma - 3.0) * u2, (3.0 - gamma) * u, gm1],
-            [gm1 * u * u2 - gamma * u * e_over_rho,
-             gamma * e_over_rho - 1.5 * gm1 * u2,
-             gamma * u],
-        ]
-
     def flux_terms(q):
         u = q[1] / q[0]
         momentum = q[1] * u
@@ -430,15 +356,9 @@ def euler_ideal_gas(gamma: float = 1.4) -> SystemDescriptor:
     return SystemDescriptor(
         name="euler-ideal-gas",
         m=3,
-        matrix=matrix,
-        source=source,
-        source_jacobian=source_jacobian,
         eigenvalues=eigenvalues,
         initial_condition=initial_condition,
-        matrix_rows=matrix_rows,
-        source_terms=None,
         flux_terms=flux_terms,
         exact_solution=exact_solution,
         admissible=admissible,
-        source_free=True,
     )

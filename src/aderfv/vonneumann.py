@@ -77,8 +77,14 @@ class StabilityQuery:
     def __post_init__(self) -> None:
         if self.predictor not in ("implicit", "explicit"):
             raise ValueError(f"unknown predictor kind {self.predictor!r}")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        if self.order not in (1, 2, 3, 4, 5):
+            raise ValueError(f"order must be in 1..5, got {self.order}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.n_theta < 1:
+            raise ValueError(f"n_theta must be >= 1, got {self.n_theta}")
+        if self.n_scenarios < 1:
+            raise ValueError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
         if self.weight_model not in ("weno-law", "uniform"):
             raise ValueError(f"unknown weight model {self.weight_model!r}")
 

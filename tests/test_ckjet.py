@@ -11,7 +11,6 @@ from aderfv.ckjet import (
     ck_time_derivatives,
     predictor_residual,
     residual_and_jacobian,
-    scalar_ck_closed_form,
 )
 from aderfv.systems import (
     euler_ideal_gas,
@@ -46,13 +45,16 @@ def test_scalar_series_engine_against_binomial():
 
 
 def test_scalar_closed_form_helper():
+    # The scalar system's registered closed form (linear_ck_matrices)
+    # against the binomial expansion of (beta - lam d_x)^k.
     rng = np.random.default_rng(5)
     for _ in range(200):
         lam, beta = rng.uniform(-3.0, 3.0, size=2)
-        d = rng.standard_normal(5)
+        d = rng.standard_normal((5, 1))
+        got = ck_time_derivatives(scalar_advection_reaction(lam, beta), d, 4, method="closed")
         for k in range(1, 5):
-            got = scalar_ck_closed_form(lam, beta, d, k)
-            assert got == pytest.approx(_scalar_binomial(lam, beta, d, k), rel=1e-12, abs=1e-12)
+            ref = _scalar_binomial(lam, beta, d[:, 0], k)
+            assert got[k - 1, 0] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def _linear_chain_oracle(a, b, d):
@@ -127,10 +129,40 @@ def test_jet_exact_on_linear_exact_solution():
             np.testing.assert_allclose(got[k - 1], ref, atol=1e-9)
 
 
+def _euler_rows(gamma):
+    """Closed-form quasi-linear matrix rows of the ideal-gas Euler equations."""
+    gm1 = gamma - 1.0
+
+    def rows(q):
+        u = q[1] / q[0]
+        e_over_rho = q[2] / q[0]
+        u2 = u * u
+        return [
+            [0.0, 1.0, 0.0],
+            [0.5 * (gamma - 3.0) * u2, (3.0 - gamma) * u, gm1],
+            [gm1 * u * u2 - gamma * u * e_over_rho,
+             gamma * e_over_rho - 1.5 * gm1 * u2,
+             gamma * u],
+        ]
+
+    return rows
+
+
+def test_derived_euler_matrix_matches_closed_form_rows():
+    # The matrix derived from the flux by complex-step differentiation.
+    system = euler_ideal_gas()
+    rows = _euler_rows(1.4)
+    rng = np.random.default_rng(12)
+    for q in np.array([1.0, 0.5, 2.0]) + 0.1 * rng.standard_normal((20, 3)):
+        np.testing.assert_allclose(
+            system.matrix(q), np.array(rows(q), dtype=float), rtol=0.0, atol=1e-13
+        )
+
+
 def test_conservative_flux_and_quasilinear_paths_agree():
     # For the Euler model, d_x F(q) and A(q) q_x must generate identical jets.
     flux_sys = euler_ideal_gas()
-    rows_sys = dataclasses.replace(flux_sys, flux_terms=None)
+    rows_sys = dataclasses.replace(flux_sys, flux_terms=None, matrix_rows=_euler_rows(1.4))
     rng = np.random.default_rng(13)
     for _ in range(50):
         d = rng.standard_normal((4, 3)) * 0.2

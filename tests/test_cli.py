@@ -126,6 +126,22 @@ def test_bad_order_exits_one(capsys):
     assert "aderfv:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--order", "6"], "order"),
+        (["--n-theta", "0"], "n_theta"),
+        (["--scenarios", "0"], "n_scenarios"),
+        (["--alpha", "0"], "alpha"),
+    ],
+)
+def test_bad_stability_query_exits_one(flags, field, capsys):
+    rc = main(["stability", "--c-min", "0.5", "--c-max", "0.5", "--r-min", "0"] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aderfv:") and field in err
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     rc = main(
         ["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "0",

@@ -9,11 +9,9 @@ import pytest
 from aderfv.grid import RunConfig
 from aderfv.predictor import (
     PredictorError,
-    build_predictor_table,
     build_predictor_tables,
     solve_derivative_chain,
-    solve_predictor_from_derivatives,
-    solve_predictor_point,
+    solve_predictor_points,
     space_time_rules,
 )
 from aderfv.systems import (
@@ -25,6 +23,14 @@ from aderfv.systems import (
 from aderfv import weno
 
 TWO_PI = 2.0 * np.pi
+
+
+def _solve_point(system, w, tau, cfg):
+    """Derivative stack (M+1, m) and sweep count of one predictor point."""
+    stacks, sweeps = solve_predictor_points(
+        system, np.asarray(w, dtype=float)[None], np.array([float(tau)]), cfg
+    )
+    return stacks[0], sweeps
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -58,9 +64,9 @@ def test_zero_time_offset_returns_data():
     system = scalar_advection_reaction()
     cfg = RunConfig(order=4)
     w = np.random.default_rng(0).normal(size=(4, 1))
-    stack = solve_predictor_from_derivatives(system, w, 0.0, cfg)
-    np.testing.assert_allclose(stack.derivatives, w, atol=1e-14)
-    assert stack.iterations <= 2
+    stack, sweeps = _solve_point(system, w, 0.0, cfg)
+    np.testing.assert_allclose(stack, w, atol=1e-14)
+    assert sweeps <= 2
 
 
 @pytest.mark.parametrize("order,degree", [(2, 1), (3, 2), (4, 2), (5, 2)])
@@ -78,9 +84,10 @@ def test_advection_of_low_degree_data_is_exact(order, degree):
     poly = weno.ReconstructionPolynomial(coefficients=coeffs, dx=dx, cell=0)
     tau = 0.02
     for xi in (0.0, 0.31, 1.0):
-        stack = solve_predictor_point(system, poly, xi, tau, cfg)
+        w = np.stack([weno.eval_derivative(poly, xi, k) for k in range(cfg.degree + 1)])
+        stack, _ = _solve_point(system, w, tau, cfg)
         expect = weno.eval_derivative(poly, xi - lam * tau / dx, 0)
-        np.testing.assert_allclose(stack.derivatives[0], expect, atol=1e-11)
+        np.testing.assert_allclose(stack[0], expect, atol=1e-11)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -92,10 +99,10 @@ def test_stiff_linear_reaction_closed_form(order):
     cfg = RunConfig(order=order)
     w = np.zeros((order, 1))
     w[0, 0] = w0
-    stack = solve_predictor_from_derivatives(system, w, tau, cfg)
+    stack, sweeps = _solve_point(system, w, tau, cfg)
     t_poly = sum((-tau * beta) ** k / math.factorial(k) for k in range(order))
-    assert stack.derivatives[0, 0] == pytest.approx(w0 / t_poly, rel=1e-10)
-    assert stack.iterations <= cfg.fp_max_iter
+    assert stack[0, 0] == pytest.approx(w0 / t_poly, rel=1e-10)
+    assert sweeps <= cfg.fp_max_iter
 
 
 def test_nonlinear_reaction_against_bisection():
@@ -105,7 +112,7 @@ def test_nonlinear_reaction_against_bisection():
     cfg = RunConfig(order=2)
     tau, w0 = 1e-3, 0.8
     w = np.array([[w0], [0.0]])
-    stack = solve_predictor_from_derivatives(system, w, tau, cfg)
+    stack, _ = _solve_point(system, w, tau, cfg)
 
     def f(q):
         return q - w0 - tau * system.source(np.array([q]))[0]
@@ -117,7 +124,7 @@ def test_nonlinear_reaction_against_bisection():
             hi = mid
         else:
             lo = mid
-    assert stack.derivatives[0, 0] == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+    assert stack[0, 0] == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
 
 def _phi_derivative(y, j):
@@ -150,9 +157,9 @@ def test_point_consistency_order_in_time(order):
     seeds = _linear_exact_seeds(x, order)
     errs = []
     for tau in (0.04, 0.02):
-        stack = solve_predictor_from_derivatives(system, seeds, tau, cfg)
+        stack, _ = _solve_point(system, seeds, tau, cfg)
         exact = system.exact_solution(np.array([x]), tau)[0]
-        errs.append(np.max(np.abs(stack.derivatives[0] - exact)))
+        errs.append(np.max(np.abs(stack[0] - exact)))
     observed = np.log2(errs[0] / errs[1])
     assert observed >= min(order, 3) - 0.4
 
@@ -166,7 +173,7 @@ def test_admissibility_guard_raises():
     w[0] = [1.0, 1.0]
     w[1] = [0.3, 0.1]
     with pytest.raises(PredictorError):
-        solve_predictor_from_derivatives(bad, w, 0.01, cfg)
+        _solve_point(bad, w, 0.01, cfg)
 
 
 def test_iteration_cap_raises():
@@ -174,7 +181,7 @@ def test_iteration_cap_raises():
     cfg = RunConfig(order=3, fp_tol=1e-16, fp_max_iter=3)
     w = np.array([[0.75], [0.1], [0.0]])
     with pytest.raises(PredictorError) as err:
-        solve_predictor_from_derivatives(system, w, 0.05, cfg)
+        _solve_point(system, w, 0.05, cfg)
     assert err.value.details  # carries diagnostics for the caller
 
 
@@ -188,10 +195,12 @@ def test_batch_table_matches_single_cell():
     assert tables.values.shape == (6, 3, 3, 1)
     for c in range(6):
         poly = weno.reconstruct(windows[c], cfg.degree, dx=0.1)
-        single = build_predictor_table(system, poly, dt=0.01, config=cfg)
-        np.testing.assert_allclose(single.values, tables.values[c], atol=1e-13)
-        np.testing.assert_allclose(single.trace_left, tables.trace_left[c], atol=1e-13)
-        np.testing.assert_allclose(single.trace_right, tables.trace_right[c], atol=1e-13)
+        single = build_predictor_tables(
+            system, poly.coefficients[None], dt=0.01, dx=poly.dx, config=cfg
+        )
+        np.testing.assert_allclose(single.values[0], tables.values[c], atol=1e-13)
+        np.testing.assert_allclose(single.trace_left[0], tables.trace_left[c], atol=1e-13)
+        np.testing.assert_allclose(single.trace_right[0], tables.trace_right[c], atol=1e-13)
 
 
 def test_threaded_build_is_deterministic():

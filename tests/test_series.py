@@ -6,6 +6,11 @@ import pytest
 from aderfv.series import TruncatedSeries
 
 
+def _x_series(coefficients):
+    """Series in the x variable only (t-degree 0)."""
+    return TruncatedSeries(np.asarray(coefficients, dtype=float)[:, None])
+
+
 def _conv_oracle(a, b):
     """Plain double-loop truncated convolution, the slow reference."""
     nx = min(a.shape[-2], b.shape[-2])
@@ -38,7 +43,7 @@ def test_multiply_broadcasts_batches():
 
 
 def test_scalar_multiply_and_add():
-    s = TruncatedSeries.univariate([1.0, 2.0, 3.0])
+    s = _x_series([1.0, 2.0, 3.0])
     np.testing.assert_allclose((s * 2.0).c.ravel(), [2.0, 4.0, 6.0])
     np.testing.assert_allclose((s + s).c.ravel(), [2.0, 4.0, 6.0])
     np.testing.assert_allclose((s - 2.0 * s).c.ravel(), (-s).c.ravel())
@@ -61,25 +66,19 @@ def test_geometric_series():
 
 
 def test_division_by_zero_constant_term():
-    num = TruncatedSeries.univariate([1.0, 0.0])
-    den = TruncatedSeries.univariate([0.0, 1.0])
+    num = _x_series([1.0, 0.0])
+    den = _x_series([0.0, 1.0])
     with pytest.raises(ZeroDivisionError):
         num / den
 
 
 def test_x_derivative():
-    s = TruncatedSeries.univariate([1.0, 2.0, 3.0, 4.0])
+    s = _x_series([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_allclose(s.x_derivative().c.ravel(), [2.0, 6.0, 12.0, 0.0])
 
 
-def test_power():
-    s = TruncatedSeries.univariate([1.0, 1.0, 0.0])
-    np.testing.assert_allclose((s**2).c.ravel(), [1.0, 2.0, 1.0])
-    np.testing.assert_allclose((s**0).c.ravel(), [1.0, 0.0, 0.0])
-
-
-def test_coefficient_accessor():
-    c = np.arange(12.0).reshape(4, 3)
-    s = TruncatedSeries(c)
-    assert s.coefficient(2, 1) == c[2, 1]
+def test_degree_properties():
+    s = TruncatedSeries(np.arange(12.0).reshape(4, 3))
     assert s.nx == 4 and s.nt == 3
+    with pytest.raises(ValueError):
+        TruncatedSeries(np.arange(3.0))

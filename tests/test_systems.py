@@ -1,4 +1,6 @@
-"""Model definitions: Jacobians, exact solutions, eigenstructure."""
+"""Model definitions: derived Jacobians, exact solutions, eigenstructure."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -52,19 +54,32 @@ def test_source_jacobian_matches_finite_differences(factory):
         assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
+def test_descriptor_needs_exactly_one_transport_form():
+    system = noncons_system()
+    with pytest.raises(ValueError, match="exactly one"):
+        dataclasses.replace(system, flux_terms=lambda q: [q[0], q[1]])
+    with pytest.raises(ValueError, match="exactly one"):
+        dataclasses.replace(system, matrix_rows=None)
+
+
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
-def test_matrix_rows_agree_with_matrix(factory):
+def test_derived_forms_broadcast_over_batch_axes(factory):
     system = factory()
-    if system.matrix_rows is None:
-        pytest.skip("no row callbacks registered")
-    rng = np.random.default_rng(3)
-    for q in _random_states(system, rng, 10):
-        a = system.matrix(q)
-        rows = np.array(system.matrix_rows(q), dtype=float)
-        np.testing.assert_allclose(rows, a, atol=1e-13)
+    m = system.m
+    states = _random_states(system, np.random.default_rng(9), 30)[:24].reshape(4, 6, m)
+    mats = system.matrix(states)
+    src = system.source(states)
+    jac = system.source_jacobian(states)
+    assert mats.shape == jac.shape == (4, 6, m, m) and src.shape == (4, 6, m)
+    for idx in np.ndindex(4, 6):
+        np.testing.assert_array_equal(mats[idx], system.matrix(states[idx]))
+        np.testing.assert_array_equal(src[idx], system.source(states[idx]))
+        np.testing.assert_array_equal(jac[idx], system.source_jacobian(states[idx]))
 
 
-@pytest.mark.parametrize("factory", [scalar_advection_reaction, linear_system, euler_ideal_gas])
+@pytest.mark.parametrize(
+    "factory", [scalar_advection_reaction, leveque_yee, linear_system, euler_ideal_gas]
+)
 def test_flux_jacobian_is_matrix(factory):
     # For the conservative models the quasilinear matrix must be dF/dq.
     system = factory()

@@ -236,3 +236,17 @@ def test_query_validation():
         StabilityQuery(order=3, predictor="semi")
     with pytest.raises(ValueError):
         StabilityQuery(order=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"order": 6}, "order"),
+        ({"order": 3, "n_theta": 0}, "n_theta"),
+        ({"order": 3, "n_scenarios": 0}, "n_scenarios"),
+        ({"order": 3, "alpha": 0.0}, "alpha"),
+    ],
+)
+def test_query_rejects_out_of_range_sizes(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        StabilityQuery(**kwargs)
