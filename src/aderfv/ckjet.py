@@ -4,10 +4,12 @@ Given the state and its spatial derivatives at one point, the balance law
 dQ/dt = S(Q) - A(Q) dQ/dx determines all time (and mixed) derivatives. The
 generic engine propagates a bivariate truncated power series in (x, t) layer
 by layer: the t-degree-(k+1) coefficients are the t-degree-k coefficients of
-S(Q) - A(Q) dQ/dx divided by k+1. Each system states its law once, and the
-engine runs that generic form directly on series: a conservative law gives
-its flux, so A(Q) dQ/dx is the x-derivative of F(Q); a non-conservative law
-gives the rows of A(Q); either may add source terms S(Q).
+S(Q) - A(Q) dQ/dx divided by k+1, on the triangle j + k <= order that the
+time derivatives need. Like the series, the jet is coefficient-major (degree
+axes first, batch axes last). Each system states its law once, and the engine
+runs that generic form directly on series: a conservative law gives its flux,
+so A(Q) dQ/dx is the x-derivative of F(Q); a non-conservative law gives the
+rows of A(Q); either may add source terms S(Q).
 
 Constant-coefficient linear systems register closed-form coefficient
 matrices, used both as a fast path and as an independent cross-check.
@@ -60,11 +62,13 @@ def _rhs_terms(system: SystemDescriptor, comps: list[TruncatedSeries]) -> list[T
 
 
 class SpaceTimeJet:
-    """Space-time Taylor coefficients c[j, k] of Q around one point.
+    """Space-time Taylor coefficients c[i, j, k] of Q around one point.
 
-    Seeded from the spatial derivative stack (c[j, 0] = D_j / j!) and filled
-    upward in time degree using the balance law. ``coefficients`` has shape
-    (..., m, order+1, order+1).
+    Seeded from the spatial derivative stack (c[:, j, 0] = D_j / j!) and
+    filled upward in time degree using the balance law. ``coefficients`` is
+    coefficient-major with shape (m, order+1, order+1) + batch. Only the
+    triangle j + k <= order is filled: time level k evolves the x-degrees
+    j <= order - k that the pure time derivatives depend on.
     """
 
     def __init__(self, system: SystemDescriptor, derivatives: np.ndarray, order: int):
@@ -78,9 +82,10 @@ class SpaceTimeJet:
         self.order = order
         n = order + 1
         batch = derivatives.shape[:-2]
-        c = np.zeros(batch + (system.m, n, n))
+        c = np.zeros((system.m, n, n) + batch)
         factorials = np.array([math.factorial(j) for j in range(n)])
-        c[..., :, :, 0] = np.moveaxis(derivatives, -1, -2) / factorials
+        seeds = np.moveaxis(derivatives, (-1, -2), (0, 1))
+        c[:, :, 0] = seeds / factorials.reshape((n,) + (1,) * len(batch))
         self.coefficients = c
         self._fill()
 
@@ -89,19 +94,20 @@ class SpaceTimeJet:
         m = self.system.m
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             for k in range(self.order):
-                comps = [TruncatedSeries(c[..., i, :, : k + 1]) for i in range(m)]
+                nx = self.order - k + 1
+                comps = [TruncatedSeries(c[i, :nx, : k + 1]) for i in range(m)]
                 rhs = _rhs_terms(self.system, comps)
                 for i in range(m):
-                    c[..., i, :, k + 1] = rhs[i].c[..., :, k] / (k + 1)
+                    c[i, : nx - 1, k + 1] = rhs[i].c[: nx - 1, k] / (k + 1)
         if not np.all(np.isfinite(c)):
             raise FloatingPointError("non-finite space-time jet coefficients")
 
     def time_derivatives(self) -> np.ndarray:
         """Pure time derivatives d_t^k Q for k = 1..order, shape (..., order, m)."""
-        out = np.empty(self.coefficients.shape[:-3] + (self.order, self.system.m))
-        for k in range(1, self.order + 1):
-            out[..., k - 1, :] = math.factorial(k) * self.coefficients[..., :, 0, k]
-        return out
+        c = self.coefficients
+        factorials = np.array([math.factorial(k) for k in range(1, self.order + 1)])
+        g = factorials.reshape((-1,) + (1,) * (c.ndim - 3)) * c[:, 0, 1:]
+        return np.moveaxis(g, (0, 1), (-1, -2))
 
 
 def ck_time_derivatives(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -36,6 +37,8 @@ from .vonneumann import (
 __all__ = ["PRESETS", "main"]
 
 DEFAULT_MESHES = (16, 32, 64, 128)
+# Failing predictor points listed one by one on exit code 2.
+_REPORTED_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -247,12 +250,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_failing_points(details: dict) -> None:
+    """Count of failing predictor points, then cell, tau and state of the first few."""
+    cells = details.get("cells")
+    if cells is None:
+        return
+    print(f"aderfv: {len(cells)} failing predictor point(s)", file=sys.stderr)
+    rows = zip(cells, details["tau"], details["states"])
+    for cell, tau, state in itertools.islice(rows, _REPORTED_POINTS):
+        state = np.array2string(np.asarray(state), precision=6)
+        print(f"  cell {cell}, tau {tau:.6g}, state {state}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PredictorError as exc:
         print(f"aderfv: predictor failure: {exc}", file=sys.stderr)
+        _print_failing_points(exc.details)
         return 2
     except (ValueError, OSError) as exc:
         print(f"aderfv: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Uniform 1-D grids, cell-average storage, quadrature rules and error norms."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -223,6 +224,12 @@ class RunConfig:
             raise ValueError("t_out must be non-negative")
         if self.boundary not in ("periodic", "transmissive"):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
+        if self.fp_max_iter < 1:
+            raise ValueError(f"fp_max_iter must be at least 1, got {self.fp_max_iter}")
+        if not (math.isfinite(self.fp_tol) and self.fp_tol >= 0.0):
+            raise ValueError(f"fp_tol must be finite and non-negative, got {self.fp_tol}")
+        if self.dt_max is not None and not self.dt_max > 0.0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
     @property
     def degree(self) -> int:

@@ -147,7 +147,8 @@ def solve_derivative_chain(
     """Back-substitute the linearized derivative equations for D_1..D_M.
 
     With J = source Jacobian and A = system matrix both evaluated at the
-    frozen D_0, solve (I - tau J) D_M = w_M and then
+    frozen D_0 (taken from the registered CK matrices when the system has
+    constant coefficients), solve (I - tau J) D_M = w_M and then
     (I - tau J) D_k = w_k - tau A D_{k+1} for k = M-1..1.
     """
     d0_frozen = np.asarray(d0_frozen, dtype=float)
@@ -158,16 +159,28 @@ def solve_derivative_chain(
     out = np.empty(batch + (order, m))
     if order == 0:
         return out
-    jac = system.source_jacobian(d0_frozen)
-    amat = system.matrix(d0_frozen)
+    if system.ck_matrices is not None:
+        # Constant coefficients: d_t Q = B Q - A Q_x gives C[0] = (B, -A).
+        first = system.ck_matrices(1)[0]
+        jac, amat = first[0], -first[1]
+    else:
+        jac = system.source_jacobian(d0_frozen)
+        amat = system.matrix(d0_frozen)
     lhs = np.eye(m) - tau[..., None, None] * jac
+
+    def solve(rhs):
+        # Without source terms I - tau J is the identity.
+        if system.source_free:
+            return rhs
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
     try:
-        out[..., order - 1, :] = np.linalg.solve(lhs, w_rest[..., order - 1, :, None])[..., 0]
+        out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
         for k in range(order - 2, -1, -1):
-            rhs = w_rest[..., k, :] - tau[..., None] * np.einsum(
-                "...ab,...b->...a", amat, out[..., k + 1, :]
+            out[..., k, :] = solve(
+                w_rest[..., k, :]
+                - tau[..., None] * np.einsum("...ab,...b->...a", amat, out[..., k + 1, :])
             )
-            out[..., k, :] = np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise PredictorError(f"singular derivative chain (I - tau J): {exc}") from exc
     if not np.all(np.isfinite(out)):
@@ -182,7 +195,8 @@ def solve_predictor_points(
 
     ``w`` has shape (B, M+1, m) holding the reconstruction derivatives; ``tau``
     the elapsed physical times. Returns the full derivative stacks (B, M+1, m)
-    and the largest sweep count used by any point.
+    and the largest sweep count used by any point. Points at tau = 0 return
+    their (admissible) reconstruction stacks without a sweep.
     """
     w = np.asarray(w, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -199,7 +213,17 @@ def solve_predictor_points(
     # validity (the source Jacobian can change sign across a reaction front),
     # so they get a fresh finite-difference Jacobian on the next sweep.
     stale = np.zeros(nb, dtype=bool)
-    active = np.arange(nb)
+    # At tau = 0 the state equation reads D = w exactly: those points keep
+    # their reconstruction stacks and skip the Newton sweeps.
+    start = tau == 0.0
+    if system.admissible is not None:
+        bad = np.flatnonzero(start & ~system.admissible(w0))
+        if bad.size:
+            raise PredictorError(
+                "inadmissible reconstructed state at tau = 0",
+                details={"points": bad, "tau": tau[bad], "states": w0[bad]},
+            )
+    active = np.flatnonzero(~start)
     sweeps = 0
 
     while active.size:
@@ -207,7 +231,7 @@ def solve_predictor_points(
         if sweeps > config.fp_max_iter:
             raise PredictorError(
                 "predictor fixed point did not converge",
-                details={"points": active.copy(), "tau": tau[active].copy()},
+                details={"points": active, "tau": tau[active], "states": d0[active]},
             )
         d0_a = d0[active]
         tau_a = tau[active]
@@ -255,7 +279,11 @@ def solve_predictor_points(
                 if np.any(bad):
                     raise PredictorError(
                         "inadmissible predictor state after step halving",
-                        details={"points": active[bad], "states": d0_new[bad]},
+                        details={
+                            "points": active[bad],
+                            "tau": tau_a[bad],
+                            "states": d0_new[bad],
+                        },
                     )
         if not np.all(np.isfinite(d0_new)):
             raise PredictorError("non-finite predictor iterate")
@@ -314,6 +342,7 @@ def _build_tables_chunk(
     dx: float,
     config: RunConfig,
     rules: SpaceTimeRules,
+    first_cell: int = 0,
 ) -> PredictorTable:
     ncells = coeffs.shape[0]
     m = system.m
@@ -332,10 +361,16 @@ def _build_tables_chunk(
 
     w_all = np.concatenate([w_int_b, w_tr_b])
     tau_all = np.concatenate([tau_int, tau_tr])
-    stacks, sweeps = solve_predictor_points(system, w_all, tau_all, config)
-    states = stacks[:, 0]
-
     split = ncells * n_tau * n_xi
+    try:
+        stacks, sweeps = solve_predictor_points(system, w_all, tau_all, config)
+    except PredictorError as exc:
+        if "points" in exc.details:
+            p = np.asarray(exc.details["points"])
+            cell = np.where(p < split, p // (n_tau * n_xi), (p - split) // (2 * n_tr))
+            exc.details["cells"] = first_cell + cell
+        raise
+    states = stacks[:, 0]
     values = states[:split].reshape(ncells, n_tau, n_xi, m)
     traces = states[split:].reshape(ncells, n_tr, 2, m)
     x_deriv = np.einsum("lp,ctpm->ctlm", rules.diff_matrix, values) / dx
@@ -367,17 +402,19 @@ def build_predictor_tables(
     ``coeffs`` has shape (cells, m, M+1). With ``threads > 1`` the cell batch
     is split into contiguous chunks solved concurrently; chunking does not
     change any result because every point iterates to its own tolerance.
+    A ``PredictorError`` with failing points names their indices in
+    ``coeffs`` under ``details["cells"]``.
     """
     rules = space_time_rules(config.order)
     ncells = coeffs.shape[0]
     if threads <= 1 or ncells < 2 * threads:
         return _build_tables_chunk(system, coeffs, dt, dx, config, rules)
     bounds = np.linspace(0, ncells, threads + 1).astype(int)
-    chunks = [(coeffs[a:b],) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    chunks = [(coeffs[a:b], a) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
             pool.map(
-                lambda args: _build_tables_chunk(system, args[0], dt, dx, config, rules),
+                lambda args: _build_tables_chunk(system, args[0], dt, dx, config, rules, args[1]),
                 chunks,
             )
         )

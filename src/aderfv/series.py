@@ -1,10 +1,12 @@
 """Truncated power-series arithmetic used by the Cauchy-Kowalewskaya engine.
 
 A :class:`TruncatedSeries` stores coefficients of a polynomial in one or two
-formal variables, truncated at fixed degrees. The trailing two axes of the
-coefficient array index (x-degree, t-degree); any leading axes are batch
-dimensions, so whole grids of series are combined in single numpy operations.
-Univariate series are simply the t-degree-0 special case.
+formal variables, truncated at fixed degrees. The coefficient array is stored
+coefficient-major: the leading two axes index (x-degree, t-degree) and any
+trailing axes are batch dimensions, so every coefficient is one contiguous
+batch block and whole grids of series combine in single numpy operations.
+Operands of a binary operation have equal batch rank; batch axes of size one
+broadcast. Univariate series are simply the t-degree-0 special case.
 """
 from __future__ import annotations
 
@@ -15,17 +17,12 @@ import numpy as np
 __all__ = ["TruncatedSeries"]
 
 
-def _coeff_major(c: np.ndarray, batch: tuple, nx: int, nt: int) -> np.ndarray:
-    """Contiguous copy with the (x, t) degree axes leading and batch trailing."""
-    c = np.broadcast_to(c[..., :nx, :nt], batch + (nx, nt))
-    return np.ascontiguousarray(np.moveaxis(c, (-2, -1), (0, 1)))
-
-
 class TruncatedSeries:
     """Bivariate truncated power series sum c[j, k] x^j t^k.
 
-    All binary operations truncate the result to the operand degrees. Division
-    requires an invertible (nonzero) constant term.
+    ``c`` has shape (nx, nt) + batch. All binary operations truncate the
+    result to the smaller operand degrees. Division requires an invertible
+    (nonzero) constant term.
     """
 
     __slots__ = ("c",)
@@ -33,7 +30,7 @@ class TruncatedSeries:
     def __init__(self, coefficients: np.ndarray):
         c = np.asarray(coefficients)
         if c.ndim < 2:
-            raise ValueError("coefficient array needs trailing (x, t) degree axes")
+            raise ValueError("coefficient array needs leading (x, t) degree axes")
         self.c = c
 
     # -- constructors -------------------------------------------------------
@@ -41,21 +38,21 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value, like: "TruncatedSeries") -> "TruncatedSeries":
         c = np.zeros_like(like.c)
-        c[..., 0, 0] = value
+        c[0, 0] = value
         return cls(c)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def nx(self) -> int:
-        return self.c.shape[-2]
+        return self.c.shape[0]
 
     @property
     def nt(self) -> int:
-        return self.c.shape[-1]
+        return self.c.shape[1]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"TruncatedSeries(nx={self.nx}, nt={self.nt}, batch={self.c.shape[:-2]})"
+        return f"TruncatedSeries(nx={self.nx}, nt={self.nt}, batch={self.c.shape[2:]})"
 
     # -- ring operations -----------------------------------------------------
 
@@ -94,18 +91,19 @@ class TruncatedSeries:
             return TruncatedSeries(self.c * other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        nx = min(self.nx, other.nx)
-        nt = min(self.nt, other.nt)
-        batch = np.broadcast_shapes(self.c.shape[:-2], other.c.shape[:-2])
-        # Convolve in coefficient-major layout: the batch axes sit last, so
-        # every block update below touches contiguous memory.
-        a = _coeff_major(self.c, batch, nx, nt)
-        b = _coeff_major(other.c, batch, nx, nt)
-        out = np.zeros((nx, nt) + batch, dtype=np.result_type(a, b))
-        for p in range(nx):
-            for q in range(nt):
-                out[p:, q:] += a[p, q] * b[: nx - p, : nt - q]
-        return TruncatedSeries(np.moveaxis(out, (0, 1), (-2, -1)))
+        a, b = self.c, other.c
+        batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+        out = np.empty((min(self.nx, other.nx), min(self.nt, other.nt)) + batch,
+                       dtype=np.result_type(a, b))
+        term = np.empty(batch, dtype=out.dtype)
+        # One output block at a time, so the working set stays in cache.
+        for j, k in np.ndindex(out.shape[:2]):
+            acc = out[j, k, ...]
+            np.multiply(a[0, 0], b[j, k], out=acc)
+            for p, q in np.ndindex(j + 1, k + 1):
+                if p or q:
+                    acc += np.multiply(a[p, q], b[j - p, k - q], out=term)
+        return TruncatedSeries(out)
 
     __rmul__ = __mul__
 
@@ -114,26 +112,22 @@ class TruncatedSeries:
             return TruncatedSeries(self.c / other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        nx = min(self.nx, other.nx)
-        nt = min(self.nt, other.nt)
-        if not np.all(np.abs(other.c[..., 0, 0]) > 0.0):
+        a, b = self.c, other.c
+        if not np.all(np.abs(b[0, 0]) > 0.0):
             raise ZeroDivisionError("series division by zero constant term")
-        batch = np.broadcast_shapes(self.c.shape[:-2], other.c.shape[:-2])
-        a = _coeff_major(self.c, batch, nx, nt)
-        b = _coeff_major(other.c, batch, nx, nt)
-        b00 = b[0, 0]
-        out = np.zeros((nx, nt) + batch, dtype=np.result_type(a, b))
+        batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+        out = np.empty((min(self.nx, other.nx), min(self.nt, other.nt)) + batch,
+                       dtype=np.result_type(a, b))
+        term = np.empty(batch, dtype=out.dtype)
         # Forward substitution on conv(b, out) = a in graded order.
-        for j in range(nx):
-            for k in range(nt):
-                acc = a[j, k].copy()
-                for p in range(j + 1):
-                    for q in range(k + 1):
-                        if p == 0 and q == 0:
-                            continue
-                        acc -= b[p, q] * out[j - p, k - q]
-                out[j, k] = acc / b00
-        return TruncatedSeries(np.moveaxis(out, (0, 1), (-2, -1)))
+        for j, k in np.ndindex(out.shape[:2]):
+            acc = out[j, k, ...]
+            acc[...] = a[j, k]
+            for p, q in np.ndindex(j + 1, k + 1):
+                if p or q:
+                    acc -= np.multiply(b[p, q], out[j - p, k - q], out=term)
+            acc /= b[0, 0]
+        return TruncatedSeries(out)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -146,6 +140,6 @@ class TruncatedSeries:
     def x_derivative(self) -> "TruncatedSeries":
         """Derivative in the x variable, keeping the truncation size."""
         out = np.zeros_like(self.c)
-        degrees = np.arange(1, self.nx)
-        out[..., : self.nx - 1, :] = self.c[..., 1:, :] * degrees[:, None]
+        degrees = np.arange(1, self.nx).reshape((-1,) + (1,) * (self.c.ndim - 1))
+        out[: self.nx - 1] = self.c[1:] * degrees
         return TruncatedSeries(out)

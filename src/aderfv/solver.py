@@ -26,7 +26,7 @@ from .grid import (
     error_norms,
     observed_order,
 )
-from .predictor import build_predictor_tables, space_time_rules
+from .predictor import PredictorError, build_predictor_tables, space_time_rules
 from .systems import SystemDescriptor
 from .weno import reconstruct_batch
 
@@ -135,7 +135,12 @@ def step(
     coeffs = reconstruct_batch(windows, config.degree)
 
     rules = space_time_rules(config.order)
-    tables = build_predictor_tables(system, coeffs, dt, dx, config, threads=threads)
+    try:
+        tables = build_predictor_tables(system, coeffs, dt, dx, config, threads=threads)
+    except PredictorError as exc:
+        if "cells" in exc.details:
+            exc.details["cells"] = exc.details["cells"] - 1  # table j covers cell j-1
+        raise
 
     # Table j covers cell j-1 (tables include one ghost cell per side), so the
     # interface left of interior cell i sits between tables i and i+1.

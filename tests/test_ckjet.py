@@ -172,17 +172,54 @@ def test_conservative_flux_and_quasilinear_paths_agree():
         np.testing.assert_allclose(a, b, atol=1e-10 * (1 + np.max(np.abs(a))))
 
 
+def _noncons_stack(rng, batch, order):
+    d = rng.standard_normal(batch + (order + 1, 2)) * 0.1
+    d[..., 0, :] += 1.0
+    return d
+
+
+def _euler_stack(rng, batch, order):
+    d = rng.standard_normal(batch + (order + 1, 3)) * 0.1
+    d[..., 0, :] += np.array([1.0, 0.5, 6.0])
+    return d
+
+
 def test_batched_matches_loop():
-    system = noncons_system()
+    # (2m + 1, B) is the batch shape of the finite-difference Jacobian.
+    cases = [
+        (noncons_system, _noncons_stack, (6,)),
+        (noncons_system, _noncons_stack, (5, 3)),
+        (euler_ideal_gas, _euler_stack, (6,)),
+        (euler_ideal_gas, _euler_stack, (7, 4)),
+    ]
     rng = np.random.default_rng(21)
-    d = rng.standard_normal((6, 4, 2)) * 0.1
-    d[:, 0, 0] += 1.0
-    d[:, 0, 1] += 1.0
-    batched = ck_time_derivatives(system, d, 3, method="series")
-    for i in range(d.shape[0]):
-        np.testing.assert_allclose(
-            batched[i], ck_time_derivatives(system, d[i], 3, method="series"), atol=1e-13
-        )
+    for make, stack, batch in cases:
+        system = make()
+        d = stack(rng, batch, 3)
+        batched = ck_time_derivatives(system, d, 3, method="series")
+        assert batched.shape == batch + (3, system.m)
+        for idx in np.ndindex(*batch):
+            np.testing.assert_allclose(
+                batched[idx], ck_time_derivatives(system, d[idx], 3, method="series"),
+                atol=1e-13,
+            )
+
+
+def test_euler_advected_wave_jet():
+    # In the u = 1, p = 2 background every conserved variable is a function
+    # of x - t, so d_t^k Q = (-1)^k d_x^k Q: a nonlinear oracle for the
+    # triangularly truncated jet (flux with a division, all mixed terms).
+    system = euler_ideal_gas()
+    order = 4
+    for x in (0.07, 0.31, 0.62, 0.9):
+        d = np.empty((order + 1, 3))
+        for j in range(order + 1):
+            rho_j = 0.2 * TWO_PI**j * np.sin(TWO_PI * x + j * np.pi / 2)
+            d[j] = [rho_j, rho_j, 0.5 * rho_j]
+        d[0] += [1.0, 1.0, 5.5]  # rho = rho u = 1 + ..., E = p / 0.4 + rho / 2
+        got = ck_time_derivatives(system, d, order, method="series")
+        for k in range(1, order + 1):
+            np.testing.assert_allclose(got[k - 1], (-1) ** k * d[k], rtol=0.0, atol=1e-12)
 
 
 def test_jet_rejects_non_finite():

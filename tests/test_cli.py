@@ -158,3 +158,26 @@ def test_predictor_failure_exits_two(monkeypatch, capsys):
     rc = main(["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "0.1"])
     assert rc == 2
     assert "predictor failure" in capsys.readouterr().err
+
+
+def test_predictor_failure_prints_details(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise PredictorError(
+            "synthetic inadmissible state",
+            details={
+                "points": np.arange(7),
+                "cells": np.array([11, 11, 12, 12, 12, 13, 40]),
+                "tau": np.linspace(0.0, 0.006, 7),
+                "states": np.array([[-0.25, 1.5]] * 7),
+            },
+        )
+
+    monkeypatch.setattr("aderfv.cli.run", boom)
+    rc = main(["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "synthetic inadmissible state" in err
+    assert "7 failing predictor point(s)" in err
+    assert "cell 11, tau 0, state [-0.25  1.5 ]" in err
+    assert "cell 12, tau 0.004" in err
+    assert "cell 13" not in err  # only the first few points are listed

@@ -132,6 +132,16 @@ def test_run_config_validation():
         {"order": 3, "cfl": 0.0},
         {"order": 3, "alpha": -1.0},
         {"order": 3, "boundary": "weird"},
+        {"order": 3, "fp_max_iter": 0},
+        {"order": 3, "fp_max_iter": -3},
+        {"order": 3, "fp_tol": -1.0},
+        {"order": 3, "fp_tol": float("nan")},
+        {"order": 3, "fp_tol": float("inf")},
+        {"order": 3, "dt_max": 0.0},
+        {"order": 3, "dt_max": -0.1},
     ):
-        with pytest.raises(ValueError):
+        # Rejected when built, naming the field, not later in the run.
+        with pytest.raises(ValueError, match=list(kwargs)[-1]):
             RunConfig(**kwargs)
+    assert RunConfig(order=3, fp_tol=0.0, fp_max_iter=1, dt_max=1e-3).fp_max_iter == 1
+

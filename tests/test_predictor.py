@@ -60,6 +60,22 @@ def test_derivative_chain_hand_check():
     np.testing.assert_allclose(got.ravel(), [d1, d2], atol=1e-14)
 
 
+@pytest.mark.parametrize("make", [linear_system, scalar_advection_reaction])
+def test_chain_constant_matrices_match_derived_forms(make):
+    # Registered constant matrices replace the derived matrix and source
+    # Jacobian in the chain; both are exact, so the chains agree bit for bit.
+    system = make()
+    derived = dataclasses.replace(system, ck_matrices=None)
+    rng = np.random.default_rng(6)
+    d0 = rng.standard_normal((10, system.m))
+    w_rest = rng.standard_normal((10, 4, system.m))
+    tau = rng.uniform(0.0, 0.2, size=10)
+    np.testing.assert_array_equal(
+        solve_derivative_chain(system, d0, w_rest, tau, 4),
+        solve_derivative_chain(derived, d0, w_rest, tau, 4),
+    )
+
+
 def test_zero_time_offset_returns_data():
     system = scalar_advection_reaction()
     cfg = RunConfig(order=4)
@@ -174,6 +190,24 @@ def test_admissibility_guard_raises():
     w[1] = [0.3, 0.1]
     with pytest.raises(PredictorError):
         _solve_point(bad, w, 0.01, cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_inadmissible_reconstruction_names_its_cell(threads):
+    # u <= 0 is outside the non-conservative system's admissible set; the
+    # tau = 0 trace points of that cell fail without a Newton sweep.
+    cfg = RunConfig(order=3)
+    coeffs = np.zeros((6, 2, cfg.degree + 1))
+    coeffs[:, :, 0] = 1.0
+    coeffs[4, 0, 0] = -0.5
+    with pytest.raises(PredictorError) as err:
+        build_predictor_tables(
+            noncons_system(), coeffs, dt=0.01, dx=0.1, config=cfg, threads=threads
+        )
+    details = err.value.details
+    np.testing.assert_array_equal(details["cells"], [4, 4])
+    np.testing.assert_array_equal(details["tau"], [0.0, 0.0])
+    np.testing.assert_array_equal(details["states"], [[-0.5, 1.0]] * 2)
 
 
 def test_iteration_cap_raises():
