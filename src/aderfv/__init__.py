@@ -38,7 +38,7 @@ from .systems import (
     scalar_advection_reaction,
 )
 from .vonneumann import StabilityQuery, stability_fraction, stability_map
-from .weno import ReconstructionPolynomial, reconstruct, reconstruct_batch
+from .weno import reconstruct_batch
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "PredictorError",
     "PredictorTable",
     "QuadratureRule",
-    "ReconstructionPolynomial",
     "RunConfig",
     "RunReport",
     "StabilityQuery",
@@ -71,7 +70,6 @@ __all__ = [
     "noncons_system",
     "observed_order",
     "primitive_to_conserved",
-    "reconstruct",
     "reconstruct_batch",
     "run",
     "scalar_advection_reaction",

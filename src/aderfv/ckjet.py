@@ -11,8 +11,11 @@ runs that generic form directly on series: a conservative law gives its flux,
 so A(Q) dQ/dx is the x-derivative of F(Q); a non-conservative law gives the
 rows of A(Q); either may add source terms S(Q).
 
-Constant-coefficient linear systems register closed-form coefficient
-matrices, used both as a fast path and as an independent cross-check.
+A system that declares constant coefficients takes the constant-coefficient
+route derived from the law instead: its time derivatives are one matrix
+product with the closed-form CK matrices, and the residual's Jacobian is
+assembled exactly. Every other system takes the series engine, with a
+finite-difference Jacobian.
 """
 from __future__ import annotations
 
@@ -111,27 +114,23 @@ class SpaceTimeJet:
 
 
 def ck_time_derivatives(
-    system: SystemDescriptor, derivatives: np.ndarray, order: int, method: str = "auto"
+    system: SystemDescriptor, derivatives: np.ndarray, order: int
 ) -> np.ndarray:
     """Time derivatives d_t^k Q, k = 1..order, from the spatial stack.
 
     ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis.
-    ``method`` selects 'series' (generic engine), 'closed' (registered
-    constant-coefficient matrices), or 'auto'.
     """
     derivatives = np.asarray(derivatives, dtype=float)
     if order == 0:
         return np.zeros(derivatives.shape[:-2] + (0, system.m))
-    if method == "auto":
-        method = "closed" if system.ck_matrices is not None else "series"
-    if method == "closed":
-        if system.ck_matrices is None:
-            raise ValueError(f"system {system.name!r} has no closed-form CK matrices")
-        mats = system.ck_matrices(order)  # (order, order+1, m, m)
-        return np.einsum("kjab,...jb->...ka", mats, derivatives)
-    if method == "series":
+    if not system.constant_coefficients:
         return SpaceTimeJet(system, derivatives, order).time_derivatives()
-    raise ValueError(f"unknown method {method!r}")
+    # d_t^{k+1} Q = sum_j C[k, j] D_j as one product: rows (k, a), columns (j, b).
+    m = system.m
+    mats = system.closed_ck(order).transpose(0, 2, 1, 3).reshape(order * m, -1)
+    batch = derivatives.shape[:-2]
+    flat = derivatives.reshape(batch + ((order + 1) * m,))
+    return (flat @ mats.T).reshape(batch + (order, m))
 
 
 def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
@@ -151,7 +150,6 @@ def predictor_residual(
     d_rest: np.ndarray,
     tau: np.ndarray,
     w0: np.ndarray,
-    method: str = "auto",
 ) -> np.ndarray:
     """Residual of the implicit Taylor state equation at elapsed time tau.
 
@@ -163,7 +161,7 @@ def predictor_residual(
     d_rest = np.asarray(d_rest, dtype=float)
     order = d_rest.shape[-2]
     stack = np.concatenate([d0[..., None, :], d_rest], axis=-2)
-    g = ck_time_derivatives(system, stack, order, method=method)
+    g = ck_time_derivatives(system, stack, order)
     coef = _taylor_coefficients(tau, order)
     return d0 - w0 + np.einsum("...k,...km->...m", coef, g)
 
@@ -174,14 +172,13 @@ def residual_and_jacobian(
     d_rest: np.ndarray,
     tau: np.ndarray,
     w0: np.ndarray,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual H and its Jacobian with respect to D_0.
 
-    With registered closed-form CK matrices the Jacobian is assembled exactly;
-    otherwise it is formed by central finite differences with per-component
-    step h_j = cbrt(machine eps) * (1 + |d0_j|). All perturbed evaluations are
-    batched into a single engine call.
+    With constant coefficients the Jacobian is assembled exactly from the
+    closed-form CK matrices; otherwise it is formed by central finite
+    differences with per-component step h_j = cbrt(machine eps) * (1 + |d0_j|).
+    All perturbed evaluations are batched into a single engine call.
     """
     d0 = np.asarray(d0, dtype=float)
     d_rest = np.asarray(d_rest, dtype=float)
@@ -193,18 +190,12 @@ def residual_and_jacobian(
         eye = np.broadcast_to(np.eye(m), d0.shape[:-1] + (m, m)).copy()
         return d0 - w0, eye
 
-    if method == "auto":
-        method = "closed" if system.ck_matrices is not None else "fd"
-
-    if method == "closed":
-        h = predictor_residual(system, d0, d_rest, tau, w0, method="closed")
-        mats = system.ck_matrices(order)[:, 0]  # (order, m, m): D_0 blocks
+    if system.constant_coefficients:
+        h = predictor_residual(system, d0, d_rest, tau, w0)
+        mats = system.closed_ck(order)[:, 0]  # (order, m, m): D_0 blocks
         coef = _taylor_coefficients(tau, order)
         jac = np.eye(m) + np.einsum("...k,kab->...ab", coef, mats)
         return h, jac
-
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
 
     flat_batch = d0.shape[:-1]
     reps = 1 + 2 * m
@@ -216,7 +207,7 @@ def residual_and_jacobian(
     rest_big = np.broadcast_to(d_rest, (reps,) + d_rest.shape)
     tau_big = np.broadcast_to(tau, (reps,) + tau.shape)
     w0_big = np.broadcast_to(w0, (reps,) + w0.shape)
-    h_all = predictor_residual(system, d0_big, rest_big, tau_big, w0_big, method="series")
+    h_all = predictor_residual(system, d0_big, rest_big, tau_big, w0_big)
     residual = h_all[0]
     jac = np.empty(flat_batch + (m, m))
     for j in range(m):

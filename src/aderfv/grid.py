@@ -216,12 +216,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.order not in (1, 2, 3, 4, 5):
             raise ValueError(f"order must be in 1..5, got {self.order}")
-        if not 0.0 < self.cfl:
-            raise ValueError("cfl must be positive")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if self.t_out < 0.0:
-            raise ValueError("t_out must be non-negative")
+        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
+            raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (math.isfinite(self.t_out) and self.t_out >= 0.0):
+            raise ValueError(f"t_out must be finite and non-negative, got {self.t_out}")
         if self.boundary not in ("periodic", "transmissive"):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
         if self.fp_max_iter < 1:

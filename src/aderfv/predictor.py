@@ -18,7 +18,7 @@ is partitioned.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +40,8 @@ __all__ = [
 
 # Refresh cadence for finite-difference Jacobians: a fresh Jacobian on the
 # first sweep and every fourth sweep after; in between the stored one is
-# reused (the outer fixed point converges linearly anyway).
+# reused (the outer fixed point converges linearly anyway). Exact Jacobians
+# of constant-coefficient systems are fresh on every sweep.
 _JACOBIAN_REFRESH = 4
 _BACKTRACK_LIMIT = 5
 # Newton steps larger than this fraction of the state scale must not increase
@@ -122,16 +123,12 @@ class PredictorTable:
     ``values`` holds Q at the interior tensor nodes (..., n_tau, n_xi, m);
     ``x_derivative`` is the spatial derivative of the Lagrange interpolant
     through the interior nodes, in physical units. The interface traces are
-    stored at the trace-rule times.
+    stored at the trace-rule times. The nodes themselves are those of
+    ``space_time_rules(order)``.
     """
 
-    dt: float
-    dx: float
-    xi_nodes: np.ndarray
-    tau_nodes: np.ndarray
     values: np.ndarray
     x_derivative: np.ndarray
-    trace_taus: np.ndarray
     trace_left: np.ndarray   # Q(xi=0, tau), shape (..., n_trace, m)
     trace_right: np.ndarray  # Q(xi=1, tau), shape (..., n_trace, m)
     iterations: int = 0
@@ -147,7 +144,7 @@ def solve_derivative_chain(
     """Back-substitute the linearized derivative equations for D_1..D_M.
 
     With J = source Jacobian and A = system matrix both evaluated at the
-    frozen D_0 (taken from the registered CK matrices when the system has
+    frozen D_0 (read from the closed-form CK matrices when the system has
     constant coefficients), solve (I - tau J) D_M = w_M and then
     (I - tau J) D_k = w_k - tau A D_{k+1} for k = M-1..1.
     """
@@ -159,9 +156,9 @@ def solve_derivative_chain(
     out = np.empty(batch + (order, m))
     if order == 0:
         return out
-    if system.ck_matrices is not None:
-        # Constant coefficients: d_t Q = B Q - A Q_x gives C[0] = (B, -A).
-        first = system.ck_matrices(1)[0]
+    if system.constant_coefficients:
+        # d_t Q = B Q - A Q_x gives C[0] = (B, -A).
+        first = system.closed_ck(1)[0]
         jac, amat = first[0], -first[1]
     else:
         jac = system.source_jacobian(d0_frozen)
@@ -207,8 +204,7 @@ def solve_predictor_points(
     w0 = w[:, 0]
     w_rest = w[:, 1:]
 
-    closed = system.ck_matrices is not None
-    jac_store = np.empty((nb, m, m)) if not closed else None
+    jac_store = np.empty((nb, m, m))
     # Points whose last step was large sit outside the chord Jacobian's
     # validity (the source Jacobian can change sign across a reaction front),
     # so they get a fresh finite-difference Jacobian on the next sweep.
@@ -238,28 +234,16 @@ def solve_predictor_points(
         w0_a = w0[active]
         rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
 
-        if closed:
-            h, jac = residual_and_jacobian(
-                system, d0_a, rest_a, tau_a, w0_a, method="closed"
-            )
-        elif (sweeps - 1) % _JACOBIAN_REFRESH == 0:
-            h, jac = residual_and_jacobian(
-                system, d0_a, rest_a, tau_a, w0_a, method="fd"
-            )
+        if system.constant_coefficients or (sweeps - 1) % _JACOBIAN_REFRESH == 0:
+            h, jac = residual_and_jacobian(system, d0_a, rest_a, tau_a, w0_a)
             jac_store[active] = jac
         else:
-            h = predictor_residual(system, d0_a, rest_a, tau_a, w0_a, method="series")
+            h = predictor_residual(system, d0_a, rest_a, tau_a, w0_a)
             refresh = stale[active]
             if np.any(refresh):
-                _, jac_sub = residual_and_jacobian(
-                    system,
-                    d0_a[refresh],
-                    rest_a[refresh],
-                    tau_a[refresh],
-                    w0_a[refresh],
-                    method="fd",
+                _, jac_store[active[refresh]] = residual_and_jacobian(
+                    system, d0_a[refresh], rest_a[refresh], tau_a[refresh], w0_a[refresh]
                 )
-                jac_store[active[refresh]] = jac_sub
             jac = jac_store[active]
 
         try:
@@ -300,11 +284,9 @@ def solve_predictor_points(
         )
         if big.size:
             h_ref = np.max(np.abs(h[big]), axis=-1)
-            res_method = "closed" if closed else "series"
             for _ in range(_BACKTRACK_LIMIT):
                 h_try = predictor_residual(
-                    system, d0_new[big], rest_a[big], tau_a[big], w0_a[big],
-                    method=res_method,
+                    system, d0_new[big], rest_a[big], tau_a[big], w0_a[big]
                 )
                 h_try = np.max(np.abs(h_try), axis=-1)
                 worse = ~np.isfinite(h_try) | (h_try > h_ref)
@@ -376,13 +358,8 @@ def _build_tables_chunk(
     x_deriv = np.einsum("lp,ctpm->ctlm", rules.diff_matrix, values) / dx
 
     return PredictorTable(
-        dt=dt,
-        dx=dx,
-        xi_nodes=rules.xi_rule.nodes,
-        tau_nodes=rules.tau_rule.nodes,
         values=values,
         x_derivative=x_deriv,
-        trace_taus=rules.trace_rule.nodes,
         trace_left=traces[:, :, 0, :],
         trace_right=traces[:, :, 1, :],
         iterations=sweeps,
@@ -418,16 +395,9 @@ def build_predictor_tables(
                 chunks,
             )
         )
-    first = parts[0]
-    return PredictorTable(
-        dt=dt,
-        dx=dx,
-        xi_nodes=first.xi_nodes,
-        tau_nodes=first.tau_nodes,
-        values=np.concatenate([p.values for p in parts]),
-        x_derivative=np.concatenate([p.x_derivative for p in parts]),
-        trace_taus=first.trace_taus,
-        trace_left=np.concatenate([p.trace_left for p in parts]),
-        trace_right=np.concatenate([p.trace_right for p in parts]),
-        iterations=max(p.iterations for p in parts),
-    )
+    arrays = {
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(PredictorTable)
+        if f.name != "iterations"
+    }
+    return PredictorTable(**arrays, iterations=max(p.iterations for p in parts))

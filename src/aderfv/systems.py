@@ -7,13 +7,16 @@ add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
 these forms over truncated power series; the vectorised matrix, source and
 source Jacobian used by the predictor and the fluxes are derived from the same
 forms on ndarray components, with Jacobians taken by complex-step
-differentiation. Eigenvalues, admissibility and the exact solutions of the
-manufactured tests are given per system.
+differentiation. A system that declares ``constant_coefficients`` also gets
+its closed-form CK matrices from the same forms: the constant-coefficient
+route derived from the law. Eigenvalues, admissibility and the exact solutions
+of the manufactured tests are given per system.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +38,10 @@ TWO_PI = 2.0 * math.pi
 # Complex-step size: a power of two near 1e-100, so scaling by it is exact
 # and the O(h^2) truncation error lies far below rounding.
 _COMPLEX_STEP = 2.0**-332
+
+# Highest CK order with closed-form matrices. The predictor needs orders up to
+# the largest reconstruction degree, 4.
+_CK_ORDER_MAX = 5
 
 
 def _components(q: np.ndarray) -> list:
@@ -78,6 +85,8 @@ class SystemDescriptor:
     components (floats, arrays or truncated series) and return lists of
     scalar-likes. The vectorised ``matrix``, ``source`` and
     ``source_jacobian`` map state arrays (..., m) and are derived from them.
+    ``constant_coefficients`` declares A and dS/dQ independent of Q (a linear
+    law); the CK engine then takes its time derivatives from ``closed_ck``.
     """
 
     name: str
@@ -89,7 +98,7 @@ class SystemDescriptor:
     source_terms: Callable[[Sequence], list] | None = None
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
     admissible: Callable[[np.ndarray], np.ndarray] | None = None
-    ck_matrices: Callable[[int], np.ndarray] | None = None
+    constant_coefficients: bool = False
 
     def __post_init__(self) -> None:
         if (self.flux_terms is None) == (self.matrix_rows is None):
@@ -125,6 +134,25 @@ class SystemDescriptor:
 
     def max_wave_speed(self, states: np.ndarray) -> float:
         return float(np.max(np.abs(self.eigenvalues(states))))
+
+    @cached_property
+    def _closed_ck_table(self) -> np.ndarray:
+        zero = np.zeros(self.m)
+        mats = linear_ck_matrices(self.matrix(zero), self.source_jacobian(zero), _CK_ORDER_MAX)
+        mats.flags.writeable = False
+        return mats
+
+    def closed_ck(self, order: int) -> np.ndarray:
+        """Read-only CK matrices C[k, j], k < order, j <= order (see linear_ck_matrices).
+
+        Derived once per descriptor from A and dS/dQ at Q = 0; only defined
+        for a system with ``constant_coefficients``.
+        """
+        if not self.constant_coefficients:
+            raise ValueError(f"system {self.name!r} does not have constant coefficients")
+        if not 0 <= order <= _CK_ORDER_MAX:
+            raise ValueError(f"closed-form CK order must be in 0..{_CK_ORDER_MAX}, got {order}")
+        return self._closed_ck_table[:order, : order + 1]
 
 
 def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -169,9 +197,6 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
         x = np.asarray(x)
         return (math.exp(beta * t) * np.sin(TWO_PI * (x - lam * t)))[..., None]
 
-    def ck(order):
-        return linear_ck_matrices(np.array([[lam]]), np.array([[beta]]), order)
-
     return SystemDescriptor(
         name="scalar-advection-reaction",
         m=1,
@@ -180,7 +205,7 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
         flux_terms=lambda q: [lam * q[0]],
         source_terms=lambda q: [beta * q[0]],
         exact_solution=exact_solution,
-        ck_matrices=ck,
+        constant_coefficients=True,
     )
 
 
@@ -239,10 +264,6 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
         amp = 0.5 * math.exp(beta * t)
         return np.stack([amp * (phi + psi), amp * (phi - psi)], axis=-1)
 
-    def ck(order):
-        amat = np.array([[0.0, lam], [lam, 0.0]])
-        return linear_ck_matrices(amat, beta * np.eye(2), order)
-
     return SystemDescriptor(
         name="linear-2x2",
         m=2,
@@ -251,7 +272,7 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
         flux_terms=lambda q: [lam * q[1], lam * q[0]],
         source_terms=lambda q: [beta * q[0], beta * q[1]],
         exact_solution=exact_solution,
-        ck_matrices=ck,
+        constant_coefficients=True,
     )
 
 

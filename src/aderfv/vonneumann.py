@@ -95,12 +95,15 @@ def theta_grid(n: int) -> np.ndarray:
 
 
 def blend_matrix(degree: int, weights) -> np.ndarray:
-    """Window-to-coefficients operator of a fixed (left, central, right) blend."""
+    """Window-to-coefficients operators of fixed (left, central, right) blends.
+
+    ``weights`` has shape (..., 3); the result has shape (..., M+1, 2M+1).
+    """
     w = np.asarray(weights, dtype=float)
     stack = np.stack(
         [window_candidate_matrix(degree, kind) for kind in ("left", "central", "right")]
     )
-    return np.einsum("s,slw->lw", w, stack)
+    return np.einsum("...s,slw->...lw", w, stack)
 
 
 def _predict(
@@ -214,10 +217,7 @@ def _scenario_blends(query: StabilityQuery, rng: np.random.Generator) -> np.ndar
         weights = nonlinear_weights(oi[:, 0], oi[:, 1], oi[:, 2])
     else:
         weights = draws / draws.sum(axis=1, keepdims=True)
-    stack = np.stack(
-        [window_candidate_matrix(degree, kind) for kind in ("left", "central", "right")]
-    )
-    return np.einsum("ns,slw->nlw", weights, stack)
+    return blend_matrix(degree, weights)
 
 
 def stability_fraction(

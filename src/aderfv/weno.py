@@ -8,7 +8,6 @@ blended with data-driven weights derived from an oscillation index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,19 +15,13 @@ import numpy as np
 
 __all__ = [
     "legendre_coefficients",
-    "legendre",
     "legendre_derivative",
     "stencil_offsets",
     "stencil_matrix",
     "window_candidate_matrix",
-    "candidate_polynomial",
     "oscillation_matrix",
-    "oscillation_index",
     "nonlinear_weights",
-    "ReconstructionPolynomial",
-    "reconstruct",
     "reconstruct_batch",
-    "eval_derivative",
 ]
 
 MAX_DEGREE = 5
@@ -60,13 +53,8 @@ def legendre_coefficients(l: int) -> np.ndarray:
     return np.array([float(c) for c in _legendre_fractions(l)])
 
 
-def legendre(l: int, xi) -> np.ndarray:
-    """Evaluate theta_l at xi (scalar or array)."""
-    return np.polynomial.polynomial.polyval(np.asarray(xi, dtype=float), legendre_coefficients(l))
-
-
 def legendre_derivative(l: int, xi, k: int = 1) -> np.ndarray:
-    """Evaluate the k-th derivative of theta_l at xi."""
+    """Evaluate the k-th derivative of theta_l at xi (theta_l itself for k = 0)."""
     coeffs = legendre_coefficients(l)
     for _ in range(k):
         coeffs = np.polynomial.polynomial.polyder(coeffs)
@@ -156,24 +144,6 @@ def window_candidate_matrix(degree: int, kind: str) -> np.ndarray:
     return out
 
 
-def candidate_polynomial(values: np.ndarray, degree: int, kind: str) -> np.ndarray:
-    """Candidate Legendre coefficients from the stencil cell averages.
-
-    ``values`` holds the averages on the stencil cells in stencil order; the
-    trailing axis may carry multiple variables.
-    """
-    values = np.asarray(values)
-    offsets = stencil_offsets(degree, kind)
-    if values.shape[0] != len(offsets):
-        raise ValueError(f"expected {len(offsets)} stencil values, got {values.shape[0]}")
-    window_shape = (2 * degree + 1,) + values.shape[1:]
-    window = np.zeros(window_shape, dtype=values.dtype)
-    for pos, a in enumerate(offsets):
-        window[degree + a] = values[pos]
-    tmat = window_candidate_matrix(degree, kind)
-    return np.tensordot(tmat, window, axes=(1, 0))
-
-
 @lru_cache(maxsize=None)
 def _oscillation_matrix_exact(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     def deriv(coeffs: tuple[Fraction, ...], k: int) -> tuple[Fraction, ...]:
@@ -213,13 +183,6 @@ def oscillation_matrix(degree: int) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in exact])
 
 
-def oscillation_index(beta: np.ndarray, degree: int) -> np.ndarray:
-    """Oscillation index of the polynomial with Legendre coefficients ``beta``."""
-    beta = np.asarray(beta)
-    sigma = oscillation_matrix(degree)
-    return np.einsum("...k,kl,...l->...", beta, sigma, beta)
-
-
 def nonlinear_weights(oi_left, oi_central, oi_right) -> np.ndarray:
     """Normalized stencil weights (left, central, right) from oscillation indices."""
     oi = np.stack(
@@ -230,27 +193,6 @@ def nonlinear_weights(oi_left, oi_central, oi_right) -> np.ndarray:
     lam = np.array([LAMBDA_SIDE, LAMBDA_CENTRAL, LAMBDA_SIDE])
     raw = lam / (oi + WEIGHT_EPS) ** WEIGHT_EXPONENT
     return raw / np.sum(raw, axis=-1, keepdims=True)
-
-
-@dataclass
-class ReconstructionPolynomial:
-    """Per-cell reconstruction p(xi) = sum_l coefficients[:, l] theta_l(xi).
-
-    ``coefficients`` has shape (m, M+1); xi is the unit-cell coordinate and
-    ``dx`` converts unit-cell derivatives to physical ones.
-    """
-
-    coefficients: np.ndarray
-    dx: float
-    cell: int = 0
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.shape[-1] - 1
-
-    @property
-    def m(self) -> int:
-        return self.coefficients.shape[0]
 
 
 def reconstruct_batch(windows: np.ndarray, degree: int) -> np.ndarray:
@@ -280,20 +222,3 @@ def reconstruct_batch(windows: np.ndarray, degree: int) -> np.ndarray:
         + weights[..., 2, None] * betas["right"].transpose(0, 2, 1)
     )
     return blended  # (cells, m, M+1)
-
-
-def reconstruct(window: np.ndarray, degree: int, dx: float, cell: int = 0) -> ReconstructionPolynomial:
-    """Reconstruct one cell from its (2M+1)-cell window of averages."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim == 1:
-        window = window[:, None]
-    coeffs = reconstruct_batch(window[None], degree)[0]
-    return ReconstructionPolynomial(coeffs, float(dx), cell)
-
-
-def eval_derivative(poly: ReconstructionPolynomial, xi: float, k: int = 0) -> np.ndarray:
-    """k-th physical-space derivative of the reconstruction at unit coordinate xi."""
-    if k > poly.degree:
-        return np.zeros(poly.m)
-    basis = np.array([legendre_derivative(l, xi, k) for l in range(poly.degree + 1)])
-    return (poly.coefficients @ basis) / poly.dx**k

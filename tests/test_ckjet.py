@@ -22,6 +22,11 @@ from aderfv.systems import (
 TWO_PI = 2.0 * np.pi
 
 
+def _series_route(system):
+    """The same law without its constant-coefficient route: the series engine."""
+    return dataclasses.replace(system, constant_coefficients=False)
+
+
 def _scalar_binomial(lam, beta, d, k):
     """d_t^k for q_t + lam q_x = beta q, direct binomial expansion."""
     return sum(
@@ -37,21 +42,21 @@ def test_scalar_series_engine_against_binomial():
         lam = rng.uniform(-3.0, 3.0)
         beta = rng.uniform(-5.0, 5.0)
         d = rng.standard_normal((order + 1, 1))
-        system = scalar_advection_reaction(lam=lam, beta=beta)
-        got = ck_time_derivatives(system, d, order, method="series")
+        system = _series_route(scalar_advection_reaction(lam=lam, beta=beta))
+        got = ck_time_derivatives(system, d, order)
         for k in range(1, order + 1):
             ref = _scalar_binomial(lam, beta, d[:, 0], k)
             assert abs(got[k - 1, 0] - ref) <= 1e-11 * (1.0 + abs(ref))
 
 
 def test_scalar_closed_form_helper():
-    # The scalar system's registered closed form (linear_ck_matrices)
+    # The scalar system's closed-form route (linear_ck_matrices of the law)
     # against the binomial expansion of (beta - lam d_x)^k.
     rng = np.random.default_rng(5)
     for _ in range(200):
         lam, beta = rng.uniform(-3.0, 3.0, size=2)
         d = rng.standard_normal((5, 1))
-        got = ck_time_derivatives(scalar_advection_reaction(lam, beta), d, 4, method="closed")
+        got = ck_time_derivatives(scalar_advection_reaction(lam, beta), d, 4)
         for k in range(1, 5):
             ref = _scalar_binomial(lam, beta, d[:, 0], k)
             assert got[k - 1, 0] == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -70,14 +75,14 @@ def _linear_chain_oracle(a, b, d):
 
 
 def test_linear_system_series_against_matrix_recursion():
-    system = linear_system(lam=1.3, beta=-0.7)
+    system = _series_route(linear_system(lam=1.3, beta=-0.7))
     a = np.array([[0.0, 1.3], [1.3, 0.0]])
     b = -0.7 * np.eye(2)
     rng = np.random.default_rng(7)
     for _ in range(200):
         order = rng.integers(1, 5)
         d = rng.standard_normal((order + 1, 2))
-        got = ck_time_derivatives(system, d, order, method="series")
+        got = ck_time_derivatives(system, d, order)
         ref = _linear_chain_oracle(a, b, d)
         np.testing.assert_allclose(got, ref, atol=1e-11 * (1 + np.max(np.abs(ref))))
 
@@ -87,8 +92,8 @@ def test_closed_form_matches_series_route():
     rng = np.random.default_rng(8)
     d = rng.standard_normal((5, 2))
     np.testing.assert_allclose(
-        ck_time_derivatives(system, d, 4, method="closed"),
-        ck_time_derivatives(system, d, 4, method="series"),
+        ck_time_derivatives(system, d, 4),
+        ck_time_derivatives(_series_route(system), d, 4),
         atol=1e-12,
     )
 
@@ -108,14 +113,14 @@ def test_jet_exact_on_linear_exact_solution():
     # Seed the jet with analytic spatial derivatives of the exact solution
     # at t = 0 and compare against analytic time derivatives.
     lam, beta = 1.0, -1.0
-    system = linear_system(lam=lam, beta=beta)
+    system = _series_route(linear_system(lam=lam, beta=beta))
     order = 4
     for x in (0.11, 0.48, 0.83):
         seeds = np.empty((order + 1, 2))
         for j in range(order + 1):
             seeds[j, 0] = 0.5 * (_phi_derivative(x, j) + _psi_derivative(x, j))
             seeds[j, 1] = 0.5 * (_phi_derivative(x, j) - _psi_derivative(x, j))
-        got = ck_time_derivatives(system, seeds, order, method="series")
+        got = ck_time_derivatives(system, seeds, order)
         for k in range(1, order + 1):
             ref = np.zeros(2)
             for i in range(k + 1):
@@ -167,8 +172,8 @@ def test_conservative_flux_and_quasilinear_paths_agree():
     for _ in range(50):
         d = rng.standard_normal((4, 3)) * 0.2
         d[0] = np.array([1.0, 0.5, 2.0]) + 0.1 * rng.standard_normal(3)
-        a = ck_time_derivatives(flux_sys, d, 3, method="series")
-        b = ck_time_derivatives(rows_sys, d, 3, method="series")
+        a = ck_time_derivatives(flux_sys, d, 3)
+        b = ck_time_derivatives(rows_sys, d, 3)
         np.testing.assert_allclose(a, b, atol=1e-10 * (1 + np.max(np.abs(a))))
 
 
@@ -196,11 +201,11 @@ def test_batched_matches_loop():
     for make, stack, batch in cases:
         system = make()
         d = stack(rng, batch, 3)
-        batched = ck_time_derivatives(system, d, 3, method="series")
+        batched = ck_time_derivatives(system, d, 3)
         assert batched.shape == batch + (3, system.m)
         for idx in np.ndindex(*batch):
             np.testing.assert_allclose(
-                batched[idx], ck_time_derivatives(system, d[idx], 3, method="series"),
+                batched[idx], ck_time_derivatives(system, d[idx], 3),
                 atol=1e-13,
             )
 
@@ -217,7 +222,7 @@ def test_euler_advected_wave_jet():
             rho_j = 0.2 * TWO_PI**j * np.sin(TWO_PI * x + j * np.pi / 2)
             d[j] = [rho_j, rho_j, 0.5 * rho_j]
         d[0] += [1.0, 1.0, 5.5]  # rho = rho u = 1 + ..., E = p / 0.4 + rho / 2
-        got = ck_time_derivatives(system, d, order, method="series")
+        got = ck_time_derivatives(system, d, order)
         for k in range(1, order + 1):
             np.testing.assert_allclose(got[k - 1], (-1) ** k * d[k], rtol=0.0, atol=1e-12)
 
@@ -242,10 +247,10 @@ def test_residual_at_zero_time_offset():
 
 
 def test_gradient_finite_difference_vs_closed_form():
-    # The linear system registers exact derivative tables; the generic
-    # central-difference gradient must agree with them.
+    # The linear system's Jacobian is exact on its constant-coefficient
+    # route; the generic central-difference gradient must agree with it.
     system = linear_system()
-    fd_sys = dataclasses.replace(system, ck_matrices=None)
+    fd_sys = _series_route(system)
     rng = np.random.default_rng(31)
     for _ in range(25):
         w = rng.standard_normal((4, 2))

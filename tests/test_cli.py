@@ -126,6 +126,14 @@ def test_bad_order_exits_one(capsys):
     assert "aderfv:" in capsys.readouterr().err
 
 
+def test_non_finite_run_setting_exits_one(capsys):
+    # An infinite output time used to run 0 steps and exit 0 at t = 0.
+    rc = main(["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "inf"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aderfv:") and "t_out" in err
+
+
 @pytest.mark.parametrize(
     "flags,field",
     [

@@ -106,7 +106,7 @@ def test_fluctuation_scalar_hand_formula():
     assert fl.dminus[0, 0] == pytest.approx((0.5 * lam - diss) * jump, rel=1e-13)
 
 
-def _table_from_function(fn, order, dt, dx):
+def _table_from_function(fn, order, dx):
     """Predictor table whose entries sample fn(xi, tau_unit) directly."""
     rules = space_time_rules(order)
     xi = rules.xi_rule.nodes
@@ -124,13 +124,8 @@ def _table_from_function(fn, order, dt, dx):
     trace_left = np.array([fn(0.0, t) for t in tr])[None, :, None]
     trace_right = np.array([fn(1.0, t) for t in tr])[None, :, None]
     return PredictorTable(
-        dt=dt,
-        dx=dx,
-        xi_nodes=xi,
-        tau_nodes=taus,
         values=vals,
         x_derivative=x_der,
-        trace_taus=tr,
         trace_left=trace_left,
         trace_right=trace_right,
         iterations=1,
@@ -158,7 +153,7 @@ def test_source_average_linear_source():
     order = 3
     rules = space_time_rules(order)
     fn = lambda x, t: 1.0 + 2.0 * x * t + x**2 - t**2
-    table = _table_from_function(fn, order, dt=0.01, dx=0.1)
+    table = _table_from_function(fn, order, dx=0.1)
     got = source_average(system, table, rules)
     exact = beta * (1.0 + 2.0 * 0.25 + 1.0 / 3.0 - 1.0 / 3.0)
     assert got[0, 0] == pytest.approx(exact, rel=1e-13)
@@ -172,7 +167,7 @@ def test_noncons_average_constant_matrix():
     rules = space_time_rules(order)
     dx = 0.1
     fn = lambda x, t: 0.3 + 0.7 * x + 0.1 * x**2 * t
-    table = _table_from_function(fn, order, dt=0.01, dx=dx)
+    table = _table_from_function(fn, order, dx=dx)
     got = noncons_average(system, table, rules)
     # d/dx in physical units: (0.7 + 0.2 x t)/dx averaged over the square
     exact = lam * (0.7 + 0.2 * 0.5 * 0.5) / dx

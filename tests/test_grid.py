@@ -129,8 +129,14 @@ def test_run_config_validation():
         {"order": 0},
         {"order": 6},
         {"order": 3, "t_out": -1.0},
+        {"order": 3, "t_out": float("nan")},
+        {"order": 3, "t_out": float("inf")},
         {"order": 3, "cfl": 0.0},
+        {"order": 3, "cfl": float("nan")},
+        {"order": 3, "cfl": float("inf")},
         {"order": 3, "alpha": -1.0},
+        {"order": 3, "alpha": float("nan")},
+        {"order": 3, "alpha": float("inf")},
         {"order": 3, "boundary": "weird"},
         {"order": 3, "fp_max_iter": 0},
         {"order": 3, "fp_max_iter": -3},

@@ -25,6 +25,15 @@ from aderfv import weno
 TWO_PI = 2.0 * np.pi
 
 
+def _poly_derivatives(coeffs, xi, dx, n):
+    """Physical derivatives 0..n-1 of sum_l coeffs[:, l] theta_l at xi, shape (n, m)."""
+    return np.stack([
+        sum(coeffs[:, l] * weno.legendre_derivative(l, xi, k) for l in range(coeffs.shape[1]))
+        / dx**k
+        for k in range(n)
+    ])
+
+
 def _solve_point(system, w, tau, cfg):
     """Derivative stack (M+1, m) and sweep count of one predictor point."""
     stacks, sweeps = solve_predictor_points(
@@ -62,10 +71,10 @@ def test_derivative_chain_hand_check():
 
 @pytest.mark.parametrize("make", [linear_system, scalar_advection_reaction])
 def test_chain_constant_matrices_match_derived_forms(make):
-    # Registered constant matrices replace the derived matrix and source
+    # The closed-form CK matrices replace the derived matrix and source
     # Jacobian in the chain; both are exact, so the chains agree bit for bit.
     system = make()
-    derived = dataclasses.replace(system, ck_matrices=None)
+    derived = dataclasses.replace(system, constant_coefficients=False)
     rng = np.random.default_rng(6)
     d0 = rng.standard_normal((10, system.m))
     w_rest = rng.standard_normal((10, 4, system.m))
@@ -97,12 +106,11 @@ def test_advection_of_low_degree_data_is_exact(order, degree):
     coeffs = np.zeros((1, cfg.degree + 1))
     coeffs[0, : degree + 1] = rng.standard_normal(degree + 1)
     dx = 0.1
-    poly = weno.ReconstructionPolynomial(coefficients=coeffs, dx=dx, cell=0)
     tau = 0.02
     for xi in (0.0, 0.31, 1.0):
-        w = np.stack([weno.eval_derivative(poly, xi, k) for k in range(cfg.degree + 1)])
+        w = _poly_derivatives(coeffs, xi, dx, cfg.degree + 1)
         stack, _ = _solve_point(system, w, tau, cfg)
-        expect = weno.eval_derivative(poly, xi - lam * tau / dx, 0)
+        expect = _poly_derivatives(coeffs, xi - lam * tau / dx, dx, 1)[0]
         np.testing.assert_allclose(stack[0], expect, atol=1e-11)
 
 
@@ -228,9 +236,9 @@ def test_batch_table_matches_single_cell():
     tables = build_predictor_tables(system, coeffs, dt=0.01, dx=0.1, config=cfg)
     assert tables.values.shape == (6, 3, 3, 1)
     for c in range(6):
-        poly = weno.reconstruct(windows[c], cfg.degree, dx=0.1)
         single = build_predictor_tables(
-            system, poly.coefficients[None], dt=0.01, dx=poly.dx, config=cfg
+            system, weno.reconstruct_batch(windows[c : c + 1], cfg.degree),
+            dt=0.01, dx=0.1, config=cfg,
         )
         np.testing.assert_allclose(single.values[0], tables.values[c], atol=1e-13)
         np.testing.assert_allclose(single.trace_left[0], tables.trace_left[c], atol=1e-13)
@@ -250,8 +258,8 @@ def test_threaded_build_is_deterministic():
 
 
 def test_table_trace_layout():
-    # trace_taus are the unit Lobatto nodes, and the tau = 0 rows reproduce
-    # the reconstruction endpoints exactly.
+    # One trace row per Lobatto node, and the tau = 0 rows reproduce the
+    # reconstruction endpoints exactly.
     system = linear_system()
     cfg = RunConfig(order=3)
     rng = np.random.default_rng(4)
@@ -260,13 +268,13 @@ def test_table_trace_layout():
     dt, dx = 0.004, 0.1
     t = build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
     rules = space_time_rules(3)
-    np.testing.assert_allclose(t.trace_taus, rules.trace_rule.nodes, atol=1e-15)
-    poly = weno.reconstruct(windows[0], cfg.degree, dx=dx)
+    assert t.trace_left.shape == t.trace_right.shape == (1, rules.trace_rule.n, 2)
+    assert rules.trace_rule.nodes[0] == 0.0
     np.testing.assert_allclose(
-        t.trace_left[0, 0], weno.eval_derivative(poly, 0.0, 0), atol=1e-12
+        t.trace_left[0, 0], _poly_derivatives(coeffs[0], 0.0, dx, 1)[0], atol=1e-12
     )
     np.testing.assert_allclose(
-        t.trace_right[0, 0], weno.eval_derivative(poly, 1.0, 0), atol=1e-12
+        t.trace_right[0, 0], _poly_derivatives(coeffs[0], 1.0, dx, 1)[0], atol=1e-12
     )
 
 

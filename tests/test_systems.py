@@ -5,6 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aderfv import systems
+from aderfv.grid import RunConfig, make_grid
+from aderfv.solver import run
 from aderfv.systems import (
     conserved_to_primitive,
     euler_ideal_gas,
@@ -220,3 +223,38 @@ def test_linear_ck_matrix_recursion():
     for k in range(1, order + 1):
         for j in range(k + 1):
             np.testing.assert_allclose(mats[k - 1, j], oracle[k][j], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "system,a,b",
+    [
+        (scalar_advection_reaction(lam=1.7, beta=-0.3), [[1.7]], [[-0.3]]),
+        (linear_system(lam=1.3, beta=-0.7), [[0.0, 1.3], [1.3, 0.0]], -0.7 * np.eye(2)),
+    ],
+)
+def test_closed_ck_derived_from_the_law(system, a, b):
+    # The complex step returns the constant A and dS/dQ exactly, so the
+    # derived table equals the hand-built one bit for bit at every order.
+    assert system.constant_coefficients
+    for order in range(1, 6):
+        mats = system.closed_ck(order)
+        np.testing.assert_array_equal(mats, linear_ck_matrices(np.array(a), b, order))
+        assert not mats.flags.writeable
+    with pytest.raises(ValueError, match="order"):
+        system.closed_ck(6)
+    with pytest.raises(ValueError, match="constant coefficients"):
+        noncons_system().closed_ck(1)
+
+
+def test_closed_ck_derived_once_per_run(monkeypatch):
+    calls = []
+    original = systems.linear_ck_matrices
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(systems, "linear_ck_matrices", counted)
+    report = run(linear_system(), make_grid(0.0, 1.0, 8), RunConfig(order=3, t_out=0.025))
+    assert report.n_steps == 2
+    assert calls == [5]

@@ -21,16 +21,16 @@ def _theta(l):
 def test_basis_matches_shifted_legendre(l):
     xi = np.linspace(-2.0, 3.0, 41)
     ref = _theta(l)(xi)
-    got = np.array([weno.legendre(l, x) for x in xi])
+    got = weno.legendre_derivative(l, xi, 0)
     np.testing.assert_allclose(got, ref, atol=1e-11)
     np.testing.assert_allclose(weno.legendre_coefficients(l), _theta(l).coef, atol=1e-11)
 
 
 def test_basis_point_values():
-    assert weno.legendre(1, 0.5) == pytest.approx(0.0)
-    assert weno.legendre(1, 1.0) == pytest.approx(1.0)
-    assert weno.legendre(2, 0.0) == pytest.approx(1.0)
-    assert weno.legendre(2, 0.5) == pytest.approx(-0.5)
+    assert weno.legendre_derivative(1, 0.5, 0) == pytest.approx(0.0)
+    assert weno.legendre_derivative(1, 1.0, 0) == pytest.approx(1.0)
+    assert weno.legendre_derivative(2, 0.0, 0) == pytest.approx(1.0)
+    assert weno.legendre_derivative(2, 0.5, 0) == pytest.approx(-0.5)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -47,11 +47,15 @@ def test_stencil_matrix_against_integration(degree, kind):
             assert mat[i, l] == pytest.approx(exact, abs=1e-13)
 
 
+def _oscillation_index(beta, degree):
+    return beta @ weno.oscillation_matrix(degree) @ beta
+
+
 def test_oscillation_index_pure_modes():
     # OI(theta_1) = int (2)^2 = 4;  OI(theta_2) = 12 + 144 = 156.
-    assert weno.oscillation_index(np.array([0.0, 1.0]), 1) == pytest.approx(4.0)
-    assert weno.oscillation_index(np.array([0.0, 0.0, 1.0]), 2) == pytest.approx(156.0)
-    assert weno.oscillation_index(np.array([5.0, 0.0, 0.0]), 2) == pytest.approx(0.0)
+    assert _oscillation_index(np.array([0.0, 1.0]), 1) == pytest.approx(4.0)
+    assert _oscillation_index(np.array([0.0, 0.0, 1.0]), 2) == pytest.approx(156.0)
+    assert _oscillation_index(np.array([5.0, 0.0, 0.0]), 2) == pytest.approx(0.0)
 
 
 def test_oscillation_matrix_is_gram():
@@ -63,25 +67,28 @@ def test_oscillation_matrix_is_gram():
 
 
 def test_candidate_values_degree_two():
-    # Hand-derived projections for the quadratic stencils.
-    got = weno.candidate_polynomial(np.array([0.0, 0.0, 1.0]), 2, "central")
+    # Hand-derived projections for the quadratic stencils; the window holds
+    # the averages at offsets -2..2.
+    got = weno.window_candidate_matrix(2, "central") @ np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     np.testing.assert_allclose(got, [0.0, 0.25, 1.0 / 12.0], atol=1e-14)
-    got = weno.candidate_polynomial(np.array([1.0, 0.0, 0.0]), 2, "left")
+    got = weno.window_candidate_matrix(2, "left") @ np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(got, [0.0, 0.25, 1.0 / 12.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["left", "central", "right"])
 def test_candidate_reproduces_polynomials(degree, kind):
-    # Feeding exact cell averages of a degree-M polynomial must return its
-    # coefficients, for the square stencils and the wide least-squares ones.
+    # Feeding exact cell averages of a degree-M polynomial on the stencil
+    # must return its coefficients, for the square stencils and the wide
+    # least-squares ones; window cells outside the stencil are ignored.
     rng = np.random.default_rng(degree * 7 + len(kind))
     coeffs = rng.standard_normal(degree + 1)
     poly = sum(c * _theta(l) for l, c in enumerate(coeffs))
     anti = poly.integ()
-    offsets = weno.stencil_offsets(degree, kind)
-    averages = np.array([anti(o + 1.0) - anti(o) for o in offsets])
-    got = weno.candidate_polynomial(averages, degree, kind)
+    window = 1e3 * rng.standard_normal(2 * degree + 1)
+    for o in weno.stencil_offsets(degree, kind):
+        window[degree + o] = anti(o + 1.0) - anti(o)
+    got = weno.window_candidate_matrix(degree, kind) @ window
     np.testing.assert_allclose(got, coeffs, atol=1e-12)
 
 
@@ -118,8 +125,8 @@ def test_step_data_avoids_crossing_stencils():
     assert out[0] == pytest.approx(1.0, abs=1e-10)
     assert abs(out[1]) < 1e-8 and abs(out[2]) < 1e-8
 
-    oi = [weno.oscillation_index(weno.candidate_polynomial(window[s : s + 3, 0], 2, k), 2)
-          for s, k in ((0, "left"), (1, "central"), (2, "right"))]
+    oi = [_oscillation_index(weno.window_candidate_matrix(2, k) @ window[:, 0], 2)
+          for k in ("left", "central", "right")]
     w = weno.nonlinear_weights(np.array(oi[0]), np.array(oi[1]), np.array(oi[2]))
     assert w[0] > 1.0 - 1e-8
 
@@ -134,31 +141,20 @@ def test_mean_preservation_any_data(values):
     assert out[0] == pytest.approx(values[2], abs=1e-13 * (1 + abs(values[2])))
 
 
-def test_eval_derivative_scaling():
+def test_legendre_derivative_scaling():
+    # Physical derivatives of p = 1 + 2 theta_1 + 3 theta_2 on a cell of width dx.
     dx = 0.1
-    poly = weno.ReconstructionPolynomial(
-        coefficients=np.array([[1.0, 2.0, 3.0]]), dx=dx, cell=0
-    )
+    coeffs = np.array([1.0, 2.0, 3.0])
     xi = 0.37
+
+    def deriv(k):
+        return sum(c * weno.legendre_derivative(l, xi, k) for l, c in enumerate(coeffs)) / dx**k
+
     val = 1.0 + 2.0 * (2 * xi - 1) + 3.0 * (6 * xi**2 - 6 * xi + 1)
     d1 = (2.0 * 2 + 3.0 * (12 * xi - 6)) / dx
     d2 = 3.0 * 12 / dx**2
-    assert weno.eval_derivative(poly, xi, 0)[0] == pytest.approx(val, rel=1e-13)
-    assert weno.eval_derivative(poly, xi, 1)[0] == pytest.approx(d1, rel=1e-13)
-    assert weno.eval_derivative(poly, xi, 2)[0] == pytest.approx(d2, rel=1e-13)
-    assert weno.eval_derivative(poly, xi, 3)[0] == 0.0
+    assert deriv(0) == pytest.approx(val, rel=1e-13)
+    assert deriv(1) == pytest.approx(d1, rel=1e-13)
+    assert deriv(2) == pytest.approx(d2, rel=1e-13)
+    assert deriv(3) == 0.0
 
-
-def test_window_candidate_matrix_consistency():
-    # Applying the window matrix must agree with candidate_polynomial on the
-    # stencil slice of the window.
-    rng = np.random.default_rng(23)
-    for degree in (1, 2, 3, 4):
-        window = rng.standard_normal(2 * degree + 1)
-        for kind in ("left", "central", "right"):
-            offsets = weno.stencil_offsets(degree, kind)
-            mat = weno.window_candidate_matrix(degree, kind)
-            direct = weno.candidate_polynomial(
-                window[[o + degree for o in offsets]], degree, kind
-            )
-            np.testing.assert_allclose(mat @ window, direct, atol=1e-12)
