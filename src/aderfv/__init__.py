@@ -13,7 +13,6 @@ from .grid import (
     error_norms,
     gauss_legendre,
     gauss_lobatto,
-    make_grid,
     observed_order,
 )
 from .predictor import PredictorError, PredictorTable, build_predictor_tables
@@ -66,7 +65,6 @@ __all__ = [
     "initial_field",
     "leveque_yee",
     "linear_system",
-    "make_grid",
     "noncons_system",
     "observed_order",
     "primitive_to_conserved",

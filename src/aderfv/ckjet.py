@@ -13,9 +13,9 @@ rows of A(Q); either may add source terms S(Q).
 
 A system that declares constant coefficients takes the constant-coefficient
 route derived from the law instead: its time derivatives are one matrix
-product with the closed-form CK matrices, and the residual's Jacobian is
-assembled exactly. Every other system takes the series engine, with a
-finite-difference Jacobian.
+product with the closed-form CK matrices. Neither route casts the state to
+float, so the residual's Jacobian is one complex step through either of them,
+exact to rounding for every system.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .series import TruncatedSeries
-from .systems import SystemDescriptor
+from .systems import SystemDescriptor, complex_step_jacobian
 
 __all__ = [
     "SpaceTimeJet",
@@ -32,9 +32,6 @@ __all__ = [
     "predictor_residual",
     "residual_and_jacobian",
 ]
-
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
 
 def _lift(value, like: TruncatedSeries) -> TruncatedSeries:
     if isinstance(value, TruncatedSeries):
@@ -75,7 +72,7 @@ class SpaceTimeJet:
     """
 
     def __init__(self, system: SystemDescriptor, derivatives: np.ndarray, order: int):
-        derivatives = np.asarray(derivatives, dtype=float)
+        derivatives = np.asarray(derivatives)
         if derivatives.shape[-1] != system.m or derivatives.shape[-2] != order + 1:
             raise ValueError(
                 f"derivative stack must be (..., {order + 1}, {system.m}), "
@@ -85,7 +82,7 @@ class SpaceTimeJet:
         self.order = order
         n = order + 1
         batch = derivatives.shape[:-2]
-        c = np.zeros((system.m, n, n) + batch)
+        c = np.zeros((system.m, n, n) + batch, dtype=np.result_type(derivatives, float))
         factorials = np.array([math.factorial(j) for j in range(n)])
         seeds = np.moveaxis(derivatives, (-1, -2), (0, 1))
         c[:, :, 0] = seeds / factorials.reshape((n,) + (1,) * len(batch))
@@ -118,9 +115,10 @@ def ck_time_derivatives(
 ) -> np.ndarray:
     """Time derivatives d_t^k Q, k = 1..order, from the spatial stack.
 
-    ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis.
+    ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis;
+    a complex stack keeps its imaginary part.
     """
-    derivatives = np.asarray(derivatives, dtype=float)
+    derivatives = np.asarray(derivatives)
     if order == 0:
         return np.zeros(derivatives.shape[:-2] + (0, system.m))
     if not system.constant_coefficients:
@@ -155,11 +153,14 @@ def predictor_residual(
 
     H(D_0) = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
     where w_0 is the reconstructed state at tau = 0 and D_1..D_M are the
-    current spatial derivatives (held frozen during the D_0 update).
+    current spatial derivatives (held frozen during the D_0 update). D_0 may
+    be complex and carry leading batch axes that the other inputs broadcast
+    over.
     """
-    d0 = np.asarray(d0, dtype=float)
+    d0 = np.asarray(d0)
     d_rest = np.asarray(d_rest, dtype=float)
     order = d_rest.shape[-2]
+    d_rest = np.broadcast_to(d_rest, d0.shape[:-1] + d_rest.shape[-2:])
     stack = np.concatenate([d0[..., None, :], d_rest], axis=-2)
     g = ck_time_derivatives(system, stack, order)
     coef = _taylor_coefficients(tau, order)
@@ -173,43 +174,13 @@ def residual_and_jacobian(
     tau: np.ndarray,
     w0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual H and its Jacobian with respect to D_0.
+    """Residual H and its Jacobian with respect to D_0, shapes (..., m), (..., m, m).
 
-    With constant coefficients the Jacobian is assembled exactly from the
-    closed-form CK matrices; otherwise it is formed by central finite
-    differences with per-component step h_j = cbrt(machine eps) * (1 + |d0_j|).
-    All perturbed evaluations are batched into a single engine call.
+    The m complex states D_0 + i h e_j go through ``predictor_residual`` in
+    one batched call (``complex_step_jacobian``): Re H is the residual and
+    Im H / h is column j of dH/dD_0, exact to rounding on either CK route.
     """
-    d0 = np.asarray(d0, dtype=float)
-    d_rest = np.asarray(d_rest, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    m = system.m
-    order = d_rest.shape[-2]
-    if order == 0:
-        eye = np.broadcast_to(np.eye(m), d0.shape[:-1] + (m, m)).copy()
-        return d0 - w0, eye
-
-    if system.constant_coefficients:
-        h = predictor_residual(system, d0, d_rest, tau, w0)
-        mats = system.closed_ck(order)[:, 0]  # (order, m, m): D_0 blocks
-        coef = _taylor_coefficients(tau, order)
-        jac = np.eye(m) + np.einsum("...k,kab->...ab", coef, mats)
-        return h, jac
-
-    flat_batch = d0.shape[:-1]
-    reps = 1 + 2 * m
-    h = _FD_STEP * (1.0 + np.abs(d0))  # (..., m)
-    d0_big = np.broadcast_to(d0, (reps,) + d0.shape).copy()
-    for j in range(m):
-        d0_big[1 + 2 * j, ..., j] += h[..., j]
-        d0_big[2 + 2 * j, ..., j] -= h[..., j]
-    rest_big = np.broadcast_to(d_rest, (reps,) + d_rest.shape)
-    tau_big = np.broadcast_to(tau, (reps,) + tau.shape)
-    w0_big = np.broadcast_to(w0, (reps,) + w0.shape)
-    h_all = predictor_residual(system, d0_big, rest_big, tau_big, w0_big)
-    residual = h_all[0]
-    jac = np.empty(flat_batch + (m, m))
-    for j in range(m):
-        jac[..., :, j] = (h_all[1 + 2 * j] - h_all[2 + 2 * j]) / (2.0 * h[..., j])[..., None]
-    return residual, jac
+    return complex_step_jacobian(
+        lambda d0c: predictor_residual(system, d0c, d_rest, tau, w0),
+        np.asarray(d0, dtype=float),
+    )

@@ -8,10 +8,12 @@ to any plotting tool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,10 +94,14 @@ def _resolve(args) -> tuple[SystemDescriptor, RunConfig, int]:
     return preset.make_system(), config, pick(args.cells, preset.cells)
 
 
+@contextlib.contextmanager
 def _open_output(path):
+    """The CSV destination: the file at ``path``, or stdout when it is None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def cmd_solve(args) -> int:
@@ -103,8 +109,7 @@ def cmd_solve(args) -> int:
     grid = Grid(0.0, 1.0, cells)
     report = run(system, grid, config, threads=args.threads)
 
-    fh, close = _open_output(args.out)
-    try:
+    with _open_output(args.out) as fh:
         writer = csv.writer(fh)
         header = ["x"] + [f"q_{k + 1}" for k in range(system.m)]
         exact = None
@@ -117,9 +122,6 @@ def cmd_solve(args) -> int:
             if exact is not None:
                 row += [f"{v:.12g}" for v in exact[i]]
             writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
     print(
         f"{args.preset}: order {config.order}, {cells} cells, "
         f"{report.n_steps} steps to t = {report.t_final:.6g} "
@@ -134,23 +136,19 @@ def cmd_converge(args) -> int:
     orders = [int(v) for v in args.orders.split(",")] if args.orders else [config.order]
     meshes = [int(v) for v in args.meshes.split(",")] if args.meshes else list(DEFAULT_MESHES)
 
-    fh, close = _open_output(args.out)
-    try:
+    with _open_output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["order", "mesh", "linf_err", "linf_ord", "l1_err", "l1_ord",
              "l2_err", "l2_ord", "cpu_s"]
         )
         for order in orders:
-            cfg = RunConfig(
-                order=order,
-                cfl=config.cfl,
-                alpha=config.alpha,
-                t_out=config.t_out,
-                boundary=config.boundary,
-            )
             rows = convergence_study(
-                system, cfg, meshes, variable=args.variable, threads=args.threads
+                system,
+                replace(config, order=order),
+                meshes,
+                variable=args.variable,
+                threads=args.threads,
             )
             for r in rows:
                 writer.writerow(
@@ -160,13 +158,15 @@ def cmd_converge(args) -> int:
                 )
             print(f"# {args.preset}, order {order}", file=sys.stderr)
             print(format_convergence_table(rows), file=sys.stderr)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+def _axis(flag: str, lo: float, hi: float, step: float) -> np.ndarray:
+    """Raster values lo, lo + step, ..., hi of the --{flag}-min/-max/-step flags."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"--{flag}-step must be finite and positive, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"--{flag}-min {lo} and --{flag}-max {hi} give an empty range")
     return np.round(np.arange(lo, hi + 0.5 * step, step), 10)
 
 
@@ -183,21 +183,15 @@ def cmd_stability(args) -> int:
     if args.c_min is None:
         c_values = DEFAULT_C_GRID
     else:
-        c_values = _axis(args.c_min, args.c_max, args.c_step)
+        c_values = _axis("c", args.c_min, args.c_max, args.c_step)
     if args.r_min is None:
         r_values = DEFAULT_R_GRID
     else:
-        r_values = _axis(args.r_min, args.r_max, args.r_step)
+        r_values = _axis("r", args.r_min, args.r_max, args.r_step)
 
     fractions = stability_map(query, c_values, r_values)
-    if args.out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["c", "r", "stable_fraction"])
-        for i, c in enumerate(c_values):
-            for j, r in enumerate(r_values):
-                writer.writerow([f"{c:.6g}", f"{r:.6g}", f"{fractions[i, j]:.6g}"])
-    else:
-        write_raster_csv(args.out, c_values, r_values, fractions)
+    with _open_output(args.out) as fh:
+        write_raster_csv(fh, c_values, r_values, fractions)
     area = float(np.mean(fractions == 1.0))
     print(
         f"order {query.order} {query.predictor} alpha={query.alpha}: "

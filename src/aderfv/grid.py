@@ -9,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "make_grid",
     "QuadratureRule",
     "gauss_legendre",
     "gauss_lobatto",
@@ -52,10 +51,6 @@ class Grid:
         return self.x_lo + np.arange(self.n_cells + 1) * self.dx
 
 
-def make_grid(x_lo: float, x_hi: float, n_cells: int) -> Grid:
-    return Grid(float(x_lo), float(x_hi), int(n_cells))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights on the unit interval [0, 1]; weights sum to one."""
@@ -72,13 +67,6 @@ class QuadratureRule:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Contract sampled values with the weights along ``axis``."""
-        values = np.asarray(values)
-        w_shape = [1] * values.ndim
-        w_shape[axis] = self.n
-        return np.sum(values * self.weights.reshape(w_shape), axis=axis)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:

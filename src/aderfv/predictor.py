@@ -38,10 +38,10 @@ __all__ = [
     "build_predictor_tables",
 ]
 
-# Refresh cadence for finite-difference Jacobians: a fresh Jacobian on the
-# first sweep and every fourth sweep after; in between the stored one is
-# reused (the outer fixed point converges linearly anyway). Exact Jacobians
-# of constant-coefficient systems are fresh on every sweep.
+# Chord cadence: a fresh (exact) Jacobian on the first sweep and every fourth
+# sweep after; in between the stored one is reused, because the outer fixed
+# point converges linearly anyway. This is a cost policy: a fresh Jacobian on
+# every sweep costs more time than the sweeps it saves.
 _JACOBIAN_REFRESH = 4
 _BACKTRACK_LIMIT = 5
 # Newton steps larger than this fraction of the state scale must not increase
@@ -207,7 +207,7 @@ def solve_predictor_points(
     jac_store = np.empty((nb, m, m))
     # Points whose last step was large sit outside the chord Jacobian's
     # validity (the source Jacobian can change sign across a reaction front),
-    # so they get a fresh finite-difference Jacobian on the next sweep.
+    # so they get a fresh Jacobian on the next sweep.
     stale = np.zeros(nb, dtype=bool)
     # At tau = 0 the state equation reads D = w exactly: those points keep
     # their reconstruction stacks and skip the Newton sweeps.
@@ -234,7 +234,7 @@ def solve_predictor_points(
         w0_a = w0[active]
         rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
 
-        if system.constant_coefficients or (sweeps - 1) % _JACOBIAN_REFRESH == 0:
+        if (sweeps - 1) % _JACOBIAN_REFRESH == 0:
             h, jac = residual_and_jacobian(system, d0_a, rest_a, tau_a, w0_a)
             jac_store[active] = jac
         else:

@@ -31,6 +31,7 @@ __all__ = [
     "primitive_to_conserved",
     "conserved_to_primitive",
     "linear_ck_matrices",
+    "complex_step_jacobian",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -56,23 +57,35 @@ def _stack_terms(terms: Sequence, batch: tuple) -> np.ndarray:
     return out
 
 
-def _complex_step_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
-    """Jacobian d terms / dQ at states q (..., m), shape (..., m, m).
+def complex_step_jacobian(
+    f: Callable[[np.ndarray], np.ndarray], q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value f(q) and Jacobian df/dQ at real states q (..., m).
 
-    Column j is Im f(q + i h e_j) / h. The generic forms use only ring
-    operations, so this is exact to rounding with no cancellation
-    (Squire & Trapp, SIAM Rev. 40, 1998). The m perturbed states share one
-    evaluation: component i is stored contiguously as qc[i, j, ...].
+    ``f`` gets the m states q + i h e_j in one array of shape (m,) + q.shape,
+    direction j leading, and returns their values (m,) + batch + (n,). Then
+    Re f is f(q) and column j of the Jacobian (..., n, m) is Im f / h. For
+    forms built from ring operations this is exact to rounding, with no
+    cancellation (Squire & Trapp, SIAM Rev. 40, 1998). The states are stored
+    component-major, so each component q[..., i] is one contiguous block.
     """
     m, nb = q.shape[-1], q.ndim - 1
     qc = np.zeros((m, m) + q.shape[:-1], dtype=complex)
     qc.real = q.transpose((nb,) + tuple(range(nb)))[:, None]
     for j in range(m):
         qc.imag[j, j] = _COMPLEX_STEP
-    jac = np.empty((m, m) + q.shape[:-1])
-    for i, value in enumerate(terms(list(qc))):
-        np.divide(np.imag(value), _COMPLEX_STEP, out=jac[i])
-    return jac.transpose(tuple(range(2, nb + 2)) + (0, 1))
+    # Moves the leading axis last: (i, j) + batch -> (j,) + batch + (i,), and
+    # (j,) + batch + (n,) -> batch + (n, j).
+    last = tuple(range(1, nb + 2)) + (0,)
+    value = f(qc.transpose(last))
+    return value.real[0], value.imag.transpose(last) / _COMPLEX_STEP
+
+
+def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
+    """Jacobian of generic ``terms`` at states q (..., m), shape (..., m, m)."""
+    return complex_step_jacobian(
+        lambda qc: _stack_terms(terms(_components(qc)), qc.shape[:-1]), q
+    )[1]
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,7 @@ class SystemDescriptor:
         """Quasi-linear matrix A(Q), shape (..., m, m)."""
         q = np.asarray(q, dtype=float)
         if self.flux_terms is not None:
-            return _complex_step_jacobian(self.flux_terms, q)
+            return _terms_jacobian(self.flux_terms, q)
         rows = self.matrix_rows(_components(q))
         return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
 
@@ -130,7 +143,7 @@ class SystemDescriptor:
         q = np.asarray(q, dtype=float)
         if self.source_terms is None:
             return np.zeros(q.shape + (self.m,))
-        return _complex_step_jacobian(self.source_terms, q)
+        return _terms_jacobian(self.source_terms, q)
 
     def max_wave_speed(self, states: np.ndarray) -> float:
         return float(np.max(np.abs(self.eigenvalues(states))))

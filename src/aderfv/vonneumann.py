@@ -79,8 +79,8 @@ class StabilityQuery:
             raise ValueError(f"unknown predictor kind {self.predictor!r}")
         if self.order not in (1, 2, 3, 4, 5):
             raise ValueError(f"order must be in 1..5, got {self.order}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.n_theta < 1:
             raise ValueError(f"n_theta must be >= 1, got {self.n_theta}")
         if self.n_scenarios < 1:
@@ -252,12 +252,11 @@ def stability_map(
 
 
 def write_raster_csv(
-    path, c_values: np.ndarray, r_values: np.ndarray, fractions: np.ndarray
+    fh, c_values: np.ndarray, r_values: np.ndarray, fractions: np.ndarray
 ) -> None:
-    """Write a stability raster as c,r,stable_fraction rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "r", "stable_fraction"])
-        for i, c in enumerate(c_values):
-            for j, r in enumerate(r_values):
-                writer.writerow([f"{c:.6g}", f"{r:.6g}", f"{fractions[i, j]:.6g}"])
+    """Write a stability raster as c,r,stable_fraction rows to a text stream."""
+    writer = csv.writer(fh)
+    writer.writerow(["c", "r", "stable_fraction"])
+    for i, c in enumerate(c_values):
+        for j, r in enumerate(r_values):
+            writer.writerow([f"{c:.6g}", f"{r:.6g}", f"{fractions[i, j]:.6g}"])

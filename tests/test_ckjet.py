@@ -14,6 +14,7 @@ from aderfv.ckjet import (
 )
 from aderfv.systems import (
     euler_ideal_gas,
+    leveque_yee,
     linear_system,
     noncons_system,
     scalar_advection_reaction,
@@ -190,7 +191,7 @@ def _euler_stack(rng, batch, order):
 
 
 def test_batched_matches_loop():
-    # (2m + 1, B) is the batch shape of the finite-difference Jacobian.
+    # 2-D batches such as (m, B) are what the complex-step Jacobian evaluates.
     cases = [
         (noncons_system, _noncons_stack, (6,)),
         (noncons_system, _noncons_stack, (5, 3)),
@@ -246,20 +247,56 @@ def test_residual_at_zero_time_offset():
     np.testing.assert_allclose(jac, np.eye(2), atol=1e-14)
 
 
-def test_gradient_finite_difference_vs_closed_form():
-    # The linear system's Jacobian is exact on its constant-coefficient
-    # route; the generic central-difference gradient must agree with it.
-    system = linear_system()
-    fd_sys = _series_route(system)
+def _closed_form_jacobian(system, tau, order):
+    """I + sum_k (-tau)^k / k! C[k, 0] from the closed-form CK matrices."""
+    k = np.arange(1, order + 1)
+    coef = (-tau[:, None]) ** k / np.array([math.factorial(i) for i in k])
+    return np.eye(system.m) + np.einsum("pk,kab->pab", coef, system.closed_ck(order)[:, 0])
+
+
+def _central_difference_jacobian(system, d0, d_rest, tau, w0):
+    """Central differences of predictor_residual with step cbrt(eps) (1 + |d0_j|)."""
+    jac = np.empty(d0.shape + (system.m,))
+    for j in range(system.m):
+        step = np.zeros_like(d0)
+        step[:, j] = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(d0[:, j]))
+        plus = predictor_residual(system, d0 + step, d_rest, tau, w0)
+        minus = predictor_residual(system, d0 - step, d_rest, tau, w0)
+        jac[:, :, j] = (plus - minus) / (2.0 * step[:, j : j + 1])
+    return jac
+
+
+def test_jacobian_matches_closed_form_and_central_differences():
+    # Linear laws: the complex-step Jacobian equals the closed-form assembly.
+    # Nonlinear laws: it agrees with central differences of the residual.
+    # Either way the residual is predictor_residual's. M = 0 is included.
     rng = np.random.default_rng(31)
-    for _ in range(25):
-        w = rng.standard_normal((4, 2))
-        d0 = rng.standard_normal(2)
-        tau = np.array(rng.uniform(0.01, 0.3))
-        h_c, jac_c = residual_and_jacobian(system, d0, w[1:], tau, w[0])
-        h_f, jac_f = residual_and_jacobian(fd_sys, d0, w[1:], tau, w[0])
-        np.testing.assert_allclose(h_c, h_f, atol=1e-12)
-        np.testing.assert_allclose(jac_c, jac_f, atol=1e-6)
+    cases = [  # system, state centre, tau range
+        (linear_system(), np.zeros(2), (0.01, 0.3)),
+        (scalar_advection_reaction(lam=2.0, beta=-1.5), np.zeros(1), (0.01, 0.3)),
+        (euler_ideal_gas(), np.array([1.0, 0.5, 2.5]), (0.01, 0.3)),
+        (noncons_system(), np.array([1.0, 1.0]), (0.01, 0.3)),
+        (leveque_yee(), np.array([0.5]), (1e-4, 2e-3)),  # beta = -1000
+    ]
+    for order in (0, 1, 3, 4):
+        for system, centre, taus in cases:
+            m = system.m
+            d0 = centre + 0.1 * rng.standard_normal((6, m))
+            w0 = d0 + 0.01 * rng.standard_normal((6, m))
+            d_rest = 0.3 * rng.standard_normal((6, order, m))
+            tau = rng.uniform(*taus, 6)
+            h, jac = residual_and_jacobian(system, d0, d_rest, tau, w0)
+            msg = f"{system.name}, M = {order}"
+            np.testing.assert_allclose(
+                h, predictor_residual(system, d0, d_rest, tau, w0),
+                rtol=0.0, atol=1e-13, err_msg=msg,
+            )
+            if system.constant_coefficients:
+                oracle, tol = _closed_form_jacobian(system, tau, order), 1e-13
+            else:
+                oracle = _central_difference_jacobian(system, d0, d_rest, tau, w0)
+                tol = 1e-6
+            np.testing.assert_allclose(jac, oracle, rtol=0.0, atol=tol, err_msg=msg)
 
 
 def test_predictor_residual_formula():

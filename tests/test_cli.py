@@ -141,6 +141,15 @@ def test_non_finite_run_setting_exits_one(capsys):
         (["--n-theta", "0"], "n_theta"),
         (["--scenarios", "0"], "n_scenarios"),
         (["--alpha", "0"], "alpha"),
+        (["--alpha", "inf"], "alpha"),
+        (["--c-step", "0"], "--c-step"),
+        (["--r-step", "0"], "--r-step"),
+        (["--c-step", "-0.1"], "--c-step"),
+        (["--r-step", "nan"], "--r-step"),
+        (["--c-step", "inf"], "--c-step"),
+        (["--c-min", "0.9", "--c-max", "0.1"], "--c-min"),
+        (["--r-min", "0", "--r-max", "-1"], "--r-min"),
+        (["--c-max", "nan"], "--c-max"),
     ],
 )
 def test_bad_stability_query_exits_one(flags, field, capsys):
@@ -148,6 +157,19 @@ def test_bad_stability_query_exits_one(flags, field, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("aderfv:") and field in err
+
+
+def test_stability_stdout_matches_out_file(tmp_path, capsys):
+    flags = ["stability", "--order", "2", "--n-theta", "8", "--scenarios", "3",
+             "--c-min", "0.2", "--c-max", "0.6", "--c-step", "0.2",
+             "--r-min", "-0.5", "--r-max", "0", "--r-step", "0.5"]
+    assert main(flags) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "raster.csv"
+    assert main(flags + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode() == out.read_bytes()
+    assert len(printed.splitlines()) == 1 + 3 * 2
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):

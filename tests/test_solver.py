@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aderfv.grid import CellField, RunConfig, error_norms, exact_cell_averages, make_grid
+from aderfv.grid import CellField, Grid, RunConfig, error_norms, exact_cell_averages
 from aderfv.solver import (
     compute_dt,
     convergence_study,
@@ -23,7 +23,7 @@ from aderfv.systems import (
 
 def test_compute_dt_scalar():
     system = scalar_advection_reaction(lam=1.0)
-    g = make_grid(0.0, 1.0, 100)
+    g = Grid(0.0, 1.0, 100)
     cfg = RunConfig(order=3, cfl=0.1)
     fld = initial_field(system, g, cfg)
     assert compute_dt(system, fld, cfg) == pytest.approx(1e-3)
@@ -31,7 +31,7 @@ def test_compute_dt_scalar():
 
 def test_compute_dt_clipping():
     system = scalar_advection_reaction(lam=2.0)
-    g = make_grid(0.0, 1.0, 10)
+    g = Grid(0.0, 1.0, 10)
     cfg = RunConfig(order=2, cfl=0.5, dt_max=1e-3)
     fld = initial_field(system, g, cfg)
     assert compute_dt(system, fld, cfg) == pytest.approx(1e-3)  # dt_max binds
@@ -40,7 +40,7 @@ def test_compute_dt_clipping():
 
 def test_compute_dt_zero_wave_speed():
     system = scalar_advection_reaction(lam=0.0, beta=-1.0)
-    g = make_grid(0.0, 1.0, 10)
+    g = Grid(0.0, 1.0, 10)
     fld = initial_field(system, g, RunConfig(order=2))
     cfg = RunConfig(order=2, dt_max=0.01)
     assert compute_dt(system, fld, cfg) == pytest.approx(0.01)
@@ -52,7 +52,7 @@ def test_first_order_upwind_hand_calculation():
     # lam = 1, c = dt/dx = 1/2 and alpha dt/dx = 1 make the centred split
     # exactly upwind; one step of data (1,2,3,4) gives (2.5, 1.5, 2.5, 3.5).
     system = scalar_advection_reaction(lam=1.0, beta=0.0)
-    g = make_grid(0.0, 1.0, 4)
+    g = Grid(0.0, 1.0, 4)
     cfg = RunConfig(order=1, alpha=2.0)
     fld = CellField.from_cell_averages(g, np.array([1.0, 2.0, 3.0, 4.0])[:, None], ghost=1)
     step(system, fld, cfg, dt=0.125)
@@ -70,7 +70,7 @@ def test_first_order_upwind_hand_calculation():
 def test_equilibrium_is_preserved(factory, state):
     # Constant data at S(Q*) = 0 must stay put to near machine precision.
     system = factory()
-    g = make_grid(0.0, 1.0, 12)
+    g = Grid(0.0, 1.0, 12)
     cfg = RunConfig(order=4, alpha=2.0)
     fld = CellField.from_cell_averages(
         g, np.tile(state, (12, 1)), ghost=cfg.order
@@ -86,7 +86,7 @@ def test_one_step_local_order(order):
     system = linear_system()
     errs = []
     for n in (32, 64):
-        g = make_grid(0.0, 1.0, n)
+        g = Grid(0.0, 1.0, n)
         cfg = RunConfig(order=order, cfl=0.1, alpha=1.9)
         fld = initial_field(system, g, cfg)
         dt = compute_dt(system, fld, cfg)
@@ -99,7 +99,7 @@ def test_one_step_local_order(order):
 
 def test_run_zero_horizon_echoes_initial_data():
     system = linear_system()
-    g = make_grid(0.0, 1.0, 16)
+    g = Grid(0.0, 1.0, 16)
     cfg = RunConfig(order=3, t_out=0.0)
     rep = run(system, g, cfg)
     assert rep.n_steps == 0 and rep.t_final == 0.0
@@ -109,7 +109,7 @@ def test_run_zero_horizon_echoes_initial_data():
 
 def test_run_lands_on_requested_time():
     system = scalar_advection_reaction()
-    g = make_grid(0.0, 1.0, 20)
+    g = Grid(0.0, 1.0, 20)
     cfg = RunConfig(order=2, t_out=0.0173)
     rep = run(system, g, cfg)
     assert rep.t_final == pytest.approx(0.0173, abs=1e-14)
@@ -120,7 +120,7 @@ def test_run_lands_on_requested_time():
 
 def test_euler_conservation_drift():
     system = euler_ideal_gas()
-    g = make_grid(0.0, 1.0, 24)
+    g = Grid(0.0, 1.0, 24)
     cfg = RunConfig(order=3, alpha=2.0, t_out=0.05)
     rep = run(system, g, cfg)
     initial = exact_cell_averages(g, system.exact_solution, 0.0).sum(axis=0)
@@ -132,7 +132,7 @@ def test_euler_conservation_drift():
 def test_transmissive_run_moves_front():
     # Quick qualitative check: the stiff model pushes its front rightward.
     system = leveque_yee(beta=-1000.0)
-    g = make_grid(0.0, 1.0, 50)
+    g = Grid(0.0, 1.0, 50)
     cfg = RunConfig(order=3, alpha=2.4, t_out=0.1, boundary="transmissive")
     rep = run(system, g, cfg)
     q = rep.field.interior[:, 0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aderfv import systems
-from aderfv.grid import RunConfig, make_grid
+from aderfv.grid import Grid, RunConfig
 from aderfv.solver import run
 from aderfv.systems import (
     conserved_to_primitive,
@@ -255,6 +255,6 @@ def test_closed_ck_derived_once_per_run(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(systems, "linear_ck_matrices", counted)
-    report = run(linear_system(), make_grid(0.0, 1.0, 8), RunConfig(order=3, t_out=0.025))
+    report = run(linear_system(), Grid(0.0, 1.0, 8), RunConfig(order=3, t_out=0.025))
     assert report.n_steps == 2
     assert calls == [5]

@@ -1,5 +1,6 @@
 """Stability-analysis tests: amplification oracles, regions, determinism."""
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -219,16 +220,16 @@ def test_write_raster_csv_roundtrip(tmp_path):
     c_values = np.array([0.25, 0.5])
     r_values = np.array([-0.5, 0.0])
     frac = np.array([[1.0, 0.52], [0.0, 1.0]])
-    path = tmp_path / "raster.csv"
-    write_raster_csv(path, c_values, r_values, frac)
-    with open(path, newline="") as fh:
+    for name in ("raster.csv", "again.csv"):
+        with open(tmp_path / name, "w", newline="") as fh:
+            write_raster_csv(fh, c_values, r_values, frac)
+    with open(tmp_path / "raster.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["c", "r", "stable_fraction"]
     assert len(rows) == 5
     got = np.array([float(row[2]) for row in rows[1:]]).reshape(2, 2)
     assert np.allclose(got, frac)
-    write_raster_csv(tmp_path / "again.csv", c_values, r_values, frac)
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "raster.csv").read_bytes()
 
 
 def test_query_validation():
@@ -245,6 +246,7 @@ def test_query_validation():
         ({"order": 3, "n_theta": 0}, "n_theta"),
         ({"order": 3, "n_scenarios": 0}, "n_scenarios"),
         ({"order": 3, "alpha": 0.0}, "alpha"),
+        ({"order": 3, "alpha": math.inf}, "alpha"),
     ],
 )
 def test_query_rejects_out_of_range_sizes(kwargs, field):
