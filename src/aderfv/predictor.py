@@ -14,6 +14,12 @@ one Newton step per outer sweep. All points of a step (every cell, every
 quadrature node) are solved together in batched array arithmetic; converged
 points drop out of the iteration, so results do not depend on how the batch
 is partitioned.
+
+A law with constant coefficients has a predictor that is linear in the
+reconstruction stack, D_0(tau) = P(tau) w. Its tables probe the same solver
+with the unit stacks at the step's quadrature times to get one operator P per
+time, then contract every cell with them in one piece (never split across
+threads); the stability analyzer takes its predictor from the same operators.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ __all__ = [
     "PredictorTable",
     "solve_derivative_chain",
     "solve_predictor_points",
+    "predictor_operators",
     "build_predictor_tables",
 ]
 
@@ -144,8 +151,7 @@ def solve_derivative_chain(
     """Back-substitute the linearized derivative equations for D_1..D_M.
 
     With J = source Jacobian and A = system matrix both evaluated at the
-    frozen D_0 (read from the closed-form CK matrices when the system has
-    constant coefficients), solve (I - tau J) D_M = w_M and then
+    frozen D_0, solve (I - tau J) D_M = w_M and then
     (I - tau J) D_k = w_k - tau A D_{k+1} for k = M-1..1.
     """
     d0_frozen = np.asarray(d0_frozen, dtype=float)
@@ -156,13 +162,8 @@ def solve_derivative_chain(
     out = np.empty(batch + (order, m))
     if order == 0:
         return out
-    if system.constant_coefficients:
-        # d_t Q = B Q - A Q_x gives C[0] = (B, -A).
-        first = system.closed_ck(1)[0]
-        jac, amat = first[0], -first[1]
-    else:
-        jac = system.source_jacobian(d0_frozen)
-        amat = system.matrix(d0_frozen)
+    jac = system.source_jacobian(d0_frozen)
+    amat = system.matrix(d0_frozen)
     lhs = np.eye(m) - tau[..., None, None] * jac
 
     def solve(rhs):
@@ -310,6 +311,24 @@ def solve_predictor_points(
     return np.concatenate([d0[:, None, :], d_rest], axis=1), sweeps
 
 
+def predictor_operators(
+    system: SystemDescriptor, tau: np.ndarray, config: RunConfig
+) -> tuple[np.ndarray, int]:
+    """D_0(tau) = P(tau) w for a constant-coefficient law, one operator per tau.
+
+    P(tau), shape (m, (M+1) m) with w the (M+1, m) stack flattened, is read
+    off ``solve_predictor_points`` on the (M+1) m unit stacks. Returns the
+    operators, shape tau.shape + (m, (M+1) m), and the probes' sweep count.
+    """
+    if not system.constant_coefficients:
+        raise ValueError(f"system {system.name!r} does not have constant coefficients")
+    tau = np.asarray(tau, dtype=float)
+    units = np.eye(config.order * system.m).reshape(-1, config.order, system.m)
+    w = np.tile(units, (tau.size, 1, 1))
+    stacks, sweeps = solve_predictor_points(system, w, np.repeat(tau.ravel(), len(units)), config)
+    return stacks[:, 0].reshape(tau.shape + (len(units), system.m)).swapaxes(-1, -2), sweeps
+
+
 def _node_derivatives(coeffs: np.ndarray, basis: np.ndarray, dx: float) -> np.ndarray:
     """Reconstruction derivatives at basis nodes: (C, n_nodes, M+1, m), physical."""
     w = np.einsum("cmp,klp->clkm", coeffs, basis)
@@ -334,27 +353,33 @@ def _build_tables_chunk(
 
     w_int = _node_derivatives(coeffs, rules.basis_interior, dx)  # (C, n_xi, M+1, m)
     w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)      # (C, 2, M+1, m)
+    if system.constant_coefficients:
+        # D_0(tau) = P(tau) w at every node: one contraction per node set.
+        taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes]) * dt
+        ops, sweeps = predictor_operators(system, taus, config)
+        values = np.einsum("tap,clp->ctla", ops[:n_tau], w_int.reshape(ncells, n_xi, -1))
+        traces = np.einsum("tap,csp->ctsa", ops[n_tau:], w_tr.reshape(ncells, 2, -1))
+    else:
+        # Flat point batch: interior tensor nodes first, then the traces.
+        w_int_b = np.repeat(w_int[:, None], n_tau, axis=1).reshape(ncells * n_tau * n_xi, -1, m)
+        tau_int = np.tile(np.repeat(rules.tau_rule.nodes, n_xi), ncells) * dt
+        w_tr_b = np.repeat(w_tr[:, None], n_tr, axis=1).reshape(ncells * n_tr * 2, -1, m)
+        tau_tr = np.tile(np.repeat(rules.trace_rule.nodes, 2), ncells) * dt
 
-    # Flat point batch: interior tensor nodes first, then the traces.
-    w_int_b = np.repeat(w_int[:, None], n_tau, axis=1).reshape(ncells * n_tau * n_xi, -1, m)
-    tau_int = np.tile(np.repeat(rules.tau_rule.nodes, n_xi), ncells) * dt
-    w_tr_b = np.repeat(w_tr[:, None], n_tr, axis=1).reshape(ncells * n_tr * 2, -1, m)
-    tau_tr = np.tile(np.repeat(rules.trace_rule.nodes, 2), ncells) * dt
-
-    w_all = np.concatenate([w_int_b, w_tr_b])
-    tau_all = np.concatenate([tau_int, tau_tr])
-    split = ncells * n_tau * n_xi
-    try:
-        stacks, sweeps = solve_predictor_points(system, w_all, tau_all, config)
-    except PredictorError as exc:
-        if "points" in exc.details:
-            p = np.asarray(exc.details["points"])
-            cell = np.where(p < split, p // (n_tau * n_xi), (p - split) // (2 * n_tr))
-            exc.details["cells"] = first_cell + cell
-        raise
-    states = stacks[:, 0]
-    values = states[:split].reshape(ncells, n_tau, n_xi, m)
-    traces = states[split:].reshape(ncells, n_tr, 2, m)
+        w_all = np.concatenate([w_int_b, w_tr_b])
+        tau_all = np.concatenate([tau_int, tau_tr])
+        split = ncells * n_tau * n_xi
+        try:
+            stacks, sweeps = solve_predictor_points(system, w_all, tau_all, config)
+        except PredictorError as exc:
+            if "points" in exc.details:
+                p = np.asarray(exc.details["points"])
+                cell = np.where(p < split, p // (n_tau * n_xi), (p - split) // (2 * n_tr))
+                exc.details["cells"] = first_cell + cell
+            raise
+        states = stacks[:, 0]
+        values = states[:split].reshape(ncells, n_tau, n_xi, m)
+        traces = states[split:].reshape(ncells, n_tr, 2, m)
     x_deriv = np.einsum("lp,ctpm->ctlm", rules.diff_matrix, values) / dx
 
     return PredictorTable(
@@ -376,15 +401,15 @@ def build_predictor_tables(
 ) -> PredictorTable:
     """Predictor tables for a batch of cells given reconstruction coefficients.
 
-    ``coeffs`` has shape (cells, m, M+1). With ``threads > 1`` the cell batch
-    is split into contiguous chunks solved concurrently; chunking does not
-    change any result because every point iterates to its own tolerance.
+    ``coeffs`` has shape (cells, m, M+1). With ``threads > 1`` a Newton-solved
+    batch is split into contiguous chunks solved concurrently; chunking does
+    not change any result because every point iterates to its own tolerance.
     A ``PredictorError`` with failing points names their indices in
     ``coeffs`` under ``details["cells"]``.
     """
     rules = space_time_rules(config.order)
     ncells = coeffs.shape[0]
-    if threads <= 1 or ncells < 2 * threads:
+    if threads <= 1 or ncells < 2 * threads or system.constant_coefficients:
         return _build_tables_chunk(system, coeffs, dt, dx, config, rules)
     bounds = np.linspace(0, ncells, threads + 1).astype(int)
     chunks = [(coeffs[a:b], a) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]

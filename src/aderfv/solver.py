@@ -203,6 +203,8 @@ def convergence_study(
     """Error norms and observed orders of one tracked variable over a mesh family."""
     if system.exact_solution is None:
         raise ValueError(f"system {system.name!r} has no exact solution to compare to")
+    if not 0 <= variable < system.m:
+        raise ValueError(f"variable must be in 0..{system.m - 1}, got {variable}")
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n_cells in meshes:

@@ -7,14 +7,24 @@ uniform grid, reduced to the two dimensionless parameters
 
 A single Fourier mode with phase angle theta is pushed through one full step
 of the scheme: reconstruction (a fixed blend of the three candidate stencils),
-space-time predictor (explicit Taylor or the implicit variant), trace-rule
-time averaging of the centred alpha-split flux, and the tensor-rule source
-average. The amplification factor is
+space-time predictor, trace-rule time averaging of the centred alpha-split
+flux, and the tensor-rule averages of the source and of the volume term. The
+predictions come from the solver's own predictor on the model law
+scalar_advection_reaction(lam=c, beta=r) at dx = dt = 1: the implicit one as
+its ``predictor_operators``, the explicit one as the Taylor series of the same
+law's CK time derivatives. The amplification factor is
 
-  A(theta) = 1 - c (fhat_+ - fhat_-) + r shat,
+  A(theta) = 1 - c (fhat_+ - fhat_-) + r shat - c (ahat - (qR - qL)),
   fhat = (qL + qR)/2 - (alpha c + 1/(alpha c))/4 (qR - qL),
 
-with neighbour values obtained from the mode by phase shifts e^{+-i theta}.
+with neighbour values obtained from the mode by phase shifts e^{+-i theta},
+and ahat the tensor-rule average of the interior interpolant's x-derivative
+(the solver's volume term). The last term vanishes when both time rules
+integrate the predictor exactly: for the explicit predictor, or at r = 0. For
+r != 0 the implicit predictor is rational in tau and the term stays. A
+singular predictor (e.g. tau r = 1) gives a non-finite amplitude, which
+counts as unstable.
+
 Because the nonlinear stencil weights depend on the data, each map point is
 judged over an ensemble of random weight scenarios; the reported number is
 the fraction of scenarios whose amplification stays below one for every
@@ -41,7 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictor import space_time_rules
+from .ckjet import ck_time_derivatives
+from .grid import RunConfig
+from .predictor import PredictorError, predictor_operators, space_time_rules
+from .systems import scalar_advection_reaction
 from .weno import nonlinear_weights, window_candidate_matrix
 
 __all__ = [
@@ -85,6 +98,8 @@ class StabilityQuery:
             raise ValueError(f"n_theta must be >= 1, got {self.n_theta}")
         if self.n_scenarios < 1:
             raise ValueError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
         if self.weight_model not in ("weno-law", "uniform"):
             raise ValueError(f"unknown weight model {self.weight_model!r}")
 
@@ -104,43 +119,6 @@ def blend_matrix(degree: int, weights) -> np.ndarray:
         [window_candidate_matrix(degree, kind) for kind in ("left", "central", "right")]
     )
     return np.einsum("...s,slw->...lw", w, stack)
-
-
-def _predict(
-    w_stack: np.ndarray, taus: np.ndarray, c: float, r: float, predictor: str
-) -> np.ndarray:
-    """Predictor values q(tau) from reconstruction derivatives at fixed positions.
-
-    ``w_stack`` has shape (M+1, X, K): unit-cell derivative order, position,
-    mode column. Returns (T, X, K) for the T requested times.
-    """
-    order = w_stack.shape[0] - 1
-    taus = np.asarray(taus, dtype=float)
-    t_shape = (taus.size, 1, 1)
-    tcol = taus.reshape(t_shape)
-
-    if predictor == "explicit":
-        q = np.broadcast_to(w_stack[0], (taus.size,) + w_stack.shape[1:]).astype(complex).copy()
-        for k in range(1, order + 1):
-            fk = tcol**k / math.factorial(k)
-            for j in range(0, min(k, order) + 1):
-                q += fk * (math.comb(k, j) * (-c) ** j * r ** (k - j)) * w_stack[j]
-        return q
-
-    # Implicit: back-substituted derivative chain, then the scalar state solve.
-    denom = 1.0 - tcol * r
-    deriv = [None] * (order + 1)
-    for j in range(order, 0, -1):
-        upper = 0.0 if j == order else tcol * c * deriv[j + 1]
-        deriv[j] = (w_stack[j] - upper) / denom
-    t_poly = np.zeros(t_shape)
-    rhs = np.broadcast_to(w_stack[0], (taus.size,) + w_stack.shape[1:]).astype(complex).copy()
-    for k in range(0, order + 1):
-        coef = (-tcol) ** k / math.factorial(k)
-        t_poly = t_poly + coef * r**k
-        for j in range(1, min(k, order) + 1):
-            rhs -= coef * (math.comb(k, j) * (-c) ** j * r ** (k - j)) * deriv[j]
-    return rhs / t_poly
 
 
 def amplitude(
@@ -173,22 +151,42 @@ def amplitude(
     w_int = np.einsum("jxl,lk->jxk", rules.basis_interior, beta)
     w_tr = np.einsum("jxl,lk->jxk", rules.basis_trace, beta)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_int = _predict(w_int, rules.tau_rule.nodes, c, r, query.predictor)
-        q_tr = _predict(w_tr, rules.trace_rule.nodes, c, r, query.predictor)
+    # The solver's predictor on q_t + c q_x = r q at dx = dt = 1, as rows
+    # q(tau) = P(tau) w. Explicit rows are e_0 + sum_k tau^k / k! G_k, with G_k
+    # the CK time derivatives of the unit stacks.
+    system = scalar_advection_reaction(lam=c, beta=r)
+    taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes])
+    units = np.eye(degree + 1)
+    if query.predictor == "explicit":
+        g = ck_time_derivatives(system, units[..., None], degree)[..., 0]
+        rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
+    else:
+        try:
+            rows = predictor_operators(system, taus, RunConfig(order=query.order))[0][:, 0]
+        except PredictorError:  # a singular predictor (e.g. tau r = 1) is unstable
+            rows = np.full((taus.size, degree + 1), np.nan)
+    n_tau = rules.tau_rule.n
+    q_int = np.einsum("tj,jxk->txk", rows[:n_tau], w_int)
+    q_tr = np.einsum("tj,jxk->txk", rows[n_tau:], w_tr)
 
     s_hat = np.einsum(
         "t,x,txk->k", rules.tau_rule.weights, rules.xi_rule.weights, q_int
     )
     q_left = np.einsum("t,tk->k", rules.trace_rule.weights, q_tr[:, 0])
     q_right = np.einsum("t,tk->k", rules.trace_rule.weights, q_tr[:, 1])
+    # The solver's volume term: the tensor-rule average of the interior
+    # interpolant's x-derivative, which the trace difference cancels only
+    # when both time rules integrate the predictor exactly.
+    a_hat = np.einsum(
+        "t,y,tyk->k", rules.tau_rule.weights, rules.xi_rule.weights @ rules.diff_matrix, q_int
+    )
 
     ph = np.tile(np.exp(1j * theta), n_s)
     # c * (fhat_+ - fhat_-), written so the c -> 0 limit stays finite.
     centred = 0.5 * c * ((q_right + ph * q_left) - (q_left + q_right / ph))
     spread = (ph * q_left - q_right) - (q_left - q_right / ph)
     diss = 0.25 * (query.alpha * c * c + 1.0 / query.alpha) * spread
-    amp = 1.0 - centred + diss + r * s_hat
+    amp = 1.0 - centred + diss + r * s_hat - c * (a_hat - (q_right - q_left))
     amp = amp.reshape(n_s, theta.size)
     return amp[0] if squeeze else amp
 

@@ -209,7 +209,7 @@ def reconstruct_batch(windows: np.ndarray, degree: int) -> np.ndarray:
         for kind in _KINDS
     }
     if degree == 0:
-        return betas["central"]
+        return betas["central"].transpose(0, 2, 1)
     sigma = oscillation_matrix(degree)
     oi = {
         kind: np.einsum("ckm,kl,clm->cm", betas[kind], sigma, betas[kind])

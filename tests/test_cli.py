@@ -159,6 +159,16 @@ def test_bad_stability_query_exits_one(flags, field, capsys):
     assert err.startswith("aderfv:") and field in err
 
 
+@pytest.mark.parametrize("variable", ["2", "-1"])
+def test_converge_rejects_out_of_range_variable(variable, tmp_path, capsys):
+    # The linear system has two variables; the check comes before any run.
+    rc = main(["converge", "--preset", "linear-system", "--orders", "2", "--meshes", "8",
+               "--variable", variable, "--out", str(tmp_path / "table.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aderfv:") and "variable" in err
+
+
 def test_stability_stdout_matches_out_file(tmp_path, capsys):
     flags = ["stability", "--order", "2", "--n-theta", "8", "--scenarios", "3",
              "--c-min", "0.2", "--c-max", "0.6", "--c-step", "0.2",

@@ -10,6 +10,7 @@ from aderfv.grid import RunConfig
 from aderfv.predictor import (
     PredictorError,
     build_predictor_tables,
+    predictor_operators,
     solve_derivative_chain,
     solve_predictor_points,
     space_time_rules,
@@ -67,22 +68,6 @@ def test_derivative_chain_hand_check():
     d2 = 0.2 / (1 - tau * beta)
     d1 = (0.3 - tau * lam * d2) / (1 - tau * beta)
     np.testing.assert_allclose(got.ravel(), [d1, d2], atol=1e-14)
-
-
-@pytest.mark.parametrize("make", [linear_system, scalar_advection_reaction])
-def test_chain_constant_matrices_match_derived_forms(make):
-    # The closed-form CK matrices replace the derived matrix and source
-    # Jacobian in the chain; both are exact, so the chains agree bit for bit.
-    system = make()
-    derived = dataclasses.replace(system, constant_coefficients=False)
-    rng = np.random.default_rng(6)
-    d0 = rng.standard_normal((10, system.m))
-    w_rest = rng.standard_normal((10, 4, system.m))
-    tau = rng.uniform(0.0, 0.2, size=10)
-    np.testing.assert_array_equal(
-        solve_derivative_chain(system, d0, w_rest, tau, 4),
-        solve_derivative_chain(derived, d0, w_rest, tau, 4),
-    )
 
 
 def test_zero_time_offset_returns_data():
@@ -246,15 +231,18 @@ def test_batch_table_matches_single_cell():
 
 
 def test_threaded_build_is_deterministic():
-    system = linear_system()
+    # The constant-coefficient route is never split; the same law on the
+    # Newton route is split into three chunks.
     cfg = RunConfig(order=4)
     rng = np.random.default_rng(9)
     windows = rng.normal(size=(12, 7, 2))
     coeffs = weno.reconstruct_batch(windows, cfg.degree)
-    a = build_predictor_tables(system, coeffs, dt=0.005, dx=0.05, config=cfg)
-    b = build_predictor_tables(system, coeffs, dt=0.005, dx=0.05, config=cfg, threads=3)
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.x_derivative, b.x_derivative)
+    newton = dataclasses.replace(linear_system(), constant_coefficients=False)
+    for system in (linear_system(), newton):
+        a = build_predictor_tables(system, coeffs, dt=0.005, dx=0.05, config=cfg)
+        b = build_predictor_tables(system, coeffs, dt=0.005, dx=0.05, config=cfg, threads=3)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.x_derivative, b.x_derivative)
 
 
 def test_table_trace_layout():
@@ -289,3 +277,43 @@ def test_equilibrium_table_is_constant():
     np.testing.assert_allclose(t.values[..., 0], 1.0, atol=1e-13)
     np.testing.assert_allclose(t.values[..., 1], 1.0, atol=1e-13)
     np.testing.assert_allclose(t.x_derivative, 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("make", [linear_system, scalar_advection_reaction])
+def test_constant_coefficient_tables_match_newton(make, order, threads):
+    # The operator contraction against Newton on every node of the same law
+    # run through the generic series engine. x_derivative is in physical
+    # units; dx times it is on the scale of the values.
+    system = make(lam=1.3, beta=-4.0)
+    newton = dataclasses.replace(system, constant_coefficients=False)
+    cfg = RunConfig(order=order)
+    rng = np.random.default_rng(order)
+    windows = rng.normal(size=(9, 2 * cfg.degree + 1, system.m))
+    coeffs = weno.reconstruct_batch(windows, cfg.degree)
+    got = build_predictor_tables(system, coeffs, dt=0.02, dx=0.05, config=cfg, threads=threads)
+    ref = build_predictor_tables(newton, coeffs, dt=0.02, dx=0.05, config=cfg, threads=threads)
+    for name in ("values", "trace_left", "trace_right"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        0.05 * got.x_derivative, 0.05 * ref.x_derivative, rtol=0, atol=1e-13
+    )
+    assert got.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_predictor_operators_are_unit_columns_at_zero_time(order):
+    system = linear_system()
+    cfg = RunConfig(order=order)
+    ops, sweeps = predictor_operators(system, np.array([0.0, 0.0]), cfg)
+    assert ops.shape == (2, system.m, order * system.m)
+    expect = np.zeros((system.m, order * system.m))
+    expect[:, : system.m] = np.eye(system.m)
+    np.testing.assert_array_equal(ops, np.broadcast_to(expect, ops.shape))
+    assert sweeps == 0
+
+
+def test_predictor_operators_reject_nonlinear_laws():
+    with pytest.raises(ValueError, match="constant coefficients"):
+        predictor_operators(leveque_yee(), np.array([0.1]), RunConfig(order=3))

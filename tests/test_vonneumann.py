@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import Legendre, Polynomial
 
+from aderfv import solver
+from aderfv.grid import CellField, Grid, RunConfig
+from aderfv.systems import scalar_advection_reaction
 from aderfv.vonneumann import (
     DEFAULT_R_GRID,
     StabilityQuery,
@@ -247,8 +250,48 @@ def test_query_validation():
         ({"order": 3, "n_scenarios": 0}, "n_scenarios"),
         ({"order": 3, "alpha": 0.0}, "alpha"),
         ({"order": 3, "alpha": math.inf}, "alpha"),
+        ({"order": 3, "tol": math.nan}, "tol"),
+        ({"order": 3, "tol": -1.0}, "tol"),
+        ({"order": 3, "tol": math.inf}, "tol"),
     ],
 )
 def test_query_rejects_out_of_range_sizes(kwargs, field):
     with pytest.raises(ValueError, match=field):
         StabilityQuery(**kwargs)
+
+
+def _central_reconstruction(windows, degree):
+    return np.einsum("kw,cwm->cmk", window_candidate_matrix(degree, "central"), windows)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("c,r,alpha", [(0.3, 0.0, 1.0), (0.7, -2.0, 1.5), (0.5, -0.5, 2.0),
+                                       (0.9, -8.0, 1.0), (0.2, 0.4, 1.0)])
+def test_analyzer_matches_solver_step(order, c, r, alpha, monkeypatch):
+    # One solver step on cos(theta i) with the central reconstruction: the DFT
+    # ratio at theta is the amplification factor of the scheme the solver
+    # runs. The volume term makes the two agree for r != 0 too.
+    monkeypatch.setattr(solver, "reconstruct_batch", _central_reconstruction)
+    n = 32
+    dx = 1.0 / n
+    dt = c * dx
+    system = scalar_advection_reaction(lam=1.0, beta=r / dt)
+    config = RunConfig(order=order, alpha=alpha)
+    query = StabilityQuery(order=order, alpha=alpha)
+    for k in (1, 3, 7, 12, 16):
+        theta = 2.0 * np.pi * k / n
+        q0 = np.cos(theta * np.arange(n))
+        fld = CellField.from_cell_averages(Grid(0.0, 1.0, n), q0[:, None], ghost=order)
+        solver.step(system, fld, config, dt)
+        ratio = np.fft.fft(fld.interior[:, 0])[k] / np.fft.fft(q0)[k]
+        assert abs(ratio - amplitude(np.array([theta]), c, r, query)[0]) <= 1e-13
+
+
+def test_singular_predictor_counts_as_unstable():
+    # At order 2 and r = 1 the derivative chain's 1 - tau r vanishes at the
+    # trace time tau = 1: the point is unstable, not an error.
+    query = StabilityQuery(order=2, n_theta=16, n_scenarios=5)
+    amp = amplitude(theta_grid(16), 0.5, 1.0, query)
+    assert not np.any(np.isfinite(amp))
+    assert np.all(max_amplitude(0.5, 1.0, query) == np.inf)
+    assert stability_fraction(0.5, 1.0, query) == 0.0
