@@ -2,14 +2,23 @@
 
 Given the state and its spatial derivatives at one point, the balance law
 dQ/dt = S(Q) - A(Q) dQ/dx determines all time (and mixed) derivatives. The
-generic engine propagates a bivariate truncated power series in (x, t) layer
-by layer: the t-degree-(k+1) coefficients are the t-degree-k coefficients of
-S(Q) - A(Q) dQ/dx divided by k+1, on the triangle j + k <= order that the
-time derivatives need. Like the series, the jet is coefficient-major (degree
-axes first, batch axes last). Each system states its law once, and the engine
-runs that generic form directly on series: a conservative law gives its flux,
-so A(Q) dQ/dx is the x-derivative of F(Q); a non-conservative law gives the
-rows of A(Q); either may add source terms S(Q).
+generic engine propagates a bivariate truncated power series in (x, t) one
+time level at a time: the t-degree-(k+1) coefficients are the t-degree-k
+coefficients of S(Q) - A(Q) dQ/dx divided by k+1, on the triangle
+j + k <= order that the time derivatives need. Each system states its law
+once, and the engine runs that generic form directly on series: a
+conservative law gives its flux, so A(Q) dQ/dx is the x-derivative of F(Q);
+a non-conservative law gives the rows of A(Q); either may add source terms
+S(Q).
+
+The engine works in Taylor mode. The law is evaluated once per call on the
+leaves of a :class:`~aderfv.series.SeriesTape`, which records every
+intermediate; time level k then fills only t-column k of each intermediate,
+reading the lower columns already stored, instead of evaluating the law
+again. Points are processed in blocks of a fixed size whose storage comes
+from a workspace that the call borrows from a pool and returns, so the memory
+a jet holds does not grow with the batch, and concurrent jets never share it. Every coefficient block is summed in
+the same order as by a whole-law evaluation per level.
 
 A system that declares constant coefficients takes the constant-coefficient
 route derived from the law instead: its time derivatives are one matrix
@@ -19,19 +28,46 @@ exact to rounding for every system.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
-from .series import TruncatedSeries
+from .series import SeriesTape, TruncatedSeries, Workspace
 from .systems import SystemDescriptor, complex_step_jacobian
 
 __all__ = [
-    "SpaceTimeJet",
     "ck_time_derivatives",
     "predictor_residual",
     "residual_and_jacobian",
 ]
+
+# Points per jet block. Every leaf and node of a law's tape takes one
+# workspace slot of (order + 1)^2 coefficient blocks of this many points, so
+# the storage a thread keeps is set by the law and the order, not the batch
+# (Euler at order 5: 17 slots, 14 MB). Larger blocks spend less interpreter
+# time per point and more memory.
+_BLOCK = 2048
+
+# Idle workspaces. A jet borrows one for the length of the call, so jets
+# running at once on the predictor's worker threads never share storage, and
+# the storage outlives those threads: the pool holds as many workspaces as
+# jets have ever run at once, each reused across sweeps and steps.
+_idle_workspaces: list[Workspace] = []
+_pool_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _borrowed_workspace():
+    with _pool_lock:
+        workspace = _idle_workspaces.pop() if _idle_workspaces else Workspace()
+    try:
+        yield workspace
+    finally:
+        with _pool_lock:
+            _idle_workspaces.append(workspace)
+
 
 def _lift(value, like: TruncatedSeries) -> TruncatedSeries:
     if isinstance(value, TruncatedSeries):
@@ -61,53 +97,53 @@ def _rhs_terms(system: SystemDescriptor, comps: list[TruncatedSeries]) -> list[T
     return rhs
 
 
-class SpaceTimeJet:
-    """Space-time Taylor coefficients c[i, j, k] of Q around one point.
+def _jet_time_derivatives(
+    system: SystemDescriptor, derivatives: np.ndarray, order: int
+) -> np.ndarray:
+    """Generic route: Taylor-mode space-time jets over blocks of points.
 
-    Seeded from the spatial derivative stack (c[:, j, 0] = D_j / j!) and
-    filled upward in time degree using the balance law. ``coefficients`` is
-    coefficient-major with shape (m, order+1, order+1) + batch. Only the
-    triangle j + k <= order is filled: time level k evolves the x-degrees
-    j <= order - k that the pure time derivatives depend on.
+    The space-time coefficients c[i][j, k] of each component are seeded from
+    the spatial stack (c[i][j, 0] = D_j / j!) and filled upward in time
+    degree: the law is recorded once on a tape, and time level k fills
+    column k of every intermediate on rows j <= order - k, from which
+    c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx divided
+    by k+1 for j < order - k. Returns d_t^k Q, k = 1..order, as
+    (m, order) + batch.
     """
+    m, n = system.m, order + 1
+    batch = derivatives.shape[:-2]
+    flat = derivatives.reshape(-1, n, m)
+    dtype = np.result_type(derivatives, float)
+    out = np.empty((m, order, flat.shape[0]), dtype=dtype)
+    factorials = np.array([math.factorial(j) for j in range(n)])
+    seed_scale, out_scale = factorials[:, None], factorials[1:, None]
 
-    def __init__(self, system: SystemDescriptor, derivatives: np.ndarray, order: int):
-        derivatives = np.asarray(derivatives)
-        if derivatives.shape[-1] != system.m or derivatives.shape[-2] != order + 1:
-            raise ValueError(
-                f"derivative stack must be (..., {order + 1}, {system.m}), "
-                f"got {derivatives.shape}"
-            )
-        self.system = system
-        self.order = order
-        n = order + 1
-        batch = derivatives.shape[:-2]
-        c = np.zeros((system.m, n, n) + batch, dtype=np.result_type(derivatives, float))
-        factorials = np.array([math.factorial(j) for j in range(n)])
-        seeds = np.moveaxis(derivatives, (-1, -2), (0, 1))
-        c[:, :, 0] = seeds / factorials.reshape((n,) + (1,) * len(batch))
-        self.coefficients = c
-        self._fill()
-
-    def _fill(self) -> None:
-        c = self.coefficients
-        m = self.system.m
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for k in range(self.order):
-                nx = self.order - k + 1
-                comps = [TruncatedSeries(c[i, :nx, : k + 1]) for i in range(m)]
-                rhs = _rhs_terms(self.system, comps)
-                for i in range(m):
-                    c[i, : nx - 1, k + 1] = rhs[i].c[: nx - 1, k] / (k + 1)
-        if not np.all(np.isfinite(c)):
-            raise FloatingPointError("non-finite space-time jet coefficients")
-
-    def time_derivatives(self) -> np.ndarray:
-        """Pure time derivatives d_t^k Q for k = 1..order, shape (..., order, m)."""
-        c = self.coefficients
-        factorials = np.array([math.factorial(k) for k in range(1, self.order + 1)])
-        g = factorials.reshape((-1,) + (1,) * (c.ndim - 3)) * c[:, 0, 1:]
-        return np.moveaxis(g, (0, 1), (-1, -2))
+    finite = True
+    with _borrowed_workspace() as workspace, np.errstate(
+        invalid="ignore", over="ignore", divide="ignore"
+    ):
+        tape = SeriesTape(workspace)
+        comps = [tape.leaf(n, n, dtype) for _ in range(m)]
+        rhs = _rhs_terms(system, comps)
+        for start in range(0, flat.shape[0], _BLOCK):
+            points = flat[start : start + _BLOCK]
+            count = len(points)
+            tape.bind(count)
+            for i, comp in enumerate(comps):
+                seeds = np.divide(points[:, :, i].T, seed_scale, out=comp.c[:, 0])
+                finite &= np.isfinite(seeds).all()
+            for k in range(order):
+                tape.fill(k, n - k)
+                for comp, r in zip(comps, rhs):
+                    new = np.divide(r.c[: order - k, k], k + 1, out=comp.c[: order - k, k + 1])
+                    finite &= np.isfinite(new).all()
+            for i, comp in enumerate(comps):
+                np.multiply(out_scale, comp.c[0, 1:], out=out[i, :, start : start + count])
+    # Checked after every block, so a zero division anywhere in the batch
+    # is reported first, as a whole-batch jet would.
+    if not finite:
+        raise FloatingPointError("non-finite space-time jet coefficients")
+    return out.reshape((m, order) + batch)
 
 
 def ck_time_derivatives(
@@ -122,7 +158,8 @@ def ck_time_derivatives(
     if order == 0:
         return np.zeros(derivatives.shape[:-2] + (0, system.m))
     if not system.constant_coefficients:
-        return SpaceTimeJet(system, derivatives, order).time_derivatives()
+        g = _jet_time_derivatives(system, derivatives, order)
+        return np.moveaxis(g, (0, 1), (-1, -2))
     # d_t^{k+1} Q = sum_j C[k, j] D_j as one product: rows (k, a), columns (j, b).
     m = system.m
     mats = system.closed_ck(order).transpose(0, 2, 1, 3).reshape(order * m, -1)

@@ -20,7 +20,12 @@ import numpy as np
 
 from .grid import Grid, RunConfig, exact_cell_averages
 from .predictor import PredictorError
-from .solver import convergence_study, format_convergence_table, run
+from .solver import (
+    check_convergence_inputs,
+    convergence_study,
+    format_convergence_table,
+    run,
+)
 from .systems import (
     SystemDescriptor,
     euler_ideal_gas,
@@ -135,6 +140,9 @@ def cmd_converge(args) -> int:
     system, config, _ = _resolve(args)
     orders = [int(v) for v in args.orders.split(",")] if args.orders else [config.order]
     meshes = [int(v) for v in args.meshes.split(",")] if args.meshes else list(DEFAULT_MESHES)
+    # Rejected input must leave no output behind, not even the header row.
+    configs = [replace(config, order=order) for order in orders]
+    check_convergence_inputs(system, meshes, args.variable)
 
     with _open_output(args.out) as fh:
         writer = csv.writer(fh)
@@ -142,21 +150,17 @@ def cmd_converge(args) -> int:
             ["order", "mesh", "linf_err", "linf_ord", "l1_err", "l1_ord",
              "l2_err", "l2_ord", "cpu_s"]
         )
-        for order in orders:
+        for cfg in configs:
             rows = convergence_study(
-                system,
-                replace(config, order=order),
-                meshes,
-                variable=args.variable,
-                threads=args.threads,
+                system, cfg, meshes, variable=args.variable, threads=args.threads
             )
             for r in rows:
                 writer.writerow(
-                    [order, r.n_cells, f"{r.linf:.6e}", f"{r.order_linf:.3f}",
+                    [cfg.order, r.n_cells, f"{r.linf:.6e}", f"{r.order_linf:.3f}",
                      f"{r.l1:.6e}", f"{r.order_l1:.3f}",
                      f"{r.l2:.6e}", f"{r.order_l2:.3f}", f"{r.cpu_seconds:.4f}"]
                 )
-            print(f"# {args.preset}, order {order}", file=sys.stderr)
+            print(f"# {args.preset}, order {cfg.order}", file=sys.stderr)
             print(format_convergence_table(rows), file=sys.stderr)
     return 0
 

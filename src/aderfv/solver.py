@@ -38,6 +38,7 @@ __all__ = [
     "compute_dt",
     "step",
     "run",
+    "check_convergence_inputs",
     "convergence_study",
     "format_convergence_table",
 ]
@@ -191,6 +192,19 @@ def run(
     return RunReport(fld, t, n_steps, time.perf_counter() - wall0, reports)
 
 
+def check_convergence_inputs(
+    system: SystemDescriptor, meshes: list[int], variable: int
+) -> None:
+    """Raise ValueError, naming the input, unless a convergence study can run."""
+    if system.exact_solution is None:
+        raise ValueError(f"system {system.name!r} has no exact solution to compare to")
+    if not 0 <= variable < system.m:
+        raise ValueError(f"variable must be in 0..{system.m - 1}, got {variable}")
+    bad = [n for n in meshes if int(n) < 1]
+    if bad:
+        raise ValueError(f"meshes must be positive cell counts, got {bad[0]}")
+
+
 def convergence_study(
     system: SystemDescriptor,
     config: RunConfig,
@@ -201,10 +215,7 @@ def convergence_study(
     threads: int = 1,
 ) -> list[ConvergenceRow]:
     """Error norms and observed orders of one tracked variable over a mesh family."""
-    if system.exact_solution is None:
-        raise ValueError(f"system {system.name!r} has no exact solution to compare to")
-    if not 0 <= variable < system.m:
-        raise ValueError(f"variable must be in 0..{system.m - 1}, got {variable}")
+    check_convergence_inputs(system, meshes, variable)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n_cells in meshes:

@@ -57,6 +57,17 @@ def _stack_terms(terms: Sequence, batch: tuple) -> np.ndarray:
     return out
 
 
+def _step_states(q: np.ndarray) -> np.ndarray:
+    """The m states q + i h e_j as an array (i, j) + batch: component i of
+    direction j, so each component qc[i] is one contiguous (j,) + batch block."""
+    m, nb = q.shape[-1], q.ndim - 1
+    qc = np.zeros((m, m) + q.shape[:-1], dtype=complex)
+    qc.real = q.transpose((nb,) + tuple(range(nb)))[:, None]
+    for j in range(m):
+        qc.imag[j, j] = _COMPLEX_STEP
+    return qc
+
+
 def complex_step_jacobian(
     f: Callable[[np.ndarray], np.ndarray], q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,23 +80,26 @@ def complex_step_jacobian(
     cancellation (Squire & Trapp, SIAM Rev. 40, 1998). The states are stored
     component-major, so each component q[..., i] is one contiguous block.
     """
-    m, nb = q.shape[-1], q.ndim - 1
-    qc = np.zeros((m, m) + q.shape[:-1], dtype=complex)
-    qc.real = q.transpose((nb,) + tuple(range(nb)))[:, None]
-    for j in range(m):
-        qc.imag[j, j] = _COMPLEX_STEP
+    nb = q.ndim - 1
     # Moves the leading axis last: (i, j) + batch -> (j,) + batch + (i,), and
     # (j,) + batch + (n,) -> batch + (n, j).
     last = tuple(range(1, nb + 2)) + (0,)
-    value = f(qc.transpose(last))
+    value = f(_step_states(q).transpose(last))
     return value.real[0], value.imag.transpose(last) / _COMPLEX_STEP
 
 
 def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
-    """Jacobian of generic ``terms`` at states q (..., m), shape (..., m, m)."""
-    return complex_step_jacobian(
-        lambda qc: _stack_terms(terms(_components(qc)), qc.shape[:-1]), q
-    )[1]
+    """Jacobian of generic ``terms`` at states q (..., m), shape (..., m, m).
+
+    Im term_i / h is divided straight into an array laid out (j,) + batch +
+    (i,), the layout ``complex_step_jacobian`` returns, seen as batch + (i, j).
+    """
+    qc = _step_states(q)
+    m, nb = q.shape[-1], q.ndim - 1
+    jac = np.empty((m,) + q.shape)
+    for i, term in enumerate(terms(list(qc))):
+        np.divide(np.imag(term), _COMPLEX_STEP, out=jac[..., i])
+    return jac.transpose(tuple(range(1, nb + 2)) + (0,))
 
 
 @dataclass(frozen=True)

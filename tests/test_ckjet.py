@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aderfv import ckjet
 from aderfv.ckjet import (
-    SpaceTimeJet,
     ck_time_derivatives,
     predictor_residual,
     residual_and_jacobian,
 )
+from aderfv.series import TruncatedSeries
 from aderfv.systems import (
     euler_ideal_gas,
     leveque_yee,
@@ -233,7 +237,132 @@ def test_jet_rejects_non_finite():
     d = np.zeros((3, 2))
     d[0] = [np.inf, 1.0]
     with pytest.raises(FloatingPointError):
-        SpaceTimeJet(system, d, 2)
+        ck_time_derivatives(system, d, 2)
+
+
+def _per_level_jet(system, derivatives, order):
+    """Reference jet: the whole law re-evaluated on every time level.
+
+    Level k evaluates S(Q) - A(Q) dQ/dx on the series truncated to x-degrees
+    j <= order - k and t-degrees <= k, and keeps only its t-degree-k
+    coefficients, on one batch with no blocking and no workspace.
+    """
+    m, n = system.m, order + 1
+    batch = derivatives.shape[:-2]
+    c = np.zeros((m, n, n) + batch, dtype=np.result_type(derivatives, float))
+    factorials = np.array([math.factorial(j) for j in range(n)])
+    seeds = np.moveaxis(derivatives, (-1, -2), (0, 1))
+    c[:, :, 0] = seeds / factorials.reshape((n,) + (1,) * len(batch))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(order):
+            nx = order - k + 1
+            comps = [TruncatedSeries(c[i, :nx, : k + 1]) for i in range(m)]
+            rhs = ckjet._rhs_terms(system, comps)
+            for i in range(m):
+                c[i, : nx - 1, k + 1] = rhs[i].c[: nx - 1, k] / (k + 1)
+    if not np.all(np.isfinite(c)):
+        raise FloatingPointError("non-finite space-time jet coefficients")
+    g = factorials[1:].reshape((-1,) + (1,) * len(batch)) * c[:, 0, 1:]
+    return np.moveaxis(g, (0, 1), (-1, -2))
+
+
+@pytest.mark.parametrize("make, centre", [
+    (euler_ideal_gas, [1.0, 0.5, 6.0]),
+    (noncons_system, [1.0, 1.0]),
+    (leveque_yee, [0.5]),
+])
+def test_taylor_jet_equals_per_level_jet_exactly(make, centre):
+    # Taylor mode fills one new t-column per level from stored columns, over
+    # blocks of workspace storage; every coefficient block is summed in the
+    # same order, so the time derivatives are bit-identical. Batch sizes
+    # around the block size cover partial, full and one-point blocks.
+    system = make()
+    block = ckjet._BLOCK
+    rng = np.random.default_rng(71)
+    for order in range(1, 6):
+        for batch in [(1,), (block - 1,), (block,), (block + 1,), (3, 2178)]:
+            for complex_stack in (False, True):
+                d = 0.1 * rng.standard_normal(batch + (order + 1, system.m))
+                d[..., 0, :] += centre
+                if complex_stack:
+                    d = d + 1e-3j * rng.standard_normal(d.shape)
+                got = ck_time_derivatives(system, d, order)
+                ref = _per_level_jet(system, d, order)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert np.array_equal(got, ref), (order, batch, complex_stack)
+
+
+def test_failed_jet_leaves_next_result_unchanged():
+    system = euler_ideal_gas()
+    rng = np.random.default_rng(72)
+    d = _euler_stack(rng, (700,), 4)
+    ref = ck_time_derivatives(system, d, 4)
+    non_finite, zero_density = d.copy(), d.copy()
+    non_finite[-1, 2, 1] = np.inf
+    zero_density[350, 0, 0] = 0.0
+    with pytest.raises(FloatingPointError):
+        ck_time_derivatives(system, non_finite, 4)
+    assert np.array_equal(ck_time_derivatives(system, d, 4), ref)
+    with pytest.raises(ZeroDivisionError):
+        ck_time_derivatives(system, zero_density, 4)
+    assert np.array_equal(ck_time_derivatives(system, d, 4), ref)
+
+
+def test_repeated_jacobian_reuses_the_workspace(monkeypatch):
+    # The jet's storage is a workspace borrowed from a pool: with the pool
+    # empty, the first call allocates one, and a second call on the same
+    # batch allocates none of it again.
+    idle = []
+    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    system = euler_ideal_gas()
+    rng = np.random.default_rng(73)
+    d0 = np.array([1.0, 0.5, 6.0]) + 0.1 * rng.standard_normal((2178, 3))
+    w0 = d0 + 0.01 * rng.standard_normal((2178, 3))
+    d_rest = 0.3 * rng.standard_normal((2178, 4, 3))
+    tau = rng.uniform(0.0, 0.01, 2178)
+    results, peaks, sizes = [], [], []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            results.append(residual_and_jacobian(system, d0, d_rest, tau, w0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(idle) == 1
+        sizes.append(idle[0].nbytes)
+    workspace = sizes[0]
+    assert workspace > 0 and sizes[1] == workspace
+    assert peaks[1] < peaks[0] - 0.9 * workspace
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_jets_match_serial_ones():
+    # Jets running at once on several threads each borrow a workspace of
+    # their own, so every thread gets the serial result.
+    system = euler_ideal_gas()
+    rng = np.random.default_rng(74)
+    stacks = [_euler_stack(rng, (900,), 4) + 1e-3j * rng.standard_normal((900, 5, 3))
+              for _ in range(6)]
+    serial = [ck_time_derivatives(system, d, 4) for d in stacks]
+    got = [None] * len(stacks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(i):
+            for _ in range(3):
+                got[i] = ck_time_derivatives(system, stacks[i], 4)
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for a, b in zip(got, serial):
+        assert np.array_equal(a, b)
 
 
 def test_residual_at_zero_time_offset():

@@ -169,6 +169,23 @@ def test_converge_rejects_out_of_range_variable(variable, tmp_path, capsys):
     assert err.startswith("aderfv:") and "variable" in err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--variable", "2"], "variable"),
+    (["--orders", "2,7"], "order"),
+    (["--meshes", "8,0"], "meshes"),
+    (["--preset", "leveque-yee"], "exact solution"),
+])
+def test_rejected_converge_writes_nothing(flags, name, tmp_path, capsys):
+    # Inputs are checked before the output is opened: no file, no header row.
+    out = tmp_path / "table.csv"
+    base = ["converge", "--preset", "linear-system", "--orders", "2", "--meshes", "8"]
+    assert main(base + flags + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(base + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and name in captured.err
+
+
 def test_stability_stdout_matches_out_file(tmp_path, capsys):
     flags = ["stability", "--order", "2", "--n-theta", "8", "--scenarios", "3",
              "--c-min", "0.2", "--c-max", "0.6", "--c-step", "0.2",

@@ -40,6 +40,52 @@ def test_multiply_matches_convolution_oracle():
     np.testing.assert_allclose(got, _conv_oracle(a, b), atol=1e-13)
 
 
+def _graded_product(a, b):
+    """Block-by-block product in graded order, each block summed in (p, q) order."""
+    nx, nt = min(a.shape[0], b.shape[0]), min(a.shape[1], b.shape[1])
+    batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    out = np.empty((nx, nt) + batch, dtype=np.result_type(a, b))
+    term = np.empty(batch, dtype=out.dtype)
+    for j, k in np.ndindex(nx, nt):
+        acc = out[j, k, ...]
+        np.multiply(a[0, 0], b[j, k], out=acc)
+        for p, q in np.ndindex(j + 1, k + 1):
+            if p or q:
+                acc += np.multiply(a[p, q], b[j - p, k - q], out=term)
+    return out
+
+
+def _graded_quotient(a, b):
+    """Forward substitution block by block, each block in (p, q) order."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    term = np.empty(out.shape[2:], dtype=out.dtype)
+    for j, k in np.ndindex(out.shape[:2]):
+        acc = out[j, k, ...]
+        acc[...] = a[j, k]
+        for p, q in np.ndindex(j + 1, k + 1):
+            if p or q:
+                acc -= np.multiply(b[p, q], out[j - p, k - q], out=term)
+        acc /= b[0, 0]
+    return out
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((1,), (1,)), ((6,), (6,)), ((4, 1), (1, 5))])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_products_and_quotients_sum_blocks_in_graded_order(shapes, dtype):
+    # Filling t-columns does not change the order in which a coefficient
+    # block is summed, for any batch shape: results are bit-identical.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 3) + shapes[0]).astype(dtype)
+    b = rng.standard_normal((4, 3) + shapes[1]).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal(a.shape)
+        b += 1j * rng.standard_normal(b.shape)
+    b[0, 0] += 3.0
+    sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+    assert np.array_equal((sa * sb).c, _graded_product(a, b))
+    assert np.array_equal((sa / sb).c, _graded_quotient(a, b))
+
+
 def test_multiply_broadcasts_batches():
     # Operands have equal batch rank; size-one batch axes broadcast.
     rng = np.random.default_rng(1)
