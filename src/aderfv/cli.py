@@ -33,13 +33,7 @@ from .systems import (
     linear_system,
     noncons_system,
 )
-from .vonneumann import (
-    DEFAULT_C_GRID,
-    DEFAULT_R_GRID,
-    StabilityQuery,
-    stability_map,
-    write_raster_csv,
-)
+from .vonneumann import StabilityQuery, stability_map, write_raster_csv
 
 __all__ = ["PRESETS", "main"]
 
@@ -171,7 +165,8 @@ def _axis(flag: str, lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"--{flag}-step must be finite and positive, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"--{flag}-min {lo} and --{flag}-max {hi} give an empty range")
-    return np.round(np.arange(lo, hi + 0.5 * step, step), 10)
+    # Adding 0.0 turns a rounded -0.0 into 0.0, so the CSV never prints "-0".
+    return np.round(np.arange(lo, hi + 0.5 * step, step), 10) + 0.0
 
 
 def cmd_stability(args) -> int:
@@ -184,14 +179,8 @@ def cmd_stability(args) -> int:
         seed=args.seed,
         weight_model=args.weight_model,
     )
-    if args.c_min is None:
-        c_values = DEFAULT_C_GRID
-    else:
-        c_values = _axis("c", args.c_min, args.c_max, args.c_step)
-    if args.r_min is None:
-        r_values = DEFAULT_R_GRID
-    else:
-        r_values = _axis("r", args.r_min, args.r_max, args.r_step)
+    c_values = _axis("c", args.c_min, args.c_max, args.c_step)
+    r_values = _axis("r", args.r_min, args.r_max, args.r_step)
 
     fractions = stability_map(query, c_values, r_values)
     with _open_output(args.out) as fh:
@@ -237,10 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario weights: the reconstruction's weight law on random "
         "smoothness indicators, or unconstrained convex triples",
     )
-    p_stab.add_argument("--c-min", type=float, default=None)
+    p_stab.add_argument("--c-min", type=float, default=0.01)
     p_stab.add_argument("--c-max", type=float, default=1.2)
     p_stab.add_argument("--c-step", type=float, default=0.01)
-    p_stab.add_argument("--r-min", type=float, default=None)
+    p_stab.add_argument("--r-min", type=float, default=-10.0)
     p_stab.add_argument("--r-max", type=float, default=0.0)
     p_stab.add_argument("--r-step", type=float, default=0.1)
     p_stab.add_argument("--out", default=None, help="CSV path (default: stdout)")

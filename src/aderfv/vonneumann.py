@@ -25,6 +25,13 @@ r != 0 the implicit predictor is rational in tau and the term stays. A
 singular predictor (e.g. tau r = 1) gives a non-finite amplitude, which
 counts as unstable.
 
+Everything A reads - shat, ahat, qL and qR - is linear in the reconstruction
+coefficients beta = blend . phase, where phase holds the mode's values
+e^{i k theta} on the window k = -M..M. The predictor rows, the quadrature
+weights and the basis values therefore collapse into one real (4, M+1)
+functional F(c, r), and all modes of all scenarios come from the single
+product (F blend) phase.
+
 Because the nonlinear stencil weights depend on the data, each map point is
 judged over an ensemble of random weight scenarios; the reported number is
 the fraction of scenarios whose amplification stays below one for every
@@ -140,17 +147,8 @@ def amplitude(
     if blends is None:
         blends = window_candidate_matrix(degree, "central")[None]
     blends = np.asarray(blends, dtype=float)
-    n_s = blends.shape[0]
-
-    offsets = np.arange(-degree, degree + 1)
-    phases = np.exp(1j * np.outer(offsets, theta))            # (2M+1, n_theta)
-    beta = np.einsum("slw,wn->lsn", blends, phases)
-    beta = beta.reshape(degree + 1, n_s * theta.size)         # (M+1, K)
 
     rules = space_time_rules(query.order)
-    w_int = np.einsum("jxl,lk->jxk", rules.basis_interior, beta)
-    w_tr = np.einsum("jxl,lk->jxk", rules.basis_trace, beta)
-
     # The solver's predictor on q_t + c q_x = r q at dx = dt = 1, as rows
     # q(tau) = P(tau) w. Explicit rows are e_0 + sum_k tau^k / k! G_k, with G_k
     # the CK time derivatives of the unit stacks.
@@ -165,29 +163,28 @@ def amplitude(
             rows = predictor_operators(system, taus, RunConfig(order=query.order))[0][:, 0]
         except PredictorError:  # a singular predictor (e.g. tau r = 1) is unstable
             rows = np.full((taus.size, degree + 1), np.nan)
+
+    # (s_hat, a_hat, q_left, q_right) as rows over the coefficients: the
+    # time-averaged predictor rows through the interior basis, under the xi
+    # weights and the volume term's x-derivative weights, and through the traces.
     n_tau = rules.tau_rule.n
-    q_int = np.einsum("tj,jxk->txk", rows[:n_tau], w_int)
-    q_tr = np.einsum("tj,jxk->txk", rows[n_tau:], w_tr)
+    rows_int = rules.tau_rule.weights @ rows[:n_tau]
+    rows_tr = rules.trace_rule.weights @ rows[n_tau:]
+    x_weights = np.stack([rules.xi_rule.weights, rules.xi_rule.weights @ rules.diff_matrix])
+    functionals = np.concatenate([
+        np.einsum("j,vx,jxl->vl", rows_int, x_weights, rules.basis_interior),
+        np.einsum("j,jel->el", rows_tr, rules.basis_trace),
+    ])                                                        # (4, M+1)
+    offsets = np.arange(-degree, degree + 1)
+    phases = np.exp(1j * np.outer(offsets, theta))            # (2M+1, n_theta)
+    s_hat, a_hat, q_left, q_right = np.moveaxis((functionals @ blends) @ phases, 1, 0)
 
-    s_hat = np.einsum(
-        "t,x,txk->k", rules.tau_rule.weights, rules.xi_rule.weights, q_int
-    )
-    q_left = np.einsum("t,tk->k", rules.trace_rule.weights, q_tr[:, 0])
-    q_right = np.einsum("t,tk->k", rules.trace_rule.weights, q_tr[:, 1])
-    # The solver's volume term: the tensor-rule average of the interior
-    # interpolant's x-derivative, which the trace difference cancels only
-    # when both time rules integrate the predictor exactly.
-    a_hat = np.einsum(
-        "t,y,tyk->k", rules.tau_rule.weights, rules.xi_rule.weights @ rules.diff_matrix, q_int
-    )
-
-    ph = np.tile(np.exp(1j * theta), n_s)
+    ph = np.exp(1j * theta)
     # c * (fhat_+ - fhat_-), written so the c -> 0 limit stays finite.
     centred = 0.5 * c * ((q_right + ph * q_left) - (q_left + q_right / ph))
     spread = (ph * q_left - q_right) - (q_left - q_right / ph)
     diss = 0.25 * (query.alpha * c * c + 1.0 / query.alpha) * spread
     amp = 1.0 - centred + diss + r * s_hat - c * (a_hat - (q_right - q_left))
-    amp = amp.reshape(n_s, theta.size)
     return amp[0] if squeeze else amp
 
 

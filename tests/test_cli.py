@@ -4,8 +4,9 @@ import csv
 import numpy as np
 import pytest
 
-from aderfv.cli import PRESETS, main
+from aderfv.cli import PRESETS, _axis, main
 from aderfv.predictor import PredictorError
+from aderfv.vonneumann import DEFAULT_C_GRID, DEFAULT_R_GRID
 
 
 def _read_csv(path):
@@ -184,6 +185,20 @@ def test_rejected_converge_writes_nothing(flags, name, tmp_path, capsys):
     assert main(base + flags) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and name in captured.err
+
+
+def test_stability_max_flags_apply_without_min(tmp_path):
+    # --c-max and --r-min alone narrow the raster; the default axes are the
+    # default grids to the bit, with no -0.0 that would print as "-0".
+    out = tmp_path / "raster.csv"
+    assert main(["stability", "--c-max", "0.02", "--r-min", "-0.1", "--n-theta", "4",
+                 "--scenarios", "2", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert [(row[0], row[1]) for row in rows] == [
+        ("0.01", "-0.1"), ("0.01", "0"), ("0.02", "-0.1"), ("0.02", "0")]
+    for axis, grid in ((_axis("c", 0.01, 1.2, 0.01), DEFAULT_C_GRID),
+                       (_axis("r", -10.0, 0.0, 0.1), DEFAULT_R_GRID)):
+        assert np.array_equal(axis, grid) and np.array_equal(np.signbit(axis), np.signbit(grid))
 
 
 def test_stability_stdout_matches_out_file(tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 from numpy.polynomial import Legendre, Polynomial
 
 from aderfv import solver
+from aderfv.ckjet import ck_time_derivatives
 from aderfv.grid import CellField, Grid, RunConfig
+from aderfv.predictor import PredictorError, predictor_operators, space_time_rules
 from aderfv.systems import scalar_advection_reaction
 from aderfv.vonneumann import (
     DEFAULT_R_GRID,
@@ -295,3 +297,92 @@ def test_singular_predictor_counts_as_unstable():
     assert not np.any(np.isfinite(amp))
     assert np.all(max_amplitude(0.5, 1.0, query) == np.inf)
     assert stability_fraction(0.5, 1.0, query) == 0.0
+
+
+def _tensor_amplitude(theta, c, r, query, blends):
+    """Reference amplitude: every mode pushed through the predictor tensors.
+
+    The reconstruction coefficients of all (scenario, angle) modes, their
+    interior and trace derivative stacks, and the predictor values at every
+    space-time node are formed one tensor at a time before the quadratures.
+    """
+    degree = query.order - 1
+    n_s = blends.shape[0]
+    offsets = np.arange(-degree, degree + 1)
+    phases = np.exp(1j * np.outer(offsets, theta))
+    beta = np.einsum("slw,wn->lsn", blends, phases).reshape(degree + 1, n_s * theta.size)
+    rules = space_time_rules(query.order)
+    w_int = np.einsum("jxl,lk->jxk", rules.basis_interior, beta)
+    w_tr = np.einsum("jxl,lk->jxk", rules.basis_trace, beta)
+    system = scalar_advection_reaction(lam=c, beta=r)
+    taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes])
+    units = np.eye(degree + 1)
+    if query.predictor == "explicit":
+        g = ck_time_derivatives(system, units[..., None], degree)[..., 0]
+        rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
+    else:
+        try:
+            rows = predictor_operators(system, taus, RunConfig(order=query.order))[0][:, 0]
+        except PredictorError:
+            rows = np.full((taus.size, degree + 1), np.nan)
+    n_tau = rules.tau_rule.n
+    q_int = np.einsum("tj,jxk->txk", rows[:n_tau], w_int)
+    q_tr = np.einsum("tj,jxk->txk", rows[n_tau:], w_tr)
+    s_hat = np.einsum("t,x,txk->k", rules.tau_rule.weights, rules.xi_rule.weights, q_int)
+    q_left = np.einsum("t,tk->k", rules.trace_rule.weights, q_tr[:, 0])
+    q_right = np.einsum("t,tk->k", rules.trace_rule.weights, q_tr[:, 1])
+    a_hat = np.einsum(
+        "t,y,tyk->k", rules.tau_rule.weights, rules.xi_rule.weights @ rules.diff_matrix, q_int
+    )
+    ph = np.tile(np.exp(1j * theta), n_s)
+    centred = 0.5 * c * ((q_right + ph * q_left) - (q_left + q_right / ph))
+    spread = (ph * q_left - q_right) - (q_left - q_right / ph)
+    diss = 0.25 * (query.alpha * c * c + 1.0 / query.alpha) * spread
+    amp = 1.0 - centred + diss + r * s_hat - c * (a_hat - (q_right - q_left))
+    return amp.reshape(n_s, theta.size)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("predictor", ["explicit", "implicit"])
+@pytest.mark.parametrize("weight_model", ["weno-law", "uniform"])
+def test_amplitude_matches_tensor_oracle(order, predictor, weight_model):
+    # The four functionals reorder the same sums, so the two agree to
+    # round-off; r = 1 puts tau r = 1 on the trace time tau = 1.
+    query = StabilityQuery(order=order, predictor=predictor, alpha=1.3, n_scenarios=6,
+                           weight_model=weight_model)
+    blends = _scenario_blends(query, np.random.default_rng(order))
+    th = theta_grid(24)
+    for c, r in [(0.05, 0.0), (0.4, -0.7), (0.9, -6.0), (1.15, 0.3), (0.5, 1.0)]:
+        got = amplitude(th, c, r, query, blends)
+        ref = _tensor_amplitude(th, c, r, query, blends)
+        assert got.shape == ref.shape == (6, 24)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite), (c, r)
+        err = np.abs(got[finite] - ref[finite])
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref[finite]))), (c, r, err.max())
+    if order > 1 and predictor == "implicit":
+        assert not np.isfinite(amplitude(th, 0.5, 1.0, query, blends)).any()
+
+
+# Stable scenarios (out of 8) on the _PIN_C x _PIN_R raster: one string per
+# (order, predictor), one digit group per c, one digit per r. Recorded from the
+# tensor-by-tensor amplitude; the raster straddles the c and r boundaries.
+_PIN_C = np.array([0.2, 0.4, 0.75, 1.0, 1.05, 1.15])
+_PIN_R = np.array([-10.0, -6.0, -2.0, -1.0, -0.3, 0.0])
+_PINNED = {
+    (2, "implicit"): "008888 008888 000888 000008 000000 000000",
+    (2, "explicit"): "000888 000888 000888 000888 000800 000800",
+    (3, "implicit"): "888888 888888 888888 888808 888000 880000",
+    (3, "explicit"): "008888 008888 008888 000888 000880 000080",
+    (4, "implicit"): "888888 888880 888880 888800 888000 888000",
+    (4, "explicit"): "008888 008888 008888 008888 008800 008000",
+    (5, "implicit"): "888888 888880 888880 880000 880000 810000",
+    (5, "explicit"): "008888 008888 008888 008888 008880 008000",
+}
+
+
+@pytest.mark.parametrize("order, predictor", sorted(_PINNED))
+def test_stability_map_verdicts_pinned(order, predictor):
+    query = StabilityQuery(order=order, predictor=predictor, n_theta=32, n_scenarios=8)
+    expected = np.array([[int(d) for d in row] for row in _PINNED[order, predictor].split()])
+    assert np.array_equal(stability_map(query, _PIN_C, _PIN_R) * 8, expected)
