@@ -81,6 +81,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve(args) -> tuple[SystemDescriptor, RunConfig, int]:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     preset = PRESETS[args.preset]
     pick = lambda flag, fallback: fallback if flag is None else flag
     config = RunConfig(

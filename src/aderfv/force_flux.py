@@ -58,6 +58,7 @@ def path_average_matrix(
     q_right = np.asarray(q_right, dtype=float)
     delta = q_right - q_left
     states = q_left[..., None, :] + rule.nodes[:, None] * delta[..., None, :]
+    # einsum measured faster here than tensordot or @ on the strided matrix.
     return np.einsum("g,...gab->...ab", rule.weights, system.matrix(states))
 
 
@@ -94,15 +95,19 @@ def interface_fluctuations(
     atilde = path_average_matrix(system, trace_left, trace_right, path_rule)
     aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
     dq = np.asarray(trace_right, dtype=float) - np.asarray(trace_left, dtype=float)
-    dplus = np.einsum("j,...jab,...jb->...a", weights, aplus, dq)
-    dminus = np.einsum("j,...jab,...jb->...a", weights, aminus, dq)
-    return FluctuationPair(dplus, dminus)
+    # sum_j w_j A(tau_j) dq(tau_j) as one product over the flattened (j, b) axes.
+    batch, m = dq.shape[:-2], dq.shape[-1]
+    wdq = (weights[:, None] * dq).reshape(batch + (-1, 1))
+
+    def apply(mat: np.ndarray) -> np.ndarray:
+        return (mat.swapaxes(-3, -2).reshape(batch + (m, -1)) @ wdq)[..., 0]
+
+    return FluctuationPair(apply(aplus), apply(aminus))
 
 
 def _volume_average(integrand: np.ndarray, rules: SpaceTimeRules) -> np.ndarray:
-    return np.einsum(
-        "j,l,...jlm->...m", rules.tau_rule.weights, rules.xi_rule.weights, integrand
-    )
+    weights = np.outer(rules.tau_rule.weights, rules.xi_rule.weights).ravel()
+    return weights @ integrand.reshape(integrand.shape[:-3] + (-1, integrand.shape[-1]))
 
 
 def source_average(

@@ -16,10 +16,11 @@ points drop out of the iteration, so results do not depend on how the batch
 is partitioned.
 
 A law with constant coefficients has a predictor that is linear in the
-reconstruction stack, D_0(tau) = P(tau) w. Its tables probe the same solver
-with the unit stacks at the step's quadrature times to get one operator P per
-time, then contract every cell with them in one piece (never split across
-threads); the stability analyzer takes its predictor from the same operators.
+reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
+for P directly at the step's quadrature times, from the law's closed-form CK
+matrices and without a Newton sweep, then contract every cell with them in
+one piece (never split across threads); the stability analyzer takes its
+predictor from the same operators.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import weno
-from .ckjet import predictor_residual, residual_and_jacobian
+from .ckjet import _taylor_coefficients, predictor_residual, residual_and_jacobian
 from .grid import QuadratureRule, RunConfig, gauss_legendre, gauss_lobatto
 from .systems import SystemDescriptor
 
@@ -313,27 +314,50 @@ def solve_predictor_points(
 
 def predictor_operators(
     system: SystemDescriptor, tau: np.ndarray, config: RunConfig
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """D_0(tau) = P(tau) w for a constant-coefficient law, one operator per tau.
 
-    P(tau), shape (m, (M+1) m) with w the (M+1, m) stack flattened, is read
-    off ``solve_predictor_points`` on the (M+1) m unit stacks. Returns the
-    operators, shape tau.shape + (m, (M+1) m), and the probes' sweep count.
+    P(tau), shape (m, (M+1) m) with w the (M+1, m) stack flattened, solves the
+    linear implicit Taylor system directly. With C = ``closed_ck(M)``,
+    J = C[0, 0], A = -C[0, 1] and E_j the block-j selector, the chain
+    operators D_j = R_j w are R_M = (I - tau J)^-1 E_M and
+    R_j = (I - tau J)^-1 (E_j - tau A R_{j+1}); then
+
+      L P = E_0 - sum_k c_k sum_{j>=1} C[k-1, j] R_j,
+      L = I + sum_k c_k C[k-1, 0],   c_k = (-tau)^k / k!.
+
+    Returns the operators, shape tau.shape + (m, (M+1) m).
     """
     if not system.constant_coefficients:
         raise ValueError(f"system {system.name!r} does not have constant coefficients")
     tau = np.asarray(tau, dtype=float)
-    units = np.eye(config.order * system.m).reshape(-1, config.order, system.m)
-    w = np.tile(units, (tau.size, 1, 1))
-    stacks, sweeps = solve_predictor_points(system, w, np.repeat(tau.ravel(), len(units)), config)
-    return stacks[:, 0].reshape(tau.shape + (len(units), system.m)).swapaxes(-1, -2), sweeps
+    m, degree = system.m, config.degree
+    ck = system.closed_ck(degree)                       # (M, M+1, m, m)
+    units = np.eye((degree + 1) * m).reshape(degree + 1, m, -1)
+    t = tau.reshape(-1, 1, 1)
+    coef = _taylor_coefficients(tau.ravel(), degree)    # (T, M)
+    # sum_k c_k C[k-1, j] for every j, shape (M+1, T, m, m).
+    weighted = np.tensordot(coef, ck, axes=(1, 0)).swapaxes(0, 1)
+    rhs = np.broadcast_to(units[0], (t.size,) + units[0].shape)
+    try:
+        for j in range(degree, 0, -1):
+            # -tau A R_{j+1} = tau C[0, 1] R_{j+1}
+            b = units[j] if j == degree else units[j] + t * (ck[0, 1] @ r)
+            r = np.linalg.solve(np.eye(m) - t * ck[0, 0], np.broadcast_to(b, rhs.shape))
+            rhs = rhs - weighted[j] @ r
+        ops = np.linalg.solve(np.eye(m) + weighted[0], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PredictorError(f"singular linear predictor: {exc}") from exc
+    if not np.all(np.isfinite(ops)):
+        raise PredictorError("non-finite linear predictor operator")
+    return ops.reshape(tau.shape + ops.shape[1:])
 
 
 def _node_derivatives(coeffs: np.ndarray, basis: np.ndarray, dx: float) -> np.ndarray:
     """Reconstruction derivatives at basis nodes: (C, n_nodes, M+1, m), physical."""
-    w = np.einsum("cmp,klp->clkm", coeffs, basis)
+    w = np.tensordot(coeffs, basis, axes=(2, 2)).transpose(0, 3, 2, 1)
     scale = dx ** -np.arange(basis.shape[0])
-    return w * scale[None, None, :, None]
+    return w * scale[:, None]
 
 
 def _build_tables_chunk(
@@ -356,9 +380,12 @@ def _build_tables_chunk(
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node set.
         taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes]) * dt
-        ops, sweeps = predictor_operators(system, taus, config)
-        values = np.einsum("tap,clp->ctla", ops[:n_tau], w_int.reshape(ncells, n_xi, -1))
-        traces = np.einsum("tap,csp->ctsa", ops[n_tau:], w_tr.reshape(ncells, 2, -1))
+        ops = predictor_operators(system, taus, config).reshape(taus.size * m, -1)
+        values = w_int.reshape(ncells * n_xi, -1) @ ops[: n_tau * m].T
+        values = values.reshape(ncells, n_xi, n_tau, m).swapaxes(1, 2)
+        traces = w_tr.reshape(ncells * 2, -1) @ ops[n_tau * m :].T
+        traces = traces.reshape(ncells, 2, n_tr, m).swapaxes(1, 2)
+        sweeps = 0
     else:
         # Flat point batch: interior tensor nodes first, then the traces.
         w_int_b = np.repeat(w_int[:, None], n_tau, axis=1).reshape(ncells * n_tau * n_xi, -1, m)
@@ -380,7 +407,7 @@ def _build_tables_chunk(
         states = stacks[:, 0]
         values = states[:split].reshape(ncells, n_tau, n_xi, m)
         traces = states[split:].reshape(ncells, n_tr, 2, m)
-    x_deriv = np.einsum("lp,ctpm->ctlm", rules.diff_matrix, values) / dx
+    x_deriv = rules.diff_matrix @ values / dx
 
     return PredictorTable(
         values=values,
@@ -407,6 +434,8 @@ def build_predictor_tables(
     A ``PredictorError`` with failing points names their indices in
     ``coeffs`` under ``details["cells"]``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     rules = space_time_rules(config.order)
     ncells = coeffs.shape[0]
     if threads <= 1 or ncells < 2 * threads or system.constant_coefficients:

@@ -11,8 +11,9 @@ space-time predictor, trace-rule time averaging of the centred alpha-split
 flux, and the tensor-rule averages of the source and of the volume term. The
 predictions come from the solver's own predictor on the model law
 scalar_advection_reaction(lam=c, beta=r) at dx = dt = 1: the implicit one as
-its ``predictor_operators``, the explicit one as the Taylor series of the same
-law's CK time derivatives. The amplification factor is
+its ``predictor_operators`` (solved in closed form, no Newton sweep), the
+explicit one as the Taylor series of the same law's CK time derivatives. The
+amplification factor is
 
   A(theta) = 1 - c (fhat_+ - fhat_-) + r shat - c (ahat - (qR - qL)),
   fhat = (qL + qR)/2 - (alpha c + 1/(alpha c))/4 (qR - qL),
@@ -30,7 +31,7 @@ coefficients beta = blend . phase, where phase holds the mode's values
 e^{i k theta} on the window k = -M..M. The predictor rows, the quadrature
 weights and the basis values therefore collapse into one real (4, M+1)
 functional F(c, r), and all modes of all scenarios come from the single
-product (F blend) phase.
+2-D product (F blend) phase, with the scenarios' four rows stacked.
 
 Because the nonlinear stencil weights depend on the data, each map point is
 judged over an ensemble of random weight scenarios; the reported number is
@@ -160,7 +161,7 @@ def amplitude(
         rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
     else:
         try:
-            rows = predictor_operators(system, taus, RunConfig(order=query.order))[0][:, 0]
+            rows = predictor_operators(system, taus, RunConfig(order=query.order))[:, 0]
         except PredictorError:  # a singular predictor (e.g. tau r = 1) is unstable
             rows = np.full((taus.size, degree + 1), np.nan)
 
@@ -177,7 +178,8 @@ def amplitude(
     ])                                                        # (4, M+1)
     offsets = np.arange(-degree, degree + 1)
     phases = np.exp(1j * np.outer(offsets, theta))            # (2M+1, n_theta)
-    s_hat, a_hat, q_left, q_right = np.moveaxis((functionals @ blends) @ phases, 1, 0)
+    modes = (functionals @ blends).reshape(-1, offsets.size) @ phases  # (S * 4, n_theta)
+    s_hat, a_hat, q_left, q_right = np.moveaxis(modes.reshape(-1, 4, theta.size), 1, 0)
 
     ph = np.exp(1j * theta)
     # c * (fhat_+ - fhat_-), written so the c -> 0 limit stays finite.

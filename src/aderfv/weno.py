@@ -145,6 +145,12 @@ def window_candidate_matrix(degree: int, kind: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _candidate_stack(degree: int) -> np.ndarray:
+    """The (left, central, right) window candidate matrices, (3, M+1, 2M+1)."""
+    return np.stack([window_candidate_matrix(degree, kind) for kind in _KINDS])
+
+
+@lru_cache(maxsize=None)
 def _oscillation_matrix_exact(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     def deriv(coeffs: tuple[Fraction, ...], k: int) -> tuple[Fraction, ...]:
         c = list(coeffs)
@@ -204,21 +210,13 @@ def reconstruct_batch(windows: np.ndarray, degree: int) -> np.ndarray:
     windows = np.asarray(windows)
     if windows.ndim != 3 or windows.shape[1] != 2 * degree + 1:
         raise ValueError(f"windows must be (cells, {2 * degree + 1}, m)")
-    betas = {
-        kind: np.einsum("kw,cwm->ckm", window_candidate_matrix(degree, kind), windows)
-        for kind in _KINDS
-    }
+    betas = np.tensordot(windows, _candidate_stack(degree), axes=(1, 2))  # (c, m, 3, M+1)
     if degree == 0:
-        return betas["central"].transpose(0, 2, 1)
-    sigma = oscillation_matrix(degree)
-    oi = {
-        kind: np.einsum("ckm,kl,clm->cm", betas[kind], sigma, betas[kind])
-        for kind in _KINDS
-    }
-    weights = nonlinear_weights(oi["left"], oi["central"], oi["right"])  # (c, m, 3)
-    blended = (
-        weights[..., 0, None] * betas["left"].transpose(0, 2, 1)
-        + weights[..., 1, None] * betas["central"].transpose(0, 2, 1)
-        + weights[..., 2, None] * betas["right"].transpose(0, 2, 1)
-    )
-    return blended  # (cells, m, M+1)
+        return betas[:, :, 1]
+    oi = np.sum((betas @ oscillation_matrix(degree)) * betas, axis=-1)   # (c, m, 3)
+    weights = nonlinear_weights(oi[..., 0], oi[..., 1], oi[..., 2])     # (c, m, 3)
+    return (
+        weights[..., 0, None] * betas[:, :, 0]
+        + weights[..., 1, None] * betas[:, :, 1]
+        + weights[..., 2, None] * betas[:, :, 2]
+    )  # (cells, m, M+1)

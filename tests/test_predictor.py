@@ -245,6 +245,15 @@ def test_threaded_build_is_deterministic():
         np.testing.assert_array_equal(a.x_derivative, b.x_derivative)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads):
+    coeffs = np.zeros((4, 2, 3))
+    with pytest.raises(ValueError, match="threads"):
+        build_predictor_tables(
+            linear_system(), coeffs, dt=0.01, dx=0.1, config=RunConfig(order=3), threads=threads
+        )
+
+
 def test_table_trace_layout():
     # One trace row per Lobatto node, and the tau = 0 rows reproduce the
     # reconstruction endpoints exactly.
@@ -299,19 +308,71 @@ def test_constant_coefficient_tables_match_newton(make, order, threads):
     np.testing.assert_allclose(
         0.05 * got.x_derivative, 0.05 * ref.x_derivative, rtol=0, atol=1e-13
     )
-    assert got.iterations == ref.iterations
+    # The operators are solved for directly: no Newton sweep.
+    assert got.iterations == 0 and ref.iterations >= 1
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])
 def test_predictor_operators_are_unit_columns_at_zero_time(order):
     system = linear_system()
     cfg = RunConfig(order=order)
-    ops, sweeps = predictor_operators(system, np.array([0.0, 0.0]), cfg)
+    ops = predictor_operators(system, np.array([0.0, 0.0]), cfg)
     assert ops.shape == (2, system.m, order * system.m)
     expect = np.zeros((system.m, order * system.m))
     expect[:, : system.m] = np.eye(system.m)
     np.testing.assert_array_equal(ops, np.broadcast_to(expect, ops.shape))
-    assert sweeps == 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("make", [scalar_advection_reaction, linear_system])
+def test_predictor_operators_match_newton_probe(make, order):
+    # Column p of P(tau) is the Newton predictor of the unit stack e_p on the
+    # same law run through the generic series engine, over the stability
+    # analyzer's range: tau up to 1 with r = tau * beta down to -10.
+    cfg = RunConfig(order=order)
+    n = order * make().m
+    units = np.eye(n).reshape(n, order, -1)
+    taus = np.array([0.0, 0.1, 0.37, 0.8, 1.0])
+    for lam, beta in [(0.4, 0.0), (1.3, -4.0), (0.9, -10.0)]:
+        system = make(lam=lam, beta=beta)
+        ops = predictor_operators(system, taus, cfg)
+        newton = dataclasses.replace(system, constant_coefficients=False)
+        stacks, _ = solve_predictor_points(
+            newton, np.tile(units, (taus.size, 1, 1)), np.repeat(taus, n), cfg
+        )
+        ref = stacks[:, 0].reshape(taus.size, n, -1).swapaxes(-1, -2)
+        assert ops.shape == ref.shape == (taus.size, system.m, n)
+        np.testing.assert_allclose(ops, ref, rtol=0, atol=1e-13 * np.abs(ops).max())
+
+
+def test_predictor_operators_singular_chain_raises():
+    # Order 2 at tau * r = 1: I - tau J vanishes.
+    system = scalar_advection_reaction(lam=0.5, beta=1.0)
+    with pytest.raises(PredictorError, match="singular"):
+        predictor_operators(system, np.array([0.5, 1.0]), RunConfig(order=2))
+
+
+def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):
+    from aderfv import ckjet, predictor, vonneumann
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constant-coefficient path reached the Newton solver or a jet")
+
+    for module, name in [
+        (predictor, "solve_predictor_points"),
+        (predictor, "predictor_residual"),
+        (predictor, "residual_and_jacobian"),
+        (ckjet, "ck_time_derivatives"),
+        (vonneumann, "ck_time_derivatives"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    cfg = RunConfig(order=5)
+    windows = np.random.default_rng(3).normal(size=(4, 2 * cfg.degree + 1, 2))
+    coeffs = weno.reconstruct_batch(windows, cfg.degree)
+    tables = build_predictor_tables(linear_system(), coeffs, dt=0.01, dx=0.1, config=cfg)
+    assert tables.iterations == 0
+    query = vonneumann.StabilityQuery(order=5, n_theta=8, n_scenarios=3)
+    assert np.all(np.isfinite(vonneumann.amplitude(vonneumann.theta_grid(8), 0.5, -2.0, query)))
 
 
 def test_predictor_operators_reject_nonlinear_laws():
