@@ -11,14 +11,17 @@ conservative law gives its flux, so A(Q) dQ/dx is the x-derivative of F(Q);
 a non-conservative law gives the rows of A(Q); either may add source terms
 S(Q).
 
-The engine works in Taylor mode. The law is evaluated once per call on the
-leaves of a :class:`~aderfv.series.SeriesTape`, which records every
-intermediate; time level k then fills only t-column k of each intermediate,
-reading the lower columns already stored, instead of evaluating the law
-again. Points are processed in blocks of a fixed size whose storage comes
-from a workspace that the call borrows from a pool and returns, so the memory
-a jet holds does not grow with the batch, and concurrent jets never share it. Every coefficient block is summed in
-the same order as by a whole-law evaluation per level.
+The engine works in Taylor mode. The law is evaluated once per law, order
+and dtype per workspace, on the leaves of a
+:class:`~aderfv.series.SeriesTape` that records every intermediate; time
+level k then fills only t-column k of each intermediate, reading the lower
+columns already stored, instead of evaluating the law again. Points are
+processed in blocks of a fixed size whose storage comes from a workspace that
+the call borrows from a pool and returns, so the memory a jet holds does not
+grow with the batch, and concurrent jets never share it. The workspace keeps
+the recorded tape, so a later call on the same law only binds and fills it.
+Every coefficient block is summed in the same order as by a whole-law
+evaluation per level.
 
 A system that declares constant coefficients takes the constant-coefficient
 route derived from the law instead: its time derivatives are one matrix
@@ -104,10 +107,10 @@ def _jet_time_derivatives(
 
     The space-time coefficients c[i][j, k] of each component are seeded from
     the spatial stack (c[i][j, 0] = D_j / j!) and filled upward in time
-    degree: the law is recorded once on a tape, and time level k fills
-    column k of every intermediate on rows j <= order - k, from which
-    c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx divided
-    by k+1 for j < order - k. Returns d_t^k Q, k = 1..order, as
+    degree: the law is recorded on a tape that the workspace keeps, and time
+    level k fills column k of every intermediate on rows j <= order - k, from
+    which c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx
+    divided by k+1 for j < order - k. Returns d_t^k Q, k = 1..order, as
     (m, order) + batch.
     """
     m, n = system.m, order + 1
@@ -118,27 +121,35 @@ def _jet_time_derivatives(
     factorials = np.array([math.factorial(j) for j in range(n)])
     seed_scale, out_scale = factorials[:, None], factorials[1:, None]
 
+    def record(tape: SeriesTape) -> tuple:
+        comps = [tape.leaf(n, n, dtype) for _ in range(m)]
+        return comps, _rhs_terms(system, comps)
+
+    # The law's callables identify it: the key holds them, so their ids are
+    # not reused while its tape is kept.
+    key = (system.flux_terms, system.matrix_rows, system.source_terms, m, order, dtype)
     finite = True
     with _borrowed_workspace() as workspace, np.errstate(
         invalid="ignore", over="ignore", divide="ignore"
     ):
-        tape = SeriesTape(workspace)
-        comps = [tape.leaf(n, n, dtype) for _ in range(m)]
-        rhs = _rhs_terms(system, comps)
-        for start in range(0, flat.shape[0], _BLOCK):
-            points = flat[start : start + _BLOCK]
-            count = len(points)
-            tape.bind(count)
-            for i, comp in enumerate(comps):
-                seeds = np.divide(points[:, :, i].T, seed_scale, out=comp.c[:, 0])
-                finite &= np.isfinite(seeds).all()
-            for k in range(order):
-                tape.fill(k, n - k)
-                for comp, r in zip(comps, rhs):
-                    new = np.divide(r.c[: order - k, k], k + 1, out=comp.c[: order - k, k + 1])
-                    finite &= np.isfinite(new).all()
-            for i, comp in enumerate(comps):
-                np.multiply(out_scale, comp.c[0, 1:], out=out[i, :, start : start + count])
+        tape, (comps, rhs) = workspace.tape(key, record)
+        try:
+            for start in range(0, flat.shape[0], _BLOCK):
+                points = flat[start : start + _BLOCK]
+                count = len(points)
+                tape.bind(count)
+                for i, comp in enumerate(comps):
+                    seeds = np.divide(points[:, :, i].T, seed_scale, out=comp.c[:, 0])
+                    finite &= np.isfinite(seeds).all()
+                for k in range(order):
+                    tape.fill(k, n - k)
+                    for comp, r in zip(comps, rhs):
+                        new = np.divide(r.c[: order - k, k], k + 1, out=comp.c[: order - k, k + 1])
+                        finite &= np.isfinite(new).all()
+                for i, comp in enumerate(comps):
+                    np.multiply(out_scale, comp.c[0, 1:], out=out[i, :, start : start + count])
+        finally:
+            tape.release()
     # Checked after every block, so a zero division anywhere in the batch
     # is reported first, as a whole-batch jet would.
     if not finite:

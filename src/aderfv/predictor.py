@@ -142,6 +142,41 @@ class PredictorTable:
     iterations: int = 0
 
 
+def _point_error(message: str, bad: np.ndarray, tau, states: np.ndarray) -> PredictorError:
+    """A PredictorError naming the points of a batch where ``bad`` holds."""
+    points = np.flatnonzero(bad)
+    return PredictorError(
+        message,
+        details={
+            "points": points,
+            "tau": np.broadcast_to(tau, bad.shape).reshape(-1)[points],
+            "states": states.reshape(-1, states.shape[-1])[points],
+        },
+    )
+
+
+def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, tau, states: np.ndarray) -> np.ndarray:
+    """lhs^-1 rhs over a batch of m x m systems, shapes (..., m, m) and (..., m).
+
+    For m = 1 this is a division, which is LAPACK's 1 x 1 result bit for bit
+    without the cost of a batched call. A singular system raises a
+    PredictorError naming its points, with ``tau`` and ``states`` per point.
+    """
+    if lhs.shape[-1] == 1:
+        pivot = lhs[..., 0]
+        if pivot.all():
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                return rhs / pivot
+        singular = pivot[..., 0] == 0.0
+    else:
+        try:
+            return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # LU stops at an exact zero pivot, where the determinant's sign is 0.
+            singular = np.linalg.slogdet(lhs).sign == 0
+    raise _point_error(f"singular {what}: Singular matrix", singular, tau, states)
+
+
 def solve_derivative_chain(
     system: SystemDescriptor,
     d0_frozen: np.ndarray,
@@ -153,7 +188,9 @@ def solve_derivative_chain(
 
     With J = source Jacobian and A = system matrix both evaluated at the
     frozen D_0, solve (I - tau J) D_M = w_M and then
-    (I - tau J) D_k = w_k - tau A D_{k+1} for k = M-1..1.
+    (I - tau J) D_k = w_k - tau A D_{k+1} for k = M-1..1. A singular
+    I - tau J or a non-finite solution raises a PredictorError that names
+    its points (flat indices into the batch).
     """
     d0_frozen = np.asarray(d0_frozen, dtype=float)
     w_rest = np.asarray(w_rest, dtype=float)
@@ -171,20 +208,47 @@ def solve_derivative_chain(
         # Without source terms I - tau J is the identity.
         if system.source_free:
             return rhs
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        return _solve(lhs, rhs, "derivative chain (I - tau J)", tau, d0_frozen)
 
-    try:
-        out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
-        for k in range(order - 2, -1, -1):
-            out[..., k, :] = solve(
-                w_rest[..., k, :]
-                - tau[..., None] * np.einsum("...ab,...b->...a", amat, out[..., k + 1, :])
-            )
-    except np.linalg.LinAlgError as exc:
-        raise PredictorError(f"singular derivative chain (I - tau J): {exc}") from exc
+    out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
+    for k in range(order - 2, -1, -1):
+        out[..., k, :] = solve(
+            w_rest[..., k, :]
+            - tau[..., None] * np.einsum("...ab,...b->...a", amat, out[..., k + 1, :])
+        )
     if not np.all(np.isfinite(out)):
-        raise PredictorError("non-finite derivative chain solution")
+        bad = ~np.isfinite(out).all(axis=(-2, -1))
+        raise _point_error("non-finite derivative chain solution", bad, tau, d0_frozen)
     return out
+
+
+def _jet(evaluate, system, d0, rest, tau, w0, points):
+    """``evaluate(system, d0, rest, tau, w0)``, a residual or a residual and Jacobian.
+
+    A CK jet that fails (a non-finite coefficient or a zero division) fails
+    for its whole batch, but its points are independent: the failing ones
+    are found by bisection and raised as a PredictorError under their
+    ``points`` labels.
+    """
+    errors = (FloatingPointError, ZeroDivisionError)
+    try:
+        return evaluate(system, d0, rest, tau, w0)
+    except errors as exc:
+        def failing(rows):
+            try:
+                evaluate(system, d0[rows], rest[rows], tau[rows], w0[rows])
+            except errors:
+                if rows.size == 1:
+                    return rows
+                half = rows.size // 2
+                return np.concatenate([failing(rows[:half]), failing(rows[half:])])
+            return rows[:0]
+
+        bad = failing(np.arange(len(d0)))
+        raise PredictorError(
+            f"CK jet failed: {exc}",
+            details={"points": points[bad], "tau": tau[bad], "states": d0[bad]},
+        ) from exc
 
 
 def solve_predictor_points(
@@ -234,24 +298,30 @@ def solve_predictor_points(
         d0_a = d0[active]
         tau_a = tau[active]
         w0_a = w0[active]
-        rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
+        try:
+            rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
+        except PredictorError as exc:
+            exc.details["points"] = active[exc.details["points"]]
+            raise
 
         if (sweeps - 1) % _JACOBIAN_REFRESH == 0:
-            h, jac = residual_and_jacobian(system, d0_a, rest_a, tau_a, w0_a)
+            h, jac = _jet(residual_and_jacobian, system, d0_a, rest_a, tau_a, w0_a, active)
             jac_store[active] = jac
         else:
-            h = predictor_residual(system, d0_a, rest_a, tau_a, w0_a)
+            h = _jet(predictor_residual, system, d0_a, rest_a, tau_a, w0_a, active)
             refresh = stale[active]
             if np.any(refresh):
-                _, jac_store[active[refresh]] = residual_and_jacobian(
-                    system, d0_a[refresh], rest_a[refresh], tau_a[refresh], w0_a[refresh]
+                _, jac_store[active[refresh]] = _jet(
+                    residual_and_jacobian, system, d0_a[refresh], rest_a[refresh],
+                    tau_a[refresh], w0_a[refresh], active[refresh],
                 )
             jac = jac_store[active]
 
         try:
-            delta = np.linalg.solve(jac, h[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise PredictorError(f"singular predictor Jacobian: {exc}") from exc
+            delta = _solve(jac, h, "predictor Jacobian", tau_a, d0_a)
+        except PredictorError as exc:
+            exc.details["points"] = active[exc.details["points"]]
+            raise
         d0_new = d0_a - delta
         if system.admissible is not None:
             for _ in range(_BACKTRACK_LIMIT):
@@ -272,7 +342,11 @@ def solve_predictor_points(
                         },
                     )
         if not np.all(np.isfinite(d0_new)):
-            raise PredictorError("non-finite predictor iterate")
+            bad = ~np.isfinite(d0_new).all(axis=-1)
+            raise PredictorError(
+                "non-finite predictor iterate",
+                details={"points": active[bad], "tau": tau_a[bad], "states": d0_a[bad]},
+            )
 
         # Descent safeguard: a large Newton step must not increase the
         # residual, or the iteration can bounce between basins of a
@@ -287,8 +361,9 @@ def solve_predictor_points(
         if big.size:
             h_ref = np.max(np.abs(h[big]), axis=-1)
             for _ in range(_BACKTRACK_LIMIT):
-                h_try = predictor_residual(
-                    system, d0_new[big], rest_a[big], tau_a[big], w0_a[big]
+                h_try = _jet(
+                    predictor_residual, system, d0_new[big], rest_a[big], tau_a[big],
+                    w0_a[big], active[big],
                 )
                 h_try = np.max(np.abs(h_try), axis=-1)
                 worse = ~np.isfinite(h_try) | (h_try > h_ref)

@@ -15,7 +15,9 @@ runs the fill over every column at once. An operation on a series that
 belongs to a :class:`SeriesTape` records itself on that tape instead, and the
 tape's owner fills one new column of every recorded node per time level, so
 the stored lower columns are never computed again. Tape storage comes from a
-:class:`Workspace` of reused slots.
+:class:`Workspace` of reused slots, which also keeps the last few tapes
+recorded on it, so an evaluation that runs again is bound and filled, not
+recorded anew.
 """
 from __future__ import annotations
 
@@ -242,10 +244,17 @@ class Workspace:
     Each slot backs one array at a time. Asking for a slot again returns a
     view of the same memory, so a caller that asks for the same slots with
     bounded shapes keeps a bounded amount of storage however often it runs.
+    The workspace also keeps the tapes recorded on it, at most ``TAPES`` of
+    them, the least recently used dropped first.
     """
+
+    # Four laws, each at a real and a complex dtype (a residual and its
+    # complex-step Jacobian), before the oldest is recorded again.
+    TAPES = 8
 
     def __init__(self) -> None:
         self._slots: list[np.ndarray] = []
+        self.tapes: dict = {}
 
     @property
     def nbytes(self) -> int:
@@ -262,6 +271,22 @@ class Workspace:
             self._slots[slot] = np.empty(-(-size // 16), dtype=complex).view(np.uint8)
         return self._slots[slot][:size].view(dtype).reshape(shape)
 
+    def tape(self, key, record) -> tuple:
+        """The tape kept under ``key`` and what ``record`` returned for it.
+
+        The first time ``key`` is asked for, ``record(tape)`` records on a new
+        tape; ``key`` must therefore identify everything the recording reads.
+        The workspace holds ``key`` until the tape is dropped.
+        """
+        entry = self.tapes.pop(key, None)
+        if entry is None:
+            tape = SeriesTape(self)
+            entry = tape, record(tape)
+            if len(self.tapes) >= self.TAPES:
+                del self.tapes[next(iter(self.tapes))]
+        self.tapes[key] = entry
+        return entry
+
 
 class SeriesTape:
     """Series with one flat batch axis whose t-columns are filled level by level.
@@ -270,7 +295,8 @@ class SeriesTape:
     results here in creation order, which is an evaluation order. ``bind``
     points every leaf and node at workspace storage for a block of points
     (the values are left undefined), and ``fill`` computes one t-column of
-    every node. The caller writes the leaves' column k before ``fill(k)``.
+    every node. The caller writes the leaves' column k before ``fill(k)``
+    and calls ``release`` when done, so a tape that is kept holds no storage.
     """
 
     def __init__(self, workspace: Workspace) -> None:
@@ -296,3 +322,8 @@ class SeriesTape:
         for s in self.series:
             if s._fill is not None:
                 s._fill(s, k, rows)
+
+    def release(self) -> None:
+        """Points every leaf and node back at empty storage, holding no slot view."""
+        for s in self.series:
+            s.c = np.empty(s.c.shape[:2] + (0,), dtype=s.c.dtype)

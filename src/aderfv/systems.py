@@ -88,6 +88,11 @@ def complex_step_jacobian(
     return value.real[0], value.imag.transpose(last) / _COMPLEX_STEP
 
 
+def _repeat(mat: np.ndarray, batch: tuple) -> np.ndarray:
+    """A writable copy of ``mat`` at every index of ``batch``."""
+    return np.broadcast_to(mat, batch + mat.shape).copy()
+
+
 def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
     """Jacobian of generic ``terms`` at states q (..., m), shape (..., m, m).
 
@@ -113,7 +118,9 @@ class SystemDescriptor:
     scalar-likes. The vectorised ``matrix``, ``source`` and
     ``source_jacobian`` map state arrays (..., m) and are derived from them.
     ``constant_coefficients`` declares A and dS/dQ independent of Q (a linear
-    law); the CK engine then takes its time derivatives from ``closed_ck``.
+    law): ``matrix`` and ``source_jacobian`` then return their values at
+    Q = 0, derived once, and the CK engine takes its time derivatives from
+    ``closed_ck``.
     """
 
     name: str
@@ -140,6 +147,11 @@ class SystemDescriptor:
     def matrix(self, q: np.ndarray) -> np.ndarray:
         """Quasi-linear matrix A(Q), shape (..., m, m)."""
         q = np.asarray(q, dtype=float)
+        if self.constant_coefficients:
+            return _repeat(self._constant_matrices[0], q.shape[:-1])
+        return self._derived_matrix(q)
+
+    def _derived_matrix(self, q: np.ndarray) -> np.ndarray:
         if self.flux_terms is not None:
             return _terms_jacobian(self.flux_terms, q)
         rows = self.matrix_rows(_components(q))
@@ -155,6 +167,11 @@ class SystemDescriptor:
     def source_jacobian(self, q: np.ndarray) -> np.ndarray:
         """Source Jacobian dS/dQ, shape (..., m, m)."""
         q = np.asarray(q, dtype=float)
+        if self.constant_coefficients:
+            return _repeat(self._constant_matrices[1], q.shape[:-1])
+        return self._derived_source_jacobian(q)
+
+    def _derived_source_jacobian(self, q: np.ndarray) -> np.ndarray:
         if self.source_terms is None:
             return np.zeros(q.shape + (self.m,))
         return _terms_jacobian(self.source_terms, q)
@@ -163,9 +180,21 @@ class SystemDescriptor:
         return float(np.max(np.abs(self.eigenvalues(states))))
 
     @cached_property
-    def _closed_ck_table(self) -> np.ndarray:
+    def _constant_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """A and dS/dQ of a constant-coefficient law, derived once at Q = 0.
+
+        The complex step of a linear form does not depend on the state, so
+        these are the derived values at every state, bit for bit.
+        """
         zero = np.zeros(self.m)
-        mats = linear_ck_matrices(self.matrix(zero), self.source_jacobian(zero), _CK_ORDER_MAX)
+        mats = self._derived_matrix(zero), self._derived_source_jacobian(zero)
+        for mat in mats:
+            mat.flags.writeable = False
+        return mats
+
+    @cached_property
+    def _closed_ck_table(self) -> np.ndarray:
+        mats = linear_ck_matrices(*self._constant_matrices, _CK_ORDER_MAX)
         mats.flags.writeable = False
         return mats
 

@@ -15,7 +15,7 @@ from aderfv.ckjet import (
     predictor_residual,
     residual_and_jacobian,
 )
-from aderfv.series import TruncatedSeries
+from aderfv.series import TruncatedSeries, Workspace
 from aderfv.systems import (
     euler_ideal_gas,
     leveque_yee,
@@ -292,20 +292,73 @@ def test_taylor_jet_equals_per_level_jet_exactly(make, centre):
                 assert np.array_equal(got, ref), (order, batch, complex_stack)
 
 
-def test_failed_jet_leaves_next_result_unchanged():
+def test_failed_jet_leaves_next_result_unchanged(monkeypatch):
+    # A failed jet leaves its law's tape kept, holding no storage, and the
+    # next call on that tape repeats the first result.
+    idle = []
+    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
     system = euler_ideal_gas()
     rng = np.random.default_rng(72)
     d = _euler_stack(rng, (700,), 4)
     ref = ck_time_derivatives(system, d, 4)
+    tapes = list(idle[0].tapes.values())
     non_finite, zero_density = d.copy(), d.copy()
     non_finite[-1, 2, 1] = np.inf
     zero_density[350, 0, 0] = 0.0
-    with pytest.raises(FloatingPointError):
-        ck_time_derivatives(system, non_finite, 4)
-    assert np.array_equal(ck_time_derivatives(system, d, 4), ref)
-    with pytest.raises(ZeroDivisionError):
-        ck_time_derivatives(system, zero_density, 4)
-    assert np.array_equal(ck_time_derivatives(system, d, 4), ref)
+    for bad, error in ((non_finite, FloatingPointError), (zero_density, ZeroDivisionError)):
+        with pytest.raises(error):
+            ck_time_derivatives(system, bad, 4)
+        assert list(idle[0].tapes.values()) == tapes
+        assert all(s.c.size == 0 for tape, _ in tapes for s in tape.series)
+        assert np.array_equal(ck_time_derivatives(system, d, 4), ref)
+
+
+def _fresh_jet(monkeypatch, system, d, order):
+    """The jet on a new workspace, so on a newly recorded tape."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ckjet, "_idle_workspaces", [])
+        return ck_time_derivatives(system, d, order)
+
+
+def test_kept_tapes_match_fresh_tapes(monkeypatch):
+    # Two laws with the same code and different constants, and Euler, in one
+    # interleaved sequence: each call must match a jet on a fresh tape, so no
+    # law is ever evaluated on another law's tape.
+    monkeypatch.setattr(ckjet, "_idle_workspaces", [])
+    laws = [(leveque_yee(beta=-1000.0), [0.5]), (leveque_yee(beta=-10.0), [0.5]),
+            (euler_ideal_gas(), [1.0, 0.5, 6.0])]
+    rng = np.random.default_rng(75)
+    block = ckjet._BLOCK
+    cases = []
+    for order in range(1, 6):
+        for batch in (1, 7, block, block + 1):
+            for system, centre in laws:
+                for complex_stack in (False, True):
+                    d = 0.1 * rng.standard_normal((batch, order + 1, system.m))
+                    d[:, 0] += centre
+                    if complex_stack:
+                        d = d + 1e-3j * rng.standard_normal(d.shape)
+                    cases.append((system, d, order))
+    refs = [_fresh_jet(monkeypatch, *case) for case in cases]
+    for i in rng.permutation(2 * len(cases)) % len(cases):
+        got = ck_time_derivatives(*cases[i])
+        assert np.array_equal(got, refs[i]), (cases[i][0].name, cases[i][2], cases[i][1].shape)
+
+
+def test_workspace_keeps_a_bounded_number_of_tapes(monkeypatch):
+    idle = []
+    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    limit = Workspace.TAPES
+    d = np.full((40, 3, 1), 0.5)
+    for beta in range(1, limit + 4):
+        system = leveque_yee(beta=-float(beta))
+        ck_time_derivatives(system, d, 2)
+        ck_time_derivatives(system, d + 0j, 2)
+    assert idle and all(len(w.tapes) <= limit for w in idle)
+    assert len(idle[0].tapes) == limit
+    for workspace in idle:
+        for tape, _ in workspace.tapes.values():
+            assert all(s.c.size == 0 for s in tape.series)
 
 
 def test_repeated_jacobian_reuses_the_workspace(monkeypatch):

@@ -1,11 +1,14 @@
 """End-to-end command-line tests: CSV structure, determinism, exit codes."""
 import csv
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from aderfv.cli import PRESETS, _axis, main
 from aderfv.predictor import PredictorError
+from aderfv.systems import leveque_yee
 from aderfv.vonneumann import DEFAULT_C_GRID, DEFAULT_R_GRID
 
 
@@ -266,3 +269,18 @@ def test_predictor_failure_prints_details(monkeypatch, capsys):
     assert "cell 11, tau 0, state [-0.25  1.5 ]" in err
     assert "cell 12, tau 0.004" in err
     assert "cell 13" not in err  # only the first few points are listed
+
+
+def test_jet_failure_in_a_run_names_its_cells(monkeypatch, capsys):
+    # At beta = -1e200 the CK jets overflow where the stencils see the front
+    # between cells 5 and 6; the run stops with those cells named, not with a
+    # traceback.
+    stiff = functools.partial(leveque_yee, beta=-1e200)
+    monkeypatch.setitem(PRESETS, "leveque-yee",
+                        dataclasses.replace(PRESETS["leveque-yee"], make_system=stiff))
+    with np.errstate(all="ignore"):
+        rc = main(["solve", "--preset", "leveque-yee", "--cells", "20", "--t-out", "0.01"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "predictor failure: CK jet failed: non-finite space-time jet coefficients" in err
+    assert "cell 4, tau " in err

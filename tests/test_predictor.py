@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from aderfv import predictor
 from aderfv.grid import RunConfig
 from aderfv.predictor import (
     PredictorError,
@@ -16,6 +18,7 @@ from aderfv.predictor import (
     space_time_rules,
 )
 from aderfv.systems import (
+    euler_ideal_gas,
     leveque_yee,
     linear_system,
     noncons_system,
@@ -210,6 +213,103 @@ def test_iteration_cap_raises():
     with pytest.raises(PredictorError) as err:
         _solve_point(system, w, 0.05, cfg)
     assert err.value.details  # carries diagnostics for the caller
+
+
+def _newton_failure(system, w, tau, order):
+    with pytest.raises(PredictorError) as err:
+        solve_predictor_points(system, np.asarray(w, float), np.asarray(tau, float),
+                               RunConfig(order=order))
+    return err.value
+
+
+def _euler_points(n, degree, bad, rho):
+    w = np.zeros((n, degree + 1, 3))
+    w[:, 0] = [1.0, 0.5, 6.0]
+    w[:, 1] = 0.1
+    w[bad, 0, 0] = rho
+    return w
+
+
+def test_jet_overflow_names_its_points():
+    w = np.zeros((4, 3, 1))
+    w[:, 0, 0] = [0.5, 1e110, 0.2, 1e110]
+    with np.errstate(all="ignore"):
+        err = _newton_failure(leveque_yee(), w, [0.01] * 4, 3)
+    assert str(err) == "CK jet failed: non-finite space-time jet coefficients"
+    np.testing.assert_array_equal(err.details["points"], [1, 3])
+    np.testing.assert_array_equal(err.details["tau"], [0.01, 0.01])
+    np.testing.assert_array_equal(err.details["states"], [[1e110], [1e110]])
+
+
+def test_jet_zero_division_names_its_points():
+    # At M = 1 the derivative chain never uses A, so the zero density first
+    # reaches the flux's division inside the CK jet.
+    w = _euler_points(5, 1, [1, 4], 0.0)
+    with np.errstate(all="ignore"):
+        err = _newton_failure(euler_ideal_gas(), w, [0.01, 0.01, 0.0, 0.01, 0.02], 2)
+    assert str(err) == "CK jet failed: series division by zero constant term"
+    np.testing.assert_array_equal(err.details["points"], [1, 4])
+    np.testing.assert_array_equal(err.details["tau"], [0.01, 0.02])
+    np.testing.assert_array_equal(err.details["states"], w[[1, 4], 0])
+
+
+def test_non_finite_chain_names_its_points():
+    w = _euler_points(3, 2, [2], 1e-300)
+    with np.errstate(all="ignore"):
+        err = _newton_failure(euler_ideal_gas(), w, [0.01] * 3, 3)
+    assert str(err) == "non-finite derivative chain solution"
+    np.testing.assert_array_equal(err.details["points"], [2])
+    np.testing.assert_array_equal(err.details["tau"], [0.01])
+    np.testing.assert_array_equal(err.details["states"], w[[2], 0])
+
+
+@pytest.mark.parametrize("make", [scalar_advection_reaction, linear_system])
+def test_singular_chain_names_its_points(make):
+    # M = 1 and tau beta = 1: I - tau J is exactly zero at the third point.
+    system = dataclasses.replace(make(beta=2.0), constant_coefficients=False)
+    w = np.full((3, 2, system.m), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _newton_failure(system, w, [0.1, 0.2, 0.5], 2)
+    assert str(err) == "singular derivative chain (I - tau J): Singular matrix"
+    np.testing.assert_array_equal(err.details["points"], [2])
+    np.testing.assert_array_equal(err.details["tau"], [0.5])
+    np.testing.assert_array_equal(err.details["states"], w[[2], 0])
+
+
+def _patched_jacobian(monkeypatch, value):
+    """Newton sweeps whose Jacobian at point 1 is ``value``."""
+    exact = predictor.residual_and_jacobian
+
+    def patched(*args):
+        h, jac = exact(*args)
+        jac[1] = value
+        return h, jac
+
+    monkeypatch.setattr(predictor, "residual_and_jacobian", patched)
+
+
+def test_singular_newton_step_names_its_points(monkeypatch):
+    _patched_jacobian(monkeypatch, 0.0)
+    w = np.array([[[0.75], [0.1], [0.0]]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _newton_failure(leveque_yee(), w, [0.01, 0.02, 0.03], 3)
+    assert str(err) == "singular predictor Jacobian: Singular matrix"
+    np.testing.assert_array_equal(err.details["points"], [1])
+    np.testing.assert_array_equal(err.details["tau"], [0.02])
+    np.testing.assert_array_equal(err.details["states"], [[0.75]])
+
+
+def test_non_finite_iterate_names_its_points(monkeypatch):
+    # A subnormal Jacobian turns the Newton step into an overflow.
+    _patched_jacobian(monkeypatch, 1e-320)
+    w = np.array([[[0.75], [0.1], [0.0]]] * 3)
+    err = _newton_failure(leveque_yee(), w, [0.01, 0.02, 0.03], 3)
+    assert str(err) == "non-finite predictor iterate"
+    np.testing.assert_array_equal(err.details["points"], [1])
+    np.testing.assert_array_equal(err.details["tau"], [0.02])
+    np.testing.assert_array_equal(err.details["states"], [[0.75]])
 
 
 def test_batch_table_matches_single_cell():

@@ -159,3 +159,14 @@ def test_convergence_study_requires_exact_solution():
     system = leveque_yee()
     with pytest.raises(ValueError):
         convergence_study(system, RunConfig(order=2, t_out=0.1), meshes=[8, 16])
+
+
+def test_threaded_stiff_run_is_bit_identical():
+    # Each predictor thread borrows its own workspace, with the tapes kept
+    # on it, so a threaded run repeats the serial one exactly.
+    cfg = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.1, boundary="transmissive")
+    serial = run(leveque_yee(), Grid(0.0, 1.0, 100), cfg)
+    threaded = run(leveque_yee(), Grid(0.0, 1.0, 100), cfg, threads=2)
+    assert threaded.n_steps == serial.n_steps == 100
+    assert threaded.max_sweeps == serial.max_sweeps
+    np.testing.assert_array_equal(threaded.field.interior, serial.field.interior)

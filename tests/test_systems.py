@@ -258,3 +258,23 @@ def test_closed_ck_derived_once_per_run(monkeypatch):
     report = run(linear_system(), Grid(0.0, 1.0, 8), RunConfig(order=3, t_out=0.025))
     assert report.n_steps == 2
     assert calls == [5]
+
+
+@pytest.mark.parametrize("factory", [scalar_advection_reaction, linear_system])
+def test_constant_coefficient_matrices_derived_once(factory, monkeypatch):
+    # A constant-coefficient law returns A and dS/dQ at Q = 0, derived once:
+    # the same values, bit for bit, that a complex step gives at any state.
+    system = factory(beta=-3.0)
+    derived = dataclasses.replace(system, constant_coefficients=False)
+    states = _random_states(system, np.random.default_rng(10), 30).reshape(5, 6, -1)
+    want = derived.matrix(states), derived.source_jacobian(states)
+    calls = []
+    original = systems._terms_jacobian
+    monkeypatch.setattr(systems, "_terms_jacobian", lambda *a: calls.append(1) or original(*a))
+    for _ in range(3):
+        mats, jac = system.matrix(states), system.source_jacobian(states)
+        np.testing.assert_array_equal(mats, want[0])
+        np.testing.assert_array_equal(jac, want[1])
+        assert mats.flags.writeable and jac.flags.writeable
+        mats[...] = jac[...] = 0.0
+    assert len(calls) == 2  # A and dS/dQ, once each
