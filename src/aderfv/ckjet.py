@@ -42,6 +42,7 @@ from .systems import SystemDescriptor, complex_step_jacobian
 
 __all__ = [
     "ck_time_derivatives",
+    "ck_state_jacobian",
     "predictor_residual",
     "residual_and_jacobian",
 ]
@@ -177,6 +178,35 @@ def ck_time_derivatives(
     batch = derivatives.shape[:-2]
     flat = derivatives.reshape(batch + ((order + 1) * m,))
     return (flat @ mats.T).reshape(batch + (order, m))
+
+
+def ck_state_jacobian(
+    system: SystemDescriptor, derivatives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivatives G_k = d_t^k Q of real stacks and their derivatives dG_k/dD_0.
+
+    ``derivatives`` holds (D_0, ..., D_M) as for ``ck_time_derivatives``;
+    returns G_k, k = 1..M, shape (..., M, m), and dG_k/dD_0 with D_1..D_M
+    held, shape (..., M, m, m). The m states D_0 + i h e_j go through one
+    complex jet (``complex_step_jacobian``), so the derivative is exact to
+    rounding.
+    """
+    derivatives = np.asarray(derivatives, dtype=float)
+    order, m = derivatives.shape[-2] - 1, system.m
+    rest = derivatives[..., 1:, :]
+
+    def jets(d0c):
+        stack = np.concatenate(
+            [d0c[..., None, :], np.broadcast_to(rest, d0c.shape[:-1] + rest.shape[-2:])],
+            axis=-2,
+        )
+        g = ck_time_derivatives(system, stack, order)
+        return g.reshape(g.shape[:-2] + (order * m,))
+
+    with np.errstate(over="ignore"):
+        g, jac = complex_step_jacobian(jets, derivatives[..., 0, :])
+    batch = derivatives.shape[:-2]
+    return g.reshape(batch + (order, m)), jac.reshape(batch + (order, m, m))
 
 
 def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .grid import Grid, RunConfig, exact_cell_averages
 from .predictor import PredictorError
 from .solver import (
+    StepError,
     check_convergence_inputs,
     convergence_study,
     format_convergence_table,
@@ -240,23 +241,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_failing_points(details: dict) -> None:
-    """Count of failing predictor points, then cell, tau and state of the first few."""
+    """Step and time of a failed run, the count of failing points or cells,
+    then cell, tau (for predictor points) and state of the first few."""
+    if "step" in details:
+        print(f"aderfv: at step {details['step']}, t = {details['t']:.6g}", file=sys.stderr)
     cells = details.get("cells")
     if cells is None:
         return
-    print(f"aderfv: {len(cells)} failing predictor point(s)", file=sys.stderr)
-    rows = zip(cells, details["tau"], details["states"])
-    for cell, tau, state in itertools.islice(rows, _REPORTED_POINTS):
-        state = np.array2string(np.asarray(state), precision=6)
-        print(f"  cell {cell}, tau {tau:.6g}, state {state}", file=sys.stderr)
+    taus = details.get("tau")
+    what = "predictor point(s)" if taus is not None else "cell(s)"
+    print(f"aderfv: {len(cells)} failing {what}", file=sys.stderr)
+    for i, cell in enumerate(itertools.islice(cells, _REPORTED_POINTS)):
+        state = np.array2string(np.asarray(details["states"][i]), precision=6)
+        tau = f", tau {taus[i]:.6g}" if taus is not None else ""
+        print(f"  cell {cell}{tau}, state {state}", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PredictorError as exc:
-        print(f"aderfv: predictor failure: {exc}", file=sys.stderr)
+    except (PredictorError, StepError) as exc:
+        kind = "predictor" if isinstance(exc, PredictorError) else "step"
+        print(f"aderfv: {kind} failure: {exc}", file=sys.stderr)
         _print_failing_points(exc.details)
         return 2
     except (ValueError, OSError) as exc:

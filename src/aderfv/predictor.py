@@ -9,11 +9,22 @@ times of the update by solving, pointwise, the implicit Taylor system
 
 with w_k the reconstruction derivatives at tau = 0 and G^(k) the
 Cauchy-Kowalewskaya time-derivative functionals. The derivative chain is a
-linear back-substitution once D_0 is frozen; the state equation is advanced by
-one Newton step per outer sweep. All points of a step (every cell, every
-quadrature node) are solved together in batched array arithmetic; converged
-points drop out of the iteration, so results do not depend on how the batch
-is partitioned.
+linear back-substitution once D_0 is frozen (I - tau J is factored once per
+chain); the state equation is advanced by one Newton step per outer sweep.
+All points of a step (every cell, every quadrature node) are solved together
+in batched array arithmetic; converged points drop out of the iteration, so
+results do not depend on how the batch is partitioned.
+
+The points of one spatial node (an interior node or a trace end of a cell)
+share its reconstruction stack w, so one complex-step CK jet at w serves all
+of them. It gives G^(k)(w) and dG^(k)/dD_0(w): each point starts from the
+explicit Taylor value D_0 = w_0 + sum_k tau^k / k! G^(k)(w), the classical
+ADER-CK predictor, and its first sweep uses the chord
+I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the exact Jacobian of the state
+equation at D = w. Later sweeps refresh the Jacobian on a fixed cadence and
+at points that moved far. A start that is not finite or not admissible, or
+whose first sweep fails, falls back to w_0; a node whose jet fails leaves its
+points a fresh Jacobian on their first sweep.
 
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
@@ -31,7 +42,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import weno
-from .ckjet import _taylor_coefficients, predictor_residual, residual_and_jacobian
+from .ckjet import (
+    _taylor_coefficients,
+    ck_state_jacobian,
+    predictor_residual,
+    residual_and_jacobian,
+)
 from .grid import QuadratureRule, RunConfig, gauss_legendre, gauss_lobatto
 from .systems import SystemDescriptor
 
@@ -46,10 +62,11 @@ __all__ = [
     "build_predictor_tables",
 ]
 
-# Chord cadence: a fresh (exact) Jacobian on the first sweep and every fourth
-# sweep after; in between the stored one is reused, because the outer fixed
-# point converges linearly anyway. This is a cost policy: a fresh Jacobian on
-# every sweep costs more time than the sweeps it saves.
+# Chord cadence: the node's chord (exact at D = w) on the first sweep and a
+# fresh (exact) Jacobian on every fourth sweep after; in between the stored
+# one is reused, because the outer fixed point converges linearly anyway.
+# This is a cost policy: a fresh Jacobian on every sweep costs more time than
+# the sweeps it saves.
 _JACOBIAN_REFRESH = 4
 _BACKTRACK_LIMIT = 5
 # Newton steps larger than this fraction of the state scale must not increase
@@ -155,6 +172,13 @@ def _point_error(message: str, bad: np.ndarray, tau, states: np.ndarray) -> Pred
     )
 
 
+def _singular(lhs: np.ndarray, what: str, tau, states: np.ndarray) -> PredictorError:
+    """A PredictorError naming the points of a batch whose matrix ``lhs`` is singular."""
+    # LU stops at an exact zero pivot, where the determinant's sign is 0.
+    singular = np.linalg.slogdet(lhs).sign == 0
+    return _point_error(f"singular {what}: Singular matrix", singular, tau, states)
+
+
 def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, tau, states: np.ndarray) -> np.ndarray:
     """lhs^-1 rhs over a batch of m x m systems, shapes (..., m, m) and (..., m).
 
@@ -163,18 +187,15 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, tau, states: np.ndarray)
     PredictorError naming its points, with ``tau`` and ``states`` per point.
     """
     if lhs.shape[-1] == 1:
-        pivot = lhs[..., 0]
-        if pivot.all():
+        if lhs.all():
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                return rhs / pivot
-        singular = pivot[..., 0] == 0.0
+                return rhs / lhs[..., 0]
     else:
         try:
             return np.linalg.solve(lhs, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            # LU stops at an exact zero pivot, where the determinant's sign is 0.
-            singular = np.linalg.slogdet(lhs).sign == 0
-    raise _point_error(f"singular {what}: Singular matrix", singular, tau, states)
+            pass
+    raise _singular(lhs, what, tau, states)
 
 
 def solve_derivative_chain(
@@ -200,15 +221,26 @@ def solve_derivative_chain(
     out = np.empty(batch + (order, m))
     if order == 0:
         return out
-    jac = system.source_jacobian(d0_frozen)
     amat = system.matrix(d0_frozen)
-    lhs = np.eye(m) - tau[..., None, None] * jac
-
-    def solve(rhs):
+    what = "derivative chain (I - tau J)"
+    if system.source_free:
         # Without source terms I - tau J is the identity.
-        if system.source_free:
+        def solve(rhs):
             return rhs
-        return _solve(lhs, rhs, "derivative chain (I - tau J)", tau, d0_frozen)
+    else:
+        lhs = np.eye(m) - tau[..., None, None] * system.source_jacobian(d0_frozen)
+        if m == 1:
+            def solve(rhs):
+                return _solve(lhs, rhs, what, tau, d0_frozen)
+        else:
+            # One factorization serves every derivative level.
+            try:
+                inverse = np.linalg.inv(lhs)
+            except np.linalg.LinAlgError:
+                raise _singular(lhs, what, tau, d0_frozen) from None
+
+            def solve(rhs):
+                return np.einsum("...ab,...b->...a", inverse, rhs)
 
     out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
     for k in range(order - 2, -1, -1):
@@ -222,6 +254,24 @@ def solve_derivative_chain(
     return out
 
 
+# What a failing CK jet raises, for its whole batch.
+_JET_ERRORS = (FloatingPointError, ZeroDivisionError)
+
+
+def _failing_rows(evaluate, rows: np.ndarray) -> np.ndarray:
+    """The rows on which ``evaluate(rows)`` raises a jet error, found by bisection."""
+    try:
+        evaluate(rows)
+    except _JET_ERRORS:
+        if rows.size == 1:
+            return rows
+        half = rows.size // 2
+        return np.concatenate([
+            _failing_rows(evaluate, rows[:half]), _failing_rows(evaluate, rows[half:])
+        ])
+    return rows[:0]
+
+
 def _jet(evaluate, system, d0, rest, tau, w0, points):
     """``evaluate(system, d0, rest, tau, w0)``, a residual or a residual and Jacobian.
 
@@ -230,39 +280,83 @@ def _jet(evaluate, system, d0, rest, tau, w0, points):
     are found by bisection and raised as a PredictorError under their
     ``points`` labels.
     """
-    errors = (FloatingPointError, ZeroDivisionError)
     try:
         return evaluate(system, d0, rest, tau, w0)
-    except errors as exc:
-        def failing(rows):
-            try:
-                evaluate(system, d0[rows], rest[rows], tau[rows], w0[rows])
-            except errors:
-                if rows.size == 1:
-                    return rows
-                half = rows.size // 2
-                return np.concatenate([failing(rows[:half]), failing(rows[half:])])
-            return rows[:0]
-
-        bad = failing(np.arange(len(d0)))
+    except _JET_ERRORS as exc:
+        bad = _failing_rows(
+            lambda rows: evaluate(system, d0[rows], rest[rows], tau[rows], w0[rows]),
+            np.arange(len(d0)),
+        )
         raise PredictorError(
             f"CK jet failed: {exc}",
             details={"points": points[bad], "tau": tau[bad], "states": d0[bad]},
         ) from exc
 
 
+def _explicit_start(
+    system: SystemDescriptor, w_nodes: np.ndarray, node: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit-Taylor starts and first-sweep chords of points at ``node``, ``tau``.
+
+    One jet per node stack w (``ck_state_jacobian``) gives G_k(w) and
+    dG_k/dD_0(w), k = 1..M; a point at tau gets the start
+    w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k,
+    the Jacobian of the state equation at D = w. Returns the starts (B, m),
+    the chords (B, m, m) and whether each point's node has a finite jet. A
+    jet that fails (overflow, zero division) fails for its whole batch: the
+    failing nodes are found by bisection and have no jet.
+    """
+    n, nderiv, m = w_nodes.shape
+    rows = np.arange(n)
+    try:
+        g, dg = ck_state_jacobian(system, w_nodes)
+    except _JET_ERRORS:
+        rows = np.setdiff1d(
+            rows, _failing_rows(lambda r: ck_state_jacobian(system, w_nodes[r]), rows)
+        )
+        g = np.zeros((n, nderiv - 1, m))
+        dg = np.zeros((n, nderiv - 1, m, m))
+        if rows.size:
+            g[rows], dg[rows] = ck_state_jacobian(system, w_nodes[rows])
+    has_jet = np.zeros(n, dtype=bool)
+    has_jet[rows] = True
+    has_jet &= np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dg).all(axis=(1, 2, 3))
+
+    growth = _taylor_coefficients(-tau, nderiv - 1)   # tau^k / k!
+    decay = _taylor_coefficients(tau, nderiv - 1)     # (-tau)^k / k!
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = w_nodes[node, 0] + np.einsum("pk,pkm->pm", growth, g[node])
+        chord = np.eye(m) + np.einsum("pk,pkab->pab", decay, dg[node])
+    return start, chord, has_jet[node]
+
+
 def solve_predictor_points(
-    system: SystemDescriptor, w: np.ndarray, tau: np.ndarray, config: RunConfig
+    system: SystemDescriptor,
+    w_nodes: np.ndarray,
+    node: np.ndarray,
+    tau: np.ndarray,
+    config: RunConfig,
 ) -> tuple[np.ndarray, int]:
     """Nested fixed point for a flat batch of predictor points.
 
-    ``w`` has shape (B, M+1, m) holding the reconstruction derivatives; ``tau``
-    the elapsed physical times. Returns the full derivative stacks (B, M+1, m)
-    and the largest sweep count used by any point. Points at tau = 0 return
-    their (admissible) reconstruction stacks without a sweep.
+    ``w_nodes`` has shape (N, M+1, m) holding the reconstruction derivatives
+    at N spatial nodes; point p sits at node ``node[p]`` and elapsed physical
+    time ``tau[p]``. Returns the full derivative stacks (B, M+1, m) and the
+    largest sweep count used by any point. Points at tau = 0 return their
+    (admissible) reconstruction stacks without a sweep.
+
+    One CK jet per node, at the node's stack w, serves all of its points: a
+    point starts from the explicit Taylor value w_0 + sum_k tau^k / k! G_k(w),
+    and its first sweep uses the chord I + sum_k (-tau)^k / k! dG_k/dD_0(w),
+    the exact Jacobian of the state equation at D = w. A point whose start
+    is not finite or not admissible, or whose first sweep fails from it,
+    starts from w_0 instead; a point whose node has no jet gets a fresh
+    Jacobian on its first sweep.
     """
-    w = np.asarray(w, dtype=float)
+    w_nodes = np.asarray(w_nodes, dtype=float)
+    node = np.asarray(node, dtype=np.intp)
     tau = np.asarray(tau, dtype=float)
+    w = w_nodes[node]
     nb, nderiv, m = w.shape
     order = nderiv - 1
     d0 = w[:, 0].copy()
@@ -275,6 +369,8 @@ def solve_predictor_points(
     # validity (the source Jacobian can change sign across a reaction front),
     # so they get a fresh Jacobian on the next sweep.
     stale = np.zeros(nb, dtype=bool)
+    # Points that start from the explicit Taylor value rather than from w_0.
+    explicit = np.zeros(nb, dtype=bool)
     # At tau = 0 the state equation reads D = w exactly: those points keep
     # their reconstruction stacks and skip the Newton sweeps.
     start = tau == 0.0
@@ -286,6 +382,16 @@ def solve_predictor_points(
                 details={"points": bad, "tau": tau[bad], "states": w0[bad]},
             )
     active = np.flatnonzero(~start)
+    if active.size:
+        guess, jac_store[active], has_jet = _explicit_start(
+            system, w_nodes, node[active], tau[active]
+        )
+        ok = has_jet & np.isfinite(guess).all(axis=-1)
+        if system.admissible is not None:
+            ok[ok] = system.admissible(guess[ok])
+        d0[active[ok]] = guess[ok]
+        explicit[active[ok]] = True
+        stale[active] = ~has_jet
     sweeps = 0
 
     while active.size:
@@ -295,96 +401,122 @@ def solve_predictor_points(
                 "predictor fixed point did not converge",
                 details={"points": active, "tau": tau[active], "states": d0[active]},
             )
-        d0_a = d0[active]
-        tau_a = tau[active]
-        w0_a = w0[active]
+        fresh = sweeps > 1 and (sweeps - 1) % _JACOBIAN_REFRESH == 0
         try:
-            rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
-        except PredictorError as exc:
-            exc.details["points"] = active[exc.details["points"]]
-            raise
-
-        if (sweeps - 1) % _JACOBIAN_REFRESH == 0:
-            h, jac = _jet(residual_and_jacobian, system, d0_a, rest_a, tau_a, w0_a, active)
-            jac_store[active] = jac
-        else:
-            h = _jet(predictor_residual, system, d0_a, rest_a, tau_a, w0_a, active)
-            refresh = stale[active]
-            if np.any(refresh):
-                _, jac_store[active[refresh]] = _jet(
-                    residual_and_jacobian, system, d0_a[refresh], rest_a[refresh],
-                    tau_a[refresh], w0_a[refresh], active[refresh],
-                )
-            jac = jac_store[active]
-
-        try:
-            delta = _solve(jac, h, "predictor Jacobian", tau_a, d0_a)
-        except PredictorError as exc:
-            exc.details["points"] = active[exc.details["points"]]
-            raise
-        d0_new = d0_a - delta
-        if system.admissible is not None:
-            for _ in range(_BACKTRACK_LIMIT):
-                bad = ~system.admissible(d0_new)
-                if not np.any(bad):
-                    break
-                delta = np.where(bad[:, None], 0.5 * delta, delta)
-                d0_new = d0_a - delta
-            else:
-                bad = ~system.admissible(d0_new)
-                if np.any(bad):
-                    raise PredictorError(
-                        "inadmissible predictor state after step halving",
-                        details={
-                            "points": active[bad],
-                            "tau": tau_a[bad],
-                            "states": d0_new[bad],
-                        },
-                    )
-        if not np.all(np.isfinite(d0_new)):
-            bad = ~np.isfinite(d0_new).all(axis=-1)
-            raise PredictorError(
-                "non-finite predictor iterate",
-                details={"points": active[bad], "tau": tau_a[bad], "states": d0_a[bad]},
+            d0_new, rest_a, step = _sweep(
+                system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh
             )
+        except PredictorError as exc:
+            # The first sweep of an explicit start can fail where w_0 would
+            # not: those points start again from w_0.
+            retry = exc.details["points"][explicit[exc.details["points"]]]
+            if not retry.size:
+                raise
+            d0[retry] = w0[retry]
+            explicit[retry] = False
+            sweeps -= 1
+            continue
+        explicit[:] = False
 
-        # Descent safeguard: a large Newton step must not increase the
-        # residual, or the iteration can bounce between basins of a
-        # non-monotone source (e.g. at a reaction front whose state sits near
-        # an unstable equilibrium). Halve offending steps a bounded number of
-        # times; small steps are in the locally convergent regime and skip
-        # the extra residual evaluation.
-        big = np.flatnonzero(
-            np.max(np.abs(delta), axis=-1)
-            > _DESCENT_GATE * (1.0 + np.max(np.abs(d0_a), axis=-1))
-        )
-        if big.size:
-            h_ref = np.max(np.abs(h[big]), axis=-1)
-            for _ in range(_BACKTRACK_LIMIT):
-                h_try = _jet(
-                    predictor_residual, system, d0_new[big], rest_a[big], tau_a[big],
-                    w0_a[big], active[big],
-                )
-                h_try = np.max(np.abs(h_try), axis=-1)
-                worse = ~np.isfinite(h_try) | (h_try > h_ref)
-                if system.admissible is not None:
-                    worse |= ~system.admissible(d0_new[big])
-                if not np.any(worse):
-                    break
-                sub = big[worse]
-                delta[sub] *= 0.5
-                d0_new[sub] = d0_a[sub] - delta[sub]
-
-        step = np.max(np.abs(d0_new - d0_a), axis=-1)
         scale = 1.0 + np.max(np.abs(d0_new), axis=-1)
         done = step <= config.fp_tol * scale
-
         stale[active] = step > _DESCENT_GATE * scale
         d0[active] = d0_new
         d_rest[active] = rest_a
         active = active[~done]
 
     return np.concatenate([d0[:, None, :], d_rest], axis=1), sweeps
+
+
+def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
+    """One outer sweep over the ``active`` points: chain, then one guarded Newton step.
+
+    The Jacobians come from ``jac_store``, refreshed for every point when
+    ``fresh`` holds and for ``stale`` points otherwise. Returns the new
+    states, the chain solutions and each point's step size; a failure raises
+    a PredictorError under the points' indices in the whole batch.
+    """
+    d0_a = d0[active]
+    tau_a = tau[active]
+    w0_a = w0[active]
+    try:
+        rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
+    except PredictorError as exc:
+        exc.details["points"] = active[exc.details["points"]]
+        raise
+
+    if fresh:
+        h, jac = _jet(residual_and_jacobian, system, d0_a, rest_a, tau_a, w0_a, active)
+        jac_store[active] = jac
+    else:
+        h = _jet(predictor_residual, system, d0_a, rest_a, tau_a, w0_a, active)
+        refresh = stale[active]
+        if np.any(refresh):
+            _, jac_store[active[refresh]] = _jet(
+                residual_and_jacobian, system, d0_a[refresh], rest_a[refresh],
+                tau_a[refresh], w0_a[refresh], active[refresh],
+            )
+        jac = jac_store[active]
+
+    try:
+        delta = _solve(jac, h, "predictor Jacobian", tau_a, d0_a)
+    except PredictorError as exc:
+        exc.details["points"] = active[exc.details["points"]]
+        raise
+    d0_new = d0_a - delta
+    if system.admissible is not None:
+        for _ in range(_BACKTRACK_LIMIT):
+            bad = ~system.admissible(d0_new)
+            if not np.any(bad):
+                break
+            delta = np.where(bad[:, None], 0.5 * delta, delta)
+            d0_new = d0_a - delta
+        else:
+            bad = ~system.admissible(d0_new)
+            if np.any(bad):
+                raise PredictorError(
+                    "inadmissible predictor state after step halving",
+                    details={
+                        "points": active[bad],
+                        "tau": tau_a[bad],
+                        "states": d0_new[bad],
+                    },
+                )
+    if not np.all(np.isfinite(d0_new)):
+        bad = ~np.isfinite(d0_new).all(axis=-1)
+        raise PredictorError(
+            "non-finite predictor iterate",
+            details={"points": active[bad], "tau": tau_a[bad], "states": d0_a[bad]},
+        )
+
+    # Descent safeguard: a large Newton step must not increase the
+    # residual, or the iteration can bounce between basins of a
+    # non-monotone source (e.g. at a reaction front whose state sits near
+    # an unstable equilibrium). Halve offending steps a bounded number of
+    # times; small steps are in the locally convergent regime and skip
+    # the extra residual evaluation.
+    big = np.flatnonzero(
+        np.max(np.abs(delta), axis=-1)
+        > _DESCENT_GATE * (1.0 + np.max(np.abs(d0_a), axis=-1))
+    )
+    if big.size:
+        h_ref = np.max(np.abs(h[big]), axis=-1)
+        for _ in range(_BACKTRACK_LIMIT):
+            h_try = _jet(
+                predictor_residual, system, d0_new[big], rest_a[big], tau_a[big],
+                w0_a[big], active[big],
+            )
+            h_try = np.max(np.abs(h_try), axis=-1)
+            worse = ~np.isfinite(h_try) | (h_try > h_ref)
+            if system.admissible is not None:
+                worse |= ~system.admissible(d0_new[big])
+            if not np.any(worse):
+                break
+            sub = big[worse]
+            delta[sub] *= 0.5
+            d0_new[sub] = d0_a[sub] - delta[sub]
+
+    return d0_new, rest_a, np.max(np.abs(d0_new - d0_a), axis=-1)
 
 
 def predictor_operators(
@@ -428,6 +560,18 @@ def predictor_operators(
     return ops.reshape(tau.shape + ops.shape[1:])
 
 
+@lru_cache(maxsize=8)
+def _step_operators(system: SystemDescriptor, order: int, taus: tuple) -> np.ndarray:
+    """Read-only ``predictor_operators`` at a step's node times.
+
+    Every step of a run but the last has the same dt, so the operators are
+    kept for the steps that repeat it.
+    """
+    ops = predictor_operators(system, np.array(taus), RunConfig(order=order))
+    ops.flags.writeable = False
+    return ops
+
+
 def _node_derivatives(coeffs: np.ndarray, basis: np.ndarray, dx: float) -> np.ndarray:
     """Reconstruction derivatives at basis nodes: (C, n_nodes, M+1, m), physical."""
     w = np.tensordot(coeffs, basis, axes=(2, 2)).transpose(0, 3, 2, 1)
@@ -455,24 +599,29 @@ def _build_tables_chunk(
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node set.
         taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes]) * dt
-        ops = predictor_operators(system, taus, config).reshape(taus.size * m, -1)
+        ops = _step_operators(system, config.order, tuple(taus)).reshape(taus.size * m, -1)
         values = w_int.reshape(ncells * n_xi, -1) @ ops[: n_tau * m].T
         values = values.reshape(ncells, n_xi, n_tau, m).swapaxes(1, 2)
         traces = w_tr.reshape(ncells * 2, -1) @ ops[n_tau * m :].T
         traces = traces.reshape(ncells, 2, n_tr, m).swapaxes(1, 2)
         sweeps = 0
     else:
-        # Flat point batch: interior tensor nodes first, then the traces.
-        w_int_b = np.repeat(w_int[:, None], n_tau, axis=1).reshape(ncells * n_tau * n_xi, -1, m)
+        # Spatial nodes: the interior nodes of every cell, then its two trace
+        # ends. Flat point batch: interior tensor nodes first, then the traces.
+        w_nodes = np.concatenate([
+            w_int.reshape(ncells * n_xi, -1, m), w_tr.reshape(ncells * 2, -1, m)
+        ])
+        cells = np.arange(ncells)[:, None, None]
+        node_int = np.broadcast_to(cells * n_xi + np.arange(n_xi), (ncells, n_tau, n_xi))
+        node_tr = np.broadcast_to(cells * 2 + np.arange(2), (ncells, n_tr, 2)) + ncells * n_xi
         tau_int = np.tile(np.repeat(rules.tau_rule.nodes, n_xi), ncells) * dt
-        w_tr_b = np.repeat(w_tr[:, None], n_tr, axis=1).reshape(ncells * n_tr * 2, -1, m)
         tau_tr = np.tile(np.repeat(rules.trace_rule.nodes, 2), ncells) * dt
 
-        w_all = np.concatenate([w_int_b, w_tr_b])
+        node_all = np.concatenate([node_int.ravel(), node_tr.ravel()])
         tau_all = np.concatenate([tau_int, tau_tr])
         split = ncells * n_tau * n_xi
         try:
-            stacks, sweeps = solve_predictor_points(system, w_all, tau_all, config)
+            stacks, sweeps = solve_predictor_points(system, w_nodes, node_all, tau_all, config)
         except PredictorError as exc:
             if "points" in exc.details:
                 p = np.asarray(exc.details["points"])

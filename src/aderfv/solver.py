@@ -31,6 +31,7 @@ from .systems import SystemDescriptor
 from .weno import reconstruct_batch
 
 __all__ = [
+    "StepError",
     "StepReport",
     "RunReport",
     "ConvergenceRow",
@@ -42,6 +43,21 @@ __all__ = [
     "convergence_study",
     "format_convergence_table",
 ]
+
+
+class StepError(RuntimeError):
+    """A step met values it cannot go on from, outside the predictor.
+
+    Either its reconstruction is not finite, or its update leaves cell
+    averages that are not finite or not admissible. ``details`` holds the
+    ``cells`` (interior indices) and their ``states`` (the cell averages the
+    reconstruction read, or the updated ones); ``run`` adds the ``step``
+    number and the time ``t`` the step started at.
+    """
+
+    def __init__(self, message: str, details: dict):
+        super().__init__(message)
+        self.details = details
 
 
 @dataclass
@@ -128,12 +144,24 @@ def step(
     dt: float,
     threads: int = 1,
 ) -> StepReport:
-    """Advance the cell averages in place by one step of size ``dt``."""
+    """Advance the cell averages in place by one step of size ``dt``.
+
+    A non-finite reconstruction, or an update whose cell averages are not
+    finite or not admissible, raises a ``StepError`` naming those cells and
+    leaves the field unchanged.
+    """
     t0 = time.perf_counter()
     dx = fld.grid.dx
     apply_boundary(fld, config.boundary)
     windows = _reconstruction_windows(fld, config.degree)
     coeffs = reconstruct_batch(windows, config.degree)
+    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=(1, 2)))
+    if bad.size:
+        # Window j is centred on cell j-1.
+        raise StepError(
+            "non-finite reconstruction",
+            details={"cells": bad - 1, "states": windows[bad, config.degree]},
+        )
 
     rules = space_time_rules(config.order)
     try:
@@ -158,12 +186,19 @@ def step(
     src = source_average(system, tables, rules)[1:-1]
     anc = noncons_average(system, tables, rules)[1:-1]
 
-    old = fld.interior.copy() if system.source_free else None
-    fld.interior[:] += -dt / dx * (fl.dplus[:-1] + fl.dminus[1:]) + dt * (src - anc)
+    new = fld.interior + (-dt / dx * (fl.dplus[:-1] + fl.dminus[1:]) + dt * (src - anc))
+    bad = ~np.isfinite(new).all(axis=-1)
+    if system.admissible is not None:
+        bad[~bad] = ~system.admissible(new[~bad])
+    if np.any(bad):
+        cells = np.flatnonzero(bad)
+        raise StepError(
+            "non-finite or inadmissible cell averages after the update",
+            details={"cells": cells, "states": new[cells]},
+        )
 
-    mass = None
-    if old is not None:
-        mass = dx * np.sum(fld.interior - old, axis=0)
+    mass = dx * np.sum(new - fld.interior, axis=0) if system.source_free else None
+    fld.interior[:] = new
     return StepReport(dt, tables.iterations, time.perf_counter() - t0, mass)
 
 
@@ -184,7 +219,11 @@ def run(
     eps = 1e-12 * max(t_out, 1.0)
     while t_out - t > eps:
         dt = compute_dt(system, fld, config, t_remaining=t_out - t)
-        rep = step(system, fld, config, dt, threads=threads)
+        try:
+            rep = step(system, fld, config, dt, threads=threads)
+        except (PredictorError, StepError) as exc:
+            exc.details.update(step=n_steps + 1, t=t)
+            raise
         t += dt
         n_steps += 1
         if keep_reports:

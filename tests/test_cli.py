@@ -284,3 +284,25 @@ def test_jet_failure_in_a_run_names_its_cells(monkeypatch, capsys):
     assert rc == 2
     assert "predictor failure: CK jet failed: non-finite space-time jet coefficients" in err
     assert "cell 4, tau " in err
+
+
+def test_update_failure_exits_two_naming_step_and_cells(monkeypatch, capsys):
+    # The predictor succeeds but the update of cell 2 is infinite: the run
+    # stops at once, on the step that made it.
+    from aderfv import solver
+
+    exact = solver.interface_fluctuations
+
+    def patched(*args, **kwargs):
+        fl = exact(*args, **kwargs)
+        fl.dplus[2] = np.inf
+        return fl
+
+    monkeypatch.setattr(solver, "interface_fluctuations", patched)
+    rc = main(["solve", "--preset", "euler-smooth", "--cells", "8", "--t-out", "0.01"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "step failure: non-finite or inadmissible cell averages after the update" in err
+    assert "at step 1, t = 0" in err
+    assert "1 failing cell(s)" in err
+    assert "cell 2, state [-inf" in err

@@ -25,6 +25,7 @@ from aderfv.systems import (
     scalar_advection_reaction,
 )
 from aderfv import weno
+from aderfv.ckjet import ck_time_derivatives, residual_and_jacobian
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,7 +42,7 @@ def _poly_derivatives(coeffs, xi, dx, n):
 def _solve_point(system, w, tau, cfg):
     """Derivative stack (M+1, m) and sweep count of one predictor point."""
     stacks, sweeps = solve_predictor_points(
-        system, np.asarray(w, dtype=float)[None], np.array([float(tau)]), cfg
+        system, np.asarray(w, dtype=float)[None], np.array([0]), np.array([float(tau)]), cfg
     )
     return stacks[0], sweeps
 
@@ -217,8 +218,8 @@ def test_iteration_cap_raises():
 
 def _newton_failure(system, w, tau, order):
     with pytest.raises(PredictorError) as err:
-        solve_predictor_points(system, np.asarray(w, float), np.asarray(tau, float),
-                               RunConfig(order=order))
+        solve_predictor_points(system, np.asarray(w, float), np.arange(len(w)),
+                               np.asarray(tau, float), RunConfig(order=order))
     return err.value
 
 
@@ -278,15 +279,23 @@ def test_singular_chain_names_its_points(make):
 
 
 def _patched_jacobian(monkeypatch, value):
-    """Newton sweeps whose Jacobian at point 1 is ``value``."""
+    """Newton sweeps whose Jacobian at point 1 is ``value``: the first sweep's
+    chord and every fresh Jacobian."""
     exact = predictor.residual_and_jacobian
+    exact_start = predictor._explicit_start
 
     def patched(*args):
         h, jac = exact(*args)
         jac[1] = value
         return h, jac
 
+    def patched_start(*args):
+        start, chord, has_jet = exact_start(*args)
+        chord[1] = value
+        return start, chord, has_jet
+
     monkeypatch.setattr(predictor, "residual_and_jacobian", patched)
+    monkeypatch.setattr(predictor, "_explicit_start", patched_start)
 
 
 def test_singular_newton_step_names_its_points(monkeypatch):
@@ -438,7 +447,7 @@ def test_predictor_operators_match_newton_probe(make, order):
         ops = predictor_operators(system, taus, cfg)
         newton = dataclasses.replace(system, constant_coefficients=False)
         stacks, _ = solve_predictor_points(
-            newton, np.tile(units, (taus.size, 1, 1)), np.repeat(taus, n), cfg
+            newton, units, np.tile(np.arange(n), taus.size), np.repeat(taus, n), cfg
         )
         ref = stacks[:, 0].reshape(taus.size, n, -1).swapaxes(-1, -2)
         assert ops.shape == ref.shape == (taus.size, system.m, n)
@@ -478,3 +487,130 @@ def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):
 def test_predictor_operators_reject_nonlinear_laws():
     with pytest.raises(ValueError, match="constant coefficients"):
         predictor_operators(leveque_yee(), np.array([0.1]), RunConfig(order=3))
+
+
+@pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system, leveque_yee])
+def test_node_start_and_chord_come_from_one_jet_per_node(make):
+    # Every point of a node starts from w_0 + sum_k tau^k / k! G_k(w), and its
+    # first sweep's chord is the state equation's Jacobian at D = w.
+    system = make()
+    rng = np.random.default_rng(5)
+    order = 4
+    w_nodes = 0.1 * rng.normal(size=(3, order + 1, system.m))
+    w_nodes[:, 0] += 0.6 + 0.3 * rng.random((3, system.m))
+    if system.m == 3:
+        w_nodes[:, 0, 2] += 5.0  # positive pressure
+    node = np.array([0, 2, 1, 2, 0, 1])
+    tau = np.array([1e-3, 2e-3, 5e-4, 4e-3, 3e-3, 1e-3])
+    start, chord, has_jet = predictor._explicit_start(system, w_nodes, node, tau)
+    assert has_jet.all()
+
+    w = w_nodes[node]
+    g = ck_time_derivatives(system, w, order)
+    fact = np.array([math.factorial(k) for k in range(1, order + 1)])
+    expected = w[:, 0] + np.einsum("pk,pkm->pm", tau[:, None] ** np.arange(1, order + 1) / fact, g)
+    np.testing.assert_allclose(start, expected, rtol=1e-13, atol=0)
+    _, jac = residual_and_jacobian(system, w[:, 0], w[:, 1:], tau, w[:, 0])
+    np.testing.assert_allclose(chord, jac, rtol=1e-13, atol=1e-13 * np.abs(jac).max())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # worker threads' errstate
+@pytest.mark.parametrize("threads", [1, 2])
+def test_node_jet_failure_names_its_cell(threads):
+    # One cell's state overflows its node jets: its points start from w_0
+    # with a fresh Jacobian, whose jet fails there with today's message.
+    cfg = RunConfig(order=3)
+    coeffs = np.zeros((6, 1, cfg.degree + 1))
+    coeffs[:, 0, 0] = 0.2
+    coeffs[3, 0, 0] = 1e110
+    with np.errstate(all="ignore"), pytest.raises(PredictorError) as err:
+        build_predictor_tables(leveque_yee(), coeffs, dt=0.001, dx=0.1, config=cfg,
+                               threads=threads)
+    assert str(err.value) == "CK jet failed: non-finite space-time jet coefficients"
+    assert set(err.value.details["cells"]) == {3}
+    np.testing.assert_array_equal(err.value.details["states"], 1e110)
+
+
+def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
+    # A node jet that fails leaves its points the w_0 start and a fresh
+    # Jacobian on their first sweep; every other point keeps its node's
+    # start and chord, and the solution is unchanged.
+    system = leveque_yee()
+    rng = np.random.default_rng(12)
+    w_nodes = np.zeros((4, 3, 1))
+    w_nodes[:, 0, 0] = [0.2, 0.75, 0.6, 0.9]
+    w_nodes[:, 1, 0] = 0.1 * rng.normal(size=4)
+    node = np.array([0, 1, 2, 3, 1, 2, 1])
+    tau = np.array([1e-3, 1e-3, 2e-3, 5e-4, 2e-3, 1e-3, 5e-4])
+    cfg = RunConfig(order=3)
+    ref, ref_sweeps = solve_predictor_points(system, w_nodes, node, tau, cfg)
+
+    exact_jet = predictor.ck_state_jacobian
+
+    def failing_jet(sys_, stacks):
+        if np.any(stacks[:, 0, 0] == 0.75):
+            raise FloatingPointError("non-finite space-time jet coefficients")
+        return exact_jet(sys_, stacks)
+
+    fresh = []
+    exact_jacobian = predictor.residual_and_jacobian
+
+    def recorded(*args):
+        fresh.append(args[1].copy())
+        return exact_jacobian(*args)
+
+    monkeypatch.setattr(predictor, "ck_state_jacobian", failing_jet)
+    monkeypatch.setattr(predictor, "residual_and_jacobian", recorded)
+    got, sweeps = solve_predictor_points(system, w_nodes, node, tau, cfg)
+    np.testing.assert_array_equal(fresh[0], [[0.75]] * 3)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    assert sweeps == ref_sweeps
+
+
+def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
+    # Here the explicit Taylor value overshoots the admissible set q < 0.9
+    # that holds the root: the point starts from w_0 instead, and no residual
+    # is evaluated at an inadmissible state.
+    system = dataclasses.replace(leveque_yee(), admissible=lambda q: q[..., 0] < 0.9)
+    w = np.array([[[0.75], [0.1], [0.0]]])
+    node, tau = np.array([0]), np.array([0.003])
+    start, _, has_jet = predictor._explicit_start(system, w, node, tau)
+    assert has_jet.all() and start[0, 0] > 0.9
+    seen = []
+    for name in ("predictor_residual", "residual_and_jacobian"):
+        exact = getattr(predictor, name)
+        monkeypatch.setattr(predictor, name, lambda *a, f=exact: seen.append(a[1]) or f(*a))
+    stacks, sweeps = solve_predictor_points(system, w, node, tau, RunConfig(order=3))
+    assert np.all(np.concatenate(seen) < 0.9)
+    ref, _ = solve_predictor_points(leveque_yee(), w, node, tau, RunConfig(order=3))
+    np.testing.assert_allclose(stacks, ref, rtol=0, atol=1e-12)
+
+
+def test_repeated_step_times_reuse_linear_operators(monkeypatch):
+    # Steps with the same dt reuse the last operators of the law and order;
+    # a new dt or order solves them again. The tables are unchanged.
+    calls = []
+    exact = predictor.predictor_operators
+
+    def counted(*args):
+        calls.append(args[1].copy())
+        return exact(*args)
+
+    monkeypatch.setattr(predictor, "predictor_operators", counted)
+    system = linear_system(lam=0.7, beta=-3.0)
+    cfg = RunConfig(order=4)
+    rng = np.random.default_rng(8)
+    coeffs = weno.reconstruct_batch(rng.normal(size=(5, 7, 2)), cfg.degree)
+    first = build_predictor_tables(system, coeffs, dt=0.01, dx=0.1, config=cfg)
+    again = build_predictor_tables(system, coeffs, dt=0.01, dx=0.1, config=cfg)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(first.values, again.values)
+    np.testing.assert_array_equal(first.trace_left, again.trace_left)
+    build_predictor_tables(system, coeffs, dt=0.02, dx=0.1, config=cfg)
+    build_predictor_tables(system, coeffs[..., :3], dt=0.02, dx=0.1, config=RunConfig(order=3))
+    assert len(calls) == 3
+    monkeypatch.setattr(predictor, "predictor_operators", exact)
+    fresh = build_predictor_tables(
+        linear_system(lam=0.7, beta=-3.0), coeffs, dt=0.01, dx=0.1, config=cfg
+    )
+    np.testing.assert_array_equal(first.values, fresh.values)

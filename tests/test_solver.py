@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from aderfv.grid import CellField, Grid, RunConfig, error_norms, exact_cell_averages
+from aderfv import solver
 from aderfv.solver import (
+    StepError,
     compute_dt,
     convergence_study,
     format_convergence_table,
@@ -170,3 +172,86 @@ def test_threaded_stiff_run_is_bit_identical():
     assert threaded.n_steps == serial.n_steps == 100
     assert threaded.max_sweeps == serial.max_sweeps
     np.testing.assert_array_equal(threaded.field.interior, serial.field.interior)
+
+
+@pytest.mark.parametrize(
+    "make, n_cells, cfg, n_steps, max_sweeps",
+    [
+        (euler_ideal_gas, 64,
+         RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.05, boundary="periodic"), 92, 2),
+        (noncons_system, 64,
+         RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic"), 65, 3),
+        (leveque_yee, 100,
+         RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive"), 300, 13),
+    ],
+    ids=["euler5x64", "noncons5x64", "leveque-yee3x100"],
+)
+def test_reference_runs_keep_steps_and_sweeps(make, n_cells, cfg, n_steps, max_sweeps):
+    rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
+    assert rep.n_steps == n_steps
+    assert 1 <= rep.max_sweeps <= max_sweeps
+    assert np.all(np.isfinite(rep.field.interior))
+
+
+def test_threaded_euler_run_is_bit_identical():
+    cfg = RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.01, boundary="periodic")
+    serial = run(euler_ideal_gas(), Grid(0.0, 1.0, 64), cfg)
+    threaded = run(euler_ideal_gas(), Grid(0.0, 1.0, 64), cfg, threads=2)
+    assert threaded.n_steps == serial.n_steps
+    assert threaded.max_sweeps == serial.max_sweeps
+    np.testing.assert_array_equal(threaded.field.interior, serial.field.interior)
+
+
+def _blow_up_cell(monkeypatch, cell, value):
+    """Interface fluctuations that put ``value`` into the update of ``cell``."""
+    exact = solver.interface_fluctuations
+
+    def patched(*args, **kwargs):
+        fl = exact(*args, **kwargs)
+        fl.dplus[cell] = value  # interface left of interior cell ``cell``
+        return fl
+
+    monkeypatch.setattr(solver, "interface_fluctuations", patched)
+
+
+def test_non_finite_update_raises_at_once(monkeypatch):
+    # The predictor succeeds; the update of cell 3 is infinite. The step
+    # names that cell and its state, and leaves the field as it was.
+    system = euler_ideal_gas()
+    cfg = RunConfig(order=3, cfl=0.1, alpha=2.0, t_out=0.01, boundary="periodic")
+    fld = initial_field(system, Grid(0.0, 1.0, 16), cfg)
+    before = fld.interior.copy()
+    _blow_up_cell(monkeypatch, 3, np.inf)
+    with pytest.raises(StepError) as err:
+        step(system, fld, cfg, compute_dt(system, fld, cfg))
+    np.testing.assert_array_equal(err.value.details["cells"], [3])
+    assert not np.all(np.isfinite(err.value.details["states"][0]))
+    np.testing.assert_array_equal(fld.interior, before)
+
+
+def test_inadmissible_update_in_a_run_names_step_and_time(monkeypatch):
+    # A finite update that leaves Euler's admissible set (negative density)
+    # stops the run at that step, with the step number and start time.
+    system = euler_ideal_gas()
+    cfg = RunConfig(order=3, cfl=0.1, alpha=2.0, t_out=0.01, boundary="periodic")
+    _blow_up_cell(monkeypatch, 5, 1e6)
+    with pytest.raises(StepError) as err:
+        run(system, Grid(0.0, 1.0, 16), cfg)
+    details = err.value.details
+    assert details["step"] == 1 and details["t"] == 0.0
+    np.testing.assert_array_equal(details["cells"], [5])
+    assert details["states"][0, 0] < 0.0
+
+
+def test_blown_up_field_stops_at_its_reconstruction():
+    # At beta = -1e120 the first update is finite but astronomically large at
+    # the front; the next reconstruction overflows there, and the run stops
+    # naming those cells and their averages, not a predictor failure.
+    cfg = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.01, boundary="transmissive")
+    with np.errstate(all="ignore"), pytest.raises(StepError) as err:
+        run(leveque_yee(beta=-1e120), Grid(0.0, 1.0, 20), cfg)
+    details = err.value.details
+    assert str(err.value) == "non-finite reconstruction"
+    assert details["step"] == 2 and details["t"] > 0.0
+    np.testing.assert_array_equal(details["cells"], [6, 7])
+    assert np.all(np.abs(details["states"]) > 1e30)
