@@ -2,7 +2,7 @@
 
 Given the state and its spatial derivatives at one point, the balance law
 dQ/dt = S(Q) - A(Q) dQ/dx determines all time (and mixed) derivatives. The
-generic engine propagates a bivariate truncated power series in (x, t) one
+engine propagates a bivariate truncated power series in (x, t) one
 time level at a time: the t-degree-(k+1) coefficients are the t-degree-k
 coefficients of S(Q) - A(Q) dQ/dx divided by k+1, on the triangle
 j + k <= order that the time derivatives need. Each system states its law
@@ -23,11 +23,11 @@ the recorded tape, so a later call on the same law only binds and fills it.
 Every coefficient block is summed in the same order as by a whole-law
 evaluation per level.
 
-A system that declares constant coefficients takes the constant-coefficient
-route derived from the law instead: its time derivatives are one matrix
-product with the closed-form CK matrices. Neither route casts the state to
-float, so the residual's Jacobian is one complex step through either of them,
-exact to rounding for every system.
+This series jet is the one CK route, for every law, linear ones included.
+It never casts the stack to float, so ``ck_state_jacobian`` takes the
+derivatives in D_0 by one complex step through it, exact to rounding. The
+engine knows no time step: the implicit Taylor state equation built on these
+derivatives is the predictor's.
 """
 from __future__ import annotations
 
@@ -40,12 +40,7 @@ import numpy as np
 from .series import SeriesTape, TruncatedSeries, Workspace
 from .systems import SystemDescriptor, complex_step_jacobian
 
-__all__ = [
-    "ck_time_derivatives",
-    "ck_state_jacobian",
-    "predictor_residual",
-    "residual_and_jacobian",
-]
+__all__ = ["ck_time_derivatives", "ck_state_jacobian"]
 
 # Points per jet block. Every leaf and node of a law's tape takes one
 # workspace slot of (order + 1)^2 coefficient blocks of this many points, so
@@ -101,19 +96,23 @@ def _rhs_terms(system: SystemDescriptor, comps: list[TruncatedSeries]) -> list[T
     return rhs
 
 
-def _jet_time_derivatives(
+def ck_time_derivatives(
     system: SystemDescriptor, derivatives: np.ndarray, order: int
 ) -> np.ndarray:
-    """Generic route: Taylor-mode space-time jets over blocks of points.
+    """Time derivatives d_t^k Q, k = 1..order, from the spatial stack.
 
-    The space-time coefficients c[i][j, k] of each component are seeded from
-    the spatial stack (c[i][j, 0] = D_j / j!) and filled upward in time
-    degree: the law is recorded on a tape that the workspace keeps, and time
-    level k fills column k of every intermediate on rows j <= order - k, from
-    which c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx
-    divided by k+1 for j < order - k. Returns d_t^k Q, k = 1..order, as
-    (m, order) + batch.
+    ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis;
+    a complex stack keeps its imaginary part. The space-time coefficients
+    c[i][j, k] of each component are seeded from the stack
+    (c[i][j, 0] = D_j / j!) and filled upward in time degree: the law is
+    recorded on a tape that the workspace keeps, and time level k fills
+    column k of every intermediate on rows j <= order - k, from which
+    c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx divided
+    by k+1 for j < order - k. Returns shape batch + (order, m).
     """
+    derivatives = np.asarray(derivatives)
+    if order == 0:
+        return np.zeros(derivatives.shape[:-2] + (0, system.m))
     m, n = system.m, order + 1
     batch = derivatives.shape[:-2]
     flat = derivatives.reshape(-1, n, m)
@@ -155,29 +154,7 @@ def _jet_time_derivatives(
     # is reported first, as a whole-batch jet would.
     if not finite:
         raise FloatingPointError("non-finite space-time jet coefficients")
-    return out.reshape((m, order) + batch)
-
-
-def ck_time_derivatives(
-    system: SystemDescriptor, derivatives: np.ndarray, order: int
-) -> np.ndarray:
-    """Time derivatives d_t^k Q, k = 1..order, from the spatial stack.
-
-    ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis;
-    a complex stack keeps its imaginary part.
-    """
-    derivatives = np.asarray(derivatives)
-    if order == 0:
-        return np.zeros(derivatives.shape[:-2] + (0, system.m))
-    if not system.constant_coefficients:
-        g = _jet_time_derivatives(system, derivatives, order)
-        return np.moveaxis(g, (0, 1), (-1, -2))
-    # d_t^{k+1} Q = sum_j C[k, j] D_j as one product: rows (k, a), columns (j, b).
-    m = system.m
-    mats = system.closed_ck(order).transpose(0, 2, 1, 3).reshape(order * m, -1)
-    batch = derivatives.shape[:-2]
-    flat = derivatives.reshape(batch + ((order + 1) * m,))
-    return (flat @ mats.T).reshape(batch + (order, m))
+    return np.moveaxis(out.reshape((m, order) + batch), (0, 1), (-1, -2))
 
 
 def ck_state_jacobian(
@@ -207,58 +184,3 @@ def ck_state_jacobian(
         g, jac = complex_step_jacobian(jets, derivatives[..., 0, :])
     batch = derivatives.shape[:-2]
     return g.reshape(batch + (order, m)), jac.reshape(batch + (order, m, m))
-
-
-def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients (-tau)^k / k! for k = 1..order, shape tau.shape + (order,)."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty(tau.shape + (order,))
-    term = np.ones_like(tau)
-    for k in range(1, order + 1):
-        term = term * (-tau) / k
-        out[..., k - 1] = term
-    return out
-
-
-def predictor_residual(
-    system: SystemDescriptor,
-    d0: np.ndarray,
-    d_rest: np.ndarray,
-    tau: np.ndarray,
-    w0: np.ndarray,
-) -> np.ndarray:
-    """Residual of the implicit Taylor state equation at elapsed time tau.
-
-    H(D_0) = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
-    where w_0 is the reconstructed state at tau = 0 and D_1..D_M are the
-    current spatial derivatives (held frozen during the D_0 update). D_0 may
-    be complex and carry leading batch axes that the other inputs broadcast
-    over.
-    """
-    d0 = np.asarray(d0)
-    d_rest = np.asarray(d_rest, dtype=float)
-    order = d_rest.shape[-2]
-    d_rest = np.broadcast_to(d_rest, d0.shape[:-1] + d_rest.shape[-2:])
-    stack = np.concatenate([d0[..., None, :], d_rest], axis=-2)
-    g = ck_time_derivatives(system, stack, order)
-    coef = _taylor_coefficients(tau, order)
-    return d0 - w0 + np.einsum("...k,...km->...m", coef, g)
-
-
-def residual_and_jacobian(
-    system: SystemDescriptor,
-    d0: np.ndarray,
-    d_rest: np.ndarray,
-    tau: np.ndarray,
-    w0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual H and its Jacobian with respect to D_0, shapes (..., m), (..., m, m).
-
-    The m complex states D_0 + i h e_j go through ``predictor_residual`` in
-    one batched call (``complex_step_jacobian``): Re H is the residual and
-    Im H / h is column j of dH/dD_0, exact to rounding on either CK route.
-    """
-    return complex_step_jacobian(
-        lambda d0c: predictor_residual(system, d0c, d_rest, tau, w0),
-        np.asarray(d0, dtype=float),
-    )

@@ -26,6 +26,12 @@ at points that moved far. A start that is not finite or not admissible, or
 whose first sweep fails, falls back to w_0; a node whose jet fails leaves its
 points a fresh Jacobian on their first sweep.
 
+The state equation is written once, here: ``predictor_residual`` and
+``residual_and_jacobian`` contract the CK jets of ``ckjet`` (the time
+derivatives, or those and their derivatives in D_0 by one complex step) with
+one Taylor sum, the same one that gives each node's explicit start and
+chord.
+
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
 for P directly at the step's quadrature times, from the law's closed-form CK
@@ -41,13 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import weno
-from .ckjet import (
-    _taylor_coefficients,
-    ck_state_jacobian,
-    predictor_residual,
-    residual_and_jacobian,
-)
+from . import ckjet, weno
 from .grid import QuadratureRule, RunConfig, gauss_legendre, gauss_lobatto
 from .systems import SystemDescriptor
 
@@ -56,6 +56,8 @@ __all__ = [
     "SpaceTimeRules",
     "space_time_rules",
     "PredictorTable",
+    "predictor_residual",
+    "residual_and_jacobian",
     "solve_derivative_chain",
     "solve_predictor_points",
     "predictor_operators",
@@ -198,6 +200,72 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, tau, states: np.ndarray)
     raise _singular(lhs, what, tau, states)
 
 
+def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients (-tau)^k / k! for k = 1..order, shape tau.shape + (order,)."""
+    tau = np.asarray(tau, dtype=float)
+    out = np.empty(tau.shape + (order,))
+    term = np.ones_like(tau)
+    for k in range(1, order + 1):
+        term = term * (-tau) / k
+        out[..., k - 1] = term
+    return out
+
+
+def _taylor_sum(tau: np.ndarray, terms: np.ndarray, term: str = "i") -> np.ndarray:
+    """sum_{k=1}^{M} (-tau)^k / k! * T_k, with T_k = terms[..., k-1, <term>].
+
+    ``term`` names the axes of one T_k: "i" for a state, terms (..., M, m),
+    or "ij" for a matrix, terms (..., M, m, m); tau broadcasts over the
+    leading axes. This one contraction gives the state equation's residual
+    and Jacobian, and the explicit start and chord of a node.
+    """
+    coef = _taylor_coefficients(tau, terms.shape[-1 - len(term)])
+    return np.einsum(f"...k,...k{term}->...{term}", coef, terms)
+
+
+def _point_stacks(d0: np.ndarray, d_rest: np.ndarray) -> np.ndarray:
+    """Stacks (D_0, D_1..D_M) of shape d0.shape[:-1] + (M+1, m)."""
+    d_rest = np.broadcast_to(d_rest, d0.shape[:-1] + np.shape(d_rest)[-2:])
+    return np.concatenate([d0[..., None, :], d_rest], axis=-2)
+
+
+def predictor_residual(
+    system: SystemDescriptor,
+    d0: np.ndarray,
+    d_rest: np.ndarray,
+    tau: np.ndarray,
+    w0: np.ndarray,
+) -> np.ndarray:
+    """Residual of the implicit Taylor state equation at elapsed time tau.
+
+    H(D_0) = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
+    where w_0 is the reconstructed state at tau = 0 and D_1..D_M are the
+    current spatial derivatives (held frozen during the D_0 update). D_0
+    carries the batch axes that the other inputs broadcast over.
+    """
+    d0 = np.asarray(d0, dtype=float)
+    g = ckjet.ck_time_derivatives(system, _point_stacks(d0, d_rest), np.shape(d_rest)[-2])
+    return d0 - w0 + _taylor_sum(tau, g)
+
+
+def residual_and_jacobian(
+    system: SystemDescriptor,
+    d0: np.ndarray,
+    d_rest: np.ndarray,
+    tau: np.ndarray,
+    w0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual H and its Jacobian with respect to D_0, shapes (..., m), (..., m, m).
+
+    One complex-step jet of the point stacks (``ckjet.ck_state_jacobian``)
+    gives G^(k) and dG^(k)/dD_0; then dH/dD_0 = I + sum_k (-tau)^k / k!
+    dG^(k)/dD_0, exact to rounding.
+    """
+    d0 = np.asarray(d0, dtype=float)
+    g, dg = ckjet.ck_state_jacobian(system, _point_stacks(d0, d_rest))
+    return d0 - w0 + _taylor_sum(tau, g), np.eye(system.m) + _taylor_sum(tau, dg, "ij")
+
+
 def solve_derivative_chain(
     system: SystemDescriptor,
     d0_frozen: np.ndarray,
@@ -298,7 +366,7 @@ def _explicit_start(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit-Taylor starts and first-sweep chords of points at ``node``, ``tau``.
 
-    One jet per node stack w (``ck_state_jacobian``) gives G_k(w) and
+    One jet per node stack w (``ckjet.ck_state_jacobian``) gives G_k(w) and
     dG_k/dD_0(w), k = 1..M; a point at tau gets the start
     w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k,
     the Jacobian of the state equation at D = w. Returns the starts (B, m),
@@ -309,24 +377,22 @@ def _explicit_start(
     n, nderiv, m = w_nodes.shape
     rows = np.arange(n)
     try:
-        g, dg = ck_state_jacobian(system, w_nodes)
+        g, dg = ckjet.ck_state_jacobian(system, w_nodes)
     except _JET_ERRORS:
         rows = np.setdiff1d(
-            rows, _failing_rows(lambda r: ck_state_jacobian(system, w_nodes[r]), rows)
+            rows, _failing_rows(lambda r: ckjet.ck_state_jacobian(system, w_nodes[r]), rows)
         )
         g = np.zeros((n, nderiv - 1, m))
         dg = np.zeros((n, nderiv - 1, m, m))
         if rows.size:
-            g[rows], dg[rows] = ck_state_jacobian(system, w_nodes[rows])
+            g[rows], dg[rows] = ckjet.ck_state_jacobian(system, w_nodes[rows])
     has_jet = np.zeros(n, dtype=bool)
     has_jet[rows] = True
     has_jet &= np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dg).all(axis=(1, 2, 3))
 
-    growth = _taylor_coefficients(-tau, nderiv - 1)   # tau^k / k!
-    decay = _taylor_coefficients(tau, nderiv - 1)     # (-tau)^k / k!
     with np.errstate(over="ignore", invalid="ignore"):
-        start = w_nodes[node, 0] + np.einsum("pk,pkm->pm", growth, g[node])
-        chord = np.eye(m) + np.einsum("pk,pkab->pab", decay, dg[node])
+        start = w_nodes[node, 0] + _taylor_sum(-tau, g[node])   # tau^k / k!
+        chord = np.eye(m) + _taylor_sum(tau, dg[node], "ij")
     return start, chord, has_jet[node]
 
 
@@ -666,13 +732,15 @@ def build_predictor_tables(
         return _build_tables_chunk(system, coeffs, dt, dx, config, rules)
     bounds = np.linspace(0, ncells, threads + 1).astype(int)
     chunks = [(coeffs[a:b], a) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    # numpy's error state is per thread: the workers take the caller's.
+    state = np.geterr()
+
+    def build(chunk, first_cell):
+        with np.errstate(**state):
+            return _build_tables_chunk(system, chunk, dt, dx, config, rules, first_cell)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda args: _build_tables_chunk(system, args[0], dt, dx, config, rules, args[1]),
-                chunks,
-            )
-        )
+        parts = list(pool.map(build, *zip(*chunks)))
     arrays = {
         f.name: np.concatenate([getattr(p, f.name) for p in parts])
         for f in fields(PredictorTable)

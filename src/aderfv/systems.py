@@ -8,9 +8,10 @@ these forms over truncated power series; the vectorised matrix, source and
 source Jacobian used by the predictor and the fluxes are derived from the same
 forms on ndarray components, with Jacobians taken by complex-step
 differentiation. A system that declares ``constant_coefficients`` also gets
-its closed-form CK matrices from the same forms: the constant-coefficient
-route derived from the law. Eigenvalues, admissibility and the exact solutions
-of the manufactured tests are given per system.
+its closed-form CK matrices from the same forms, from which the predictor's
+linear operators and the stability analyzer's explicit rows are built.
+Eigenvalues, admissibility and the exact solutions of the manufactured tests
+are given per system.
 """
 from __future__ import annotations
 
@@ -119,8 +120,7 @@ class SystemDescriptor:
     ``source_jacobian`` map state arrays (..., m) and are derived from them.
     ``constant_coefficients`` declares A and dS/dQ independent of Q (a linear
     law): ``matrix`` and ``source_jacobian`` then return their values at
-    Q = 0, derived once, and the CK engine takes its time derivatives from
-    ``closed_ck``.
+    Q = 0, derived once, and ``closed_ck`` gives its CK matrices.
     """
 
     name: str

@@ -12,8 +12,10 @@ flux, and the tensor-rule averages of the source and of the volume term. The
 predictions come from the solver's own predictor on the model law
 scalar_advection_reaction(lam=c, beta=r) at dx = dt = 1: the implicit one as
 its ``predictor_operators`` (solved in closed form, no Newton sweep), the
-explicit one as the Taylor series of the same law's CK time derivatives. The
-amplification factor is
+explicit one as the Taylor series of the same law's CK time derivatives, read
+off its closed-form CK matrices ``closed_ck`` (the classical ADER-CK
+predictor of Titarev & Toro, J. Sci. Comput. 17, 2002). The amplification
+factor is
 
   A(theta) = 1 - c (fhat_+ - fhat_-) + r shat - c (ahat - (qR - qL)),
   fhat = (qL + qR)/2 - (alpha c + 1/(alpha c))/4 (qR - qL),
@@ -59,7 +61,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ckjet import ck_time_derivatives
 from .grid import RunConfig
 from .predictor import PredictorError, predictor_operators, space_time_rules
 from .systems import scalar_advection_reaction
@@ -108,6 +109,8 @@ class StabilityQuery:
             raise ValueError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.weight_model not in ("weno-law", "uniform"):
             raise ValueError(f"unknown weight model {self.weight_model!r}")
 
@@ -151,14 +154,14 @@ def amplitude(
 
     rules = space_time_rules(query.order)
     # The solver's predictor on q_t + c q_x = r q at dx = dt = 1, as rows
-    # q(tau) = P(tau) w. Explicit rows are e_0 + sum_k tau^k / k! G_k, with G_k
-    # the CK time derivatives of the unit stacks.
+    # q(tau) = P(tau) w. Explicit rows are e_0 + sum_k tau^k / k! C[k-1], with
+    # C[k-1, j] = d(d_t^k q)/d(d_x^j q) the law's closed-form CK matrices.
     system = scalar_advection_reaction(lam=c, beta=r)
     taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes])
-    units = np.eye(degree + 1)
     if query.predictor == "explicit":
-        g = ck_time_derivatives(system, units[..., None], degree)[..., 0]
-        rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
+        ck = system.closed_ck(degree)[:, :, 0, 0]              # (M, M+1)
+        growth = np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1)
+        rows = np.eye(degree + 1)[0] + growth @ ck
     else:
         try:
             rows = predictor_operators(system, taus, RunConfig(order=query.order))[:, 0]

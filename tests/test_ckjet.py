@@ -10,26 +10,19 @@ import numpy as np
 import pytest
 
 from aderfv import ckjet
-from aderfv.ckjet import (
-    ck_time_derivatives,
-    predictor_residual,
-    residual_and_jacobian,
-)
+from aderfv.ckjet import ck_time_derivatives
+from aderfv.predictor import predictor_residual, residual_and_jacobian
 from aderfv.series import TruncatedSeries, Workspace
 from aderfv.systems import (
     euler_ideal_gas,
     leveque_yee,
+    linear_ck_matrices,
     linear_system,
     noncons_system,
     scalar_advection_reaction,
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-def _series_route(system):
-    """The same law without its constant-coefficient route: the series engine."""
-    return dataclasses.replace(system, constant_coefficients=False)
 
 
 def _scalar_binomial(lam, beta, d, k):
@@ -47,7 +40,7 @@ def test_scalar_series_engine_against_binomial():
         lam = rng.uniform(-3.0, 3.0)
         beta = rng.uniform(-5.0, 5.0)
         d = rng.standard_normal((order + 1, 1))
-        system = _series_route(scalar_advection_reaction(lam=lam, beta=beta))
+        system = scalar_advection_reaction(lam=lam, beta=beta)
         got = ck_time_derivatives(system, d, order)
         for k in range(1, order + 1):
             ref = _scalar_binomial(lam, beta, d[:, 0], k)
@@ -55,13 +48,16 @@ def test_scalar_series_engine_against_binomial():
 
 
 def test_scalar_closed_form_helper():
-    # The scalar system's closed-form route (linear_ck_matrices of the law)
-    # against the binomial expansion of (beta - lam d_x)^k.
+    # The scalar law's closed-form CK matrices are linear_ck_matrices of its
+    # coefficients, and contracted with the stack they give the binomial
+    # expansion of (beta - lam d_x)^k.
     rng = np.random.default_rng(5)
     for _ in range(200):
         lam, beta = rng.uniform(-3.0, 3.0, size=2)
         d = rng.standard_normal((5, 1))
-        got = ck_time_derivatives(scalar_advection_reaction(lam, beta), d, 4)
+        ck = scalar_advection_reaction(lam, beta).closed_ck(4)
+        np.testing.assert_array_equal(ck, linear_ck_matrices(np.array([[lam]]), beta * np.eye(1), 4))
+        got = np.einsum("kjab,jb->ka", ck, d)
         for k in range(1, 5):
             ref = _scalar_binomial(lam, beta, d[:, 0], k)
             assert got[k - 1, 0] == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -80,7 +76,7 @@ def _linear_chain_oracle(a, b, d):
 
 
 def test_linear_system_series_against_matrix_recursion():
-    system = _series_route(linear_system(lam=1.3, beta=-0.7))
+    system = linear_system(lam=1.3, beta=-0.7)
     a = np.array([[0.0, 1.3], [1.3, 0.0]])
     b = -0.7 * np.eye(2)
     rng = np.random.default_rng(7)
@@ -93,13 +89,16 @@ def test_linear_system_series_against_matrix_recursion():
 
 
 def test_closed_form_matches_series_route():
+    # The law's closed-form CK matrices, with linear_ck_matrices of its
+    # coefficients as the oracle, give the series engine's time derivatives.
     system = linear_system()
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ck = system.closed_ck(4)
+    np.testing.assert_array_equal(ck, linear_ck_matrices(a, -np.eye(2), 4))
     rng = np.random.default_rng(8)
     d = rng.standard_normal((5, 2))
     np.testing.assert_allclose(
-        ck_time_derivatives(system, d, 4),
-        ck_time_derivatives(_series_route(system), d, 4),
-        atol=1e-12,
+        np.einsum("kjab,jb->ka", ck, d), ck_time_derivatives(system, d, 4), atol=1e-12
     )
 
 
@@ -118,7 +117,7 @@ def test_jet_exact_on_linear_exact_solution():
     # Seed the jet with analytic spatial derivatives of the exact solution
     # at t = 0 and compare against analytic time derivatives.
     lam, beta = 1.0, -1.0
-    system = _series_route(linear_system(lam=lam, beta=beta))
+    system = linear_system(lam=lam, beta=beta)
     order = 4
     for x in (0.11, 0.48, 0.83):
         seeds = np.empty((order + 1, 2))

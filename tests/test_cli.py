@@ -2,10 +2,14 @@
 import csv
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aderfv
 from aderfv.cli import PRESETS, _axis, main
 from aderfv.predictor import PredictorError
 from aderfv.systems import leveque_yee
@@ -104,6 +108,25 @@ def test_stability_weight_model_flag(tmp_path):
     assert float(_read_csv(uni)[1][0][2]) < 0.5
 
 
+def _run_module(args, cwd):
+    """``python -m aderfv`` in a child process, with this package importable."""
+    src = os.path.dirname(os.path.dirname(aderfv.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "aderfv", *args], capture_output=True, text=True,
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+def test_python_m_aderfv_returns_main_exit_codes(tmp_path):
+    ok = _run_module(_TINY_STABILITY + ["--out", "raster.csv"], tmp_path)
+    assert ok.returncode == 0, ok.stderr
+    assert _read_csv(tmp_path / "raster.csv")[0] == ["c", "r", "stable_fraction"]
+    rejected = _run_module(["stability", "--seed", "-1"], tmp_path)
+    assert rejected.returncode == 1
+    assert rejected.stderr.startswith("aderfv:") and "seed" in rejected.stderr
+
+
 def test_preset_table_is_complete():
     assert set(PRESETS) == {"leveque-yee", "linear-system", "noncons", "euler-smooth"}
     for preset in PRESETS.values():
@@ -154,6 +177,7 @@ def test_non_finite_run_setting_exits_one(capsys):
         (["--c-min", "0.9", "--c-max", "0.1"], "--c-min"),
         (["--r-min", "0", "--r-max", "-1"], "--r-min"),
         (["--c-max", "nan"], "--c-max"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_stability_query_exits_one(flags, field, capsys):

@@ -13,6 +13,7 @@ from aderfv.predictor import (
     PredictorError,
     build_predictor_tables,
     predictor_operators,
+    residual_and_jacobian,
     solve_derivative_chain,
     solve_predictor_points,
     space_time_rules,
@@ -24,8 +25,8 @@ from aderfv.systems import (
     noncons_system,
     scalar_advection_reaction,
 )
-from aderfv import weno
-from aderfv.ckjet import ck_time_derivatives, residual_and_jacobian
+from aderfv import ckjet, weno
+from aderfv.ckjet import ck_time_derivatives
 
 TWO_PI = 2.0 * np.pi
 
@@ -462,7 +463,7 @@ def test_predictor_operators_singular_chain_raises():
 
 
 def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):
-    from aderfv import ckjet, predictor, vonneumann
+    from aderfv import vonneumann
 
     def forbidden(*args, **kwargs):
         raise AssertionError("constant-coefficient path reached the Newton solver or a jet")
@@ -472,7 +473,7 @@ def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):
         (predictor, "predictor_residual"),
         (predictor, "residual_and_jacobian"),
         (ckjet, "ck_time_derivatives"),
-        (vonneumann, "ck_time_derivatives"),
+        (ckjet, "ck_state_jacobian"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     cfg = RunConfig(order=5)
@@ -480,8 +481,10 @@ def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):
     coeffs = weno.reconstruct_batch(windows, cfg.degree)
     tables = build_predictor_tables(linear_system(), coeffs, dt=0.01, dx=0.1, config=cfg)
     assert tables.iterations == 0
-    query = vonneumann.StabilityQuery(order=5, n_theta=8, n_scenarios=3)
-    assert np.all(np.isfinite(vonneumann.amplitude(vonneumann.theta_grid(8), 0.5, -2.0, query)))
+    for kind in ("implicit", "explicit"):
+        query = vonneumann.StabilityQuery(order=5, predictor=kind, n_theta=8, n_scenarios=3)
+        amp = vonneumann.amplitude(vonneumann.theta_grid(8), 0.5, -2.0, query)
+        assert np.all(np.isfinite(amp))
 
 
 def test_predictor_operators_reject_nonlinear_laws():
@@ -514,18 +517,20 @@ def test_node_start_and_chord_come_from_one_jet_per_node(make):
     np.testing.assert_allclose(chord, jac, rtol=1e-13, atol=1e-13 * np.abs(jac).max())
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # worker threads' errstate
 @pytest.mark.parametrize("threads", [1, 2])
 def test_node_jet_failure_names_its_cell(threads):
     # One cell's state overflows its node jets: its points start from w_0
-    # with a fresh Jacobian, whose jet fails there with today's message.
+    # with a fresh Jacobian, whose jet fails there with today's message. The
+    # worker threads keep the caller's error state, so no warning escapes.
     cfg = RunConfig(order=3)
     coeffs = np.zeros((6, 1, cfg.degree + 1))
     coeffs[:, 0, 0] = 0.2
     coeffs[3, 0, 0] = 1e110
-    with np.errstate(all="ignore"), pytest.raises(PredictorError) as err:
-        build_predictor_tables(leveque_yee(), coeffs, dt=0.001, dx=0.1, config=cfg,
-                               threads=threads)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(PredictorError) as err:
+            build_predictor_tables(leveque_yee(), coeffs, dt=0.001, dx=0.1, config=cfg,
+                                   threads=threads)
     assert str(err.value) == "CK jet failed: non-finite space-time jet coefficients"
     assert set(err.value.details["cells"]) == {3}
     np.testing.assert_array_equal(err.value.details["states"], 1e110)
@@ -545,10 +550,12 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
     cfg = RunConfig(order=3)
     ref, ref_sweeps = solve_predictor_points(system, w_nodes, node, tau, cfg)
 
-    exact_jet = predictor.ck_state_jacobian
+    exact_jet = ckjet.ck_state_jacobian
 
     def failing_jet(sys_, stacks):
-        if np.any(stacks[:, 0, 0] == 0.75):
+        # Only the node jets see node 1's whole stack; a point's Jacobian
+        # pairs its state with the chain's derivatives.
+        if np.any(np.all(stacks == w_nodes[1], axis=(-2, -1))):
             raise FloatingPointError("non-finite space-time jet coefficients")
         return exact_jet(sys_, stacks)
 
@@ -559,12 +566,30 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
         fresh.append(args[1].copy())
         return exact_jacobian(*args)
 
-    monkeypatch.setattr(predictor, "ck_state_jacobian", failing_jet)
+    monkeypatch.setattr(ckjet, "ck_state_jacobian", failing_jet)
     monkeypatch.setattr(predictor, "residual_and_jacobian", recorded)
     got, sweeps = solve_predictor_points(system, w_nodes, node, tau, cfg)
     np.testing.assert_array_equal(fresh[0], [[0.75]] * 3)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert sweeps == ref_sweeps
+
+
+@pytest.mark.parametrize("taus, cap", [([0.01], 20), ([0.01, 0.02, 0.03, 0.05], 60)])
+def test_newton_guards_converge_a_front_state(taus, cap):
+    # A LeVeque-Yee state between the front's equilibria. With the descent
+    # gate and the large-step Jacobian refresh, Newton takes 17 sweeps at
+    # tau = 0.01 and 58 for the batch; without the gate it takes 30 and 75,
+    # and without the refresh it does not converge or its jet fails.
+    system = leveque_yee()
+    w = np.array([[[0.75], [0.1], [0.0]]])
+    tau = np.array(taus)
+    stacks, sweeps = solve_predictor_points(
+        system, w, np.zeros(tau.size, dtype=int), tau, RunConfig(order=3, fp_max_iter=cap)
+    )
+    assert sweeps <= cap
+    assert stacks[0, 0, 0] == pytest.approx(0.98492774, abs=1e-8)
+    h = predictor.predictor_residual(system, stacks[:, 0], stacks[:, 1:], tau, w[0, 0])
+    assert np.all(np.abs(h) <= 1e-10)
 
 
 def test_inadmissible_explicit_start_starts_from_data(monkeypatch):

@@ -255,6 +255,7 @@ def test_query_validation():
         ({"order": 3, "tol": math.nan}, "tol"),
         ({"order": 3, "tol": -1.0}, "tol"),
         ({"order": 3, "tol": math.inf}, "tol"),
+        ({"order": 3, "seed": -1}, "seed must be >= 0, got -1"),
     ],
 )
 def test_query_rejects_out_of_range_sizes(kwargs, field):
