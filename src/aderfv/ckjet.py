@@ -44,15 +44,16 @@ __all__ = ["ck_time_derivatives", "ck_state_jacobian"]
 
 # Points per jet block. Every leaf and node of a law's tape takes one
 # workspace slot of (order + 1)^2 coefficient blocks of this many points, so
-# the storage a thread keeps is set by the law and the order, not the batch
+# the storage a workspace keeps is set by the law and the order, not the batch
 # (Euler at order 5: 17 slots, 14 MB). Larger blocks spend less interpreter
 # time per point and more memory.
 _BLOCK = 2048
 
 # Idle workspaces. A jet borrows one for the length of the call, so jets
-# running at once on the predictor's worker threads never share storage, and
-# the storage outlives those threads: the pool holds as many workspaces as
-# jets have ever run at once, each reused across sweeps and steps.
+# that callers run concurrently, each on a thread of its own, never share
+# storage, and the storage outlives the thread that used it: the pool holds
+# as many workspaces as jets have ever run at once, each reused across sweeps
+# and steps.
 _idle_workspaces: list[Workspace] = []
 _pool_lock = threading.Lock()
 

@@ -77,13 +77,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--boundary", choices=("periodic", "transmissive"), default=None
     )
-    p.add_argument("--threads", type=int, default=1, help="predictor worker threads")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
 
 def _resolve(args) -> tuple[SystemDescriptor, RunConfig, int]:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     preset = PRESETS[args.preset]
     pick = lambda flag, fallback: fallback if flag is None else flag
     config = RunConfig(
@@ -109,7 +106,7 @@ def _open_output(path):
 def cmd_solve(args) -> int:
     system, config, cells = _resolve(args)
     grid = Grid(0.0, 1.0, cells)
-    report = run(system, grid, config, threads=args.threads)
+    report = run(system, grid, config)
 
     with _open_output(args.out) as fh:
         writer = csv.writer(fh)
@@ -148,9 +145,7 @@ def cmd_converge(args) -> int:
              "l2_err", "l2_ord", "cpu_s"]
         )
         for cfg in configs:
-            rows = convergence_study(
-                system, cfg, meshes, variable=args.variable, threads=args.threads
-            )
+            rows = convergence_study(system, cfg, meshes, variable=args.variable)
             for r in rows:
                 writer.writerow(
                     [cfg.order, r.n_cells, f"{r.linf:.6e}", f"{r.order_linf:.3f}",

@@ -24,6 +24,18 @@ __all__ = [
 _AVERAGING_POINTS = 5
 
 
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer in low..high.
+
+    Python and numpy integers count; ``bool`` and floats, even integral ones,
+    do not.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= value and (high is None or value <= high)):
+        span = f"in {low}..{high}" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``n_cells`` cells covering ``[x_lo, x_hi]``."""
@@ -33,8 +45,7 @@ class Grid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be positive, got {self.n_cells}")
+        check_count("n_cells", self.n_cells, 1)
         if not self.x_hi > self.x_lo:
             raise ValueError(f"empty domain [{self.x_lo}, {self.x_hi}]")
 
@@ -202,8 +213,7 @@ class RunConfig:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.order not in (1, 2, 3, 4, 5):
-            raise ValueError(f"order must be in 1..5, got {self.order}")
+        check_count("order", self.order, 1, 5)
         if not (math.isfinite(self.cfl) and self.cfl > 0.0):
             raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -212,8 +222,7 @@ class RunConfig:
             raise ValueError(f"t_out must be finite and non-negative, got {self.t_out}")
         if self.boundary not in ("periodic", "transmissive"):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
-        if self.fp_max_iter < 1:
-            raise ValueError(f"fp_max_iter must be at least 1, got {self.fp_max_iter}")
+        check_count("fp_max_iter", self.fp_max_iter, 1)
         if not (math.isfinite(self.fp_tol) and self.fp_tol >= 0.0):
             raise ValueError(f"fp_tol must be finite and non-negative, got {self.fp_tol}")
         if self.dt_max is not None and not self.dt_max > 0.0:

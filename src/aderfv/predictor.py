@@ -36,13 +36,12 @@ A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
 for P directly at the step's quadrature times, from the law's closed-form CK
 matrices and without a Newton sweep, then contract every cell with them in
-one piece (never split across threads); the stability analyzer takes its
-predictor from the same operators.
+one piece; the stability analyzer takes its predictor from the same
+operators.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -511,18 +510,21 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
         exc.details["points"] = active[exc.details["points"]]
         raise
 
-    if fresh:
-        h, jac = _jet(residual_and_jacobian, system, d0_a, rest_a, tau_a, w0_a, active)
-        jac_store[active] = jac
-    else:
-        h = _jet(predictor_residual, system, d0_a, rest_a, tau_a, w0_a, active)
-        refresh = stale[active]
-        if np.any(refresh):
-            _, jac_store[active[refresh]] = _jet(
-                residual_and_jacobian, system, d0_a[refresh], rest_a[refresh],
-                tau_a[refresh], w0_a[refresh], active[refresh],
-            )
-        jac = jac_store[active]
+    def rows(mask):
+        # Usually every point takes one path: then the batch goes uncopied.
+        r = slice(None) if mask.all() else np.flatnonzero(mask)
+        return r, (system, d0_a[r], rest_a[r], tau_a[r], w0_a[r], active[r])
+
+    # Refreshed points take their residual from the jet of their Jacobian.
+    h = np.empty_like(d0_a)
+    refresh = fresh | stale[active]
+    if refresh.any():
+        r, args = rows(refresh)
+        h[r], jac_store[active[r]] = _jet(residual_and_jacobian, *args)
+    if not refresh.all():
+        r, args = rows(~refresh)
+        h[r] = _jet(predictor_residual, *args)
+    jac = jac_store[active]
 
     try:
         delta = _solve(jac, h, "predictor Jacobian", tau_a, d0_a)
@@ -645,15 +647,19 @@ def _node_derivatives(coeffs: np.ndarray, basis: np.ndarray, dx: float) -> np.nd
     return w * scale[:, None]
 
 
-def _build_tables_chunk(
+def build_predictor_tables(
     system: SystemDescriptor,
     coeffs: np.ndarray,
     dt: float,
     dx: float,
     config: RunConfig,
-    rules: SpaceTimeRules,
-    first_cell: int = 0,
 ) -> PredictorTable:
+    """Predictor tables for a batch of cells given reconstruction coefficients.
+
+    ``coeffs`` has shape (cells, m, M+1). A ``PredictorError`` with failing
+    points names their indices in ``coeffs`` under ``details["cells"]``.
+    """
+    rules = space_time_rules(config.order)
     ncells = coeffs.shape[0]
     m = system.m
     n_xi = rules.xi_rule.n
@@ -691,8 +697,9 @@ def _build_tables_chunk(
         except PredictorError as exc:
             if "points" in exc.details:
                 p = np.asarray(exc.details["points"])
-                cell = np.where(p < split, p // (n_tau * n_xi), (p - split) // (2 * n_tr))
-                exc.details["cells"] = first_cell + cell
+                exc.details["cells"] = np.where(
+                    p < split, p // (n_tau * n_xi), (p - split) // (2 * n_tr)
+                )
             raise
         states = stacks[:, 0]
         values = states[:split].reshape(ncells, n_tau, n_xi, m)
@@ -706,44 +713,3 @@ def _build_tables_chunk(
         trace_right=traces[:, :, 1, :],
         iterations=sweeps,
     )
-
-
-def build_predictor_tables(
-    system: SystemDescriptor,
-    coeffs: np.ndarray,
-    dt: float,
-    dx: float,
-    config: RunConfig,
-    threads: int = 1,
-) -> PredictorTable:
-    """Predictor tables for a batch of cells given reconstruction coefficients.
-
-    ``coeffs`` has shape (cells, m, M+1). With ``threads > 1`` a Newton-solved
-    batch is split into contiguous chunks solved concurrently; chunking does
-    not change any result because every point iterates to its own tolerance.
-    A ``PredictorError`` with failing points names their indices in
-    ``coeffs`` under ``details["cells"]``.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    rules = space_time_rules(config.order)
-    ncells = coeffs.shape[0]
-    if threads <= 1 or ncells < 2 * threads or system.constant_coefficients:
-        return _build_tables_chunk(system, coeffs, dt, dx, config, rules)
-    bounds = np.linspace(0, ncells, threads + 1).astype(int)
-    chunks = [(coeffs[a:b], a) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    # numpy's error state is per thread: the workers take the caller's.
-    state = np.geterr()
-
-    def build(chunk, first_cell):
-        with np.errstate(**state):
-            return _build_tables_chunk(system, chunk, dt, dx, config, rules, first_cell)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(build, *zip(*chunks)))
-    arrays = {
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in fields(PredictorTable)
-        if f.name != "iterations"
-    }
-    return PredictorTable(**arrays, iterations=max(p.iterations for p in parts))

@@ -142,7 +142,6 @@ def step(
     fld: CellField,
     config: RunConfig,
     dt: float,
-    threads: int = 1,
 ) -> StepReport:
     """Advance the cell averages in place by one step of size ``dt``.
 
@@ -165,7 +164,7 @@ def step(
 
     rules = space_time_rules(config.order)
     try:
-        tables = build_predictor_tables(system, coeffs, dt, dx, config, threads=threads)
+        tables = build_predictor_tables(system, coeffs, dt, dx, config)
     except PredictorError as exc:
         if "cells" in exc.details:
             exc.details["cells"] = exc.details["cells"] - 1  # table j covers cell j-1
@@ -206,7 +205,6 @@ def run(
     system: SystemDescriptor,
     grid: Grid,
     config: RunConfig,
-    threads: int = 1,
     keep_reports: bool = True,
 ) -> RunReport:
     """March the system from its initial condition to ``config.t_out``."""
@@ -220,7 +218,7 @@ def run(
     while t_out - t > eps:
         dt = compute_dt(system, fld, config, t_remaining=t_out - t)
         try:
-            rep = step(system, fld, config, dt, threads=threads)
+            rep = step(system, fld, config, dt)
         except (PredictorError, StepError) as exc:
             exc.details.update(step=n_steps + 1, t=t)
             raise
@@ -251,7 +249,6 @@ def convergence_study(
     x_lo: float = 0.0,
     x_hi: float = 1.0,
     variable: int = 0,
-    threads: int = 1,
 ) -> list[ConvergenceRow]:
     """Error norms and observed orders of one tracked variable over a mesh family."""
     check_convergence_inputs(system, meshes, variable)
@@ -260,7 +257,7 @@ def convergence_study(
     for n_cells in meshes:
         grid = Grid(x_lo, x_hi, int(n_cells))
         t0 = time.perf_counter()
-        report = run(system, grid, config, threads=threads, keep_reports=False)
+        report = run(system, grid, config, keep_reports=False)
         cpu = time.perf_counter() - t0
         linf, l1, l2 = error_norms(report.field, system.exact_solution, report.t_final)
         row = ConvergenceRow(

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RunConfig
+from .grid import RunConfig, check_count
 from .predictor import PredictorError, predictor_operators, space_time_rules
 from .systems import scalar_advection_reaction
 from .weno import nonlinear_weights, window_candidate_matrix
@@ -99,14 +99,11 @@ class StabilityQuery:
     def __post_init__(self) -> None:
         if self.predictor not in ("implicit", "explicit"):
             raise ValueError(f"unknown predictor kind {self.predictor!r}")
-        if self.order not in (1, 2, 3, 4, 5):
-            raise ValueError(f"order must be in 1..5, got {self.order}")
+        check_count("order", self.order, 1, 5)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.n_theta < 1:
-            raise ValueError(f"n_theta must be >= 1, got {self.n_theta}")
-        if self.n_scenarios < 1:
-            raise ValueError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
+        check_count("n_theta", self.n_theta, 1)
+        check_count("n_scenarios", self.n_scenarios, 1)
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
         if self.seed < 0:

@@ -187,19 +187,6 @@ def test_bad_stability_query_exits_one(flags, field, capsys):
     assert err.startswith("aderfv:") and field in err
 
 
-@pytest.mark.parametrize("command", [
-    ["solve", "--cells", "8", "--t-out", "0.01"],
-    ["converge", "--orders", "2", "--meshes", "8,16"],
-])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_exits_one(command, threads, capsys):
-    # Rejected before any run or output, instead of running serially.
-    assert main(command + ["--threads", threads]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("aderfv:") and "--threads" in captured.err
-
-
 @pytest.mark.parametrize("variable", ["2", "-1"])
 def test_converge_rejects_out_of_range_variable(variable, tmp_path, capsys):
     # The linear system has two variables; the check comes before any run.

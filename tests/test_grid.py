@@ -69,6 +69,9 @@ def test_grid_rejects_bad_input():
         Grid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 4)
+    for n_cells in (16.0, True):
+        with pytest.raises(ValueError, match="n_cells"):
+            Grid(0.0, 1.0, n_cells)
 
 
 def test_from_function_matches_analytic_averages():
@@ -126,6 +129,8 @@ def test_run_config_validation():
     for kwargs in (
         {"order": 0},
         {"order": 6},
+        {"order": 3.0},
+        {"order": True},
         {"order": 3, "t_out": -1.0},
         {"order": 3, "t_out": float("nan")},
         {"order": 3, "t_out": float("inf")},
@@ -138,6 +143,7 @@ def test_run_config_validation():
         {"order": 3, "boundary": "weird"},
         {"order": 3, "fp_max_iter": 0},
         {"order": 3, "fp_max_iter": -3},
+        {"order": 3, "fp_max_iter": 5.0},
         {"order": 3, "fp_tol": -1.0},
         {"order": 3, "fp_tol": float("nan")},
         {"order": 3, "fp_tol": float("inf")},

@@ -190,8 +190,7 @@ def test_admissibility_guard_raises():
         _solve_point(bad, w, 0.01, cfg)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_inadmissible_reconstruction_names_its_cell(threads):
+def test_inadmissible_reconstruction_names_its_cell():
     # u <= 0 is outside the non-conservative system's admissible set; the
     # tau = 0 trace points of that cell fail without a Newton sweep.
     cfg = RunConfig(order=3)
@@ -199,9 +198,7 @@ def test_inadmissible_reconstruction_names_its_cell(threads):
     coeffs[:, :, 0] = 1.0
     coeffs[4, 0, 0] = -0.5
     with pytest.raises(PredictorError) as err:
-        build_predictor_tables(
-            noncons_system(), coeffs, dt=0.01, dx=0.1, config=cfg, threads=threads
-        )
+        build_predictor_tables(noncons_system(), coeffs, dt=0.01, dx=0.1, config=cfg)
     details = err.value.details
     np.testing.assert_array_equal(details["cells"], [4, 4])
     np.testing.assert_array_equal(details["tau"], [0.0, 0.0])
@@ -340,30 +337,6 @@ def test_batch_table_matches_single_cell():
         np.testing.assert_allclose(single.trace_right[0], tables.trace_right[c], atol=1e-13)
 
 
-def test_threaded_build_is_deterministic():
-    # The constant-coefficient route is never split; the same law on the
-    # Newton route is split into three chunks.
-    cfg = RunConfig(order=4)
-    rng = np.random.default_rng(9)
-    windows = rng.normal(size=(12, 7, 2))
-    coeffs = weno.reconstruct_batch(windows, cfg.degree)
-    newton = dataclasses.replace(linear_system(), constant_coefficients=False)
-    for system in (linear_system(), newton):
-        a = build_predictor_tables(system, coeffs, dt=0.005, dx=0.05, config=cfg)
-        b = build_predictor_tables(system, coeffs, dt=0.005, dx=0.05, config=cfg, threads=3)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.x_derivative, b.x_derivative)
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_threads_below_one_rejected(threads):
-    coeffs = np.zeros((4, 2, 3))
-    with pytest.raises(ValueError, match="threads"):
-        build_predictor_tables(
-            linear_system(), coeffs, dt=0.01, dx=0.1, config=RunConfig(order=3), threads=threads
-        )
-
-
 def test_table_trace_layout():
     # One trace row per Lobatto node, and the tau = 0 rows reproduce the
     # reconstruction endpoints exactly.
@@ -398,10 +371,9 @@ def test_equilibrium_table_is_constant():
     np.testing.assert_allclose(t.x_derivative, 0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("make", [linear_system, scalar_advection_reaction])
-def test_constant_coefficient_tables_match_newton(make, order, threads):
+def test_constant_coefficient_tables_match_newton(make, order):
     # The operator contraction against Newton on every node of the same law
     # run through the generic series engine. x_derivative is in physical
     # units; dx times it is on the scale of the values.
@@ -411,8 +383,8 @@ def test_constant_coefficient_tables_match_newton(make, order, threads):
     rng = np.random.default_rng(order)
     windows = rng.normal(size=(9, 2 * cfg.degree + 1, system.m))
     coeffs = weno.reconstruct_batch(windows, cfg.degree)
-    got = build_predictor_tables(system, coeffs, dt=0.02, dx=0.05, config=cfg, threads=threads)
-    ref = build_predictor_tables(newton, coeffs, dt=0.02, dx=0.05, config=cfg, threads=threads)
+    got = build_predictor_tables(system, coeffs, dt=0.02, dx=0.05, config=cfg)
+    ref = build_predictor_tables(newton, coeffs, dt=0.02, dx=0.05, config=cfg)
     for name in ("values", "trace_left", "trace_right"):
         np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=0, atol=1e-13)
     np.testing.assert_allclose(
@@ -517,11 +489,10 @@ def test_node_start_and_chord_come_from_one_jet_per_node(make):
     np.testing.assert_allclose(chord, jac, rtol=1e-13, atol=1e-13 * np.abs(jac).max())
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_node_jet_failure_names_its_cell(threads):
+def test_node_jet_failure_names_its_cell():
     # One cell's state overflows its node jets: its points start from w_0
     # with a fresh Jacobian, whose jet fails there with today's message. The
-    # worker threads keep the caller's error state, so no warning escapes.
+    # build keeps the caller's error state, so no warning escapes.
     cfg = RunConfig(order=3)
     coeffs = np.zeros((6, 1, cfg.degree + 1))
     coeffs[:, 0, 0] = 0.2
@@ -529,8 +500,7 @@ def test_node_jet_failure_names_its_cell(threads):
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(PredictorError) as err:
-            build_predictor_tables(leveque_yee(), coeffs, dt=0.001, dx=0.1, config=cfg,
-                                   threads=threads)
+            build_predictor_tables(leveque_yee(), coeffs, dt=0.001, dx=0.1, config=cfg)
     assert str(err.value) == "CK jet failed: non-finite space-time jet coefficients"
     assert set(err.value.details["cells"]) == {3}
     np.testing.assert_array_equal(err.value.details["states"], 1e110)

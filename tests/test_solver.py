@@ -163,17 +163,6 @@ def test_convergence_study_requires_exact_solution():
         convergence_study(system, RunConfig(order=2, t_out=0.1), meshes=[8, 16])
 
 
-def test_threaded_stiff_run_is_bit_identical():
-    # Each predictor thread borrows its own workspace, with the tapes kept
-    # on it, so a threaded run repeats the serial one exactly.
-    cfg = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.1, boundary="transmissive")
-    serial = run(leveque_yee(), Grid(0.0, 1.0, 100), cfg)
-    threaded = run(leveque_yee(), Grid(0.0, 1.0, 100), cfg, threads=2)
-    assert threaded.n_steps == serial.n_steps == 100
-    assert threaded.max_sweeps == serial.max_sweeps
-    np.testing.assert_array_equal(threaded.field.interior, serial.field.interior)
-
-
 @pytest.mark.parametrize(
     "make, n_cells, cfg, n_steps, max_sweeps",
     [
@@ -191,15 +180,6 @@ def test_reference_runs_keep_steps_and_sweeps(make, n_cells, cfg, n_steps, max_s
     assert rep.n_steps == n_steps
     assert 1 <= rep.max_sweeps <= max_sweeps
     assert np.all(np.isfinite(rep.field.interior))
-
-
-def test_threaded_euler_run_is_bit_identical():
-    cfg = RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.01, boundary="periodic")
-    serial = run(euler_ideal_gas(), Grid(0.0, 1.0, 64), cfg)
-    threaded = run(euler_ideal_gas(), Grid(0.0, 1.0, 64), cfg, threads=2)
-    assert threaded.n_steps == serial.n_steps
-    assert threaded.max_sweeps == serial.max_sweeps
-    np.testing.assert_array_equal(threaded.field.interior, serial.field.interior)
 
 
 def _blow_up_cell(monkeypatch, cell, value):

@@ -256,6 +256,10 @@ def test_query_validation():
         ({"order": 3, "tol": -1.0}, "tol"),
         ({"order": 3, "tol": math.inf}, "tol"),
         ({"order": 3, "seed": -1}, "seed must be >= 0, got -1"),
+        ({"order": 3.0}, "order"),
+        ({"order": True}, "order"),
+        ({"order": 3, "n_theta": 8.0}, "n_theta"),
+        ({"order": 3, "n_scenarios": 10.0}, "n_scenarios"),
     ],
 )
 def test_query_rejects_out_of_range_sizes(kwargs, field):
