@@ -8,11 +8,13 @@ times of the update by solving, pointwise, the implicit Taylor system
   D_M = w_M + tau * J_S(D_0) D_M
 
 with w_k the reconstruction derivatives at tau = 0 and G^(k) the
-Cauchy-Kowalewskaya time-derivative functionals. The derivative chain is a
-linear back-substitution once D_0 is frozen (I - tau J is factored once per
-chain); the state equation is advanced by one Newton step per outer sweep.
-All points of a step (every cell, every quadrature node) are solved together
-in batched array arithmetic; converged points drop out of the iteration, so
+Cauchy-Kowalewskaya time-derivative functionals. Given D_0, the derivative
+equations are a linear back-substitution, D_1..D_M = R(D_0) (I - tau J is
+factored once per chain), so the system reduces to the state equation
+H(D_0, R(D_0)) = 0 in D_0 alone. Each outer sweep solves the chain at the
+current D_0 and takes one Newton step on the reduced equation. All points
+of a step (every cell, every quadrature node) are solved together in
+batched array arithmetic; converged points drop out of the iteration, so
 results do not depend on how the batch is partitioned.
 
 The points of one spatial node (an interior node or a trace end of a cell)
@@ -20,17 +22,18 @@ share its reconstruction stack w, so one complex-step CK jet at w serves all
 of them. It gives G^(k)(w) and dG^(k)/dD_0(w): each point starts from the
 explicit Taylor value D_0 = w_0 + sum_k tau^k / k! G^(k)(w), the classical
 ADER-CK predictor, and its first sweep uses the chord
-I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the exact Jacobian of the state
-equation at D = w. Later sweeps refresh the Jacobian on a fixed cadence and
-at points that moved far. A start that is not finite or not admissible, or
-whose first sweep fails, falls back to w_0; a node whose jet fails leaves its
-points a fresh Jacobian on their first sweep.
+I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the Jacobian of the state equation
+at D = w. Later sweeps refresh the Jacobian on a fixed cadence and at points
+that moved far; a refreshed Jacobian is the total derivative
+d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through the chain
+and the CK jet, so Newton converges at a stiff front, where D_1..D_M depend
+strongly on D_0 through J_S(D_0). A start that is not finite or not
+admissible, or whose first sweep fails, falls back to w_0; a node whose jet
+fails leaves its points a fresh Jacobian on their first sweep.
 
 The state equation is written once, here: ``predictor_residual`` and
-``residual_and_jacobian`` contract the CK jets of ``ckjet`` (the time
-derivatives, or those and their derivatives in D_0 by one complex step) with
-one Taylor sum, the same one that gives each node's explicit start and
-chord.
+``residual_and_jacobian`` contract the CK jets of ``ckjet`` with one Taylor
+sum, the same one that gives each node's explicit start and chord.
 
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import ckjet, weno
 from .grid import QuadratureRule, RunConfig, gauss_legendre, gauss_lobatto
-from .systems import SystemDescriptor
+from .systems import SystemDescriptor, complex_step_jacobian
 
 __all__ = [
     "PredictorError",
@@ -64,10 +67,10 @@ __all__ = [
 ]
 
 # Chord cadence: the node's chord (exact at D = w) on the first sweep and a
-# fresh (exact) Jacobian on every fourth sweep after; in between the stored
-# one is reused, because the outer fixed point converges linearly anyway.
-# This is a cost policy: a fresh Jacobian on every sweep costs more time than
-# the sweeps it saves.
+# fresh total derivative on every fourth sweep after; in between the stored
+# one is reused as a chord. This is a cost policy: the smooth laws converge
+# in two sweeps from the node chord, and a fresh Jacobian on their second
+# sweep would cost more time than it saves.
 _JACOBIAN_REFRESH = 4
 _BACKTRACK_LIMIT = 5
 # Newton steps larger than this fraction of the state scale must not increase
@@ -228,6 +231,12 @@ def _point_stacks(d0: np.ndarray, d_rest: np.ndarray) -> np.ndarray:
     return np.concatenate([d0[..., None, :], d_rest], axis=-2)
 
 
+def _state_residual(system, d0, d_rest, tau, w0):
+    """H(D_0) of ``predictor_residual``, at real or complex states."""
+    g = ckjet.ck_time_derivatives(system, _point_stacks(d0, d_rest), np.shape(d_rest)[-2])
+    return d0 - w0 + _taylor_sum(tau, g)
+
+
 def predictor_residual(
     system: SystemDescriptor,
     d0: np.ndarray,
@@ -237,79 +246,95 @@ def predictor_residual(
 ) -> np.ndarray:
     """Residual of the implicit Taylor state equation at elapsed time tau.
 
-    H(D_0) = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
+    H = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
     where w_0 is the reconstructed state at tau = 0 and D_1..D_M are the
-    current spatial derivatives (held frozen during the D_0 update). D_0
+    spatial derivatives given, usually the chain's solution at D_0. D_0
     carries the batch axes that the other inputs broadcast over.
     """
-    d0 = np.asarray(d0, dtype=float)
-    g = ckjet.ck_time_derivatives(system, _point_stacks(d0, d_rest), np.shape(d_rest)[-2])
-    return d0 - w0 + _taylor_sum(tau, g)
+    return _state_residual(system, np.asarray(d0, dtype=float), d_rest, tau, w0)
 
 
 def residual_and_jacobian(
     system: SystemDescriptor,
     d0: np.ndarray,
-    d_rest: np.ndarray,
+    w_rest: np.ndarray,
     tau: np.ndarray,
     w0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual H and its Jacobian with respect to D_0, shapes (..., m), (..., m, m).
+    """Reduced residual and its total derivative in D_0, shapes (..., m), (..., m, m).
 
-    One complex-step jet of the point stacks (``ckjet.ck_state_jacobian``)
-    gives G^(k) and dG^(k)/dD_0; then dH/dD_0 = I + sum_k (-tau)^k / k!
-    dG^(k)/dD_0, exact to rounding.
+    The reduced residual is H(D_0, R(D_0)), with R(D_0) = D_1..D_M the
+    solution of ``solve_derivative_chain`` from the reconstruction
+    derivatives ``w_rest``: the chain ties D_1..D_M to D_0 through J_S(D_0)
+    and A(D_0). The m states D_0 + i h e_j go through the chain and the CK
+    jet in one complex step (``complex_step_jacobian``), so the derivative
+    dH/dD_0 = d/dD_0 H(D_0, R(D_0)) is exact to rounding; the residual is
+    the real part. A failing chain names its points in the batch.
     """
     d0 = np.asarray(d0, dtype=float)
-    g, dg = ckjet.ck_state_jacobian(system, _point_stacks(d0, d_rest))
-    return d0 - w0 + _taylor_sum(tau, g), np.eye(system.m) + _taylor_sum(tau, dg, "ij")
+    order = np.shape(w_rest)[-2]
+
+    def reduced(d0c):
+        try:
+            rest = solve_derivative_chain(system, d0c, w_rest, tau, order)
+        except PredictorError as exc:
+            # The chain names points of the m stepped copies of the batch.
+            bad = np.zeros(d0c.shape[:-1], dtype=bool)
+            bad.flat[exc.details["points"]] = True
+            raise _point_error(str(exc), bad.any(axis=0), tau, d0) from exc
+        return _state_residual(system, d0c, rest, tau, w0)
+
+    with np.errstate(over="ignore"):
+        return complex_step_jacobian(reduced, d0)
 
 
 def solve_derivative_chain(
     system: SystemDescriptor,
-    d0_frozen: np.ndarray,
+    d0: np.ndarray,
     w_rest: np.ndarray,
     tau: np.ndarray,
     order: int,
 ) -> np.ndarray:
-    """Back-substitute the linearized derivative equations for D_1..D_M.
+    """Back-substitute the linearized derivative equations for D_1..D_M at D_0.
 
-    With J = source Jacobian and A = system matrix both evaluated at the
-    frozen D_0, solve (I - tau J) D_M = w_M and then
-    (I - tau J) D_k = w_k - tau A D_{k+1} for k = M-1..1. A singular
-    I - tau J or a non-finite solution raises a PredictorError that names
-    its points (flat indices into the batch).
+    With J = source Jacobian and A = system matrix both evaluated at D_0,
+    solve (I - tau J) D_M = w_M and then (I - tau J) D_k = w_k - tau A D_{k+1}
+    for k = M-1..1. D_0 may be complex: J and A are analytic in it, so a
+    complex step in D_0 passes through the chain. A singular I - tau J or a
+    non-finite solution raises a PredictorError that names its points (flat
+    indices into the batch).
     """
-    d0_frozen = np.asarray(d0_frozen, dtype=float)
+    d0 = np.asarray(d0)
     w_rest = np.asarray(w_rest, dtype=float)
     tau = np.asarray(tau, dtype=float)
     m = system.m
-    batch = d0_frozen.shape[:-1]
-    out = np.empty(batch + (order, m))
+    batch = d0.shape[:-1]
+    out = np.empty(batch + (order, m), dtype=np.result_type(d0, float))
     if order == 0:
         return out
-    amat = system.matrix(d0_frozen)
     what = "derivative chain (I - tau J)"
     if system.source_free:
         # Without source terms I - tau J is the identity.
         def solve(rhs):
             return rhs
     else:
-        lhs = np.eye(m) - tau[..., None, None] * system.source_jacobian(d0_frozen)
+        lhs = np.eye(m) - tau[..., None, None] * system.source_jacobian(d0)
         if m == 1:
             def solve(rhs):
-                return _solve(lhs, rhs, what, tau, d0_frozen)
+                return _solve(lhs, rhs, what, tau, d0)
         else:
             # One factorization serves every derivative level.
             try:
                 inverse = np.linalg.inv(lhs)
             except np.linalg.LinAlgError:
-                raise _singular(lhs, what, tau, d0_frozen) from None
+                raise _singular(lhs, what, tau, d0) from None
 
             def solve(rhs):
                 return np.einsum("...ab,...b->...a", inverse, rhs)
 
     out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
+    if order > 1:
+        amat = system.matrix(d0)
     for k in range(order - 2, -1, -1):
         out[..., k, :] = solve(
             w_rest[..., k, :]
@@ -317,7 +342,7 @@ def solve_derivative_chain(
         )
     if not np.all(np.isfinite(out)):
         bad = ~np.isfinite(out).all(axis=(-2, -1))
-        raise _point_error("non-finite derivative chain solution", bad, tau, d0_frozen)
+        raise _point_error("non-finite derivative chain solution", bad, tau, d0)
     return out
 
 
@@ -345,10 +370,13 @@ def _jet(evaluate, system, d0, rest, tau, w0, points):
     A CK jet that fails (a non-finite coefficient or a zero division) fails
     for its whole batch, but its points are independent: the failing ones
     are found by bisection and raised as a PredictorError under their
-    ``points`` labels.
+    ``points`` labels, as is a PredictorError that ``evaluate`` raises.
     """
     try:
         return evaluate(system, d0, rest, tau, w0)
+    except PredictorError as exc:
+        exc.details["points"] = points[exc.details["points"]]
+        raise
     except _JET_ERRORS as exc:
         bad = _failing_rows(
             lambda rows: evaluate(system, d0[rows], rest[rows], tau[rows], w0[rows]),
@@ -402,7 +430,7 @@ def solve_predictor_points(
     tau: np.ndarray,
     config: RunConfig,
 ) -> tuple[np.ndarray, int]:
-    """Nested fixed point for a flat batch of predictor points.
+    """Newton on the reduced state equation for a flat batch of predictor points.
 
     ``w_nodes`` has shape (N, M+1, m) holding the reconstruction derivatives
     at N spatial nodes; point p sits at node ``node[p]`` and elapsed physical
@@ -413,10 +441,11 @@ def solve_predictor_points(
     One CK jet per node, at the node's stack w, serves all of its points: a
     point starts from the explicit Taylor value w_0 + sum_k tau^k / k! G_k(w),
     and its first sweep uses the chord I + sum_k (-tau)^k / k! dG_k/dD_0(w),
-    the exact Jacobian of the state equation at D = w. A point whose start
-    is not finite or not admissible, or whose first sweep fails from it,
-    starts from w_0 instead; a point whose node has no jet gets a fresh
-    Jacobian on its first sweep.
+    the exact Jacobian of the state equation at D = w. Refreshed Jacobians
+    are the total derivative of the reduced residual (``residual_and_jacobian``).
+    A point whose start is not finite or not admissible, or whose first sweep
+    fails from it, starts from w_0 instead; a point whose node has no jet gets
+    a fresh Jacobian on its first sweep.
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     node = np.asarray(node, dtype=np.intp)
@@ -504,26 +533,29 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
     d0_a = d0[active]
     tau_a = tau[active]
     w0_a = w0[active]
+    w_rest_a = w_rest[active]
     try:
-        rest_a = solve_derivative_chain(system, d0_a, w_rest[active], tau_a, order)
+        rest_a = solve_derivative_chain(system, d0_a, w_rest_a, tau_a, order)
     except PredictorError as exc:
         exc.details["points"] = active[exc.details["points"]]
         raise
 
     def rows(mask):
         # Usually every point takes one path: then the batch goes uncopied.
-        r = slice(None) if mask.all() else np.flatnonzero(mask)
-        return r, (system, d0_a[r], rest_a[r], tau_a[r], w0_a[r], active[r])
+        return slice(None) if mask.all() else np.flatnonzero(mask)
 
-    # Refreshed points take their residual from the jet of their Jacobian.
+    # Refreshed points take their residual from the jet of their Jacobian,
+    # the total derivative through the chain from their data w_1..w_M.
     h = np.empty_like(d0_a)
     refresh = fresh | stale[active]
     if refresh.any():
-        r, args = rows(refresh)
-        h[r], jac_store[active[r]] = _jet(residual_and_jacobian, *args)
+        r = rows(refresh)
+        h[r], jac_store[active[r]] = _jet(
+            residual_and_jacobian, system, d0_a[r], w_rest_a[r], tau_a[r], w0_a[r], active[r]
+        )
     if not refresh.all():
-        r, args = rows(~refresh)
-        h[r] = _jet(predictor_residual, *args)
+        r = rows(~refresh)
+        h[r] = _jet(predictor_residual, system, d0_a[r], rest_a[r], tau_a[r], w0_a[r], active[r])
     jac = jac_store[active]
 
     try:

@@ -6,10 +6,13 @@ form that uses only ring operations: a conservative law gives its flux F(Q)
 add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
 these forms over truncated power series; the vectorised matrix, source and
 source Jacobian used by the predictor and the fluxes are derived from the same
-forms on ndarray components, with Jacobians taken by complex-step
-differentiation. A system that declares ``constant_coefficients`` also gets
-its closed-form CK matrices from the same forms, from which the predictor's
-linear operators and the stability analyzer's explicit rows are built.
+forms on ndarray components. At a real state a Jacobian is taken by
+complex-step differentiation; at a complex state, from first-order truncated
+series of the forms, so ``matrix`` and ``source_jacobian`` are analytic in Q
+and a complex step can pass through them. A system that declares
+``constant_coefficients`` also gets its closed-form CK matrices from the same
+forms, from which the predictor's linear operators and the stability
+analyzer's explicit rows are built.
 Eigenvalues, admissibility and the exact solutions of the manufactured tests
 are given per system.
 """
@@ -21,6 +24,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .series import TruncatedSeries
 
 __all__ = [
     "SystemDescriptor",
@@ -97,15 +102,39 @@ def _repeat(mat: np.ndarray, batch: tuple) -> np.ndarray:
 def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
     """Jacobian of generic ``terms`` at states q (..., m), shape (..., m, m).
 
-    Im term_i / h is divided straight into an array laid out (j,) + batch +
-    (i,), the layout ``complex_step_jacobian`` returns, seen as batch + (i, j).
+    At real states, Im term_i / h is divided straight into an array laid out
+    (j,) + batch + (i,), the layout ``complex_step_jacobian`` returns, seen as
+    batch + (i, j). At complex states, where a complex step would not be
+    analytic, the terms are evaluated on first-order series: in direction j
+    component i is q_i + x [i = j], so the x-coefficient of term_i is
+    d term_i / dq_j. One direction at a time keeps the series at the
+    batch's size.
     """
-    qc = _step_states(q)
     m, nb = q.shape[-1], q.ndim - 1
-    jac = np.empty((m,) + q.shape)
-    for i, term in enumerate(terms(list(qc))):
-        np.divide(np.imag(term), _COMPLEX_STEP, out=jac[..., i])
+    if np.iscomplexobj(q):
+        jac = np.zeros((m,) + q.shape, dtype=q.dtype)
+        for j in range(m):
+            comps = []
+            for i in range(m):
+                c = np.zeros((2, 1) + q.shape[:-1], dtype=q.dtype)
+                c[0, 0] = q[..., i]
+                c[1, 0] = i == j
+                comps.append(TruncatedSeries(c))
+            for i, term in enumerate(terms(comps)):
+                if isinstance(term, TruncatedSeries):
+                    jac[j, ..., i] = term.c[1, 0]
+    else:
+        qc = _step_states(q)
+        jac = np.empty((m,) + q.shape)
+        for i, term in enumerate(terms(list(qc))):
+            np.divide(np.imag(term), _COMPLEX_STEP, out=jac[..., i])
     return jac.transpose(tuple(range(1, nb + 2)) + (0,))
+
+
+def _state_array(q) -> np.ndarray:
+    """States as a float array, or as a complex one if they are complex."""
+    q = np.asarray(q)
+    return q.astype(np.result_type(q, float), copy=False)
 
 
 @dataclass(frozen=True)
@@ -117,7 +146,8 @@ class SystemDescriptor:
     optional. These generic callables take a sequence of m scalar-like
     components (floats, arrays or truncated series) and return lists of
     scalar-likes. The vectorised ``matrix``, ``source`` and
-    ``source_jacobian`` map state arrays (..., m) and are derived from them.
+    ``source_jacobian`` map state arrays (..., m) and are derived from them;
+    at complex states the last two are analytic (see ``_terms_jacobian``).
     ``constant_coefficients`` declares A and dS/dQ independent of Q (a linear
     law): ``matrix`` and ``source_jacobian`` then return their values at
     Q = 0, derived once, and ``closed_ck`` gives its CK matrices.
@@ -145,8 +175,8 @@ class SystemDescriptor:
         return self.source_terms is None
 
     def matrix(self, q: np.ndarray) -> np.ndarray:
-        """Quasi-linear matrix A(Q), shape (..., m, m)."""
-        q = np.asarray(q, dtype=float)
+        """Quasi-linear matrix A(Q), shape (..., m, m); Q may be complex."""
+        q = _state_array(q)
         if self.constant_coefficients:
             return _repeat(self._constant_matrices[0], q.shape[:-1])
         return self._derived_matrix(q)
@@ -165,15 +195,15 @@ class SystemDescriptor:
         return _stack_terms(self.source_terms(_components(q)), q.shape[:-1])
 
     def source_jacobian(self, q: np.ndarray) -> np.ndarray:
-        """Source Jacobian dS/dQ, shape (..., m, m)."""
-        q = np.asarray(q, dtype=float)
+        """Source Jacobian dS/dQ, shape (..., m, m); Q may be complex."""
+        q = _state_array(q)
         if self.constant_coefficients:
             return _repeat(self._constant_matrices[1], q.shape[:-1])
         return self._derived_source_jacobian(q)
 
     def _derived_source_jacobian(self, q: np.ndarray) -> np.ndarray:
         if self.source_terms is None:
-            return np.zeros(q.shape + (self.m,))
+            return np.zeros(q.shape + (self.m,), dtype=q.dtype)
         return _terms_jacobian(self.source_terms, q)
 
     def max_wave_speed(self, states: np.ndarray) -> float:

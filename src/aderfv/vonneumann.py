@@ -106,8 +106,7 @@ class StabilityQuery:
         check_count("n_scenarios", self.n_scenarios, 1)
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
         if self.weight_model not in ("weno-law", "uniform"):
             raise ValueError(f"unknown weight model {self.weight_model!r}")
 

@@ -11,7 +11,7 @@ import pytest
 
 from aderfv import ckjet
 from aderfv.ckjet import ck_time_derivatives
-from aderfv.predictor import predictor_residual, residual_and_jacobian
+from aderfv.predictor import predictor_residual, residual_and_jacobian, solve_derivative_chain
 from aderfv.series import TruncatedSeries, Workspace
 from aderfv.systems import (
     euler_ideal_gas,
@@ -435,22 +435,36 @@ def _closed_form_jacobian(system, tau, order):
     return np.eye(system.m) + np.einsum("pk,kab->pab", coef, system.closed_ck(order)[:, 0])
 
 
-def _central_difference_jacobian(system, d0, d_rest, tau, w0):
-    """Central differences of predictor_residual with step cbrt(eps) (1 + |d0_j|)."""
+def _reduced_residual(system, d0, w_rest, tau, w0):
+    """H(D_0, R(D_0)): predictor_residual at the derivative chain's solution."""
+    rest = solve_derivative_chain(system, d0, w_rest, tau, w_rest.shape[-2])
+    return predictor_residual(system, d0, rest, tau, w0)
+
+
+def _central_difference_jacobian(system, d0, w_rest, tau, w0):
+    """Fourth-order central differences of the reduced residual.
+
+    The step is 1e-5 (1 + |d0_j|). Near a point where I - tau J is singular
+    the chain makes the reduced residual steep and strongly curved, so the
+    oracle is of fourth order with a small step to stay well inside the
+    tolerance there.
+    """
     jac = np.empty(d0.shape + (system.m,))
     for j in range(system.m):
         step = np.zeros_like(d0)
-        step[:, j] = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(d0[:, j]))
-        plus = predictor_residual(system, d0 + step, d_rest, tau, w0)
-        minus = predictor_residual(system, d0 - step, d_rest, tau, w0)
-        jac[:, :, j] = (plus - minus) / (2.0 * step[:, j : j + 1])
+        step[:, j] = 1e-5 * (1.0 + np.abs(d0[:, j]))
+        value = [_reduced_residual(system, d0 + s * step, w_rest, tau, w0) for s in (2, 1, -1, -2)]
+        diff = 8.0 * (value[1] - value[2]) - (value[0] - value[3])
+        jac[:, :, j] = diff / (12.0 * step[:, j : j + 1])
     return jac
 
 
 def test_jacobian_matches_closed_form_and_central_differences():
-    # Linear laws: the complex-step Jacobian equals the closed-form assembly.
-    # Nonlinear laws: it agrees with central differences of the residual.
-    # Either way the residual is predictor_residual's. M = 0 is included.
+    # Linear laws: the chain does not depend on D_0, so the complex-step
+    # Jacobian equals the closed-form assembly. Nonlinear laws: it agrees
+    # with central differences of the reduced residual H(D_0, R(D_0)).
+    # Either way the residual is predictor_residual's at the chain's
+    # solution. M = 0 is included.
     rng = np.random.default_rng(31)
     cases = [  # system, state centre, tau range
         (linear_system(), np.zeros(2), (0.01, 0.3)),
@@ -464,18 +478,18 @@ def test_jacobian_matches_closed_form_and_central_differences():
             m = system.m
             d0 = centre + 0.1 * rng.standard_normal((6, m))
             w0 = d0 + 0.01 * rng.standard_normal((6, m))
-            d_rest = 0.3 * rng.standard_normal((6, order, m))
+            w_rest = 0.3 * rng.standard_normal((6, order, m))
             tau = rng.uniform(*taus, 6)
-            h, jac = residual_and_jacobian(system, d0, d_rest, tau, w0)
+            h, jac = residual_and_jacobian(system, d0, w_rest, tau, w0)
             msg = f"{system.name}, M = {order}"
             np.testing.assert_allclose(
-                h, predictor_residual(system, d0, d_rest, tau, w0),
+                h, _reduced_residual(system, d0, w_rest, tau, w0),
                 rtol=0.0, atol=1e-13, err_msg=msg,
             )
             if system.constant_coefficients:
                 oracle, tol = _closed_form_jacobian(system, tau, order), 1e-13
             else:
-                oracle = _central_difference_jacobian(system, d0, d_rest, tau, w0)
+                oracle = _central_difference_jacobian(system, d0, w_rest, tau, w0)
                 tol = 1e-6
             np.testing.assert_allclose(jac, oracle, rtol=0.0, atol=tol, err_msg=msg)
 
@@ -491,3 +505,43 @@ def test_predictor_residual_formula():
     g = ck_time_derivatives(system, d, 3)
     ref = d[0] - w0 + sum((-tau) ** k / math.factorial(k) * g[k - 1] for k in range(1, 4))
     np.testing.assert_allclose(h, ref, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "make, order, centre, slope, taus",
+    [
+        # beta = -1000, tau beta down to -3, and front slopes: a unit jump
+        # over a few cells of width 0.01.
+        (leveque_yee, 2, [0.6], 30.0, [1e-4, 1e-3, 3e-3]),
+        (leveque_yee, 3, [0.6], 30.0, [1e-4, 1e-3, 3e-3]),
+        (noncons_system, 5, [1.0, 1.0], 0.3, [1e-3, 0.01, 0.05]),
+        (euler_ideal_gas, 5, [1.0, 0.5, 2.5], 0.3, [1e-3, 0.01, 0.05]),
+    ],
+)
+def test_jacobian_is_the_total_derivative_of_the_reduced_residual(make, order, centre, slope,
+                                                                 taus):
+    # dH/dD_0 follows D_1..D_M through the chain: it matches central
+    # differences of D_0 -> H(D_0, R(D_0)) to 1e-6 relative, and at the
+    # stiff front it differs from the Jacobian with D_1..D_M held.
+    system = make()
+    m, degree = system.m, order - 1
+    rng = np.random.default_rng(order + m)
+    n = 4
+    for tau in taus:
+        d0 = np.asarray(centre) + 0.1 * rng.standard_normal((n, m))
+        w0 = d0 + 0.01 * rng.standard_normal((n, m))
+        w_rest = slope * rng.standard_normal((n, degree, m))
+        tau_p = np.full(n, tau)
+        h, jac = residual_and_jacobian(system, d0, w_rest, tau_p, w0)
+        oracle = _central_difference_jacobian(system, d0, w_rest, tau_p, w0)
+        msg = f"{system.name}, order {order}, tau {tau}"
+        np.testing.assert_allclose(jac, oracle, rtol=1e-6, atol=1e-6 * np.abs(oracle).max(),
+                                   err_msg=msg)
+        if system.name == "stiff-bistable-advection" and tau >= 1e-3:
+            rest = solve_derivative_chain(system, d0, w_rest, tau_p, degree)
+            _, dg = ckjet.ck_state_jacobian(system, np.concatenate([d0[:, None], rest], 1))
+            coef = (-tau) ** np.arange(1, degree + 1) / np.array(
+                [math.factorial(k) for k in range(1, degree + 1)]
+            )
+            held = 1.0 + np.einsum("k,pkab->pab", coef, dg)
+            assert np.abs(jac - held).max() > 0.01 * np.abs(jac).max(), msg

@@ -177,7 +177,7 @@ def test_non_finite_run_setting_exits_one(capsys):
         (["--c-min", "0.9", "--c-max", "0.1"], "--c-min"),
         (["--r-min", "0", "--r-max", "-1"], "--r-min"),
         (["--c-max", "nan"], "--c-max"),
-        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ],
 )
 def test_bad_stability_query_exits_one(flags, field, capsys):

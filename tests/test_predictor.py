@@ -276,6 +276,35 @@ def test_singular_chain_names_its_points(make):
     np.testing.assert_array_equal(err.details["states"], w[[2], 0])
 
 
+def test_failing_complex_chain_names_its_points(monkeypatch):
+    # The total derivative runs the chain on the m stepped copies of the
+    # batch; a failure there is named by its point in the whole batch. Every
+    # node jet fails here, so all points refresh on their first sweep.
+    system = noncons_system()
+    exact_chain = predictor.solve_derivative_chain
+
+    def chain(sys_, d0, w_rest, tau, order):
+        if np.iscomplexobj(d0):
+            bad = np.zeros(d0.shape[:-1], dtype=bool)
+            bad[1, 1] = True  # direction 1 of the second active point
+            raise predictor._point_error("non-finite derivative chain solution", bad, tau, d0)
+        return exact_chain(sys_, d0, w_rest, tau, order)
+
+    def failing_jet(sys_, stacks):
+        raise FloatingPointError("non-finite space-time jet coefficients")
+
+    monkeypatch.setattr(predictor, "solve_derivative_chain", chain)
+    monkeypatch.setattr(ckjet, "ck_state_jacobian", failing_jet)
+    w = np.zeros((4, 3, 2))
+    w[:, 0] = [[1.0, 1.0], [1.1, 0.9], [1.2, 1.0], [0.9, 1.1]]
+    w[:, 1] = 0.1
+    err = _newton_failure(system, w, [0.0, 0.01, 0.02, 0.03], 3)
+    assert str(err) == "non-finite derivative chain solution"
+    np.testing.assert_array_equal(err.details["points"], [2])
+    np.testing.assert_array_equal(err.details["tau"], [0.02])
+    np.testing.assert_array_equal(err.details["states"], w[[2], 0])
+
+
 def _patched_jacobian(monkeypatch, value):
     """Newton sweeps whose Jacobian at point 1 is ``value``: the first sweep's
     chord and every fresh Jacobian."""
@@ -467,7 +496,8 @@ def test_predictor_operators_reject_nonlinear_laws():
 @pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system, leveque_yee])
 def test_node_start_and_chord_come_from_one_jet_per_node(make):
     # Every point of a node starts from w_0 + sum_k tau^k / k! G_k(w), and its
-    # first sweep's chord is the state equation's Jacobian at D = w.
+    # first sweep's chord is the state equation's Jacobian at D = w, with
+    # D_1..D_M held at w_1..w_M, taken here point by point.
     system = make()
     rng = np.random.default_rng(5)
     order = 4
@@ -485,7 +515,9 @@ def test_node_start_and_chord_come_from_one_jet_per_node(make):
     fact = np.array([math.factorial(k) for k in range(1, order + 1)])
     expected = w[:, 0] + np.einsum("pk,pkm->pm", tau[:, None] ** np.arange(1, order + 1) / fact, g)
     np.testing.assert_allclose(start, expected, rtol=1e-13, atol=0)
-    _, jac = residual_and_jacobian(system, w[:, 0], w[:, 1:], tau, w[:, 0])
+    _, dg = ckjet.ck_state_jacobian(system, w)
+    coef = (-tau[:, None]) ** np.arange(1, order + 1) / fact
+    jac = np.eye(system.m) + np.einsum("pk,pkab->pab", coef, dg)
     np.testing.assert_allclose(chord, jac, rtol=1e-13, atol=1e-13 * np.abs(jac).max())
 
 

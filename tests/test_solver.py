@@ -169,13 +169,18 @@ def test_convergence_study_requires_exact_solution():
         (euler_ideal_gas, 64,
          RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.05, boundary="periodic"), 92, 2),
         (noncons_system, 64,
-         RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic"), 65, 3),
+         RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic"), 65, 2),
         (leveque_yee, 100,
-         RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive"), 300, 13),
+         RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive"), 300, 7),
+        (lambda: leveque_yee(beta=-2000.0), 100,
+         RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive"), 300, 11),
     ],
-    ids=["euler5x64", "noncons5x64", "leveque-yee3x100"],
+    ids=["euler5x64", "noncons5x64", "leveque-yee3x100", "leveque-yee3x100-beta2000"],
 )
 def test_reference_runs_keep_steps_and_sweeps(make, n_cells, cfg, n_steps, max_sweeps):
+    # The refreshed Jacobians are the total derivative through the derivative
+    # chain, so the stiff front converges in a few sweeps: 7 at beta = -1000
+    # and 11 at beta = -2000, against 12 and 33 with D_1..D_M held.
     rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
     assert rep.n_steps == n_steps
     assert 1 <= rep.max_sweeps <= max_sweeps

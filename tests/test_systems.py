@@ -278,3 +278,49 @@ def test_constant_coefficient_matrices_derived_once(factory, monkeypatch):
         assert mats.flags.writeable and jac.flags.writeable
         mats[...] = jac[...] = 0.0
     assert len(calls) == 2  # A and dS/dQ, once each
+
+
+def _complex_step_terms(terms, q):
+    """Jacobian of ``terms`` at real states q by ``complex_step_jacobian``."""
+    def f(qc):
+        values = terms([qc[..., i] for i in range(qc.shape[-1])])
+        return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+    return systems.complex_step_jacobian(f, q)[1]
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_real_state_jacobians_are_the_complex_step(factory):
+    # At real states A (of a conservative law) and dS/dQ are one complex step
+    # of the law's terms, bit for bit; the analytic path is for complex states.
+    system = dataclasses.replace(factory(), constant_coefficients=False)
+    states = _random_states(system, np.random.default_rng(11), 40)[:30].reshape(5, 6, -1)
+    if system.flux_terms is not None:
+        np.testing.assert_array_equal(
+            system.matrix(states), _complex_step_terms(system.flux_terms, states)
+        )
+    if system.source_terms is not None:
+        np.testing.assert_array_equal(
+            system.source_jacobian(states), _complex_step_terms(system.source_terms, states)
+        )
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_jacobians_are_analytic_at_complex_states(factory):
+    # At Q + i h e_j the real parts are A(Q) and dS/dQ(Q), and the imaginary
+    # parts over h are their derivatives in Q_j: central differences of the
+    # real Jacobians agree.
+    system = dataclasses.replace(factory(), constant_coefficients=False)
+    states = _random_states(system, np.random.default_rng(12), 20)[:12]
+    h, delta = 1e-20, 1e-6
+    for form in (system.matrix, system.source_jacobian):
+        for j in range(system.m):
+            step = np.zeros(system.m)
+            step[j] = 1.0
+            stepped = form(states + 1j * h * step)
+            assert np.iscomplexobj(stepped)
+            np.testing.assert_allclose(stepped.real, form(states), rtol=1e-14, atol=1e-14)
+            dq = delta * (1.0 + np.abs(states[:, j]))[:, None, None]
+            fd = (form(states + dq[..., 0] * step) - form(states - dq[..., 0] * step)) / (2 * dq)
+            scale = 1.0 + np.abs(fd).max()
+            np.testing.assert_allclose(stepped.imag / h, fd, rtol=0, atol=1e-7 * scale)
