@@ -136,7 +136,7 @@ def cmd_converge(args) -> int:
     meshes = [int(v) for v in args.meshes.split(",")] if args.meshes else list(DEFAULT_MESHES)
     # Rejected input must leave no output behind, not even the header row.
     configs = [replace(config, order=order) for order in orders]
-    check_convergence_inputs(system, meshes, args.variable)
+    check_convergence_inputs(system, configs, meshes, args.variable)
 
     with _open_output(args.out) as fh:
         writer = csv.writer(fh)

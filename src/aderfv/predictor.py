@@ -23,13 +23,15 @@ of them. It gives G^(k)(w) and dG^(k)/dD_0(w): each point starts from the
 explicit Taylor value D_0 = w_0 + sum_k tau^k / k! G^(k)(w), the classical
 ADER-CK predictor, and its first sweep uses the chord
 I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the Jacobian of the state equation
-at D = w. Later sweeps refresh the Jacobian on a fixed cadence and at points
-that moved far; a refreshed Jacobian is the total derivative
-d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through the chain
-and the CK jet, so Newton converges at a stiff front, where D_1..D_M depend
-strongly on D_0 through J_S(D_0). A start that is not finite or not
-admissible, or whose first sweep fails, falls back to w_0; a node whose jet
-fails leaves its points a fresh Jacobian on their first sweep.
+at D = w. A point refreshes its Jacobian on the sweep after a Newton step
+larger than sqrt(fp_tol) of its state scale, and reuses the stored one as a
+chord otherwise, so a point that starts inside Newton's quadratic range never
+pays for one (Kelley 1995, ch. 5). A refreshed Jacobian is the total
+derivative d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through
+the chain and the CK jet, so Newton converges at a stiff front, where
+D_1..D_M depend strongly on D_0 through J_S(D_0). A start that is not finite
+or not admissible, or whose first sweep fails, falls back to w_0; a node
+whose jet fails leaves its points a fresh Jacobian on their first sweep.
 
 The state equation is written once, here: ``predictor_residual`` and
 ``residual_and_jacobian`` contract the CK jets of ``ckjet`` with one Taylor
@@ -66,12 +68,8 @@ __all__ = [
     "build_predictor_tables",
 ]
 
-# Chord cadence: the node's chord (exact at D = w) on the first sweep and a
-# fresh total derivative on every fourth sweep after; in between the stored
-# one is reused as a chord. This is a cost policy: the smooth laws converge
-# in two sweeps from the node chord, and a fresh Jacobian on their second
-# sweep would cost more time than it saves.
-_JACOBIAN_REFRESH = 4
+# Halvings of one Newton step before it is taken as it stands (or, for an
+# inadmissible state, rejected).
 _BACKTRACK_LIMIT = 5
 # Newton steps larger than this fraction of the state scale must not increase
 # the residual; smaller steps skip the descent check entirely.
@@ -441,11 +439,13 @@ def solve_predictor_points(
     One CK jet per node, at the node's stack w, serves all of its points: a
     point starts from the explicit Taylor value w_0 + sum_k tau^k / k! G_k(w),
     and its first sweep uses the chord I + sum_k (-tau)^k / k! dG_k/dD_0(w),
-    the exact Jacobian of the state equation at D = w. Refreshed Jacobians
-    are the total derivative of the reduced residual (``residual_and_jacobian``).
-    A point whose start is not finite or not admissible, or whose first sweep
-    fails from it, starts from w_0 instead; a point whose node has no jet gets
-    a fresh Jacobian on its first sweep.
+    the exact Jacobian of the state equation at D = w. A point takes the
+    total derivative of the reduced residual (``residual_and_jacobian``) on
+    the sweep after a step larger than sqrt(fp_tol) of its state scale, and
+    reuses its stored Jacobian otherwise. A point whose start is not finite
+    or not admissible, or whose first sweep fails from it, starts from w_0
+    instead; a point whose node has no jet gets a fresh Jacobian on its
+    first sweep.
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     node = np.asarray(node, dtype=np.intp)
@@ -459,10 +459,8 @@ def solve_predictor_points(
     w_rest = w[:, 1:]
 
     jac_store = np.empty((nb, m, m))
-    # Points whose last step was large sit outside the chord Jacobian's
-    # validity (the source Jacobian can change sign across a reaction front),
-    # so they get a fresh Jacobian on the next sweep.
-    stale = np.zeros(nb, dtype=bool)
+    # Points that take the total derivative on their next sweep.
+    refresh = np.zeros(nb, dtype=bool)
     # Points that start from the explicit Taylor value rather than from w_0.
     explicit = np.zeros(nb, dtype=bool)
     # At tau = 0 the state equation reads D = w exactly: those points keep
@@ -485,7 +483,7 @@ def solve_predictor_points(
             ok[ok] = system.admissible(guess[ok])
         d0[active[ok]] = guess[ok]
         explicit[active[ok]] = True
-        stale[active] = ~has_jet
+        refresh[active] = ~has_jet
     sweeps = 0
 
     while active.size:
@@ -495,10 +493,9 @@ def solve_predictor_points(
                 "predictor fixed point did not converge",
                 details={"points": active, "tau": tau[active], "states": d0[active]},
             )
-        fresh = sweeps > 1 and (sweeps - 1) % _JACOBIAN_REFRESH == 0
         try:
             d0_new, rest_a, step = _sweep(
-                system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh
+                system, active, d0, w0, w_rest, tau, order, jac_store, refresh[active]
             )
         except PredictorError as exc:
             # The first sweep of an explicit start can fail where w_0 would
@@ -514,7 +511,9 @@ def solve_predictor_points(
 
         scale = 1.0 + np.max(np.abs(d0_new), axis=-1)
         done = step <= config.fp_tol * scale
-        stale[active] = step > _DESCENT_GATE * scale
+        # A step that large means the point was outside the quadratic range
+        # of its Jacobian, which then no longer serves as a chord.
+        refresh[active] = step > np.sqrt(config.fp_tol) * scale
         d0[active] = d0_new
         d_rest[active] = rest_a
         active = active[~done]
@@ -522,13 +521,14 @@ def solve_predictor_points(
     return np.concatenate([d0[:, None, :], d_rest], axis=1), sweeps
 
 
-def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
+def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, refresh):
     """One outer sweep over the ``active`` points: chain, then one guarded Newton step.
 
-    The Jacobians come from ``jac_store``, refreshed for every point when
-    ``fresh`` holds and for ``stale`` points otherwise. Returns the new
-    states, the chain solutions and each point's step size; a failure raises
-    a PredictorError under the points' indices in the whole batch.
+    An active point where ``refresh`` holds stores the total derivative of
+    the reduced residual in ``jac_store``; the others reuse their stored
+    Jacobian. Returns the new states, the chain solutions and each point's
+    step size; a failure raises a PredictorError under the points' indices
+    in the whole batch.
     """
     d0_a = d0[active]
     tau_a = tau[active]
@@ -547,7 +547,6 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
     # Refreshed points take their residual from the jet of their Jacobian,
     # the total derivative through the chain from their data w_1..w_M.
     h = np.empty_like(d0_a)
-    refresh = fresh | stale[active]
     if refresh.any():
         r = rows(refresh)
         h[r], jac_store[active[r]] = _jet(
@@ -564,24 +563,6 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
         exc.details["points"] = active[exc.details["points"]]
         raise
     d0_new = d0_a - delta
-    if system.admissible is not None:
-        for _ in range(_BACKTRACK_LIMIT):
-            bad = ~system.admissible(d0_new)
-            if not np.any(bad):
-                break
-            delta = np.where(bad[:, None], 0.5 * delta, delta)
-            d0_new = d0_a - delta
-        else:
-            bad = ~system.admissible(d0_new)
-            if np.any(bad):
-                raise PredictorError(
-                    "inadmissible predictor state after step halving",
-                    details={
-                        "points": active[bad],
-                        "tau": tau_a[bad],
-                        "states": d0_new[bad],
-                    },
-                )
     if not np.all(np.isfinite(d0_new)):
         bad = ~np.isfinite(d0_new).all(axis=-1)
         raise PredictorError(
@@ -589,32 +570,42 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, stale, fresh):
             details={"points": active[bad], "tau": tau_a[bad], "states": d0_a[bad]},
         )
 
-    # Descent safeguard: a large Newton step must not increase the
-    # residual, or the iteration can bounce between basins of a
-    # non-monotone source (e.g. at a reaction front whose state sits near
-    # an unstable equilibrium). Halve offending steps a bounded number of
-    # times; small steps are in the locally convergent regime and skip
-    # the extra residual evaluation.
-    big = np.flatnonzero(
-        np.max(np.abs(delta), axis=-1)
-        > _DESCENT_GATE * (1.0 + np.max(np.abs(d0_a), axis=-1))
-    )
-    if big.size:
-        h_ref = np.max(np.abs(h[big]), axis=-1)
-        for _ in range(_BACKTRACK_LIMIT):
+    # Backtracking: a step is halved while its state is inadmissible. A
+    # large step is also halved while its residual is non-finite or larger
+    # than before, or the iteration can bounce between basins of a
+    # non-monotone source (e.g. at a reaction front whose state sits near an
+    # unstable equilibrium); small steps are in the locally convergent
+    # regime and skip that residual. No residual is taken at an inadmissible
+    # state, and a step still inadmissible after the last halving fails.
+    scale = 1.0 + np.max(np.abs(d0_a), axis=-1)
+    big = np.max(np.abs(delta), axis=-1) > _DESCENT_GATE * scale
+    h_ref = np.max(np.abs(h), axis=-1)
+    trial = np.flatnonzero(big) if system.admissible is None else np.arange(len(d0_a))
+    for halvings in range(_BACKTRACK_LIMIT + 1):
+        if not trial.size:
+            break
+        halve = np.zeros(trial.size, dtype=bool)
+        if system.admissible is not None:
+            halve = ~system.admissible(d0_new[trial])
+        if halvings == _BACKTRACK_LIMIT:
+            if halve.any():
+                bad = trial[halve]
+                raise PredictorError(
+                    "inadmissible predictor state after step halving",
+                    details={"points": active[bad], "tau": tau_a[bad], "states": d0_new[bad]},
+                )
+            break
+        descend = big[trial] & ~halve
+        if descend.any():
+            p = trial[descend]
             h_try = _jet(
-                predictor_residual, system, d0_new[big], rest_a[big], tau_a[big],
-                w0_a[big], active[big],
+                predictor_residual, system, d0_new[p], rest_a[p], tau_a[p], w0_a[p], active[p]
             )
             h_try = np.max(np.abs(h_try), axis=-1)
-            worse = ~np.isfinite(h_try) | (h_try > h_ref)
-            if system.admissible is not None:
-                worse |= ~system.admissible(d0_new[big])
-            if not np.any(worse):
-                break
-            sub = big[worse]
-            delta[sub] *= 0.5
-            d0_new[sub] = d0_a[sub] - delta[sub]
+            halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
+        trial = trial[halve]
+        delta[trial] *= 0.5
+        d0_new[trial] = d0_a[trial] - delta[trial]
 
     return d0_new, rest_a, np.max(np.abs(d0_new - d0_a), axis=-1)
 

@@ -23,6 +23,7 @@ from .grid import (
     Grid,
     RunConfig,
     apply_boundary,
+    check_count,
     error_norms,
     observed_order,
 )
@@ -230,16 +231,26 @@ def run(
 
 
 def check_convergence_inputs(
-    system: SystemDescriptor, meshes: list[int], variable: int
+    system: SystemDescriptor, configs: list[RunConfig], meshes: list[int], variable: int
 ) -> None:
-    """Raise ValueError, naming the input, unless a convergence study can run."""
+    """Raise ValueError, naming the input, unless a convergence study can run.
+
+    Every mesh is a positive integer cell count; a periodic run needs at
+    least ``order`` cells, the width of its ghost layer.
+    """
     if system.exact_solution is None:
         raise ValueError(f"system {system.name!r} has no exact solution to compare to")
     if not 0 <= variable < system.m:
         raise ValueError(f"variable must be in 0..{system.m - 1}, got {variable}")
-    bad = [n for n in meshes if int(n) < 1]
-    if bad:
-        raise ValueError(f"meshes must be positive cell counts, got {bad[0]}")
+    for n_cells in meshes:
+        check_count("meshes", n_cells, 1)
+    fewest = max((c.order for c in configs if c.boundary == "periodic"), default=1)
+    small = [n for n in meshes if n < fewest]
+    if small:
+        raise ValueError(
+            f"meshes must have at least {fewest} cells for a periodic run "
+            f"at order {fewest}, got {small[0]}"
+        )
 
 
 def convergence_study(
@@ -251,7 +262,7 @@ def convergence_study(
     variable: int = 0,
 ) -> list[ConvergenceRow]:
     """Error norms and observed orders of one tracked variable over a mesh family."""
-    check_convergence_inputs(system, meshes, variable)
+    check_convergence_inputs(system, [config], meshes, variable)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n_cells in meshes:

@@ -202,6 +202,7 @@ def test_converge_rejects_out_of_range_variable(variable, tmp_path, capsys):
     (["--orders", "2,7"], "order"),
     (["--meshes", "8,0"], "meshes"),
     (["--preset", "leveque-yee"], "exact solution"),
+    (["--orders", "3", "--meshes", "8,2"], "meshes"),
 ])
 def test_rejected_converge_writes_nothing(flags, name, tmp_path, capsys):
     # Inputs are checked before the output is opened: no file, no header row.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aderfv.grid import CellField, Grid, RunConfig, error_norms, exact_cell_averages
-from aderfv import solver
+from aderfv import predictor, solver
 from aderfv.solver import (
     StepError,
     compute_dt,
@@ -163,28 +163,58 @@ def test_convergence_study_requires_exact_solution():
         convergence_study(system, RunConfig(order=2, t_out=0.1), meshes=[8, 16])
 
 
+@pytest.mark.parametrize("meshes", [[8.9], [True], [8, 0], [8, 2]])
+def test_convergence_study_rejects_bad_meshes(meshes):
+    # A mesh is an integer cell count, and a periodic run at order 3 needs
+    # three cells for its ghost layer; the check comes before any run.
+    cfg = RunConfig(order=3, t_out=0.1, boundary="periodic")
+    with pytest.raises(ValueError, match="meshes"):
+        convergence_study(linear_system(), cfg, meshes=meshes)
+
+
+_SMOOTH_RUNS = {
+    "euler5x64": (euler_ideal_gas, 64,
+                  RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.05, boundary="periodic")),
+    "noncons5x64": (noncons_system, 64,
+                    RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic")),
+}
+_STIFF_FRONT = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive")
+
+
 @pytest.mark.parametrize(
     "make, n_cells, cfg, n_steps, max_sweeps",
     [
-        (euler_ideal_gas, 64,
-         RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.05, boundary="periodic"), 92, 2),
-        (noncons_system, 64,
-         RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic"), 65, 2),
-        (leveque_yee, 100,
-         RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive"), 300, 7),
-        (lambda: leveque_yee(beta=-2000.0), 100,
-         RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive"), 300, 11),
+        (*_SMOOTH_RUNS["euler5x64"], 92, 2),
+        (*_SMOOTH_RUNS["noncons5x64"], 65, 2),
+        (leveque_yee, 100, _STIFF_FRONT, 300, 7),
+        (lambda: leveque_yee(beta=-2000.0), 100, _STIFF_FRONT, 300, 8),
+        (lambda: leveque_yee(beta=-3000.0), 100, _STIFF_FRONT, 300, 12),
     ],
-    ids=["euler5x64", "noncons5x64", "leveque-yee3x100", "leveque-yee3x100-beta2000"],
+    ids=["euler5x64", "noncons5x64", "leveque-yee3x100", "leveque-yee3x100-beta2000",
+         "leveque-yee3x100-beta3000"],
 )
 def test_reference_runs_keep_steps_and_sweeps(make, n_cells, cfg, n_steps, max_sweeps):
     # The refreshed Jacobians are the total derivative through the derivative
-    # chain, so the stiff front converges in a few sweeps: 7 at beta = -1000
-    # and 11 at beta = -2000, against 12 and 33 with D_1..D_M held.
+    # chain, taken after every step larger than sqrt(fp_tol), so the stiff
+    # front converges in a few sweeps: 7, 8 and 12 at beta = -1000, -2000
+    # and -3000, against 12, 33 and an abort with D_1..D_M held.
     rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
     assert rep.n_steps == n_steps
     assert 1 <= rep.max_sweeps <= max_sweeps
     assert np.all(np.isfinite(rep.field.interior))
+
+
+@pytest.mark.parametrize("name", list(_SMOOTH_RUNS))
+def test_smooth_reference_runs_take_no_total_derivative(name, monkeypatch):
+    # Every Newton step of a smooth run stays far inside the node chord's
+    # quadratic range (below 1e-8 of the state scale on the first sweep),
+    # so no point refreshes its Jacobian.
+    calls = []
+    exact = predictor.residual_and_jacobian
+    monkeypatch.setattr(predictor, "residual_and_jacobian", lambda *a: calls.append(1) or exact(*a))
+    make, n_cells, cfg = _SMOOTH_RUNS[name]
+    run(make(), Grid(0.0, 1.0, n_cells), cfg)
+    assert not calls
 
 
 def _blow_up_cell(monkeypatch, cell, value):
