@@ -130,10 +130,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of the comma list ``text`` given to --{flag}."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--{flag} must be a comma list of integers, got {text!r}") from None
+
+
 def cmd_converge(args) -> int:
     system, config, _ = _resolve(args)
-    orders = [int(v) for v in args.orders.split(",")] if args.orders else [config.order]
-    meshes = [int(v) for v in args.meshes.split(",")] if args.meshes else list(DEFAULT_MESHES)
+    orders = _int_list("orders", args.orders) if args.orders else [config.order]
+    meshes = _int_list("meshes", args.meshes) if args.meshes else list(DEFAULT_MESHES)
     # Rejected input must leave no output behind, not even the header row.
     configs = [replace(config, order=order) for order in orders]
     check_convergence_inputs(system, configs, meshes, args.variable)

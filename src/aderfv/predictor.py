@@ -12,30 +12,36 @@ Cauchy-Kowalewskaya time-derivative functionals. Given D_0, the derivative
 equations are a linear back-substitution, D_1..D_M = R(D_0) (I - tau J is
 factored once per chain), so the system reduces to the state equation
 H(D_0, R(D_0)) = 0 in D_0 alone. Each outer sweep solves the chain at the
-current D_0 and takes one Newton step on the reduced equation. All points
-of a step (every cell, every quadrature node) are solved together in
-batched array arithmetic; converged points drop out of the iteration, so
-results do not depend on how the batch is partitioned.
+current D_0 and takes one Newton step on the reduced equation.
 
-The points of one spatial node (an interior node or a trace end of a cell)
-share its reconstruction stack w, so one complex-step CK jet at w serves all
-of them. It gives G^(k)(w) and dG^(k)/dD_0(w): each point starts from the
-explicit Taylor value D_0 = w_0 + sum_k tau^k / k! G^(k)(w), the classical
-ADER-CK predictor, and its first sweep uses the chord
-I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the Jacobian of the state equation
-at D = w. A point refreshes its Jacobian on the sweep after a Newton step
-larger than sqrt(fp_tol) of its state scale, and reuses the stored one as a
-chord otherwise, so a point that starts inside Newton's quadratic range never
-pays for one (Kelley 1995, ch. 5). A refreshed Jacobian is the total
-derivative d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through
-the chain and the CK jet, so Newton converges at a stiff front, where
-D_1..D_M depend strongly on D_0 through J_S(D_0). A start that is not finite
-or not admissible, or whose first sweep fails, falls back to w_0; a node
-whose jet fails leaves its points a fresh Jacobian on their first sweep.
+The points of a step are a product of each cell's spatial nodes and the
+step's quadrature times. They come in node blocks, the interior nodes at the
+tau-rule times and the two trace ends at the trace-rule times, and a block's
+points are laid out (cells, T, nodes) as the tables are. The points at
+tau > 0 are solved together in batched array arithmetic, read in place
+while every point is active; converged points drop out of the iteration,
+so results do not depend on how the batch is partitioned.
+
+The points of one spatial node share its reconstruction stack w, so one
+complex-step CK jet at w, taken in one call over the nodes of every block,
+serves all of them. It gives G^(k)(w) and dG^(k)/dD_0(w), and one (T, M)
+Taylor contraction per block gives each point its explicit start
+D_0 = w_0 + sum_k tau^k / k! G^(k)(w), the classical ADER-CK predictor, and
+its first sweep's chord I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the Jacobian
+of the state equation at D = w. A point refreshes its Jacobian on the sweep
+after a Newton step larger than sqrt(fp_tol) of its state scale, and reuses
+the stored one as a chord otherwise, so a point that starts inside Newton's
+quadratic range never pays for one (Kelley 1995, ch. 5). A refreshed
+Jacobian is the total derivative d/dD_0 H(D_0, R(D_0)), taken by one complex
+step in D_0 through the chain and the CK jet, so Newton converges at a stiff
+front, where D_1..D_M depend strongly on D_0 through J_S(D_0). A start that
+is not finite or not admissible, or whose first sweep fails, falls back to
+w_0; a node whose jet fails leaves its points a fresh Jacobian on their
+first sweep. A failure names its points, their cells, times and states.
 
 The state equation is written once, here: ``predictor_residual`` and
-``residual_and_jacobian`` contract the CK jets of ``ckjet`` with one Taylor
-sum, the same one that gives each node's explicit start and chord.
+``residual_and_jacobian`` contract the CK jets of ``ckjet`` with the Taylor
+coefficients (-tau)^k / k! that also give the starts and chords.
 
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
@@ -46,6 +52,7 @@ operators.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,18 +218,6 @@ def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _taylor_sum(tau: np.ndarray, terms: np.ndarray, term: str = "i") -> np.ndarray:
-    """sum_{k=1}^{M} (-tau)^k / k! * T_k, with T_k = terms[..., k-1, <term>].
-
-    ``term`` names the axes of one T_k: "i" for a state, terms (..., M, m),
-    or "ij" for a matrix, terms (..., M, m, m); tau broadcasts over the
-    leading axes. This one contraction gives the state equation's residual
-    and Jacobian, and the explicit start and chord of a node.
-    """
-    coef = _taylor_coefficients(tau, terms.shape[-1 - len(term)])
-    return np.einsum(f"...k,...k{term}->...{term}", coef, terms)
-
-
 def _point_stacks(d0: np.ndarray, d_rest: np.ndarray) -> np.ndarray:
     """Stacks (D_0, D_1..D_M) of shape d0.shape[:-1] + (M+1, m)."""
     d_rest = np.broadcast_to(d_rest, d0.shape[:-1] + np.shape(d_rest)[-2:])
@@ -231,8 +226,9 @@ def _point_stacks(d0: np.ndarray, d_rest: np.ndarray) -> np.ndarray:
 
 def _state_residual(system, d0, d_rest, tau, w0):
     """H(D_0) of ``predictor_residual``, at real or complex states."""
-    g = ckjet.ck_time_derivatives(system, _point_stacks(d0, d_rest), np.shape(d_rest)[-2])
-    return d0 - w0 + _taylor_sum(tau, g)
+    order = np.shape(d_rest)[-2]
+    g = ckjet.ck_time_derivatives(system, _point_stacks(d0, d_rest), order)
+    return d0 - w0 + np.einsum("...k,...ki->...i", _taylor_coefficients(tau, order), g)
 
 
 def predictor_residual(
@@ -362,44 +358,60 @@ def _failing_rows(evaluate, rows: np.ndarray) -> np.ndarray:
     return rows[:0]
 
 
-def _jet(evaluate, system, d0, rest, tau, w0, points):
-    """``evaluate(system, d0, rest, tau, w0)``, a residual or a residual and Jacobian.
+def _jet(evaluate, system, rows, d0, rest, tau, w0):
+    """``evaluate(system, d0, rest, tau, w0)`` on ``rows`` of a batch.
 
-    A CK jet that fails (a non-finite coefficient or a zero division) fails
-    for its whole batch, but its points are independent: the failing ones
-    are found by bisection and raised as a PredictorError under their
-    ``points`` labels, as is a PredictorError that ``evaluate`` raises.
+    ``evaluate`` gives a residual, or a residual and Jacobian. A CK jet that
+    fails (a non-finite coefficient or a zero division) fails for its whole
+    batch, but its points are independent: the failing ones are found by
+    bisection. They, and the points of a PredictorError that ``evaluate``
+    raises, are named by their index in the batch.
     """
+    args = (d0[rows], rest[rows], tau[rows], w0[rows])
     try:
-        return evaluate(system, d0, rest, tau, w0)
+        return evaluate(system, *args)
     except PredictorError as exc:
-        exc.details["points"] = points[exc.details["points"]]
+        exc.details["points"] = np.arange(len(d0))[rows][exc.details["points"]]
         raise
     except _JET_ERRORS as exc:
         bad = _failing_rows(
-            lambda rows: evaluate(system, d0[rows], rest[rows], tau[rows], w0[rows]),
-            np.arange(len(d0)),
+            lambda r: evaluate(system, *(a[r] for a in args)), np.arange(len(args[0]))
         )
-        raise PredictorError(
-            f"CK jet failed: {exc}",
-            details={"points": points[bad], "tau": tau[bad], "states": d0[bad]},
-        ) from exc
+        failed = np.zeros(len(d0), dtype=bool)
+        failed[np.arange(len(d0))[rows][bad]] = True
+        raise _point_error(f"CK jet failed: {exc}", failed, tau, d0) from exc
+
+
+def _point_views(blocks: list, points: np.ndarray) -> list[np.ndarray]:
+    """Views of an array over the points of ``blocks``, one per block.
+
+    ``points`` has shape (B, ...), the blocks' points in turn; the view of a
+    block has its layout, (cells, T, nodes, ...).
+    """
+    views, end = [], 0
+    for w, taus in blocks:
+        layout = (len(w), taus.size, w.shape[1])
+        begin, end = end, end + math.prod(layout)
+        views.append(points[begin:end].reshape(layout + points.shape[1:]))
+    return views
 
 
 def _explicit_start(
-    system: SystemDescriptor, w_nodes: np.ndarray, node: np.ndarray, tau: np.ndarray
+    system: SystemDescriptor, blocks: list
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit-Taylor starts and first-sweep chords of points at ``node``, ``tau``.
+    """Explicit-Taylor starts and first-sweep chords of the points of node blocks.
 
-    One jet per node stack w (``ckjet.ck_state_jacobian``) gives G_k(w) and
-    dG_k/dD_0(w), k = 1..M; a point at tau gets the start
-    w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k,
-    the Jacobian of the state equation at D = w. Returns the starts (B, m),
-    the chords (B, m, m) and whether each point's node has a finite jet. A
-    jet that fails (overflow, zero division) fails for its whole batch: the
+    One jet over the node stacks w of every block (``ckjet.ck_state_jacobian``)
+    gives G_k(w) and dG_k/dD_0(w), k = 1..M; a point at tau gets the start
+    w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k.
+    Returns the starts (B, m), the chords (B, m, m) and whether each point's
+    node has a finite jet, points as in ``solve_predictor_points``. A jet
+    that fails (overflow, zero division) fails for its whole batch: the
     failing nodes are found by bisection and have no jet.
     """
+    w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
     n, nderiv, m = w_nodes.shape
+    order = nderiv - 1
     rows = np.arange(n)
     try:
         g, dg = ckjet.ck_state_jacobian(system, w_nodes)
@@ -407,100 +419,126 @@ def _explicit_start(
         rows = np.setdiff1d(
             rows, _failing_rows(lambda r: ckjet.ck_state_jacobian(system, w_nodes[r]), rows)
         )
-        g = np.zeros((n, nderiv - 1, m))
-        dg = np.zeros((n, nderiv - 1, m, m))
+        g = np.zeros((n, order, m))
+        dg = np.zeros((n, order, m, m))
         if rows.size:
             g[rows], dg[rows] = ckjet.ck_state_jacobian(system, w_nodes[rows])
     has_jet = np.zeros(n, dtype=bool)
     has_jet[rows] = True
     has_jet &= np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dg).all(axis=(1, 2, 3))
 
+    # k leading, and G_k signed (-1)^k: one product of a block's node terms
+    # with its (T, M) coefficients (-tau)^k / k! then gives both sums.
+    signs = (-1.0) ** np.arange(1, order + 1)
+    terms = np.concatenate([g[..., None] * signs[:, None, None], dg], axis=-1)
+    terms = np.ascontiguousarray(terms.transpose(1, 0, 2, 3))
+    nb = sum(len(w) * taus.size * w.shape[1] for w, taus in blocks)
+    start, chord, jet = np.empty((nb, m)), np.empty((nb, m, m)), np.empty(nb, dtype=bool)
+    end = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        start = w_nodes[node, 0] + _taylor_sum(-tau, g[node])   # tau^k / k!
-        chord = np.eye(m) + _taylor_sum(tau, dg[node], "ij")
-    return start, chord, has_jet[node]
+        for (w, taus), start_b, chord_b, jet_b in zip(
+            blocks, *(_point_views(blocks, a) for a in (start, chord, jet))
+        ):
+            begin, end = end, end + len(w) * w.shape[1]
+            coef = _taylor_coefficients(taus, order)
+            sums = np.einsum("tk,k...->t...", coef, terms[:, begin:end])
+            sums = sums.reshape((taus.size, len(w), w.shape[1], m, m + 1)).swapaxes(0, 1)
+            np.add(w[:, None, :, 0], sums[..., 0], out=start_b)
+            np.add(np.eye(m), sums[..., 1:], out=chord_b)
+            jet_b[...] = has_jet[begin:end].reshape(len(w), 1, -1)
+    return start, chord, jet
 
 
 def solve_predictor_points(
-    system: SystemDescriptor,
-    w_nodes: np.ndarray,
-    node: np.ndarray,
-    tau: np.ndarray,
-    config: RunConfig,
-) -> tuple[np.ndarray, int]:
-    """Newton on the reduced state equation for a flat batch of predictor points.
+    system: SystemDescriptor, blocks, config: RunConfig
+) -> tuple[list[np.ndarray], int]:
+    """Newton on the reduced state equation at the space-time points of node blocks.
 
-    ``w_nodes`` has shape (N, M+1, m) holding the reconstruction derivatives
-    at N spatial nodes; point p sits at node ``node[p]`` and elapsed physical
-    time ``tau[p]``. Returns the full derivative stacks (B, M+1, m) and the
-    largest sweep count used by any point. Points at tau = 0 return their
-    (admissible) reconstruction stacks without a sweep.
-
-    One CK jet per node, at the node's stack w, serves all of its points: a
-    point starts from the explicit Taylor value w_0 + sum_k tau^k / k! G_k(w),
-    and its first sweep uses the chord I + sum_k (-tau)^k / k! dG_k/dD_0(w),
-    the exact Jacobian of the state equation at D = w. A point takes the
-    total derivative of the reduced residual (``residual_and_jacobian``) on
-    the sweep after a step larger than sqrt(fp_tol) of its state scale, and
-    reuses its stored Jacobian otherwise. A point whose start is not finite
-    or not admissible, or whose first sweep fails from it, starts from w_0
-    instead; a point whose node has no jet gets a fresh Jacobian on its
-    first sweep.
+    Each block is a pair (w, taus): w, shape (cells, nodes, M+1, m), holds
+    the reconstruction derivatives at the spatial nodes of every cell, and
+    taus, shape (T,), the block's elapsed physical times. Its points are the
+    product, laid out (cells, T, nodes) as in a ``PredictorTable``. Returns
+    the derivative stacks of every block, shape (cells, T, nodes, M+1, m),
+    and the largest sweep count used by any point. Points at tau = 0 return
+    their (admissible) reconstruction stacks without a sweep; the others
+    start and iterate as the module describes. A PredictorError names the
+    failing points by ``points``, their index when the blocks' points are
+    counted in turn, and by ``cells``, with ``tau`` and ``states``.
     """
-    w_nodes = np.asarray(w_nodes, dtype=float)
-    node = np.asarray(node, dtype=np.intp)
-    tau = np.asarray(tau, dtype=float)
-    w = w_nodes[node]
-    nb, nderiv, m = w.shape
+    blocks = [(np.asarray(w, dtype=float), np.asarray(taus, dtype=float)) for w, taus in blocks]
+    nb = sum(len(w) * taus.size * w.shape[1] for w, taus in blocks)
+    nderiv, m = blocks[0][0].shape[2:]
     order = nderiv - 1
-    d0 = w[:, 0].copy()
-    d_rest = w[:, 1:].copy()
-    w0 = w[:, 0]
-    w_rest = w[:, 1:]
+    tau, cell = np.empty(nb), np.empty(nb, dtype=np.intp)
+    # One block for the layout's stacks and the batch's data and iterate: on
+    # glibc, unmapping a block this large raises the heap's trim threshold
+    # above a sweep's temporaries, so sweeps stop faulting pages back in
+    # (Euler order 5 on 64 cells, Linux: about 1100 -> 400 faults a step).
+    stacks, w, d = np.empty((3, nb, nderiv, m))
+    for (w_b, taus), stacks_p, tau_p, cell_p in zip(
+        blocks, *(_point_views(blocks, a) for a in (stacks, tau, cell))
+    ):
+        stacks_p[...] = w_b[:, None]
+        tau_p[...] = taus[:, None]
+        cell_p[...] = np.arange(len(w_b))[:, None, None]
 
-    jac_store = np.empty((nb, m, m))
-    # Points that take the total derivative on their next sweep.
-    refresh = np.zeros(nb, dtype=bool)
-    # Points that start from the explicit Taylor value rather than from w_0.
-    explicit = np.zeros(nb, dtype=bool)
+    def named(exc, points):
+        # A failure raised under indices into ``points`` of the layout.
+        points = points[exc.details["points"]]
+        exc.details.update(points=points, cells=cell[points])
+        return exc
+
     # At tau = 0 the state equation reads D = w exactly: those points keep
-    # their reconstruction stacks and skip the Newton sweeps.
-    start = tau == 0.0
+    # their reconstruction stacks and stay out of the Newton batch.
+    moving = tau != 0.0
     if system.admissible is not None:
-        bad = np.flatnonzero(start & ~system.admissible(w0))
-        if bad.size:
-            raise PredictorError(
-                "inadmissible reconstructed state at tau = 0",
-                details={"points": bad, "tau": tau[bad], "states": w0[bad]},
-            )
-    active = np.flatnonzero(~start)
-    if active.size:
-        guess, jac_store[active], has_jet = _explicit_start(
-            system, w_nodes, node[active], tau[active]
-        )
-        ok = has_jet & np.isfinite(guess).all(axis=-1)
-        if system.admissible is not None:
-            ok[ok] = system.admissible(guess[ok])
-        d0[active[ok]] = guess[ok]
-        explicit[active[ok]] = True
-        refresh[active] = ~has_jet
+        still = np.flatnonzero(~moving)
+        bad = ~system.admissible(stacks[still, 0])
+        if bad.any():
+            message = "inadmissible reconstructed state at tau = 0"
+            raise named(_point_error(message, bad, tau[still], stacks[still, 0]), still)
+    batch = np.flatnonzero(moving)
+    if not batch.size:
+        return _point_views(blocks, stacks), 0
+
+    # The batch's data and iterate: its points are those of the blocks
+    # without their tau = 0 times, in the same order.
+    w, d, tau = w[: batch.size], d[: batch.size], tau[batch]
+    np.take(stacks, batch, axis=0, out=w)
+    d[...] = w
+    w0, w_rest = w[:, 0], w[:, 1:]
+    d0, d_rest = d[:, 0], d[:, 1:]
+    start, jac_store, has_jet = _explicit_start(
+        system, [(w_b, taus[taus != 0.0]) for w_b, taus in blocks]
+    )
+    # Points that start from the explicit Taylor value rather than from w_0.
+    explicit = has_jet & np.isfinite(start).all(axis=-1)
+    if system.admissible is not None:
+        explicit[explicit] = system.admissible(start[explicit])
+    d0[explicit] = start[explicit]
+    # Points that take the total derivative on their next sweep.
+    refresh = ~has_jet
+    active = np.arange(batch.size)
     sweeps = 0
 
     while active.size:
         sweeps += 1
-        if sweeps > config.fp_max_iter:
-            raise PredictorError(
-                "predictor fixed point did not converge",
-                details={"points": active, "tau": tau[active], "states": d0[active]},
-            )
+        # While every point is active the sweep reads the batch uncopied.
+        a = slice(None) if active.size == batch.size else active
+        fresh, jac = refresh[a], jac_store[a]
         try:
-            d0_new, rest_a, step = _sweep(
-                system, active, d0, w0, w_rest, tau, order, jac_store, refresh[active]
-            )
+            if sweeps > config.fp_max_iter:
+                raise _point_error(
+                    "predictor fixed point did not converge",
+                    np.ones(active.size, dtype=bool), tau[a], d0[a],
+                )
+            d0_new, rest, step = _sweep(system, d0[a], w0[a], w_rest[a], tau[a], order, jac, fresh)
         except PredictorError as exc:
+            failed = active[exc.details["points"]]
+            named(exc, batch[active])
             # The first sweep of an explicit start can fail where w_0 would
             # not: those points start again from w_0.
-            retry = exc.details["points"][explicit[exc.details["points"]]]
+            retry = failed[explicit[failed]]
             if not retry.size:
                 raise
             d0[retry] = w0[retry]
@@ -508,37 +546,31 @@ def solve_predictor_points(
             sweeps -= 1
             continue
         explicit[:] = False
+        if fresh.any():
+            jac_store[a] = jac  # the refreshed Jacobians, if ``a`` took a copy
 
         scale = 1.0 + np.max(np.abs(d0_new), axis=-1)
         done = step <= config.fp_tol * scale
         # A step that large means the point was outside the quadratic range
         # of its Jacobian, which then no longer serves as a chord.
-        refresh[active] = step > np.sqrt(config.fp_tol) * scale
-        d0[active] = d0_new
-        d_rest[active] = rest_a
+        refresh[a] = step > np.sqrt(config.fp_tol) * scale
+        d0[a] = d0_new
+        d_rest[a] = rest
         active = active[~done]
 
-    return np.concatenate([d0[:, None, :], d_rest], axis=1), sweeps
+    stacks[batch] = d
+    return _point_views(blocks, stacks), sweeps
 
 
-def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, refresh):
-    """One outer sweep over the ``active`` points: chain, then one guarded Newton step.
+def _sweep(system, d0, w0, w_rest, tau, order, jac, refresh):
+    """One outer sweep over a batch of points: chain, then one guarded Newton step.
 
-    An active point where ``refresh`` holds stores the total derivative of
-    the reduced residual in ``jac_store``; the others reuse their stored
-    Jacobian. Returns the new states, the chain solutions and each point's
-    step size; a failure raises a PredictorError under the points' indices
-    in the whole batch.
+    A point where ``refresh`` holds stores the total derivative of the
+    reduced residual in ``jac``; the others use the Jacobian stored there.
+    Returns the new states, the chain solutions and each point's step size;
+    a failure raises a PredictorError under the points' indices in the batch.
     """
-    d0_a = d0[active]
-    tau_a = tau[active]
-    w0_a = w0[active]
-    w_rest_a = w_rest[active]
-    try:
-        rest_a = solve_derivative_chain(system, d0_a, w_rest_a, tau_a, order)
-    except PredictorError as exc:
-        exc.details["points"] = active[exc.details["points"]]
-        raise
+    rest = solve_derivative_chain(system, d0, w_rest, tau, order)
 
     def rows(mask):
         # Usually every point takes one path: then the batch goes uncopied.
@@ -546,29 +578,19 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, refresh):
 
     # Refreshed points take their residual from the jet of their Jacobian,
     # the total derivative through the chain from their data w_1..w_M.
-    h = np.empty_like(d0_a)
+    h = np.empty_like(d0)
     if refresh.any():
         r = rows(refresh)
-        h[r], jac_store[active[r]] = _jet(
-            residual_and_jacobian, system, d0_a[r], w_rest_a[r], tau_a[r], w0_a[r], active[r]
-        )
+        h[r], jac[r] = _jet(residual_and_jacobian, system, r, d0, w_rest, tau, w0)
     if not refresh.all():
         r = rows(~refresh)
-        h[r] = _jet(predictor_residual, system, d0_a[r], rest_a[r], tau_a[r], w0_a[r], active[r])
-    jac = jac_store[active]
+        h[r] = _jet(predictor_residual, system, r, d0, rest, tau, w0)
 
-    try:
-        delta = _solve(jac, h, "predictor Jacobian", tau_a, d0_a)
-    except PredictorError as exc:
-        exc.details["points"] = active[exc.details["points"]]
-        raise
-    d0_new = d0_a - delta
+    delta = _solve(jac, h, "predictor Jacobian", tau, d0)
+    d0_new = d0 - delta
     if not np.all(np.isfinite(d0_new)):
         bad = ~np.isfinite(d0_new).all(axis=-1)
-        raise PredictorError(
-            "non-finite predictor iterate",
-            details={"points": active[bad], "tau": tau_a[bad], "states": d0_a[bad]},
-        )
+        raise _point_error("non-finite predictor iterate", bad, tau, d0)
 
     # Backtracking: a step is halved while its state is inadmissible. A
     # large step is also halved while its residual is non-finite or larger
@@ -577,10 +599,10 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, refresh):
     # unstable equilibrium); small steps are in the locally convergent
     # regime and skip that residual. No residual is taken at an inadmissible
     # state, and a step still inadmissible after the last halving fails.
-    scale = 1.0 + np.max(np.abs(d0_a), axis=-1)
+    scale = 1.0 + np.max(np.abs(d0), axis=-1)
     big = np.max(np.abs(delta), axis=-1) > _DESCENT_GATE * scale
     h_ref = np.max(np.abs(h), axis=-1)
-    trial = np.flatnonzero(big) if system.admissible is None else np.arange(len(d0_a))
+    trial = np.flatnonzero(big) if system.admissible is None else np.arange(len(d0))
     for halvings in range(_BACKTRACK_LIMIT + 1):
         if not trial.size:
             break
@@ -589,25 +611,23 @@ def _sweep(system, active, d0, w0, w_rest, tau, order, jac_store, refresh):
             halve = ~system.admissible(d0_new[trial])
         if halvings == _BACKTRACK_LIMIT:
             if halve.any():
-                bad = trial[halve]
-                raise PredictorError(
-                    "inadmissible predictor state after step halving",
-                    details={"points": active[bad], "tau": tau_a[bad], "states": d0_new[bad]},
+                bad = np.zeros(len(d0), dtype=bool)
+                bad[trial[halve]] = True
+                raise _point_error(
+                    "inadmissible predictor state after step halving", bad, tau, d0_new
                 )
             break
         descend = big[trial] & ~halve
         if descend.any():
             p = trial[descend]
-            h_try = _jet(
-                predictor_residual, system, d0_new[p], rest_a[p], tau_a[p], w0_a[p], active[p]
-            )
+            h_try = _jet(predictor_residual, system, p, d0_new, rest, tau, w0)
             h_try = np.max(np.abs(h_try), axis=-1)
             halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
         trial = trial[halve]
         delta[trial] *= 0.5
-        d0_new[trial] = d0_a[trial] - delta[trial]
+        d0_new[trial] = d0[trial] - delta[trial]
 
-    return d0_new, rest_a, np.max(np.abs(d0_new - d0_a), axis=-1)
+    return d0_new, rest, np.max(np.abs(d0_new - d0), axis=-1)
 
 
 def predictor_operators(
@@ -683,50 +703,25 @@ def build_predictor_tables(
     points names their indices in ``coeffs`` under ``details["cells"]``.
     """
     rules = space_time_rules(config.order)
-    ncells = coeffs.shape[0]
-    m = system.m
-    n_xi = rules.xi_rule.n
-    n_tau = rules.tau_rule.n
-    n_tr = rules.trace_rule.n
-
-    w_int = _node_derivatives(coeffs, rules.basis_interior, dx)  # (C, n_xi, M+1, m)
-    w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)      # (C, 2, M+1, m)
+    w_int = _node_derivatives(coeffs, rules.basis_interior, dx)
+    w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)
     if system.constant_coefficients:
-        # D_0(tau) = P(tau) w at every node: one contraction per node set.
+        # D_0(tau) = P(tau) w at every node: one contraction per node block,
+        # the operators at both blocks' times solved together.
         taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes]) * dt
-        ops = _step_operators(system, config.order, tuple(taus)).reshape(taus.size * m, -1)
-        values = w_int.reshape(ncells * n_xi, -1) @ ops[: n_tau * m].T
-        values = values.reshape(ncells, n_xi, n_tau, m).swapaxes(1, 2)
-        traces = w_tr.reshape(ncells * 2, -1) @ ops[n_tau * m :].T
-        traces = traces.reshape(ncells, 2, n_tr, m).swapaxes(1, 2)
+        ops = _step_operators(system, config.order, tuple(taus)).reshape(taus.size * system.m, -1)
+        split = rules.tau_rule.n * system.m
+        values, traces = (
+            (w.reshape(-1, ops.shape[1]) @ p.T).reshape(w.shape[:2] + (-1, system.m)).swapaxes(1, 2)
+            for w, p in ((w_int, ops[:split]), (w_tr, ops[split:]))
+        )
         sweeps = 0
     else:
-        # Spatial nodes: the interior nodes of every cell, then its two trace
-        # ends. Flat point batch: interior tensor nodes first, then the traces.
-        w_nodes = np.concatenate([
-            w_int.reshape(ncells * n_xi, -1, m), w_tr.reshape(ncells * 2, -1, m)
-        ])
-        cells = np.arange(ncells)[:, None, None]
-        node_int = np.broadcast_to(cells * n_xi + np.arange(n_xi), (ncells, n_tau, n_xi))
-        node_tr = np.broadcast_to(cells * 2 + np.arange(2), (ncells, n_tr, 2)) + ncells * n_xi
-        tau_int = np.tile(np.repeat(rules.tau_rule.nodes, n_xi), ncells) * dt
-        tau_tr = np.tile(np.repeat(rules.trace_rule.nodes, 2), ncells) * dt
-
-        node_all = np.concatenate([node_int.ravel(), node_tr.ravel()])
-        tau_all = np.concatenate([tau_int, tau_tr])
-        split = ncells * n_tau * n_xi
-        try:
-            stacks, sweeps = solve_predictor_points(system, w_nodes, node_all, tau_all, config)
-        except PredictorError as exc:
-            if "points" in exc.details:
-                p = np.asarray(exc.details["points"])
-                exc.details["cells"] = np.where(
-                    p < split, p // (n_tau * n_xi), (p - split) // (2 * n_tr)
-                )
-            raise
-        states = stacks[:, 0]
-        values = states[:split].reshape(ncells, n_tau, n_xi, m)
-        traces = states[split:].reshape(ncells, n_tr, 2, m)
+        # Node blocks: the interior nodes at the tau-rule times, the trace
+        # ends at the trace-rule times.
+        blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes * dt)]
+        (values, traces), sweeps = solve_predictor_points(system, blocks, config)
+        values, traces = values[..., 0, :], traces[..., 0, :]
     x_deriv = rules.diff_matrix @ values / dx
 
     return PredictorTable(

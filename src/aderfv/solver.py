@@ -257,16 +257,14 @@ def convergence_study(
     system: SystemDescriptor,
     config: RunConfig,
     meshes: list[int],
-    x_lo: float = 0.0,
-    x_hi: float = 1.0,
     variable: int = 0,
 ) -> list[ConvergenceRow]:
-    """Error norms and observed orders of one tracked variable over a mesh family."""
+    """Error norms and observed orders of one tracked variable over meshes of [0, 1]."""
     check_convergence_inputs(system, [config], meshes, variable)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n_cells in meshes:
-        grid = Grid(x_lo, x_hi, int(n_cells))
+        grid = Grid(0.0, 1.0, int(n_cells))
         t0 = time.perf_counter()
         report = run(system, grid, config, keep_reports=False)
         cpu = time.perf_counter() - t0

@@ -64,7 +64,7 @@ import numpy as np
 from .grid import RunConfig, check_count
 from .predictor import PredictorError, predictor_operators, space_time_rules
 from .systems import scalar_advection_reaction
-from .weno import nonlinear_weights, window_candidate_matrix
+from .weno import _candidate_stack, nonlinear_weights, window_candidate_matrix
 
 __all__ = [
     "StabilityQuery",
@@ -81,6 +81,8 @@ __all__ = [
 
 DEFAULT_C_GRID = np.round(np.arange(1, 121) * 0.01, 10)        # 0.01 .. 1.20
 DEFAULT_R_GRID = np.round(np.linspace(-10.0, 0.0, 101), 10)    # -10.0 .. 0.0
+# A scenario is stable where every sampled amplitude is at most 1 + this.
+_STABLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,6 @@ class StabilityQuery:
     alpha: float = 1.0
     n_theta: int = 128
     n_scenarios: int = 100
-    tol: float = 1e-12
     seed: int = 0
     weight_model: str = "weno-law"  # "weno-law" or "uniform"
 
@@ -104,8 +105,6 @@ class StabilityQuery:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         check_count("n_theta", self.n_theta, 1)
         check_count("n_scenarios", self.n_scenarios, 1)
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
         check_count("seed", self.seed, 0)
         if self.weight_model not in ("weno-law", "uniform"):
             raise ValueError(f"unknown weight model {self.weight_model!r}")
@@ -122,10 +121,7 @@ def blend_matrix(degree: int, weights) -> np.ndarray:
     ``weights`` has shape (..., 3); the result has shape (..., M+1, 2M+1).
     """
     w = np.asarray(weights, dtype=float)
-    stack = np.stack(
-        [window_candidate_matrix(degree, kind) for kind in ("left", "central", "right")]
-    )
-    return np.einsum("...s,slw->...lw", w, stack)
+    return np.einsum("...s,slw->...lw", w, _candidate_stack(degree))
 
 
 def amplitude(
@@ -224,7 +220,7 @@ def stability_fraction(
         rng = np.random.default_rng(np.random.SeedSequence([query.seed]))
     blends = _scenario_blends(query, rng)
     amps = max_amplitude(c, r, query, blends)
-    return float(np.mean(amps <= 1.0 + query.tol))
+    return float(np.mean(amps <= 1.0 + _STABLE_TOL))
 
 
 def stability_map(

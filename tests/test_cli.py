@@ -203,6 +203,8 @@ def test_converge_rejects_out_of_range_variable(variable, tmp_path, capsys):
     (["--meshes", "8,0"], "meshes"),
     (["--preset", "leveque-yee"], "exact solution"),
     (["--orders", "3", "--meshes", "8,2"], "meshes"),
+    (["--meshes", "8.9"], "--meshes must be a comma list of integers, got '8.9'"),
+    (["--orders", "3.5"], "--orders must be a comma list of integers, got '3.5'"),
 ])
 def test_rejected_converge_writes_nothing(flags, name, tmp_path, capsys):
     # Inputs are checked before the output is opened: no file, no header row.

@@ -42,10 +42,10 @@ def _poly_derivatives(coeffs, xi, dx, n):
 
 def _solve_point(system, w, tau, cfg):
     """Derivative stack (M+1, m) and sweep count of one predictor point."""
-    stacks, sweeps = solve_predictor_points(
-        system, np.asarray(w, dtype=float)[None], np.array([0]), np.array([float(tau)]), cfg
+    (stacks,), sweeps = solve_predictor_points(
+        system, [(np.asarray(w, dtype=float)[None, None], np.array([float(tau)]))], cfg
     )
-    return stacks[0], sweeps
+    return stacks[0, 0, 0], sweeps
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -205,6 +205,42 @@ def test_inadmissible_reconstruction_names_its_cell():
     np.testing.assert_array_equal(details["states"], [[-0.5, 1.0]] * 2)
 
 
+def test_newton_failure_names_its_trace_end(monkeypatch):
+    # A singular chord at the right trace end of cell 4, at the last trace
+    # time: the point's first sweep fails from its explicit start and again
+    # from w_0, after the tau = 0 checks have passed. The failure names the
+    # point by its place in the blocks' layout, its cell, tau and state.
+    system = leveque_yee()
+    cfg = RunConfig(order=3)
+    dt, dx = 0.01, 0.1
+    coeffs = np.zeros((6, 1, cfg.degree + 1))
+    coeffs[:, 0, 0] = np.linspace(0.2, 0.8, 6)
+    coeffs[:, 0, 1] = 0.05
+    ref = build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
+    rules = space_time_rules(cfg.order)
+    n_tr = rules.trace_rule.n
+    # The interior block's points, then the trace block's, laid out (cells, T, 2).
+    point = 6 * rules.tau_rule.n * rules.xi_rule.n + (4 * n_tr + n_tr - 1) * 2 + 1
+    exact = predictor._explicit_start
+
+    def patched(system, blocks):
+        start, chord, has_jet = exact(system, blocks)
+        predictor._point_views(blocks, chord)[1][4, -1, 1] = 0.0
+        return start, chord, has_jet
+
+    monkeypatch.setattr(predictor, "_explicit_start", patched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PredictorError) as err:
+            build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
+    details = err.value.details
+    assert str(err.value) == "singular predictor Jacobian: Singular matrix"
+    np.testing.assert_array_equal(details["points"], [point])
+    np.testing.assert_array_equal(details["cells"], [4])
+    np.testing.assert_array_equal(details["tau"], [dt])
+    np.testing.assert_array_equal(details["states"], [ref.trace_right[4, 0]])
+
+
 def test_iteration_cap_raises():
     system = leveque_yee(beta=-1e7)
     cfg = RunConfig(order=3, fp_tol=1e-16, fp_max_iter=3)
@@ -215,9 +251,11 @@ def test_iteration_cap_raises():
 
 
 def _newton_failure(system, w, tau, order):
+    # One block per point, a single node at a single time: the failure's
+    # ``points`` then number the entries of ``w``.
+    blocks = [(np.asarray(wi, float)[None, None], np.array([ti])) for wi, ti in zip(w, tau)]
     with pytest.raises(PredictorError) as err:
-        solve_predictor_points(system, np.asarray(w, float), np.arange(len(w)),
-                               np.asarray(tau, float), RunConfig(order=order))
+        solve_predictor_points(system, blocks, RunConfig(order=order))
     return err.value
 
 
@@ -448,10 +486,9 @@ def test_predictor_operators_match_newton_probe(make, order):
         system = make(lam=lam, beta=beta)
         ops = predictor_operators(system, taus, cfg)
         newton = dataclasses.replace(system, constant_coefficients=False)
-        stacks, _ = solve_predictor_points(
-            newton, units, np.tile(np.arange(n), taus.size), np.repeat(taus, n), cfg
-        )
-        ref = stacks[:, 0].reshape(taus.size, n, -1).swapaxes(-1, -2)
+        # One cell whose n nodes hold the unit stacks, at every tau.
+        (stacks,), _ = solve_predictor_points(newton, [(units[None], taus)], cfg)
+        ref = stacks[0, :, :, 0].swapaxes(-1, -2)
         assert ops.shape == ref.shape == (taus.size, system.m, n)
         np.testing.assert_allclose(ops, ref, rtol=0, atol=1e-13 * np.abs(ops).max())
 
@@ -501,16 +538,25 @@ def test_node_start_and_chord_come_from_one_jet_per_node(make):
     system = make()
     rng = np.random.default_rng(5)
     order = 4
-    w_nodes = 0.1 * rng.normal(size=(3, order + 1, system.m))
-    w_nodes[:, 0] += 0.6 + 0.3 * rng.random((3, system.m))
-    if system.m == 3:
-        w_nodes[:, 0, 2] += 5.0  # positive pressure
-    node = np.array([0, 2, 1, 2, 0, 1])
-    tau = np.array([1e-3, 2e-3, 5e-4, 4e-3, 3e-3, 1e-3])
-    start, chord, has_jet = predictor._explicit_start(system, w_nodes, node, tau)
+    # Two blocks: 2 cells x 3 nodes at three times, 2 cells x 2 nodes at two.
+    blocks = []
+    for shape, taus in [((2, 3), [1e-3, 2e-3, 5e-4]), ((2, 2), [4e-3, 3e-3])]:
+        w_nodes = 0.1 * rng.normal(size=shape + (order + 1, system.m))
+        w_nodes[..., 0, :] += 0.6 + 0.3 * rng.random(shape + (system.m,))
+        if system.m == 3:
+            w_nodes[..., 0, 2] += 5.0  # positive pressure
+        blocks.append((w_nodes, np.array(taus)))
+    start, chord, has_jet = predictor._explicit_start(system, blocks)
     assert has_jet.all()
 
-    w = w_nodes[node]
+    # Every point by itself, in the blocks' layout (cells, T, nodes).
+    points = [
+        (w_b[c, n], t_b[t])
+        for w_b, t_b in blocks
+        for c in range(len(w_b)) for t in range(t_b.size) for n in range(w_b.shape[1])
+    ]
+    w = np.array([w_p for w_p, _ in points])
+    tau = np.array([t_p for _, t_p in points])
     g = ck_time_derivatives(system, w, order)
     fact = np.array([math.factorial(k) for k in range(1, order + 1)])
     expected = w[:, 0] + np.einsum("pk,pkm->pm", tau[:, None] ** np.arange(1, order + 1) / fact, g)
@@ -548,10 +594,11 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
     w_nodes = np.zeros((4, 3, 1))
     w_nodes[:, 0, 0] = [0.2, 0.75, 0.6, 0.9]
     w_nodes[:, 1, 0] = 0.1 * rng.normal(size=4)
-    node = np.array([0, 1, 2, 3, 1, 2, 1])
-    tau = np.array([1e-3, 1e-3, 2e-3, 5e-4, 2e-3, 1e-3, 5e-4])
+    # One block per node, each at its own times.
+    taus = [[1e-3], [1e-3, 2e-3, 5e-4], [2e-3, 1e-3], [5e-4]]
+    blocks = [(w[None, None], np.array(t)) for w, t in zip(w_nodes, taus)]
     cfg = RunConfig(order=3)
-    ref, ref_sweeps = solve_predictor_points(system, w_nodes, node, tau, cfg)
+    ref, ref_sweeps = solve_predictor_points(system, blocks, cfg)
 
     exact_jet = ckjet.ck_state_jacobian
 
@@ -571,9 +618,10 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
 
     monkeypatch.setattr(ckjet, "ck_state_jacobian", failing_jet)
     monkeypatch.setattr(predictor, "residual_and_jacobian", recorded)
-    got, sweeps = solve_predictor_points(system, w_nodes, node, tau, cfg)
+    got, sweeps = solve_predictor_points(system, blocks, cfg)
     np.testing.assert_array_equal(fresh[0], [[0.75]] * 3)
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    for got_b, ref_b in zip(got, ref):
+        np.testing.assert_allclose(got_b, ref_b, rtol=0, atol=1e-12)
     assert (ref_sweeps, sweeps) == (4, 6)
 
 
@@ -587,9 +635,10 @@ def test_newton_guards_converge_a_front_state(taus, cap):
     system = leveque_yee()
     w = np.array([[[0.75], [0.1], [0.0]]])
     tau = np.array(taus)
-    stacks, sweeps = solve_predictor_points(
-        system, w, np.zeros(tau.size, dtype=int), tau, RunConfig(order=3, fp_max_iter=cap)
+    (stacks,), sweeps = solve_predictor_points(
+        system, [(w[None], tau)], RunConfig(order=3, fp_max_iter=cap)
     )
+    stacks = stacks[0, :, 0]  # the node's points, along the time axis
     assert sweeps <= cap
     assert stacks[0, 0, 0] == pytest.approx(0.98492774, abs=1e-8)
     roots = {0.01: 0.984928, 0.02: 0.995727, 0.03: 0.997998, 0.05: 0.999242}
@@ -604,16 +653,16 @@ def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
     # is evaluated at an inadmissible state.
     system = dataclasses.replace(leveque_yee(), admissible=lambda q: q[..., 0] < 0.9)
     w = np.array([[[0.75], [0.1], [0.0]]])
-    node, tau = np.array([0]), np.array([0.003])
-    start, _, has_jet = predictor._explicit_start(system, w, node, tau)
+    blocks = [(w[None], np.array([0.003]))]
+    start, _, has_jet = predictor._explicit_start(system, blocks)
     assert has_jet.all() and start[0, 0] > 0.9
     seen = []
     for name in ("predictor_residual", "residual_and_jacobian"):
         exact = getattr(predictor, name)
         monkeypatch.setattr(predictor, name, lambda *a, f=exact: seen.append(a[1]) or f(*a))
-    stacks, sweeps = solve_predictor_points(system, w, node, tau, RunConfig(order=3))
+    (stacks,), sweeps = solve_predictor_points(system, blocks, RunConfig(order=3))
     assert np.all(np.concatenate(seen) < 0.9)
-    ref, _ = solve_predictor_points(leveque_yee(), w, node, tau, RunConfig(order=3))
+    (ref,), _ = solve_predictor_points(leveque_yee(), blocks, RunConfig(order=3))
     np.testing.assert_allclose(stacks, ref, rtol=0, atol=1e-12)
 
 

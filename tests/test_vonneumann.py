@@ -252,9 +252,9 @@ def test_query_validation():
         ({"order": 3, "n_scenarios": 0}, "n_scenarios"),
         ({"order": 3, "alpha": 0.0}, "alpha"),
         ({"order": 3, "alpha": math.inf}, "alpha"),
-        ({"order": 3, "tol": math.nan}, "tol"),
-        ({"order": 3, "tol": -1.0}, "tol"),
-        ({"order": 3, "tol": math.inf}, "tol"),
+        ({"order": 3, "alpha": math.nan}, "alpha"),
+        ({"order": 3, "alpha": -1.0}, "alpha"),
+        ({"order": 3, "weight_model": "flat"}, "weight model"),
         ({"order": 3, "seed": -1}, "seed must be an integer >= 0, got -1"),
         ({"order": 3.0}, "order"),
         ({"order": True}, "order"),
