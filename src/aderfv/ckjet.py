@@ -19,7 +19,8 @@ columns already stored, instead of evaluating the law again. Points are
 processed in blocks of a fixed size whose storage comes from a workspace that
 the call borrows from a pool and returns, so the memory a jet holds does not
 grow with the batch, and concurrent jets never share it. The workspace keeps
-the recorded tape, so a later call on the same law only binds and fills it.
+the tape, compiled into one flat program and bound to its storage per block
+width, so a later call on the same law only seeds the leaves and runs it.
 Every coefficient block is summed in the same order as by a whole-law
 evaluation per level.
 
@@ -32,6 +33,7 @@ derivatives is the predictor's.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 
@@ -81,7 +83,7 @@ def _rhs_terms(system: SystemDescriptor, comps: list[TruncatedSeries]) -> list[T
     m = system.m
     if system.flux_terms is not None:
         flux = system.flux_terms(comps)
-        rhs = [-_lift(f, like).x_derivative() for f in flux]
+        rhs = [_lift(f, like).x_derivative(-1) for f in flux]
     else:
         rows = system.matrix_rows(comps)
         qx = [comp.x_derivative() for comp in comps]
@@ -97,34 +99,50 @@ def _rhs_terms(system: SystemDescriptor, comps: list[TruncatedSeries]) -> list[T
     return rhs
 
 
-def ck_time_derivatives(
-    system: SystemDescriptor, derivatives: np.ndarray, order: int
-) -> np.ndarray:
+def _width(points: int) -> int:
+    """Lanes for a block of ``points``, so a few bound programs serve every count: a
+    multiple of 8, or of 2^(b - 5) for b bits, at most 1/16 more past 128 points."""
+    step = 1 << max(3, points.bit_length() - 5)
+    return -(-points // step) * step
+
+
+@functools.lru_cache(maxsize=None)
+def _factorials(order: int) -> np.ndarray:  # j!, j = 1..order, shape (order, 1)
+    return np.array([math.factorial(j) for j in range(1, order + 1)])[:, None]
+
+
+def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np.ndarray:
     """Time derivatives d_t^k Q, k = 1..order, from the spatial stack.
 
-    ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis;
-    a complex stack keeps its imaginary part. The space-time coefficients
-    c[i][j, k] of each component are seeded from the stack
-    (c[i][j, 0] = D_j / j!) and filled upward in time degree: the law is
-    recorded on a tape that the workspace keeps, and time level k fills
-    column k of every intermediate on rows j <= order - k, from which
+    ``derivatives`` holds (D_0, ..., D_order) along the second-to-last axis,
+    or is the pair (D_0, (D_1, ..., D_order)) whose second member broadcasts
+    against the batch of the first; a complex stack keeps its imaginary part.
+    The space-time coefficients c[i][j, k] of each component are seeded from
+    the stack (c[i][j, 0] = D_j / j!) and filled upward in time degree: the
+    law is recorded on a tape that the workspace keeps, and time level k
+    fills column k of every intermediate on rows j <= order - k, from which
     c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx divided
     by k+1 for j < order - k. Returns shape batch + (order, m).
     """
-    derivatives = np.asarray(derivatives)
+    if isinstance(derivatives, tuple):
+        d0, rest = (np.asarray(d) for d in derivatives)
+    else:
+        derivatives = np.asarray(derivatives)
+        d0, rest = derivatives[..., 0, :], derivatives[..., 1:, :]
+    m, n, batch = system.m, order + 1, d0.shape[:-1]
     if order == 0:
-        return np.zeros(derivatives.shape[:-2] + (0, system.m))
-    m, n = system.m, order + 1
-    batch = derivatives.shape[:-2]
-    flat = derivatives.reshape(-1, n, m)
-    dtype = np.result_type(derivatives, float)
-    out = np.empty((m, order, flat.shape[0]), dtype=dtype)
-    factorials = np.array([math.factorial(j) for j in range(n)])
-    seed_scale, out_scale = factorials[:, None], factorials[1:, None]
+        return np.zeros(batch + (0, m))
+    if rest.shape[:-2] != batch:
+        rest = np.broadcast_to(rest, batch + (order, m))
+    d0, rest = d0.reshape(-1, m), rest.reshape(-1, order, m)
+    dtype = np.result_type(d0, rest, float)
+    out = np.empty((len(d0), order, m), dtype=dtype)
+    scale = _factorials(order)
 
-    def record(tape: SeriesTape) -> tuple:
+    def record(tape: SeriesTape) -> None:
         comps = [tape.leaf(n, n, dtype) for _ in range(m)]
-        return comps, _rhs_terms(system, comps)
+        for comp, rate in zip(comps, _rhs_terms(system, comps)):
+            tape.integrate(comp, rate)
 
     # The law's callables identify it: the key holds them, so their ids are
     # not reused while its tape is kept.
@@ -133,29 +151,28 @@ def ck_time_derivatives(
     with _borrowed_workspace() as workspace, np.errstate(
         invalid="ignore", over="ignore", divide="ignore"
     ):
-        tape, (comps, rhs) = workspace.tape(key, record)
-        try:
-            for start in range(0, flat.shape[0], _BLOCK):
-                points = flat[start : start + _BLOCK]
-                count = len(points)
-                tape.bind(count)
-                for i, comp in enumerate(comps):
-                    seeds = np.divide(points[:, :, i].T, seed_scale, out=comp.c[:, 0])
-                    finite &= np.isfinite(seeds).all()
-                for k in range(order):
-                    tape.fill(k, n - k)
-                    for comp, r in zip(comps, rhs):
-                        new = np.divide(r.c[: order - k, k], k + 1, out=comp.c[: order - k, k + 1])
-                        finite &= np.isfinite(new).all()
-                for i, comp in enumerate(comps):
-                    np.multiply(out_scale, comp.c[0, 1:], out=out[i, :, start : start + count])
-        finally:
-            tape.release()
+        tape, _ = workspace.tape(key, record)
+        for start in range(0, len(d0), _BLOCK):
+            stop = min(start + _BLOCK, len(d0))
+            count = stop - start
+            program, arrays = workspace.program(tape, _width(count))
+            # The leaves, the first m series, get D_j / j! (D_0 / 1 too, for its
+            # signed zeros); lanes past ``count`` repeat point 0 and fail with it.
+            for i, leaf in enumerate(arrays[:m]):
+                np.divide(d0[start:stop, i], 1, out=leaf[0, 0, :count])
+                np.divide(rest[start:stop, :, i].T, scale, out=leaf[1:, 0, :count])
+                if count < leaf.shape[-1]:
+                    np.copyto(leaf[:, 0, count:], leaf[:, 0, :1])
+            for f, args in program:
+                f(*args)
+            for i, leaf in enumerate(arrays[:m]):
+                finite &= np.isfinite(leaf).all()
+                np.multiply(scale, leaf[0, 1:, :count], out=out[start:stop, :, i].T)
     # Checked after every block, so a zero division anywhere in the batch
     # is reported first, as a whole-batch jet would.
     if not finite:
         raise FloatingPointError("non-finite space-time jet coefficients")
-    return np.moveaxis(out.reshape((m, order) + batch), (0, 1), (-1, -2))
+    return out.reshape(batch + (order, m))
 
 
 def ck_state_jacobian(
@@ -174,11 +191,7 @@ def ck_state_jacobian(
     rest = derivatives[..., 1:, :]
 
     def jets(d0c):
-        stack = np.concatenate(
-            [d0c[..., None, :], np.broadcast_to(rest, d0c.shape[:-1] + rest.shape[-2:])],
-            axis=-2,
-        )
-        g = ck_time_derivatives(system, stack, order)
+        g = ck_time_derivatives(system, (d0c, rest), order)
         return g.reshape(g.shape[:-2] + (order * m,))
 
     with np.errstate(over="ignore"):

@@ -10,17 +10,19 @@ broadcast. Univariate series are simply the t-degree-0 special case.
 
 Every operation is written as a t-column fill: column k of the result is
 computed from columns 0..k of its operands (Taylor mode, Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13). An ordinary operation
-runs the fill over every column at once. An operation on a series that
-belongs to a :class:`SeriesTape` records itself on that tape instead, and the
-tape's owner fills one new column of every recorded node per time level, so
-the stored lower columns are never computed again. Tape storage comes from a
-:class:`Workspace` of reused slots, which also keeps the last few tapes
-recorded on it, so an evaluation that runs again is bound and filled, not
-recorded anew.
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13). A fill generates its
+column as numpy instructions, (function, arguments) pairs with the output
+last. An ordinary operation runs them for every column at once. An operation
+on a series that belongs to a :class:`SeriesTape` records itself on that tape
+instead; the tape compiles once into one flat program, the instructions of
+every node level by level over workspace slots, so the stored lower columns
+are never computed again. A :class:`Workspace` of reused slots keeps the last
+few tapes recorded on it and their programs bound to its storage, so an
+evaluation that runs again is neither recorded nor sliced anew.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -89,8 +91,11 @@ class TruncatedSeries:
             return out
         batch = np.broadcast_shapes(*(a.c.shape[2:] for a in series))
         out.c = np.empty((nx, nt) + batch, dtype=dtype)
+        term = np.empty((nx,) + batch, dtype=dtype)
+        args = tuple(a.c if isinstance(a, TruncatedSeries) else a for a in args)
         for k in range(nt):
-            fill(out, k, nx)
+            for f, operands in fill(out.c, args, k, nx, term):
+                f(*operands)
         out._fill, out._args = None, ()
         return out
 
@@ -147,95 +152,107 @@ class TruncatedSeries:
 
     # -- calculus ------------------------------------------------------------
 
-    def x_derivative(self) -> "TruncatedSeries":
-        """Derivative in the x variable, keeping the truncation size."""
-        return self._node(_x_derivative_column, (self,), self.nx, self.nt)
+    def x_derivative(self, scale: int = 1) -> "TruncatedSeries":
+        """Derivative in the x variable times ``scale`` (-1 gives -d/dx bit for
+        bit), keeping the truncation size."""
+        return self._node(_x_derivative_column, (self, scale), self.nx, self.nt)
 
 
 # -- column fills ---------------------------------------------------------------
-# Each fill computes rows 0..rows-1 of t-column k of ``out`` from columns
-# 0..k of ``out._args``, one coefficient block per numpy call: a block is
-# then summed term by term in (p, q) order however its columns are
-# scheduled and however many points the batch holds.
+# Each fill generates the instructions that compute rows 0..rows-1 of
+# t-column k of ``c`` from columns 0..k of its operands ``args``, with
+# ``term`` (rows, batch) as scratch: one (function, arguments) pair per numpy
+# call, the output last. A coefficient block is then summed term by term in
+# (p, q) order however its columns are scheduled and however many points the
+# batch holds. A fill only indexes its arrays, so it compiles as well as runs.
 
 
-def _add_column(out, k, rows):
-    a, b = out._args
-    np.add(a.c[:rows, k], b.c[:rows, k], out=out.c[:rows, k])
+def _elementwise(ufunc, shift: bool = False):
+    """The fill of ``ufunc`` on its operands' columns and scalars; with ``shift``,
+    the scalar acts as a constant series, its zero coefficients applied too."""
+
+    def fill(c, args, k, rows, term):
+        operands = [(0.0 if shift else a) if _scalar(a) else a[:rows, k] for a in args]
+        yield ufunc, (*operands, c[:rows, k])
+        if shift and k == 0:
+            yield ufunc, (args[0][0, 0], args[1], c[0, 0, ...])
+
+    return fill
 
 
-def _sub_column(out, k, rows):
-    a, b = out._args
-    np.subtract(a.c[:rows, k], b.c[:rows, k], out=out.c[:rows, k])
+_add_column, _sub_column = _elementwise(np.add), _elementwise(np.subtract)
+_neg_column = _elementwise(np.negative)
+_mul_scalar_column, _div_scalar_column = _elementwise(np.multiply), _elementwise(np.divide)
+_add_scalar_column, _sub_scalar_column = _elementwise(np.add, True), _elementwise(np.subtract, True)
 
 
-def _add_scalar_column(out, k, rows):
-    # Scalars act as constant series: their zero coefficients are added too.
-    a, s = out._args
-    np.add(a.c[:rows, k], 0.0, out=out.c[:rows, k])
-    if k == 0:
-        np.add(a.c[0, 0], s, out=out.c[0, 0])
+def _rows(start: int, stop: int):
+    # One row is indexed, not sliced: numpy multiplies a one-point complex
+    # operand broadcast to shape (1, 1) in another rounding order.
+    return slice(start, stop) if stop - start > 1 else start
 
 
-def _sub_scalar_column(out, k, rows):
-    a, s = out._args
-    np.subtract(a.c[:rows, k], 0.0, out=out.c[:rows, k])
-    if k == 0:
-        np.subtract(a.c[0, 0], s, out=out.c[0, 0])
+def _mul_column(c, args, k, rows, term):
+    # Term (p, q) of every row j >= p in one call; each row still adds its
+    # terms in (p, q) order.
+    a, b = args
+    yield np.multiply, (a[0, 0], b[_rows(0, rows), k], c[_rows(0, rows), k, ...])
+    for p in range(rows):
+        for q in range(k + 1):
+            if p or q:
+                j, i = _rows(p, rows), _rows(0, rows - p)
+                yield np.multiply, (a[p, q], b[i, k - q], term[j, ...])
+                yield np.add, (c[j, k, ...], term[j, ...], c[j, k, ...])
 
 
-def _neg_column(out, k, rows):
-    np.negative(out._args[0].c[:rows, k], out=out.c[:rows, k])
-
-
-def _mul_scalar_column(out, k, rows):
-    a, s = out._args
-    np.multiply(a.c[:rows, k], s, out=out.c[:rows, k])
-
-
-def _div_scalar_column(out, k, rows):
-    a, s = out._args
-    np.divide(a.c[:rows, k], s, out=out.c[:rows, k])
-
-
-def _mul_column(out, k, rows):
-    a, b = (s.c for s in out._args)
-    c = out.c
-    term = np.empty(c.shape[2:], dtype=c.dtype)
-    for j in range(rows):
-        acc = c[j, k, ...]
-        np.multiply(a[0, 0], b[j, k], out=acc)
-        for p in range(j + 1):
-            for q in range(k + 1):
-                if p or q:
-                    acc += np.multiply(a[p, q], b[j - p, k - q], out=term)
-
-
-def _div_column(out, k, rows):
-    # Forward substitution on conv(b, out) = a in graded order.
-    a, b = (s.c for s in out._args)
-    c = out.c
-    if k == 0 and not np.all(np.abs(b[0, 0]) > 0.0):
+def _check_divisor(constant):
+    if not np.all(np.abs(constant) > 0.0):
         raise ZeroDivisionError("series division by zero constant term")
-    term = np.empty(c.shape[2:], dtype=c.dtype)
+
+
+def _div_column(c, args, k, rows, term):
+    # Forward substitution on conv(b, c) = a in graded order, row by row:
+    # the (p, 0) terms of a row read the rows below it in this column.
+    a, b = args
+    if k == 0:
+        yield _check_divisor, (b[0, 0],)
     for j in range(rows):
-        acc = c[j, k, ...]
-        acc[...] = a[j, k]
+        yield np.copyto, (c[j, k, ...], a[j, k])
         for p in range(j + 1):
             for q in range(k + 1):
                 if p or q:
-                    acc -= np.multiply(b[p, q], c[j - p, k - q], out=term)
-        acc /= b[0, 0]
+                    yield np.multiply, (b[p, q], c[j - p, k - q, ...], term[0, ...])
+                    yield np.subtract, (c[j, k, ...], term[0, ...], c[j, k, ...])
+        yield np.divide, (c[j, k, ...], b[0, 0], c[j, k, ...])
 
 
-def _x_derivative_column(out, k, rows):
-    a = out._args[0].c
-    degrees = np.arange(1, rows).reshape((-1,) + (1,) * (a.ndim - 2))
-    np.multiply(a[1:rows, k], degrees, out=out.c[: rows - 1, k])
-    out.c[rows - 1, k] = 0
+def _x_derivative_column(c, args, k, rows, term):
+    a, scale = args
+    degrees = scale * np.arange(1.0, rows).reshape((-1,) + (1,) * (a.ndim - 2))
+    yield np.multiply, (a[1:rows, k], degrees, c[: rows - 1, k])
+    yield np.copyto, (c[rows - 1, k, ...], 0)
+
+
+def _t_integral_column(c, args, k, rows, term):
+    # Column k + 1 of the series whose t-derivative is args[0], on the rows
+    # j <= rows - 2 that stay inside the triangle; the rows above are zero.
+    yield np.divide, (args[0][: rows - 1, k], k + 1, c[: rows - 1, k + 1])
+    yield np.copyto, (c[rows - 1 :, k + 1], 0)
 
 
 # -- tapes ----------------------------------------------------------------------
+
+
+class _Slot:
+    """The view ``index`` of workspace slot ``slot``, for any number of points."""
+
+    ndim = 3  # (nx, nt, points)
+
+    def __init__(self, slot: int, index=()):
+        self.slot, self.index = slot, index
+
+    def __getitem__(self, index) -> "_Slot":
+        return _Slot(self.slot, index)
 
 
 class Workspace:
@@ -245,16 +262,19 @@ class Workspace:
     view of the same memory, so a caller that asks for the same slots with
     bounded shapes keeps a bounded amount of storage however often it runs.
     The workspace also keeps the tapes recorded on it, at most ``TAPES`` of
-    them, the least recently used dropped first.
+    them, the least recently used dropped first, and at most ``PROGRAMS`` of
+    their programs bound to its slots.
     """
 
     # Four laws, each at a real and a complex dtype (a residual and its
     # complex-step Jacobian), before the oldest is recorded again.
     TAPES = 8
+    PROGRAMS = 64
 
     def __init__(self) -> None:
         self._slots: list[np.ndarray] = []
         self.tapes: dict = {}
+        self.programs: dict = {}
 
     @property
     def nbytes(self) -> int:
@@ -267,8 +287,10 @@ class Workspace:
         while len(self._slots) <= slot:
             self._slots.append(np.empty(0, dtype=np.uint8))
         if self._slots[slot].nbytes < size:
-            # complex128 backing keeps every view 16-byte aligned.
+            # complex128 backing keeps every view 16-byte aligned; the bound
+            # programs view the old backing.
             self._slots[slot] = np.empty(-(-size // 16), dtype=complex).view(np.uint8)
+            self.programs.clear()
         return self._slots[slot][:size].view(dtype).reshape(shape)
 
     def tape(self, key, record) -> tuple:
@@ -287,21 +309,33 @@ class Workspace:
         self.tapes[key] = entry
         return entry
 
+    def program(self, tape: "SeriesTape", points: int) -> tuple:
+        """``tape.bind(points)``, kept until a slot grows or ``PROGRAMS`` are kept."""
+        if (tape, points) not in self.programs:
+            if len(self.programs) >= self.PROGRAMS:
+                self.programs.clear()
+            self.programs[tape, points] = tape.bind(points)
+        return self.programs[tape, points]
+
 
 class SeriesTape:
     """Series with one flat batch axis whose t-columns are filled level by level.
 
-    ``leaf`` makes an input series; operations on tape series record their
-    results here in creation order, which is an evaluation order. ``bind``
-    points every leaf and node at workspace storage for a block of points
-    (the values are left undefined), and ``fill`` computes one t-column of
-    every node. The caller writes the leaves' column k before ``fill(k)``
-    and calls ``release`` when done, so a tape that is kept holds no storage.
+    ``leaf`` makes an input series and ``integrate`` gives it a t-derivative;
+    operations on tape series record their results here in creation order,
+    which is an evaluation order. Time level k fills column k of every node
+    on the rows j < nx - k, the triangle a jet needs, then column k + 1 of
+    every integrated leaf. ``compile`` writes the levels once as one flat
+    program over numbered slots; ``bind`` puts it on workspace storage for a
+    number of points, and the caller writes the leaves' column 0 and runs
+    it. The series never hold storage.
     """
 
     def __init__(self, workspace: Workspace) -> None:
         self.workspace = workspace
         self.series: list[TruncatedSeries] = []
+        self.integrals: list[tuple] = []
+        self.instructions: list | None = None
 
     def leaf(self, nx: int, nt: int, dtype) -> TruncatedSeries:
         out = TruncatedSeries(np.empty((nx, nt, 0), dtype=dtype))
@@ -310,20 +344,33 @@ class SeriesTape:
         return out
 
     def record(self, series: TruncatedSeries, degrees: tuple, dtype) -> None:
-        """Adds a node; like a leaf, it holds no points until ``bind``."""
+        """Adds a node; like a leaf, it holds no points."""
         series.c = np.empty(degrees + (0,), dtype=dtype)
         self.series.append(series)
 
-    def bind(self, points: int) -> None:
-        for slot, s in enumerate(self.series):
-            s.c = self.workspace.array(slot, s.c.shape[:2] + (points,), s.c.dtype)
+    def integrate(self, leaf: TruncatedSeries, rate: TruncatedSeries) -> None:
+        """Makes ``rate`` the t-derivative of ``leaf``."""
+        self.integrals.append((leaf, _t_integral_column, (rate,)))
 
-    def fill(self, k: int, rows: int) -> None:
-        for s in self.series:
-            if s._fill is not None:
-                s._fill(s, k, rows)
+    def compile(self) -> list:
+        """Every level's instructions in order, over ``_Slot`` operands and one scratch slot."""
+        slots = {id(s): _Slot(i) for i, s in enumerate(self.series)}
+        fills = [(s, s._fill, s._args) for s in self.series if s._fill] + self.integrals
+        nx, nt = self.series[0].c.shape[:2]
+        program = []
+        for k, (s, fill, args) in itertools.product(range(nt - 1), fills):
+            args = [slots.get(id(a), a.c) if isinstance(a, TruncatedSeries) else a for a in args]
+            program += fill(slots[id(s)], args, k, nx - k, _Slot(len(self.series)))
+        return program
 
-    def release(self) -> None:
-        """Points every leaf and node back at empty storage, holding no slot view."""
-        for s in self.series:
-            s.c = np.empty(s.c.shape[:2] + (0,), dtype=s.c.dtype)
+    def bind(self, points: int) -> tuple:
+        """The program over ``points`` lanes of workspace slots, and the series' arrays."""
+        if self.instructions is None:
+            self.instructions = self.compile()
+        leaf = self.series[0].c
+        # t-major storage: a column's rows are one contiguous block.
+        arrays = [self.workspace.array(i, (s.nt, s.nx, points), s.c.dtype).transpose(1, 0, 2)
+                  for i, s in enumerate(self.series)]
+        arrays.append(self.workspace.array(len(arrays), (leaf.shape[0], points), leaf.dtype))
+        view = lambda a: arrays[a.slot][a.index] if isinstance(a, _Slot) else a  # noqa: E731
+        return [(f, tuple(map(view, args))) for f, args in self.instructions], arrays

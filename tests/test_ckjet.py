@@ -11,9 +11,12 @@ import pytest
 
 from aderfv import ckjet
 from aderfv.ckjet import ck_time_derivatives
+from aderfv.grid import Grid, RunConfig
 from aderfv.predictor import predictor_residual, residual_and_jacobian, solve_derivative_chain
-from aderfv.series import TruncatedSeries, Workspace
+from aderfv.series import SeriesTape, TruncatedSeries, Workspace
+from aderfv.solver import run
 from aderfv.systems import (
+    SystemDescriptor,
     euler_ideal_gas,
     leveque_yee,
     linear_ck_matrices,
@@ -291,6 +294,41 @@ def test_taylor_jet_equals_per_level_jet_exactly(make, centre):
                 assert np.array_equal(got, ref), (order, batch, complex_stack)
 
 
+def _toy_law():
+    """A law whose tape holds the shapes the shipped laws miss.
+
+    Component 0 has a constant flux and a Python-scalar source, so its whole
+    right-hand side is a constant series off the tape; component 1 has a
+    bare leaf for its flux; scalar / series and scalar - series record
+    ``__rtruediv__`` and ``__rsub__``.
+    """
+    return SystemDescriptor(
+        name="toy",
+        m=3,
+        eigenvalues=lambda q: np.ones(np.shape(q)),
+        initial_condition=lambda x: np.zeros(np.shape(x) + (3,)),
+        flux_terms=lambda q: [2.5, q[0], 1.0 / (2.0 + q[1])],
+        source_terms=lambda q: [0.5, 3.0 - q[2], q[0] * (1.5 - q[1])],
+    )
+
+
+def test_toy_law_jet_equals_per_level_jet_exactly():
+    system = _toy_law()
+    block = ckjet._BLOCK
+    rng = np.random.default_rng(76)
+    for order in range(1, 6):
+        for batch in [(1,), (block - 1,), (block,), (block + 1,)]:
+            for complex_stack in (False, True):
+                d = 0.1 * rng.standard_normal(batch + (order + 1, system.m))
+                d[..., 0, :] += [0.5, 0.3, 0.2]
+                if complex_stack:
+                    d = d + 1e-3j * rng.standard_normal(d.shape)
+                got = ck_time_derivatives(system, d, order)
+                ref = _per_level_jet(system, d, order)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref), (order, batch, complex_stack)
+
+
 def test_failed_jet_leaves_next_result_unchanged(monkeypatch):
     # A failed jet leaves its law's tape kept, holding no storage, and the
     # next call on that tape repeats the first result.
@@ -358,6 +396,53 @@ def test_workspace_keeps_a_bounded_number_of_tapes(monkeypatch):
     for workspace in idle:
         for tape, _ in workspace.tapes.values():
             assert all(s.c.size == 0 for s in tape.series)
+
+
+def test_workspace_storage_stays_bounded(monkeypatch):
+    # Batch sizes from 1 to 5000 over more laws than a workspace keeps: the
+    # kept tapes hold no storage, the bound programs stay within their limit,
+    # and a second pass over the sizes grows no slot.
+    idle = []
+    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    laws = [leveque_yee(beta=-float(beta)) for beta in range(1, Workspace.TAPES + 3)]
+    rng = np.random.default_rng(77)
+    sizes = []
+    for _ in range(2):
+        for i, points in enumerate(range(1, 5001, 7)):
+            d = 0.1 * rng.standard_normal((points, 3, 1)) + 0.5
+            ck_time_derivatives(laws[i % len(laws)], d if i % 3 else d + 0j, 2)
+            (workspace,) = idle
+            assert len(workspace.programs) <= Workspace.PROGRAMS
+            assert len(workspace.tapes) <= Workspace.TAPES
+            for tape, _ in workspace.tapes.values():
+                assert all(s.c.size == 0 for s in tape.series)
+        sizes.append(workspace.nbytes)
+    assert sizes[1] == sizes[0]
+
+
+def test_stiff_episode_records_and_compiles_each_tape_once(monkeypatch):
+    # One leveque-yee3-stiff episode: every (law, order, dtype) tape is
+    # recorded once and compiled once, however many batch sizes it serves.
+    monkeypatch.setattr(ckjet, "_idle_workspaces", [])
+    recorded, compiled = [], []
+    tape = Workspace.tape
+    compile_tape = SeriesTape.compile
+
+    def recording_tape(self, key, record):
+        return tape(self, key, lambda t: recorded.append(key) or record(t))
+
+    def counting_compile(self):
+        compiled.append(self)
+        return compile_tape(self)
+
+    monkeypatch.setattr(Workspace, "tape", recording_tape)
+    monkeypatch.setattr(SeriesTape, "compile", counting_compile)
+    config = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive")
+    report = run(leveque_yee(beta=-1000.0), Grid(0.0, 1.0, 100), config)
+    assert report.n_steps > 100
+    assert len(recorded) == 2
+    assert {key[-2:] for key in recorded} == {(2, np.dtype(float)), (2, np.dtype(complex))}
+    assert len(compiled) == len(set(map(id, compiled))) == 2
 
 
 def test_repeated_jacobian_reuses_the_workspace(monkeypatch):
