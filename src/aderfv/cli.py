@@ -69,7 +69,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default="linear-system",
         help="named test case supplying the defaults below",
     )
-    p.add_argument("--order", type=int, default=None, help="scheme order (2..5)")
+    p.add_argument(
+        "--order", type=int, default=None,
+        help="scheme order (1..5; order 1 is the first-order diagnostic mode)",
+    )
     p.add_argument("--cells", type=int, default=None, help="number of cells")
     p.add_argument("--cfl", type=float, default=None, help="CFL coefficient")
     p.add_argument("--alpha", type=float, default=None, help="flux-splitting alpha")

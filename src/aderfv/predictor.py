@@ -31,17 +31,21 @@ its first sweep's chord I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the Jacobian
 of the state equation at D = w. A point refreshes its Jacobian on the sweep
 after a Newton step larger than sqrt(fp_tol) of its state scale, and reuses
 the stored one as a chord otherwise, so a point that starts inside Newton's
-quadratic range never pays for one (Kelley 1995, ch. 5). A refreshed
-Jacobian is the total derivative d/dD_0 H(D_0, R(D_0)), taken by one complex
-step in D_0 through the chain and the CK jet, so Newton converges at a stiff
-front, where D_1..D_M depend strongly on D_0 through J_S(D_0). A start that
+quadratic range never pays for one (Kelley 1995, ch. 5). A Jacobian is
+factored once, when it is stored, by a batched LU with partial pivoting over
+the m component rows, and every sweep that uses it only substitutes; an
+exact zero pivot makes a point singular. A refreshed Jacobian is the total
+derivative d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through
+the chain and the CK jet, so Newton converges at a stiff front, where
+D_1..D_M depend strongly on D_0 through J_S(D_0). A start that
 is not finite or not admissible, or whose first sweep fails, falls back to
 w_0; a node whose jet fails leaves its points a fresh Jacobian on their
 first sweep. A failure names its points, their cells, times and states.
 
 The state equation is written once, here: ``predictor_residual`` and
 ``residual_and_jacobian`` contract the CK jets of ``ckjet`` with the Taylor
-coefficients (-tau)^k / k! that also give the starts and chords.
+coefficients (-tau)^k / k! that also give the starts and chords. A solve
+takes each point's coefficients once and hands them to every residual.
 
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
@@ -181,30 +185,96 @@ def _point_error(message: str, bad: np.ndarray, tau, states: np.ndarray) -> Pred
     )
 
 
-def _singular(lhs: np.ndarray, what: str, tau, states: np.ndarray) -> PredictorError:
-    """A PredictorError naming the points of a batch whose matrix ``lhs`` is singular."""
-    # LU stops at an exact zero pivot, where the determinant's sign is 0.
-    singular = np.linalg.slogdet(lhs).sign == 0
-    return _point_error(f"singular {what}: Singular matrix", singular, tau, states)
+def _swap_rows(rows, k: int, p: np.ndarray) -> None:
+    """Swap rows k and k + p of the sequence ``rows``, point by point."""
+    for i in range(1, len(rows) - k):
+        swap = p == i
+        if swap.any():
+            top, row = rows[k], rows[k + i]
+            rows[k], rows[k + i] = np.where(swap, row, top), np.where(swap, top, row)
 
 
-def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, tau, states: np.ndarray) -> np.ndarray:
-    """lhs^-1 rhs over a batch of m x m systems, shapes (..., m, m) and (..., m).
+def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors with partial pivoting of a batch of m x m matrices, a (..., m, m).
 
-    For m = 1 this is a division, which is LAPACK's 1 x 1 result bit for bit
-    without the cost of a batched call. A singular system raises a
-    PredictorError naming its points, with ``tau`` and ``states`` per point.
+    The factors are stored component-major, so that each matrix entry is one
+    array over the points and the elimination loops over the m rows only:
+    ``lu``, shape (m, m) + batch, holds U on and above the diagonal and the
+    multipliers of L below its unit diagonal, and ``piv``, (m - 1,) + batch,
+    the row that column k swapped into row k, counted from k. The pivot is
+    the entry of largest real part in magnitude, so a complex step in ``a``
+    keeps the pivots of its real part. A singular matrix has an exact zero
+    pivot (``_zero_pivots``); its elimination goes on, and solves with it
+    come out non-finite. At m = 1 the factor is the matrix itself.
     """
-    if lhs.shape[-1] == 1:
-        if lhs.all():
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                return rhs / lhs[..., 0]
-    else:
-        try:
-            return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            pass
-    raise _singular(lhs, what, tau, states)
+    nb = a.ndim - 2
+    lu = a.transpose((nb, nb + 1) + tuple(range(nb))).copy()
+    m = len(lu)
+    piv = np.empty((m - 1,) + lu.shape[2:], dtype=np.intp)
+    for k in range(m - 1):
+        col = np.abs(lu[k:, k].real)
+        piv[k], best = 0, col[0]
+        for i in range(1, m - k):
+            # A NaN entry counts as the largest, as in np.argmax.
+            take = (col[i] > best) | np.isnan(col[i])
+            piv[k][take] = i
+            best = np.where(take, col[i], best)
+        _swap_rows(lu, k, piv[k])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lu[k + 1 :, k] /= lu[k, k]
+            lu[k + 1 :, k + 1 :] -= lu[k + 1 :, k, None] * lu[k, None, k + 1 :]
+    return lu, piv
+
+
+def _lu_solve(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """x with a x = b at every point, for the factors of a (``_lu_factor``).
+
+    b, shape (..., m), broadcasts against the factors' batch. Forward and
+    back substitution over the component rows; at m = 1 this is b / a, bit
+    for bit.
+    """
+    lu, piv = factors
+    m = len(lu)
+    y = [b[..., i] for i in range(m)]
+    x = np.empty(np.broadcast(y[0], lu[0, 0]).shape + (m,), dtype=np.result_type(lu, b))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k, p in enumerate(piv):
+            if p.any():
+                _swap_rows(y, k, p)
+        for i in range(1, m):
+            for j in range(i):
+                y[i] = y[i] - lu[i, j] * y[j]
+        for i in range(m - 1, -1, -1):
+            for j in range(i + 1, m):
+                y[i] = y[i] - lu[i, j] * x[..., j]
+            np.divide(y[i], lu[i, i], out=x[..., i])
+    return x
+
+
+def _zero_pivots(factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The points whose factored matrix is singular: an exact zero pivot."""
+    return (np.diagonal(factors[0]) == 0).any(axis=-1)
+
+
+def _check_singular(factors, what: str, tau, states: np.ndarray) -> None:
+    """Raise a PredictorError naming the points with singular ``factors``, if any."""
+    singular = _zero_pivots(factors)
+    if singular.any():
+        raise _point_error(f"singular {what}: Singular matrix", singular, tau, states)
+
+
+def _point_norm(x: np.ndarray) -> np.ndarray:
+    """max_i |x_i| over the m components of each point, x (..., m).
+
+    Elementwise maxima over the components; a reduction along the short last
+    axis takes about ten times longer (100 against 10 us on (2000, 3), on a
+    2-core x86 VM). A NaN component gives NaN, as np.max.
+    """
+    x = np.abs(x)
+    out = x[..., 0]
+    for i in range(1, x.shape[-1]):
+        out = np.maximum(out, x[..., i])
+    return out
 
 
 def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
@@ -218,11 +288,10 @@ def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _state_residual(system, d0, d_rest, tau, w0):
-    """H(D_0) of ``predictor_residual``, at real or complex states."""
-    order = np.shape(d_rest)[-2]
-    g = ckjet.ck_time_derivatives(system, (d0, d_rest), order)
-    return d0 - w0 + np.einsum("...k,...ki->...i", _taylor_coefficients(tau, order), g)
+def _state_residual(system, d0, d_rest, taylor, w0):
+    """H(D_0) of ``predictor_residual`` from the Taylor rows, at real or complex states."""
+    g = ckjet.ck_time_derivatives(system, (d0, d_rest), taylor.shape[-1])
+    return d0 - w0 + np.einsum("...k,...ki->...i", taylor, g)
 
 
 def predictor_residual(
@@ -231,15 +300,20 @@ def predictor_residual(
     d_rest: np.ndarray,
     tau: np.ndarray,
     w0: np.ndarray,
+    taylor: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual of the implicit Taylor state equation at elapsed time tau.
 
     H = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
     where w_0 is the reconstructed state at tau = 0 and D_1..D_M are the
     spatial derivatives given, usually the chain's solution at D_0. D_0
-    carries the batch axes that the other inputs broadcast over.
+    carries the batch axes that the other inputs broadcast over. ``taylor``
+    may hold the rows (-tau)^k / k!, k = 1..M, shape tau.shape + (M,), of a
+    caller that evaluates many residuals at the same times.
     """
-    return _state_residual(system, np.asarray(d0, dtype=float), d_rest, tau, w0)
+    if taylor is None:
+        taylor = _taylor_coefficients(tau, np.shape(d_rest)[-2])
+    return _state_residual(system, np.asarray(d0, dtype=float), d_rest, taylor, w0)
 
 
 def residual_and_jacobian(
@@ -248,6 +322,7 @@ def residual_and_jacobian(
     w_rest: np.ndarray,
     tau: np.ndarray,
     w0: np.ndarray,
+    taylor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduced residual and its total derivative in D_0, shapes (..., m), (..., m, m).
 
@@ -257,10 +332,13 @@ def residual_and_jacobian(
     and A(D_0). The m states D_0 + i h e_j go through the chain and the CK
     jet in one complex step (``complex_step_jacobian``), so the derivative
     dH/dD_0 = d/dD_0 H(D_0, R(D_0)) is exact to rounding; the residual is
-    the real part. A failing chain names its points in the batch.
+    the real part. A failing chain names its points in the batch. ``taylor``
+    is as in ``predictor_residual``.
     """
     d0 = np.asarray(d0, dtype=float)
     order = np.shape(w_rest)[-2]
+    if taylor is None:
+        taylor = _taylor_coefficients(tau, order)
 
     def reduced(d0c):
         try:
@@ -270,7 +348,7 @@ def residual_and_jacobian(
             bad = np.zeros(d0c.shape[:-1], dtype=bool)
             bad.flat[exc.details["points"]] = True
             raise _point_error(str(exc), bad.any(axis=0), tau, d0) from exc
-        return _state_residual(system, d0c, rest, tau, w0)
+        return _state_residual(system, d0c, rest, taylor, w0)
 
     with np.errstate(over="ignore"):
         return complex_step_jacobian(reduced, d0)
@@ -287,10 +365,10 @@ def solve_derivative_chain(
 
     With J = source Jacobian and A = system matrix both evaluated at D_0,
     solve (I - tau J) D_M = w_M and then (I - tau J) D_k = w_k - tau A D_{k+1}
-    for k = M-1..1. D_0 may be complex: J and A are analytic in it, so a
-    complex step in D_0 passes through the chain. A singular I - tau J or a
-    non-finite solution raises a PredictorError that names its points (flat
-    indices into the batch).
+    for k = M-1..1, with I - tau J factored once (``_lu_factor``). D_0 may
+    be complex: J and A are analytic in it, so a complex step in D_0 passes
+    through the chain. A singular I - tau J or a non-finite solution raises
+    a PredictorError that names its points (flat indices into the batch).
     """
     d0 = np.asarray(d0)
     w_rest = np.asarray(w_rest, dtype=float)
@@ -300,38 +378,47 @@ def solve_derivative_chain(
     out = np.empty(batch + (order, m), dtype=np.result_type(d0, float))
     if order == 0:
         return out
-    what = "derivative chain (I - tau J)"
     if system.source_free:
         # Without source terms I - tau J is the identity.
+        factors = None
+
         def solve(rhs):
             return rhs
     else:
-        lhs = np.eye(m) - tau[..., None, None] * system.source_jacobian(d0)
-        if m == 1:
-            def solve(rhs):
-                return _solve(lhs, rhs, what, tau, d0)
-        else:
-            # One factorization serves every derivative level.
-            try:
-                inverse = np.linalg.inv(lhs)
-            except np.linalg.LinAlgError:
-                raise _singular(lhs, what, tau, d0) from None
+        factors = _lu_factor(np.eye(m) - tau[..., None, None] * system.source_jacobian(d0))
 
-            def solve(rhs):
-                return np.einsum("...ab,...b->...a", inverse, rhs)
+        def solve(rhs):
+            return _lu_solve(factors, rhs)
 
-    out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
-    if order > 1:
-        amat = system.matrix(d0)
-    for k in range(order - 2, -1, -1):
-        out[..., k, :] = solve(
-            w_rest[..., k, :]
-            - tau[..., None] * np.einsum("...ab,...b->...a", amat, out[..., k + 1, :])
-        )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
+        if order > 1:
+            amat = system.matrix(d0)
+        for k in range(order - 2, -1, -1):
+            out[..., k, :] = solve(
+                w_rest[..., k, :]
+                - tau[..., None] * np.einsum("...ab,...b->...a", amat, out[..., k + 1, :])
+            )
     if not np.all(np.isfinite(out)):
+        # A singular point's solution is never finite.
+        if factors is not None:
+            _check_singular(factors, "derivative chain (I - tau J)", tau, d0)
         bad = ~np.isfinite(out).all(axis=(-2, -1))
         raise _point_error("non-finite derivative chain solution", bad, tau, d0)
     return out
+
+
+def _gather(x: np.ndarray, points, axis: int = 0) -> np.ndarray:
+    """``x`` at ``points`` along ``axis``, points a slice or an index array.
+
+    A slice gives a view. An index array gives a copy by ``take``, which
+    numpy runs several times faster than an indexed read of an array of two
+    or more dimensions (1 against 6 us for 420 of 1400 rows of width 2, on
+    a 2-core x86 VM).
+    """
+    if isinstance(points, slice):
+        return x[(slice(None),) * (axis % x.ndim) + (points,)]
+    return x.take(points, axis=axis)
 
 
 # What a failing CK jet raises, for its whole batch.
@@ -352,8 +439,8 @@ def _failing_rows(evaluate, rows: np.ndarray) -> np.ndarray:
     return rows[:0]
 
 
-def _jet(evaluate, system, rows, d0, rest, tau, w0):
-    """``evaluate(system, d0, rest, tau, w0)`` on ``rows`` of a batch.
+def _jet(evaluate, system, rows, d0, rest, tau, w0, taylor):
+    """``evaluate(system, d0, rest, tau, w0, taylor)`` on ``rows`` of a batch.
 
     ``evaluate`` gives a residual, or a residual and Jacobian. A CK jet that
     fails (a non-finite coefficient or a zero division) fails for its whole
@@ -361,7 +448,7 @@ def _jet(evaluate, system, rows, d0, rest, tau, w0):
     bisection. They, and the points of a PredictorError that ``evaluate``
     raises, are named by their index in the batch.
     """
-    args = (d0[rows], rest[rows], tau[rows], w0[rows])
+    args = tuple(_gather(x, rows) for x in (d0, rest, tau, w0, taylor))
     try:
         return evaluate(system, *args)
     except PredictorError as exc:
@@ -467,11 +554,11 @@ def solve_predictor_points(
     # One block for the layout's stacks and the batch's data and iterate: on
     # glibc, unmapping a block this large raises the heap's trim threshold
     # above a sweep's temporaries, so sweeps rarely fault pages back in.
-    # Euler order 5 on 64 cells (Linux, 2-core VM, getrusage, 5 runs each):
-    # 10.5 minor faults a step, 3.4 with the trim and mmap thresholds fixed
-    # in the environment, at no consistent difference in step time; three
-    # separate arrays take 638 a step and 8-13% longer steps than with the
-    # thresholds fixed.
+    # Euler order 5 on 64 cells after a warm-up run (Linux, 2-core VM,
+    # getrusage over ``solver.run``, 2-3 runs each): 4.2 minor faults a
+    # step, 3.8 with the trim and mmap thresholds fixed in the environment
+    # and 742 with three separate arrays, at step times within each other's
+    # spread.
     stacks, w, d = np.empty((3, nb, nderiv, m))
     for (w_b, taus), stacks_p, tau_p, cell_p in zip(
         blocks, *(_point_views(blocks, a) for a in (stacks, tau, cell))
@@ -506,14 +593,17 @@ def solve_predictor_points(
     d[...] = w
     w0, w_rest = w[:, 0], w[:, 1:]
     d0, d_rest = d[:, 0], d[:, 1:]
-    start, jac_store, has_jet = _explicit_start(
+    taylor = _taylor_coefficients(tau, order)
+    start, chord, has_jet = _explicit_start(
         system, [(w_b, taus[taus != 0.0]) for w_b, taus in blocks]
     )
+    # Each point's stored Jacobian, factored: the chord, until a refresh.
+    lu_store, piv_store = _lu_factor(chord)
     # Points that start from the explicit Taylor value rather than from w_0.
-    explicit = has_jet & np.isfinite(start).all(axis=-1)
+    explicit = has_jet & np.isfinite(_point_norm(start))
     if system.admissible is not None:
         explicit[explicit] = system.admissible(start[explicit])
-    d0[explicit] = start[explicit]
+    np.copyto(d0, start, where=explicit[:, None])
     # Points that take the total derivative on their next sweep.
     refresh = ~has_jet
     active = np.arange(batch.size)
@@ -523,14 +613,17 @@ def solve_predictor_points(
         sweeps += 1
         # While every point is active the sweep reads the batch uncopied.
         a = slice(None) if active.size == batch.size else active
-        fresh, jac = refresh[a], jac_store[a]
+        fresh = refresh[a]
+        factors = (_gather(lu_store, a, -1), _gather(piv_store, a, -1))
         try:
             if sweeps > config.fp_max_iter:
                 raise _point_error(
                     "predictor fixed point did not converge",
                     np.ones(active.size, dtype=bool), tau[a], d0[a],
                 )
-            d0_new, rest, step = _sweep(system, d0[a], w0[a], w_rest[a], tau[a], order, jac, fresh)
+            d0_new, rest, step = _sweep(
+                system, *(_gather(x, a) for x in (d0, w0, w_rest, tau, taylor)), factors, fresh
+            )
         except PredictorError as exc:
             failed = active[exc.details["points"]]
             named(exc, batch[active])
@@ -544,10 +637,11 @@ def solve_predictor_points(
             sweeps -= 1
             continue
         explicit[:] = False
-        if fresh.any():
-            jac_store[a] = jac  # the refreshed Jacobians, if ``a`` took a copy
+        if fresh.any() and not isinstance(a, slice):
+            # The refreshed factors went into the copies of the stored ones.
+            lu_store[..., a], piv_store[..., a] = factors
 
-        scale = 1.0 + np.max(np.abs(d0_new), axis=-1)
+        scale = 1.0 + _point_norm(d0_new)
         done = step <= config.fp_tol * scale
         # A step that large means the point was outside the quadratic range
         # of its Jacobian, which then no longer serves as a chord.
@@ -560,15 +654,17 @@ def solve_predictor_points(
     return _point_views(blocks, stacks), sweeps
 
 
-def _sweep(system, d0, w0, w_rest, tau, order, jac, refresh):
+def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     """One outer sweep over a batch of points: chain, then one guarded Newton step.
 
-    A point where ``refresh`` holds stores the total derivative of the
-    reduced residual in ``jac``; the others use the Jacobian stored there.
-    Returns the new states, the chain solutions and each point's step size;
-    a failure raises a PredictorError under the points' indices in the batch.
+    A point where ``refresh`` holds stores the factors of the total
+    derivative of the reduced residual in ``factors`` (``_lu_factor``); the
+    others solve with the factors stored there. ``taylor`` holds the points'
+    rows (-tau)^k / k!. Returns the new states, the chain solutions and each
+    point's step size; a failure raises a PredictorError under the points'
+    indices in the batch.
     """
-    rest = solve_derivative_chain(system, d0, w_rest, tau, order)
+    rest = solve_derivative_chain(system, d0, w_rest, tau, taylor.shape[-1])
 
     def rows(mask):
         # Usually every point takes one path: then the batch goes uncopied.
@@ -579,14 +675,18 @@ def _sweep(system, d0, w0, w_rest, tau, order, jac, refresh):
     h = np.empty_like(d0)
     if refresh.any():
         r = rows(refresh)
-        h[r], jac[r] = _jet(residual_and_jacobian, system, r, d0, w_rest, tau, w0)
+        h[r], jac = _jet(residual_and_jacobian, system, r, d0, w_rest, tau, w0, taylor)
+        for store, new in zip(factors, _lu_factor(jac)):
+            store[..., r] = new
     if not refresh.all():
         r = rows(~refresh)
-        h[r] = _jet(predictor_residual, system, r, d0, rest, tau, w0)
+        h[r] = _jet(predictor_residual, system, r, d0, rest, tau, w0, taylor)
 
-    delta = _solve(jac, h, "predictor Jacobian", tau, d0)
+    delta = _lu_solve(factors, h)
     d0_new = d0 - delta
     if not np.all(np.isfinite(d0_new)):
+        # A singular point's step is never finite.
+        _check_singular(factors, "predictor Jacobian", tau, d0)
         bad = ~np.isfinite(d0_new).all(axis=-1)
         raise _point_error("non-finite predictor iterate", bad, tau, d0)
 
@@ -597,16 +697,16 @@ def _sweep(system, d0, w0, w_rest, tau, order, jac, refresh):
     # unstable equilibrium); small steps are in the locally convergent
     # regime and skip that residual. No residual is taken at an inadmissible
     # state, and a step still inadmissible after the last halving fails.
-    scale = 1.0 + np.max(np.abs(d0), axis=-1)
-    big = np.max(np.abs(delta), axis=-1) > _DESCENT_GATE * scale
-    h_ref = np.max(np.abs(h), axis=-1)
+    scale = 1.0 + _point_norm(d0)
+    big = _point_norm(delta) > _DESCENT_GATE * scale
+    h_ref = _point_norm(h)
     trial = np.flatnonzero(big) if system.admissible is None else np.arange(len(d0))
     for halvings in range(_BACKTRACK_LIMIT + 1):
         if not trial.size:
             break
         halve = np.zeros(trial.size, dtype=bool)
         if system.admissible is not None:
-            halve = ~system.admissible(d0_new[trial])
+            halve = ~system.admissible(d0_new.take(trial, axis=0))
         if halvings == _BACKTRACK_LIMIT:
             if halve.any():
                 bad = np.zeros(len(d0), dtype=bool)
@@ -618,14 +718,13 @@ def _sweep(system, d0, w0, w_rest, tau, order, jac, refresh):
         descend = big[trial] & ~halve
         if descend.any():
             p = trial[descend]
-            h_try = _jet(predictor_residual, system, p, d0_new, rest, tau, w0)
-            h_try = np.max(np.abs(h_try), axis=-1)
+            h_try = _point_norm(_jet(predictor_residual, system, p, d0_new, rest, tau, w0, taylor))
             halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
         trial = trial[halve]
         delta[trial] *= 0.5
         d0_new[trial] = d0[trial] - delta[trial]
 
-    return d0_new, rest, np.max(np.abs(d0_new - d0), axis=-1)
+    return d0_new, rest, _point_norm(d0_new - d0)
 
 
 def predictor_operators(

@@ -153,6 +153,18 @@ def test_bad_order_exits_one(capsys):
     assert "aderfv:" in capsys.readouterr().err
 
 
+def test_first_order_diagnostic_mode_runs(capsys):
+    # Order 1 is in the range the help names; a run at order 1 writes a
+    # header and one line per cell.
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert "1..5" in " ".join(capsys.readouterr().out.split())
+    rc = main(["solve", "--preset", "leveque-yee", "--order", "1", "--t-out", "0.05"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + PRESETS["leveque-yee"].cells
+
+
 def test_non_finite_run_setting_exits_one(capsys):
     # An infinite output time used to run 0 steps and exit 0 at t = 0.
     rc = main(["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "inf"])

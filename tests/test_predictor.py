@@ -386,6 +386,90 @@ def test_non_finite_iterate_names_its_points(monkeypatch):
     np.testing.assert_array_equal(err.details["states"], [[0.75]])
 
 
+def _factor_batch(m, rng, n=48):
+    """Matrices (n, m, m) and right sides (n, m): well-conditioned ones, ones
+    whose leading entry is tiny or (for m > 1) zero, so that LU must pivot,
+    and rows permuted, so that any row may hold the pivot."""
+    a = 2.0 * np.eye(m) + 0.5 * rng.normal(size=(n, m, m))
+    a[: n // 4, 0, 0] = 0.0 if m > 1 else 1e-300
+    a[n // 4 : n // 2, 0, 0] = 1e-14
+    rows = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
+    a = np.take_along_axis(a, rows[..., None], axis=1)
+    return a, rng.normal(size=(n, m))
+
+
+def _factor_solve(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = predictor._lu_factor(a)
+        return predictor._lu_solve(factors, b), predictor._zero_pivots(factors)
+
+
+def _close_to_numpy(x, a, b, rtol):
+    # Norm-wise relative agreement per point; ``rtol`` may vary by point.
+    ref = np.linalg.solve(a, b[..., None])[..., 0]
+    err = np.abs(x - ref).max(axis=-1)
+    assert np.all(err <= rtol * np.abs(ref).max(axis=-1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_lu_matches_numpy_solve(m):
+    # Partial pivoting, well-conditioned and near-singular: the solves agree
+    # with LAPACK's to 1e-13 relative, times the condition number for the
+    # near-singular ones, and none of them has an exact zero pivot.
+    rng = np.random.default_rng(40 + m)
+    a, b = _factor_batch(m, rng)
+    x, singular = _factor_solve(a, b)
+    assert not singular.any()
+    _close_to_numpy(x, a, b, 1e-13)
+    if m == 1:
+        np.testing.assert_array_equal(x, b / a[..., 0])
+
+    # A rank-one matrix plus a perturbation of 1e-9 relative.
+    u, v = rng.normal(size=(2, 16, m))
+    near = u[:, :, None] * v[:, None, :] + 1e-9 * rng.normal(size=(16, m, m))
+    rhs = rng.normal(size=(16, m))
+    x, singular = _factor_solve(near, rhs)
+    assert not singular.any() and np.all(np.isfinite(x))
+    _close_to_numpy(x, near, rhs, 1e-13 * np.linalg.cond(near))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_lu_zero_pivots_name_the_singular_points(m):
+    # Exactly singular matrices (a zero column, two equal rows, zero) end
+    # in an exact zero pivot: the points it names are exactly those, their
+    # solves are non-finite, and every other point solves as on its own.
+    rng = np.random.default_rng(50 + m)
+    a, b = _factor_batch(m, rng, n=12)
+    a[2, :, m - 1] = 0.0
+    a[5] = 0.0
+    if m > 1:
+        a[7, m - 1] = a[7, 0]
+    x, singular = _factor_solve(a, b)
+    expect = np.isin(np.arange(12), [2, 5, 7] if m > 1 else [2, 5])
+    np.testing.assert_array_equal(singular, expect)
+    np.testing.assert_array_equal(singular, np.linalg.slogdet(a).sign == 0)
+    assert not np.isfinite(x[expect]).all(axis=-1).any()
+    regular = ~expect
+    np.testing.assert_array_equal(x[regular], _factor_solve(a[regular], b[regular])[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_lu_nan_entry_is_non_finite_not_singular(m):
+    # A NaN entry, wherever it sits, makes its point's solve non-finite
+    # without a zero pivot; the other points solve as before.
+    rng = np.random.default_rng(60 + m)
+    a, b = _factor_batch(m, rng, n=12)
+    clean, _ = _factor_solve(a, b)
+    for point, (i, j) in zip([1, 4, 9], [(0, 0), (m - 1, 0), (0, m - 1)]):
+        a[point, i, j] = np.nan
+    x, singular = _factor_solve(a, b)
+    assert not singular.any()
+    bad = np.isin(np.arange(12), [1, 4, 9])
+    assert not np.isfinite(x[bad]).all(axis=-1).any()
+    np.testing.assert_array_equal(x[~bad], clean[~bad])
+
+
 def test_batch_table_matches_single_cell():
     system = scalar_advection_reaction(lam=1.0, beta=-2.0)
     cfg = RunConfig(order=3)
