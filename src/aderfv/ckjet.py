@@ -122,7 +122,9 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
     law is recorded on a tape that the workspace keeps, and time level k
     fills column k of every intermediate on rows j <= order - k, from which
     c[i][j, k+1] is the t-degree-k coefficient of S(Q) - A(Q) dQ/dx divided
-    by k+1 for j < order - k. Returns shape batch + (order, m).
+    by k+1 for j < order - k. Returns shape batch + (order, m). A point
+    whose coefficients are not all finite comes back NaN in every row; the
+    points are independent, so every other point is as in a clean call.
     """
     if isinstance(derivatives, tuple):
         d0, rest = (np.asarray(d) for d in derivatives)
@@ -147,7 +149,7 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
     # The law's callables identify it: the key holds them, so their ids are
     # not reused while its tape is kept.
     key = (system.flux_terms, system.matrix_rows, system.source_terms, m, order, dtype)
-    finite = True
+    nan = complex(np.nan, np.nan) if np.iscomplexobj(out) else np.nan
     with _borrowed_workspace() as workspace, np.errstate(
         invalid="ignore", over="ignore", divide="ignore"
     ):
@@ -156,22 +158,25 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
             stop = min(start + _BLOCK, len(d0))
             count = stop - start
             program, arrays = workspace.program(tape, _width(count))
+            leaves = arrays[:m]
             # The leaves, the first m series, get D_j / j! (D_0 / 1 too, for its
             # signed zeros); lanes past ``count`` repeat point 0 and fail with it.
-            for i, leaf in enumerate(arrays[:m]):
+            for i, leaf in enumerate(leaves):
                 np.divide(d0[start:stop, i], 1, out=leaf[0, 0, :count])
                 np.divide(rest[start:stop, :, i].T, scale, out=leaf[1:, 0, :count])
                 if count < leaf.shape[-1]:
                     np.copyto(leaf[:, 0, count:], leaf[:, 0, :1])
             for f, args in program:
                 f(*args)
-            for i, leaf in enumerate(arrays[:m]):
-                finite &= np.isfinite(leaf).all()
+            for i, leaf in enumerate(leaves):
                 np.multiply(scale, leaf[0, 1:, :count], out=out[start:stop, :, i].T)
-    # Checked after every block, so a zero division anywhere in the batch
-    # is reported first, as a whole-batch jet would.
-    if not finite:
-        raise FloatingPointError("non-finite space-time jet coefficients")
+            # One scan of the whole block; the points are told apart only
+            # when it finds a non-finite coefficient.
+            if not all(np.isfinite(leaf).all() for leaf in leaves):
+                failed = np.zeros(count, dtype=bool)
+                for leaf in leaves:
+                    failed |= ~np.isfinite(leaf[..., :count]).all(axis=(0, 1))
+                out[start:stop][failed] = nan
     return out.reshape(batch + (order, m))
 
 
@@ -184,7 +189,8 @@ def ck_state_jacobian(
     returns G_k, k = 1..M, shape (..., M, m), and dG_k/dD_0 with D_1..D_M
     held, shape (..., M, m, m). The m states D_0 + i h e_j go through one
     complex jet (``complex_step_jacobian``), so the derivative is exact to
-    rounding.
+    rounding. A stepped state D_0 + i h e_j whose jet fails gives NaN in
+    column j of dG_k, and for j = 0 in G_k too.
     """
     derivatives = np.asarray(derivatives, dtype=float)
     order, m = derivatives.shape[-2] - 1, system.m

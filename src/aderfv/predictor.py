@@ -39,8 +39,10 @@ derivative d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through
 the chain and the CK jet, so Newton converges at a stiff front, where
 D_1..D_M depend strongly on D_0 through J_S(D_0). A start that
 is not finite or not admissible, or whose first sweep fails, falls back to
-w_0; a node whose jet fails leaves its points a fresh Jacobian on their
-first sweep. A failure names its points, their cells, times and states.
+w_0. A CK jet that fails marks its own points NaN: a node whose jet fails
+leaves its points a fresh Jacobian on their first sweep, a trial state
+whose jet fails halves its step, and a point whose residual is not finite
+fails its sweep. A failure names its points, their cells, times and states.
 
 The state equation is written once, here: ``predictor_residual`` and
 ``residual_and_jacobian`` contract the CK jets of ``ckjet`` with the Taylor
@@ -307,7 +309,8 @@ def predictor_residual(
     H = D_0 - w_0 + sum_{k=1}^{M} (-tau)^k / k! * G^(k)(D_0, D_1..D_k),
     where w_0 is the reconstructed state at tau = 0 and D_1..D_M are the
     spatial derivatives given, usually the chain's solution at D_0. D_0
-    carries the batch axes that the other inputs broadcast over. ``taylor``
+    carries the batch axes that the other inputs broadcast over; a point
+    whose CK jet fails has a NaN residual. ``taylor``
     may hold the rows (-tau)^k / k!, k = 1..M, shape tau.shape + (M,), of a
     caller that evaluates many residuals at the same times.
     """
@@ -378,19 +381,15 @@ def solve_derivative_chain(
     out = np.empty(batch + (order, m), dtype=np.result_type(d0, float))
     if order == 0:
         return out
-    if system.source_free:
+
+    def solve(rhs):
         # Without source terms I - tau J is the identity.
-        factors = None
-
-        def solve(rhs):
-            return rhs
-    else:
-        factors = _lu_factor(np.eye(m) - tau[..., None, None] * system.source_jacobian(d0))
-
-        def solve(rhs):
-            return _lu_solve(factors, rhs)
+        return rhs if factors is None else _lu_solve(factors, rhs)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factors = None
+        if not system.source_free:
+            factors = _lu_factor(np.eye(m) - tau[..., None, None] * system.source_jacobian(d0))
         out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
         if order > 1:
             amat = system.matrix(d0)
@@ -421,48 +420,6 @@ def _gather(x: np.ndarray, points, axis: int = 0) -> np.ndarray:
     return x.take(points, axis=axis)
 
 
-# What a failing CK jet raises, for its whole batch.
-_JET_ERRORS = (FloatingPointError, ZeroDivisionError)
-
-
-def _failing_rows(evaluate, rows: np.ndarray) -> np.ndarray:
-    """The rows on which ``evaluate(rows)`` raises a jet error, found by bisection."""
-    try:
-        evaluate(rows)
-    except _JET_ERRORS:
-        if rows.size == 1:
-            return rows
-        half = rows.size // 2
-        return np.concatenate([
-            _failing_rows(evaluate, rows[:half]), _failing_rows(evaluate, rows[half:])
-        ])
-    return rows[:0]
-
-
-def _jet(evaluate, system, rows, d0, rest, tau, w0, taylor):
-    """``evaluate(system, d0, rest, tau, w0, taylor)`` on ``rows`` of a batch.
-
-    ``evaluate`` gives a residual, or a residual and Jacobian. A CK jet that
-    fails (a non-finite coefficient or a zero division) fails for its whole
-    batch, but its points are independent: the failing ones are found by
-    bisection. They, and the points of a PredictorError that ``evaluate``
-    raises, are named by their index in the batch.
-    """
-    args = tuple(_gather(x, rows) for x in (d0, rest, tau, w0, taylor))
-    try:
-        return evaluate(system, *args)
-    except PredictorError as exc:
-        exc.details["points"] = np.arange(len(d0))[rows][exc.details["points"]]
-        raise
-    except _JET_ERRORS as exc:
-        bad = _failing_rows(
-            lambda r: evaluate(system, *(a[r] for a in args)), np.arange(len(args[0]))
-        )
-        failed = np.zeros(len(d0), dtype=bool)
-        failed[np.arange(len(d0))[rows][bad]] = True
-        raise _point_error(f"CK jet failed: {exc}", failed, tau, d0) from exc
-
-
 def _point_views(blocks: list, points: np.ndarray) -> list[np.ndarray]:
     """Views of an array over the points of ``blocks``, one per block.
 
@@ -486,27 +443,12 @@ def _explicit_start(
     gives G_k(w) and dG_k/dD_0(w), k = 1..M; a point at tau gets the start
     w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k.
     Returns the starts (B, m), the chords (B, m, m) and whether each point's
-    node has a finite jet, points as in ``solve_predictor_points``. A jet
-    that fails (overflow, zero division) fails for its whole batch: the
-    failing nodes are found by bisection and have no jet.
+    node has a finite jet, points as in ``solve_predictor_points``.
     """
     w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
-    n, nderiv, m = w_nodes.shape
-    order = nderiv - 1
-    rows = np.arange(n)
-    try:
-        g, dg = ckjet.ck_state_jacobian(system, w_nodes)
-    except _JET_ERRORS:
-        rows = np.setdiff1d(
-            rows, _failing_rows(lambda r: ckjet.ck_state_jacobian(system, w_nodes[r]), rows)
-        )
-        g = np.zeros((n, order, m))
-        dg = np.zeros((n, order, m, m))
-        if rows.size:
-            g[rows], dg[rows] = ckjet.ck_state_jacobian(system, w_nodes[rows])
-    has_jet = np.zeros(n, dtype=bool)
-    has_jet[rows] = True
-    has_jet &= np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dg).all(axis=(1, 2, 3))
+    order, m = w_nodes.shape[1] - 1, w_nodes.shape[2]
+    g, dg = ckjet.ck_state_jacobian(system, w_nodes)
+    has_jet = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dg).all(axis=(1, 2, 3))
 
     # k leading, and G_k signed (-1)^k: one product of a block's node terms
     # with its (T, M) coefficients (-tau)^k / k! then gives both sums.
@@ -670,33 +612,46 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
         # Usually every point takes one path: then the batch goes uncopied.
         return slice(None) if mask.all() else np.flatnonzero(mask)
 
+    def at(r, *arrays):
+        return tuple(_gather(x, r) for x in arrays)
+
     # Refreshed points take their residual from the jet of their Jacobian,
     # the total derivative through the chain from their data w_1..w_M.
     h = np.empty_like(d0)
     if refresh.any():
         r = rows(refresh)
-        h[r], jac = _jet(residual_and_jacobian, system, r, d0, w_rest, tau, w0, taylor)
+        try:
+            h[r], jac = residual_and_jacobian(system, *at(r, d0, w_rest, tau, w0, taylor))
+        except PredictorError as exc:
+            exc.details["points"] = np.arange(len(d0))[r][exc.details["points"]]
+            raise
         for store, new in zip(factors, _lu_factor(jac)):
             store[..., r] = new
     if not refresh.all():
         r = rows(~refresh)
-        h[r] = _jet(predictor_residual, system, r, d0, rest, tau, w0, taylor)
+        h[r] = predictor_residual(system, *at(r, d0, rest, tau, w0, taylor))
 
     delta = _lu_solve(factors, h)
     d0_new = d0 - delta
     if not np.all(np.isfinite(d0_new)):
-        # A singular point's step is never finite.
+        # A failed CK jet leaves its point a non-finite residual, and a
+        # singular point's step is never finite.
+        jet_failed = ~np.isfinite(h).all(axis=-1)
+        if jet_failed.any():
+            message = "CK jet failed: non-finite space-time jet coefficients"
+            raise _point_error(message, jet_failed, tau, d0)
         _check_singular(factors, "predictor Jacobian", tau, d0)
         bad = ~np.isfinite(d0_new).all(axis=-1)
         raise _point_error("non-finite predictor iterate", bad, tau, d0)
 
     # Backtracking: a step is halved while its state is inadmissible. A
-    # large step is also halved while its residual is non-finite or larger
-    # than before, or the iteration can bounce between basins of a
-    # non-monotone source (e.g. at a reaction front whose state sits near an
-    # unstable equilibrium); small steps are in the locally convergent
-    # regime and skip that residual. No residual is taken at an inadmissible
-    # state, and a step still inadmissible after the last halving fails.
+    # large step is also halved while its residual is non-finite (as where
+    # its CK jet fails) or larger than before, or the iteration can bounce
+    # between basins of a non-monotone source (e.g. at a reaction front
+    # whose state sits near an unstable equilibrium); small steps are in the
+    # locally convergent regime and skip that residual. No residual is taken
+    # at an inadmissible state, and a step still inadmissible after the last
+    # halving fails.
     scale = 1.0 + _point_norm(d0)
     big = _point_norm(delta) > _DESCENT_GATE * scale
     h_ref = _point_norm(h)
@@ -718,7 +673,7 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
         descend = big[trial] & ~halve
         if descend.any():
             p = trial[descend]
-            h_try = _point_norm(_jet(predictor_residual, system, p, d0_new, rest, tau, w0, taylor))
+            h_try = _point_norm(predictor_residual(system, *at(p, d0_new, rest, tau, w0, taylor)))
             halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
         trial = trial[halve]
         delta[trial] *= 0.5

@@ -39,8 +39,9 @@ class TruncatedSeries:
     """Bivariate truncated power series sum c[j, k] x^j t^k.
 
     ``c`` has shape (nx, nt) + batch. All binary operations truncate the
-    result to the smaller operand degrees. Division requires an invertible
-    (nonzero) constant term.
+    result to the smaller operand degrees. Division by a zero constant term
+    follows IEEE rules, as numpy's division: the quotient's coefficients are
+    not finite.
     """
 
     __slots__ = ("c", "_fill", "_args", "_tape")
@@ -205,17 +206,10 @@ def _mul_column(c, args, k, rows, term):
                 yield np.add, (c[j, k, ...], term[j, ...], c[j, k, ...])
 
 
-def _check_divisor(constant):
-    if not np.all(np.abs(constant) > 0.0):
-        raise ZeroDivisionError("series division by zero constant term")
-
-
 def _div_column(c, args, k, rows, term):
     # Forward substitution on conv(b, c) = a in graded order, row by row:
     # the (p, 0) terms of a row read the rows below it in this column.
     a, b = args
-    if k == 0:
-        yield _check_divisor, (b[0, 0],)
     for j in range(rows):
         yield np.copyto, (c[j, k, ...], a[j, k])
         for p in range(j + 1):

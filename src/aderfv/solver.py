@@ -154,7 +154,8 @@ def step(
     dx = fld.grid.dx
     apply_boundary(fld, config.boundary)
     windows = _reconstruction_windows(fld, config.degree)
-    coeffs = reconstruct_batch(windows, config.degree)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coeffs = reconstruct_batch(windows, config.degree)
     bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=(1, 2)))
     if bad.size:
         # Window j is centred on cell j-1.

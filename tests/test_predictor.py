@@ -270,8 +270,7 @@ def _euler_points(n, degree, bad, rho):
 def test_jet_overflow_names_its_points():
     w = np.zeros((4, 3, 1))
     w[:, 0, 0] = [0.5, 1e110, 0.2, 1e110]
-    with np.errstate(all="ignore"):
-        err = _newton_failure(leveque_yee(), w, [0.01] * 4, 3)
+    err = _newton_failure(leveque_yee(), w, [0.01] * 4, 3)
     assert str(err) == "CK jet failed: non-finite space-time jet coefficients"
     np.testing.assert_array_equal(err.details["points"], [1, 3])
     np.testing.assert_array_equal(err.details["tau"], [0.01, 0.01])
@@ -280,11 +279,12 @@ def test_jet_overflow_names_its_points():
 
 def test_jet_zero_division_names_its_points():
     # At M = 1 the derivative chain never uses A, so the zero density first
-    # reaches the flux's division inside the CK jet.
+    # reaches the flux's division inside the CK jet. The complex step's
+    # direction 0 sees density i h, so the residual stays finite and only
+    # the Jacobian does not: the Newton iterate fails there.
     w = _euler_points(5, 1, [1, 4], 0.0)
-    with np.errstate(all="ignore"):
-        err = _newton_failure(euler_ideal_gas(), w, [0.01, 0.01, 0.0, 0.01, 0.02], 2)
-    assert str(err) == "CK jet failed: series division by zero constant term"
+    err = _newton_failure(euler_ideal_gas(), w, [0.01, 0.01, 0.0, 0.01, 0.02], 2)
+    assert str(err) == "non-finite predictor iterate"
     np.testing.assert_array_equal(err.details["points"], [1, 4])
     np.testing.assert_array_equal(err.details["tau"], [0.01, 0.02])
     np.testing.assert_array_equal(err.details["states"], w[[1, 4], 0])
@@ -292,8 +292,7 @@ def test_jet_zero_division_names_its_points():
 
 def test_non_finite_chain_names_its_points():
     w = _euler_points(3, 2, [2], 1e-300)
-    with np.errstate(all="ignore"):
-        err = _newton_failure(euler_ideal_gas(), w, [0.01] * 3, 3)
+    err = _newton_failure(euler_ideal_gas(), w, [0.01] * 3, 3)
     assert str(err) == "non-finite derivative chain solution"
     np.testing.assert_array_equal(err.details["points"], [2])
     np.testing.assert_array_equal(err.details["tau"], [0.01])
@@ -328,8 +327,11 @@ def test_failing_complex_chain_names_its_points(monkeypatch):
             raise predictor._point_error("non-finite derivative chain solution", bad, tau, d0)
         return exact_chain(sys_, d0, w_rest, tau, order)
 
+    exact_jet = ckjet.ck_state_jacobian
+
     def failing_jet(sys_, stacks):
-        raise FloatingPointError("non-finite space-time jet coefficients")
+        g, dg = exact_jet(sys_, stacks)
+        return np.full_like(g, np.nan), np.full_like(dg, np.nan)
 
     monkeypatch.setattr(predictor, "solve_derivative_chain", chain)
     monkeypatch.setattr(ckjet, "ck_state_jacobian", failing_jet)
@@ -659,7 +661,7 @@ def test_node_jet_failure_names_its_cell():
     coeffs = np.zeros((6, 1, cfg.degree + 1))
     coeffs[:, 0, 0] = 0.2
     coeffs[3, 0, 0] = 1e110
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PredictorError) as err:
             build_predictor_tables(leveque_yee(), coeffs, dt=0.001, dx=0.1, config=cfg)
@@ -689,9 +691,10 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
     def failing_jet(sys_, stacks):
         # Only the node jets see node 1's whole stack; a point's Jacobian
         # pairs its state with the chain's derivatives.
-        if np.any(np.all(stacks == w_nodes[1], axis=(-2, -1))):
-            raise FloatingPointError("non-finite space-time jet coefficients")
-        return exact_jet(sys_, stacks)
+        g, dg = exact_jet(sys_, stacks)
+        failed = np.all(stacks == w_nodes[1], axis=(-2, -1))
+        g[failed], dg[failed] = np.nan, np.nan
+        return g, dg
 
     fresh = []
     exact_jacobian = predictor.residual_and_jacobian
@@ -729,6 +732,32 @@ def test_newton_guards_converge_a_front_state(taus, cap):
     np.testing.assert_allclose(stacks[:, 0, 0], [roots[t] for t in taus], rtol=0, atol=1e-6)
     h = predictor.predictor_residual(system, stacks[:, 0], stacks[:, 1:], tau, w[0, 0])
     assert np.all(np.abs(h) <= 1e-10)
+
+
+def test_failed_jet_at_a_trial_state_halves_the_step(monkeypatch):
+    # The first Newton step from this front state's explicit start overshoots
+    # to D_0 = 17.6. With the jet failing at every state above 10, that trial
+    # state has a non-finite residual, so its step is halved, as a larger
+    # residual would halve it, and the solve is unchanged. Had the sweep
+    # failed, the point would have started again from w_0, on another path.
+    system = leveque_yee()
+    blocks = [(np.array([[[[0.75], [0.1], [0.0]]]]), np.array([0.01]))]
+    cfg = RunConfig(order=3)
+    (ref,), ref_sweeps = solve_predictor_points(system, blocks, cfg)
+    exact_jet = ckjet.ck_time_derivatives
+    failed = []
+
+    def jet(sys_, derivatives, order):
+        d0, rest = derivatives
+        beyond = d0.real > 10.0
+        failed.extend(d0[beyond].real)
+        return exact_jet(sys_, (np.where(beyond, np.inf, d0), rest), order)
+
+    monkeypatch.setattr(ckjet, "ck_time_derivatives", jet)
+    (got,), sweeps = solve_predictor_points(system, blocks, cfg)
+    assert failed and min(failed) > 17.0
+    np.testing.assert_array_equal(got, ref)
+    assert sweeps == ref_sweeps == 12
 
 
 def test_inadmissible_explicit_start_starts_from_data(monkeypatch):

@@ -273,27 +273,58 @@ def _central_reconstruction(windows, degree):
     return np.einsum("kw,cwm->cmk", window_candidate_matrix(degree, "central"), windows)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("c,r,alpha", [(0.3, 0.0, 1.0), (0.7, -2.0, 1.5), (0.5, -0.5, 2.0),
-                                       (0.9, -8.0, 1.0), (0.2, 0.4, 1.0)])
-def test_analyzer_matches_solver_step(order, c, r, alpha, monkeypatch):
-    # One solver step on cos(theta i) with the central reconstruction: the DFT
-    # ratio at theta is the amplification factor of the scheme the solver
-    # runs. The volume term makes the two agree for r != 0 too.
-    monkeypatch.setattr(solver, "reconstruct_batch", _central_reconstruction)
+_CROSS_CHECK_CASES = pytest.mark.parametrize(
+    "c,r,alpha", [(0.3, 0.0, 1.0), (0.7, -2.0, 1.5), (0.5, -0.5, 2.0), (0.9, -8.0, 1.0),
+                  (0.2, 0.4, 1.0)]
+)
+
+
+def _solver_step_mismatch(order, c, r, alpha, reconstruction, monkeypatch):
+    """Largest distance of the solver's DFT ratios from ``amplitude``, over its modes.
+
+    One solver step on a mode cos(theta i) of 32 cells: the DFT ratio at
+    theta is the amplification factor of the scheme the solver runs. The
+    "central" reconstruction steps cos(theta i) itself; "weno" runs the
+    solver's own ``reconstruct_batch`` on the small mode 1 + 1e-3 cos(theta i).
+    """
+    if reconstruction == "central":
+        monkeypatch.setattr(solver, "reconstruct_batch", _central_reconstruction)
+        background, size, modes = 0.0, 1.0, (1, 3, 7, 12, 16)
+    else:
+        background, size, modes = 1.0, 1e-3, (1, 2, 16)
     n = 32
     dx = 1.0 / n
     dt = c * dx
     system = scalar_advection_reaction(lam=1.0, beta=r / dt)
     config = RunConfig(order=order, alpha=alpha)
     query = StabilityQuery(order=order, alpha=alpha)
-    for k in (1, 3, 7, 12, 16):
+    mismatch = 0.0
+    for k in modes:
         theta = 2.0 * np.pi * k / n
-        q0 = np.cos(theta * np.arange(n))
+        q0 = background + size * np.cos(theta * np.arange(n))
         fld = CellField.from_cell_averages(Grid(0.0, 1.0, n), q0[:, None], ghost=order)
         solver.step(system, fld, config, dt)
         ratio = np.fft.fft(fld.interior[:, 0])[k] / np.fft.fft(q0)[k]
-        assert abs(ratio - amplitude(np.array([theta]), c, r, query)[0]) <= 1e-13
+        mismatch = max(mismatch, abs(ratio - amplitude(np.array([theta]), c, r, query)[0]))
+    return mismatch
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@_CROSS_CHECK_CASES
+def test_analyzer_matches_solver_step(order, c, r, alpha, monkeypatch):
+    # With the central reconstruction the analyzer is the scheme the solver
+    # runs, to round-off. The volume term makes the two agree for r != 0 too.
+    assert _solver_step_mismatch(order, c, r, alpha, "central", monkeypatch) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@_CROSS_CHECK_CASES
+def test_analyzer_matches_solver_weno_step(order, c, r, alpha, monkeypatch):
+    # WENO on a small mode stays within 1e-4 of the central analyzer on the
+    # resolved modes k = 1, 2 and the odd-even mode k = 16 (at most 1.1e-5
+    # over these cases); at k = 3, 7 and 12 it departs by up to 1.7e-3,
+    # 4.9e-2 and 7.6e-2, so the bound holds on these three modes only.
+    assert _solver_step_mismatch(order, c, r, alpha, "weno", monkeypatch) <= 1e-4
 
 
 def test_singular_predictor_counts_as_unstable():
