@@ -18,9 +18,10 @@ The points of a step are a product of each cell's spatial nodes and the
 step's quadrature times. They come in node blocks, the interior nodes at the
 tau-rule times and the two trace ends at the trace-rule times, and a block's
 points are laid out (cells, T, nodes) as the tables are. The points at
-tau > 0 are solved together in batched array arithmetic, read in place
-while every point is active; converged points drop out of the iteration,
-so results do not depend on how the batch is partitioned.
+tau > 0 form one Newton batch of the points still iterating: a converged
+point writes its stacks into the layout and leaves it. A sweep acts on each
+point alone, so cells solved apart differ from one batch only through the
+BLAS product that takes them to their nodes, in the last bit.
 
 The points of one spatial node share its reconstruction stack w, so one
 complex-step CK jet at w, taken in one call over the nodes of every block,
@@ -407,8 +408,8 @@ def solve_derivative_chain(
     return out
 
 
-def _gather(x: np.ndarray, points, axis: int = 0) -> np.ndarray:
-    """``x`` at ``points`` along ``axis``, points a slice or an index array.
+def _gather(x: np.ndarray, points) -> np.ndarray:
+    """``x`` at ``points``, a slice or an index array.
 
     A slice gives a view. An index array gives a copy by ``take``, which
     numpy runs several times faster than an indexed read of an array of two
@@ -416,8 +417,8 @@ def _gather(x: np.ndarray, points, axis: int = 0) -> np.ndarray:
     a 2-core x86 VM).
     """
     if isinstance(points, slice):
-        return x[(slice(None),) * (axis % x.ndim) + (points,)]
-    return x.take(points, axis=axis)
+        return x[points]
+    return x.take(points, axis=0)
 
 
 def _point_views(blocks: list, points: np.ndarray) -> list[np.ndarray]:
@@ -493,15 +494,13 @@ def solve_predictor_points(
     nderiv, m = blocks[0][0].shape[2:]
     order = nderiv - 1
     tau, cell = np.empty(nb), np.empty(nb, dtype=np.intp)
-    # One block for the layout's stacks and the batch's data and iterate: on
-    # glibc, unmapping a block this large raises the heap's trim threshold
-    # above a sweep's temporaries, so sweeps rarely fault pages back in.
-    # Euler order 5 on 64 cells after a warm-up run (Linux, 2-core VM,
-    # getrusage over ``solver.run``, 2-3 runs each): 4.2 minor faults a
-    # step, 3.8 with the trim and mmap thresholds fixed in the environment
-    # and 742 with three separate arrays, at step times within each other's
-    # spread.
-    stacks, w, d = np.empty((3, nb, nderiv, m))
+    # One block for the layout's stacks and the batch's data: glibc's heap
+    # trim threshold follows the largest block unmapped so far, and with it
+    # how many of a sweep's pages are trimmed and faulted back in. In the
+    # ``euler5-smooth`` benchmark process (Linux, 2-core VM, getrusage):
+    # 360-365 minor faults a step with the block, 637-640 with two arrays.
+    # The count moves with the process's other allocations.
+    stacks, w = np.empty((2, nb, nderiv, m))
     for (w_b, taus), stacks_p, tau_p, cell_p in zip(
         blocks, *(_point_views(blocks, a) for a in (stacks, tau, cell))
     ):
@@ -524,75 +523,67 @@ def solve_predictor_points(
         if bad.any():
             message = "inadmissible reconstructed state at tau = 0"
             raise named(_point_error(message, bad, tau[still], stacks[still, 0]), still)
-    batch = np.flatnonzero(moving)
-    if not batch.size:
+    point = np.flatnonzero(moving)
+    if not point.size:
         return _point_views(blocks, stacks), 0
 
-    # The batch's data and iterate: its points are those of the blocks
-    # without their tau = 0 times, in the same order.
-    w, d, tau = w[: batch.size], d[: batch.size], tau[batch]
-    np.take(stacks, batch, axis=0, out=w)
-    d[...] = w
-    w0, w_rest = w[:, 0], w[:, 1:]
-    d0, d_rest = d[:, 0], d[:, 1:]
+    # The batch holds the points still iterating by their index in the layout:
+    # at first those of the blocks without their tau = 0 times.
+    w, tau = w[: point.size], tau[point]
+    np.take(stacks, point, axis=0, out=w)
     taylor = _taylor_coefficients(tau, order)
     start, chord, has_jet = _explicit_start(
         system, [(w_b, taus[taus != 0.0]) for w_b, taus in blocks]
     )
     # Each point's stored Jacobian, factored: the chord, until a refresh.
-    lu_store, piv_store = _lu_factor(chord)
+    factors = _lu_factor(chord)
     # Points that start from the explicit Taylor value rather than from w_0.
     explicit = has_jet & np.isfinite(_point_norm(start))
     if system.admissible is not None:
         explicit[explicit] = system.admissible(start[explicit])
-    np.copyto(d0, start, where=explicit[:, None])
+    d0 = np.where(explicit[:, None], start, w[:, 0])
     # Points that take the total derivative on their next sweep.
     refresh = ~has_jet
-    active = np.arange(batch.size)
     sweeps = 0
 
-    while active.size:
+    while point.size:
         sweeps += 1
-        # While every point is active the sweep reads the batch uncopied.
-        a = slice(None) if active.size == batch.size else active
-        fresh = refresh[a]
-        factors = (_gather(lu_store, a, -1), _gather(piv_store, a, -1))
         try:
             if sweeps > config.fp_max_iter:
                 raise _point_error(
                     "predictor fixed point did not converge",
-                    np.ones(active.size, dtype=bool), tau[a], d0[a],
+                    np.ones(point.size, dtype=bool), tau, d0,
                 )
             d0_new, rest, step = _sweep(
-                system, *(_gather(x, a) for x in (d0, w0, w_rest, tau, taylor)), factors, fresh
+                system, d0, w[:, 0], w[:, 1:], tau, taylor, factors, refresh
             )
         except PredictorError as exc:
-            failed = active[exc.details["points"]]
-            named(exc, batch[active])
+            failed = exc.details["points"]
+            named(exc, point)
             # The first sweep of an explicit start can fail where w_0 would
             # not: those points start again from w_0.
             retry = failed[explicit[failed]]
             if not retry.size:
                 raise
-            d0[retry] = w0[retry]
+            d0[retry] = w[retry, 0]
             explicit[retry] = False
             sweeps -= 1
             continue
-        explicit[:] = False
-        if fresh.any() and not isinstance(a, slice):
-            # The refreshed factors went into the copies of the stored ones.
-            lu_store[..., a], piv_store[..., a] = factors
 
         scale = 1.0 + _point_norm(d0_new)
         done = step <= config.fp_tol * scale
         # A step that large means the point was outside the quadratic range
         # of its Jacobian, which then no longer serves as a chord.
-        refresh[a] = step > np.sqrt(config.fp_tol) * scale
-        d0[a] = d0_new
-        d_rest[a] = rest
-        active = active[~done]
+        refresh = step > np.sqrt(config.fp_tol) * scale
+        # Converged points write their stacks and leave the batch.
+        stacks[point[done], 0], stacks[point[done], 1:] = d0_new[done], rest[done]
+        keep = np.flatnonzero(~done)
+        point, w, d0, tau, taylor, refresh = (
+            x.take(keep, axis=0) for x in (point, w, d0_new, tau, taylor, refresh)
+        )
+        factors = tuple(f.take(keep, axis=-1) for f in factors)
+        explicit = np.zeros(point.size, dtype=bool)
 
-    stacks[batch] = d
     return _point_views(blocks, stacks), sweeps
 
 
@@ -703,21 +694,26 @@ def predictor_operators(
     tau = np.asarray(tau, dtype=float)
     m, degree = system.m, config.degree
     ck = system.closed_ck(degree)                       # (M, M+1, m, m)
-    units = np.eye((degree + 1) * m).reshape(degree + 1, m, -1)
+    # R_j is held transposed, (T, (M+1) m, m), so that all the columns of a
+    # right-hand side solve together against factors of batch shape (T, 1).
+    units = np.eye((degree + 1) * m).reshape(degree + 1, m, -1).swapaxes(1, 2)
     t = tau.reshape(-1, 1, 1)
     coef = _taylor_coefficients(tau.ravel(), degree)    # (T, M)
     # sum_k c_k C[k-1, j] for every j, shape (M+1, T, m, m).
     weighted = np.tensordot(coef, ck, axes=(1, 0)).swapaxes(0, 1)
-    rhs = np.broadcast_to(units[0], (t.size,) + units[0].shape)
-    try:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        chain = _lu_factor((np.eye(m) - t * system.closed_ck(1)[0, 0])[:, None])
+        lhs = _lu_factor((np.eye(m) + weighted[0])[:, None])
+        # At M = 0 there is no chain to solve.
+        if degree and _zero_pivots(chain).any() or _zero_pivots(lhs).any():
+            raise PredictorError("singular linear predictor: Singular matrix")
+        rhs = units[0]
         for j in range(degree, 0, -1):
             # -tau A R_{j+1} = tau C[0, 1] R_{j+1}
-            b = units[j] if j == degree else units[j] + t * (ck[0, 1] @ r)
-            r = np.linalg.solve(np.eye(m) - t * ck[0, 0], np.broadcast_to(b, rhs.shape))
-            rhs = rhs - weighted[j] @ r
-        ops = np.linalg.solve(np.eye(m) + weighted[0], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PredictorError(f"singular linear predictor: {exc}") from exc
+            b = units[j] if j == degree else units[j] + t * (r @ ck[0, 1].T)
+            r = _lu_solve(chain, b)
+            rhs = rhs - r @ weighted[j].swapaxes(-1, -2)
+        ops = _lu_solve(lhs, rhs).swapaxes(-1, -2)
     if not np.all(np.isfinite(ops)):
         raise PredictorError("non-finite linear predictor operator")
     return ops.reshape(tau.shape + ops.shape[1:])

@@ -242,12 +242,20 @@ def test_newton_failure_names_its_trace_end(monkeypatch):
 
 
 def test_iteration_cap_raises():
+    # One node in each of three cells, at tau = 0 and 0.05. The two cells at
+    # an equilibrium of the source converge on the first sweep and leave the
+    # batch; the cap then names the middle cell's moving point by its place
+    # in the layout (cells, T, nodes).
     system = leveque_yee(beta=-1e7)
     cfg = RunConfig(order=3, fp_tol=1e-16, fp_max_iter=3)
-    w = np.array([[0.75], [0.1], [0.0]])
+    w = np.array([[[0.0], [0.0], [0.0]], [[0.75], [0.1], [0.0]], [[1.0], [0.0], [0.0]]])
     with pytest.raises(PredictorError) as err:
-        _solve_point(system, w, 0.05, cfg)
-    assert err.value.details  # carries diagnostics for the caller
+        solve_predictor_points(system, [(w[:, None], np.array([0.0, 0.05]))], cfg)
+    assert str(err.value) == "predictor fixed point did not converge"
+    details = err.value.details
+    np.testing.assert_array_equal(details["points"], [3])
+    np.testing.assert_array_equal(details["cells"], [1])
+    np.testing.assert_array_equal(details["tau"], [0.05])
 
 
 def _newton_failure(system, w, tau, order):
@@ -584,6 +592,9 @@ def test_predictor_operators_singular_chain_raises():
     system = scalar_advection_reaction(lam=0.5, beta=1.0)
     with pytest.raises(PredictorError, match="singular"):
         predictor_operators(system, np.array([0.5, 1.0]), RunConfig(order=2))
+    # Order 1 has no chain: its operator there is the identity.
+    ops = predictor_operators(system, np.array([1.0]), RunConfig(order=1))
+    np.testing.assert_array_equal(ops, [[[1.0]]])
 
 
 def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):

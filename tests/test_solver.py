@@ -230,6 +230,38 @@ def test_smooth_reference_runs_take_no_total_derivative(name, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize(
+    "name, steps", [("leveque-yee3x100", 30), ("euler5x64", 0), ("noncons5x64", 0)]
+)
+def test_predictor_tables_do_not_depend_on_the_batch_partition(name, steps, monkeypatch):
+    # The tables of a step's cells solved as one batch, in two halves and one
+    # cell at a time. Converged points leave the batch, so a point's sweeps
+    # do not depend on the others. What is left is the BLAS product that
+    # takes the reconstruction to the nodes: its last bit can follow the
+    # number of cells (1.1e-16 in 43 of the 102 LeVeque-Yee cells alone).
+    make, n_cells, cfg = REFERENCE_RUNS[name][:3]
+    system = make()
+    fld = initial_field(system, Grid(0.0, 1.0, n_cells), cfg)
+    for _ in range(steps):
+        step(system, fld, cfg, compute_dt(system, fld, cfg))
+    calls = []
+    exact = solver.build_predictor_tables
+    monkeypatch.setattr(
+        solver, "build_predictor_tables", lambda *args: calls.append(args) or exact(*args)
+    )
+    step(system, fld, cfg, compute_dt(system, fld, cfg))
+    (_, coeffs, dt, dx, _), = calls
+    whole = exact(system, coeffs, dt, dx, cfg)
+    half = len(coeffs) // 2
+    for parts in ([slice(0, half), slice(half, None)], [slice(c, c + 1) for c in range(len(coeffs))]):
+        tables = [exact(system, coeffs[p], dt, dx, cfg) for p in parts]
+        for field in ("values", "trace_left", "trace_right"):
+            np.testing.assert_allclose(
+                np.concatenate([getattr(t, field) for t in tables]), getattr(whole, field),
+                rtol=0, atol=1e-14,
+            )
+
+
 def _blow_up_cell(monkeypatch, cell, value):
     """Interface fluctuations that put ``value`` into the update of ``cell``."""
     exact = solver.interface_fluctuations
