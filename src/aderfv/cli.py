@@ -23,6 +23,7 @@ from .predictor import PredictorError
 from .solver import (
     StepError,
     check_convergence_inputs,
+    check_periodic_cells,
     convergence_study,
     format_convergence_table,
     run,
@@ -108,6 +109,7 @@ def _open_output(path):
 
 def cmd_solve(args) -> int:
     system, config, cells = _resolve(args)
+    check_periodic_cells("--cells", [config], [cells])
     grid = Grid(0.0, 1.0, cells)
     report = run(system, grid, config)
 

@@ -673,10 +673,8 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     return d0_new, rest, _point_norm(d0_new - d0)
 
 
-def predictor_operators(
-    system: SystemDescriptor, tau: np.ndarray, config: RunConfig
-) -> np.ndarray:
-    """D_0(tau) = P(tau) w for a constant-coefficient law, one operator per tau.
+def predictor_operators(system: SystemDescriptor, tau: np.ndarray, order: int) -> np.ndarray:
+    """D_0(tau) = P(tau) w for a constant-coefficient law at scheme ``order``, one per tau.
 
     P(tau), shape (m, (M+1) m) with w the (M+1, m) stack flattened, solves the
     linear implicit Taylor system directly. With C = ``closed_ck(M)``,
@@ -692,7 +690,7 @@ def predictor_operators(
     if not system.constant_coefficients:
         raise ValueError(f"system {system.name!r} does not have constant coefficients")
     tau = np.asarray(tau, dtype=float)
-    m, degree = system.m, config.degree
+    m, degree = system.m, order - 1
     ck = system.closed_ck(degree)                       # (M, M+1, m, m)
     # R_j is held transposed, (T, (M+1) m, m), so that all the columns of a
     # right-hand side solve together against factors of batch shape (T, 1).
@@ -726,7 +724,7 @@ def _step_operators(system: SystemDescriptor, order: int, taus: tuple) -> np.nda
     Every step of a run but the last has the same dt, so the operators are
     kept for the steps that repeat it.
     """
-    ops = predictor_operators(system, np.array(taus), RunConfig(order=order))
+    ops = predictor_operators(system, np.array(taus), order)
     ops.flags.writeable = False
     return ops
 

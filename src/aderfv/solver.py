@@ -6,9 +6,12 @@ The fully discrete update of cell i over a step of size dt is
 
 with the interface fluctuations D+- built from the predictor traces and the
 centred alpha-splitting, S_i the space-time average of the source over the
-predictor table, and A_i the space-time average of A(Q) dQ/dx (which reduces
-to the flux-divergence average for conservative systems, so conservation is
-kept to round-off).
+predictor table, and A_i the space-time average of A(Q) dQ/dx. For a
+conservative law the conserved totals are kept to round-off only on data
+along which the flux is linear (the Euler density wave of ``euler_ideal_gas``);
+elsewhere they drift at truncation level, mass included: by up to 3e-8 at
+order 3 and 2e-12 at order 5 over 90 steps on 64 cells of an Euler wave in
+all three primitive variables.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ __all__ = [
     "compute_dt",
     "step",
     "run",
+    "check_periodic_cells",
     "check_convergence_inputs",
     "convergence_study",
     "format_convergence_table",
@@ -231,13 +235,25 @@ def run(
     return RunReport(fld, t, n_steps, time.perf_counter() - wall0, reports)
 
 
+def check_periodic_cells(name: str, configs: list[RunConfig], meshes: list[int]) -> None:
+    """Raise ValueError naming ``name`` unless every mesh has the cells a
+    periodic run needs: at least ``order``, the width of its ghost layer."""
+    fewest = max((c.order for c in configs if c.boundary == "periodic"), default=1)
+    small = [n for n in meshes if n < fewest]
+    if small:
+        raise ValueError(
+            f"{name} must have at least {fewest} cells for a periodic run "
+            f"at order {fewest}, got {small[0]}"
+        )
+
+
 def check_convergence_inputs(
     system: SystemDescriptor, configs: list[RunConfig], meshes: list[int], variable: int
 ) -> None:
     """Raise ValueError, naming the input, unless a convergence study can run.
 
-    Every mesh is a positive integer cell count; a periodic run needs at
-    least ``order`` cells, the width of its ghost layer.
+    Every mesh is a positive integer cell count, with the cells a periodic
+    run needs (``check_periodic_cells``).
     """
     if system.exact_solution is None:
         raise ValueError(f"system {system.name!r} has no exact solution to compare to")
@@ -245,13 +261,7 @@ def check_convergence_inputs(
         raise ValueError(f"variable must be in 0..{system.m - 1}, got {variable}")
     for n_cells in meshes:
         check_count("meshes", n_cells, 1)
-    fewest = max((c.order for c in configs if c.boundary == "periodic"), default=1)
-    small = [n for n in meshes if n < fewest]
-    if small:
-        raise ValueError(
-            f"meshes must have at least {fewest} cells for a periodic run "
-            f"at order {fewest}, got {small[0]}"
-        )
+    check_periodic_cells("meshes", configs, meshes)
 
 
 def convergence_study(

@@ -12,9 +12,9 @@ series of the forms, so ``matrix`` and ``source_jacobian`` are analytic in Q
 and a complex step can pass through them. A system that declares
 ``constant_coefficients`` also gets its closed-form CK matrices from the same
 forms, from which the predictor's linear operators and the stability
-analyzer's explicit rows are built.
-Eigenvalues, admissibility and the exact solutions of the manufactured tests
-are given per system.
+analyzer's explicit rows are built. The CFL wave speed is the spectral radius
+of the derived A(Q). Initial data, admissibility and the exact solutions of
+the manufactured tests are given per system.
 """
 from __future__ import annotations
 
@@ -147,15 +147,16 @@ class SystemDescriptor:
     components (floats, arrays or truncated series) and return lists of
     scalar-likes. The vectorised ``matrix``, ``source`` and
     ``source_jacobian`` map state arrays (..., m) and are derived from them;
-    at complex states the last two are analytic (see ``_terms_jacobian``).
-    ``constant_coefficients`` declares A and dS/dQ independent of Q (a linear
-    law): ``matrix`` and ``source_jacobian`` then return their values at
-    Q = 0, derived once, and ``closed_ck`` gives its CK matrices.
+    at complex states the first and last are analytic (see
+    ``_terms_jacobian``). ``max_wave_speed`` is the spectral radius of
+    ``matrix``. ``constant_coefficients`` declares A and dS/dQ independent of
+    Q (a linear law): ``matrix``, ``source_jacobian`` and ``max_wave_speed``
+    then return their values at Q = 0, derived once, and ``closed_ck`` gives
+    its CK matrices.
     """
 
     name: str
     m: int
-    eigenvalues: Callable[[np.ndarray], np.ndarray]
     initial_condition: Callable[[np.ndarray], np.ndarray]
     flux_terms: Callable[[Sequence], list] | None = None
     matrix_rows: Callable[[Sequence], list] | None = None
@@ -207,7 +208,17 @@ class SystemDescriptor:
         return _terms_jacobian(self.source_terms, q)
 
     def max_wave_speed(self, states: np.ndarray) -> float:
-        return float(np.max(np.abs(self.eigenvalues(states))))
+        """Largest |eigenvalue| of A(Q) over ``states`` (..., m), NaN for any fault that
+        leaves A not finite; a constant-coefficient law's is taken once, at Q = 0."""
+        if self.constant_coefficients:
+            return self._constant_wave_speed
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a = self.matrix(states)
+        return _spectral_radius(a)
+
+    @cached_property
+    def _constant_wave_speed(self) -> float:
+        return _spectral_radius(self._constant_matrices[0])
 
     @cached_property
     def _constant_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +252,13 @@ class SystemDescriptor:
         return self._closed_ck_table[:order, : order + 1]
 
 
+def _spectral_radius(a: np.ndarray) -> float:
+    """Largest |eigenvalue| over a (..., m, m); NaN, not LAPACK's error, if a is not finite."""
+    if not np.isfinite(a).all():
+        return math.nan
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
 def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Coefficient matrices C[k, j] with d_t^{k+1} Q = sum_j C[k, j] @ (d_x^j Q).
 
@@ -271,10 +289,6 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
     lam = float(lam)
     beta = float(beta)
 
-    def eigenvalues(q):
-        q = np.asarray(q)
-        return np.full(q.shape[:-1] + (1,), lam)
-
     def initial_condition(x):
         x = np.asarray(x)
         return np.sin(TWO_PI * x)[..., None]
@@ -286,7 +300,6 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
     return SystemDescriptor(
         name="scalar-advection-reaction",
         m=1,
-        eigenvalues=eigenvalues,
         initial_condition=initial_condition,
         flux_terms=lambda q: [lam * q[0]],
         source_terms=lambda q: [beta * q[0]],
@@ -305,10 +318,6 @@ def leveque_yee(beta: float = -1000.0, step_position: float = 0.3) -> SystemDesc
     beta = float(beta)
     x0 = float(step_position)
 
-    def eigenvalues(q):
-        q = np.asarray(q)
-        return np.ones(q.shape[:-1] + (1,))
-
     def initial_condition(x):
         x = np.asarray(x)
         return np.where(x < x0, 1.0, 0.0)[..., None]
@@ -316,7 +325,6 @@ def leveque_yee(beta: float = -1000.0, step_position: float = 0.3) -> SystemDesc
     return SystemDescriptor(
         name="stiff-bistable-advection",
         m=1,
-        eigenvalues=eigenvalues,
         initial_condition=initial_condition,
         flux_terms=lambda q: [q[0]],
         source_terms=lambda q: [beta * q[0] * (q[0] - 1.0) * (q[0] - 0.5)],
@@ -332,13 +340,6 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
     lam = float(lam)
     beta = float(beta)
 
-    def eigenvalues(q):
-        q = np.asarray(q)
-        out = np.empty(q.shape[:-1] + (2,))
-        out[..., 0] = -lam
-        out[..., 1] = lam
-        return out
-
     def initial_condition(x):
         x = np.asarray(x)
         return np.stack([np.sin(TWO_PI * x), np.cos(TWO_PI * x)], axis=-1)
@@ -353,7 +354,6 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
     return SystemDescriptor(
         name="linear-2x2",
         m=2,
-        eigenvalues=eigenvalues,
         initial_condition=initial_condition,
         flux_terms=lambda q: [lam * q[1], lam * q[0]],
         source_terms=lambda q: [beta * q[0], beta * q[1]],
@@ -368,17 +368,12 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
 #   S(Q) = (2 pi u (u - 1), -2 pi (v - 1)),
 # with the travelling-wave exact solution
 #   u = 1 + eps cos(2 pi (x - lam t)),  v = 1 + eps sin(2 pi (x - lam t)).
-# Eigenvalues lam +- sqrt(u) require u > 0.
+# Its wave speeds lam +- sqrt(u) are real only for u > 0.
 # ---------------------------------------------------------------------------
 
 def noncons_system(lam: float = 1.0, eps: float = 0.02) -> SystemDescriptor:
     lam = float(lam)
     eps = float(eps)
-
-    def eigenvalues(q):
-        q = np.asarray(q)
-        root = np.sqrt(q[..., 0])
-        return np.stack([lam - root, lam + root], axis=-1)
 
     def initial_condition(x):
         x = np.asarray(x)
@@ -400,7 +395,6 @@ def noncons_system(lam: float = 1.0, eps: float = 0.02) -> SystemDescriptor:
     return SystemDescriptor(
         name="noncons-2x2",
         m=2,
-        eigenvalues=eigenvalues,
         initial_condition=initial_condition,
         matrix_rows=lambda q: [[lam, q[0]], [1.0, lam]],
         source_terms=source_terms,
@@ -434,12 +428,6 @@ def euler_ideal_gas(gamma: float = 1.4) -> SystemDescriptor:
     gamma = float(gamma)
     gm1 = gamma - 1.0
 
-    def eigenvalues(q):
-        prim = conserved_to_primitive(q, gamma)
-        sound = np.sqrt(gamma * prim[..., 2] / prim[..., 0])
-        u = prim[..., 1]
-        return np.stack([u - sound, u, u + sound], axis=-1)
-
     def initial_condition(x):
         x = np.asarray(x)
         return primitive_to_conserved(1.0 + 0.2 * np.sin(TWO_PI * x), 1.0, 2.0, gamma)
@@ -463,7 +451,6 @@ def euler_ideal_gas(gamma: float = 1.4) -> SystemDescriptor:
     return SystemDescriptor(
         name="euler-ideal-gas",
         m=3,
-        eigenvalues=eigenvalues,
         initial_condition=initial_condition,
         flux_terms=flux_terms,
         exact_solution=exact_solution,

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RunConfig, check_count
+from .grid import check_count
 from .predictor import PredictorError, predictor_operators, space_time_rules
 from .systems import scalar_advection_reaction
 from .weno import _candidate_stack, nonlinear_weights, window_candidate_matrix
@@ -156,7 +156,7 @@ def amplitude(
         rows = np.eye(degree + 1)[0] + growth @ ck
     else:
         try:
-            rows = predictor_operators(system, taus, RunConfig(order=query.order))[:, 0]
+            rows = predictor_operators(system, taus, query.order)[:, 0]
         except PredictorError:  # a singular predictor (e.g. tau r = 1) is unstable
             rows = np.full((taus.size, degree + 1), np.nan)
 

@@ -343,7 +343,6 @@ def _toy_law():
     return SystemDescriptor(
         name="toy",
         m=3,
-        eigenvalues=lambda q: np.ones(np.shape(q)),
         initial_condition=lambda x: np.zeros(np.shape(x) + (3,)),
         flux_terms=lambda q: [2.5, q[0], 1.0 / (2.0 + q[1])],
         source_terms=lambda q: [0.5, 3.0 - q[2], q[0] * (1.5 - q[1])],

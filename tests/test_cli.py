@@ -165,6 +165,19 @@ def test_first_order_diagnostic_mode_runs(capsys):
     assert len(lines) == 1 + PRESETS["leveque-yee"].cells
 
 
+def test_too_few_periodic_cells_exit_one_naming_cells(tmp_path, capsys):
+    # Order 5 needs a ghost layer of five cells; the check names the flag and
+    # the minimum, and comes before the output is opened.
+    out = tmp_path / "bad.csv"
+    rc = main(["solve", "--preset", "linear-system", "--cells", "3", "--order", "5",
+               "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == (
+        "aderfv: --cells must have at least 5 cells for a periodic run at order 5, got 3\n"
+    )
+
+
 def test_non_finite_run_setting_exits_one(capsys):
     # An infinite output time used to run 0 steps and exit 0 at t = 0.
     rc = main(["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "inf"])

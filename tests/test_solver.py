@@ -1,5 +1,6 @@
 """Full update loop: time stepping, equilibria, local order, bookkeeping."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,37 @@ def test_compute_dt_zero_wave_speed():
     assert compute_dt(system, fld, cfg) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         compute_dt(system, fld, RunConfig(order=2))
+
+
+def test_compute_dt_rejects_a_non_finite_cell_average():
+    # A NaN average has no wave speed, so there is no step to take.
+    system = euler_ideal_gas()
+    cfg = RunConfig(order=3, cfl=0.1, dt_max=1e-3)
+    fld = initial_field(system, Grid(0.0, 1.0, 16), cfg)
+    fld.interior[7] = np.nan
+    with pytest.raises(ValueError, match="cannot pick a time step"):
+        compute_dt(system, fld, cfg, t_remaining=0.5)
+
+
+def test_non_hyperbolic_initial_cell_stops_the_predictor_there():
+    # u < 0 gives the non-conservative law complex wave speeds lam +- sqrt(u).
+    # The time step is still picked from |lambda|; the predictor rejects the
+    # cell's inadmissible states at step 1 and names that cell.
+    system = noncons_system()
+    base = system.initial_condition
+
+    def initial_condition(x):
+        q = base(x)
+        q[(x >= 32 / 64) & (x < 33 / 64), 0] = -0.5
+        return q
+
+    system = dataclasses.replace(system, initial_condition=initial_condition)
+    cfg = RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic")
+    with pytest.raises(predictor.PredictorError) as err:
+        run(system, Grid(0.0, 1.0, 64), cfg)
+    details = err.value.details
+    assert details["step"] == 1 and details["t"] == 0.0
+    assert set(details["cells"]) == {32}
 
 
 def test_first_order_upwind_hand_calculation():

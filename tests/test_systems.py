@@ -1,4 +1,4 @@
-"""Model definitions: derived Jacobians, exact solutions, eigenstructure."""
+"""Model definitions: derived Jacobians, exact solutions, wave speeds."""
 
 import dataclasses
 
@@ -140,16 +140,34 @@ def test_exact_solution_matches_initial_condition(factory):
     )
 
 
-def test_euler_eigenvalues():
-    system = euler_ideal_gas(gamma=1.4)
-    rng = np.random.default_rng(11)
-    for q in _random_states(system, rng, 30):
-        lam = np.sort(system.eigenvalues(q))
-        ref = np.sort(np.linalg.eigvals(system.matrix(q)).real)
-        np.testing.assert_allclose(lam, ref, atol=1e-12, rtol=1e-12)
-        rho, u, p = conserved_to_primitive(q, 1.4)
-        a = np.sqrt(1.4 * p / rho)
-        np.testing.assert_allclose(lam, np.sort([u - a, u, u + a]), atol=1e-12)
+def _euler_speeds(q):
+    rho, u, p = np.moveaxis(conserved_to_primitive(q, 1.4), -1, 0)
+    return np.abs(u) + np.sqrt(1.4 * p / rho)
+
+
+# Each law with its largest |eigenvalue| in closed form at states (n, m): the
+# oracle for the wave speed that ``max_wave_speed`` takes from A(Q).
+CLOSED_FORM_SPEEDS = {
+    "scalar": (lambda: scalar_advection_reaction(lam=-2.5), lambda q: np.full(len(q), 2.5)),
+    "leveque_yee": (leveque_yee, lambda q: np.ones(len(q))),
+    "linear": (lambda: linear_system(lam=-1.5), lambda q: np.full(len(q), 1.5)),
+    # Eigenvalues lam +- sqrt(u).
+    "noncons": (lambda: noncons_system(lam=-0.4), lambda q: 0.4 + np.sqrt(q[:, 0])),
+    # Eigenvalues u - c, u, u + c.
+    "euler": (euler_ideal_gas, _euler_speeds),
+}
+
+
+@pytest.mark.parametrize("law", CLOSED_FORM_SPEEDS)
+def test_max_wave_speed_matches_closed_form_speeds(law):
+    make, speeds = CLOSED_FORM_SPEEDS[law]
+    system = make()
+    states = _random_states(system, np.random.default_rng(11), 40)
+    assert len(states) >= 30
+    expect = speeds(states)
+    got = [system.max_wave_speed(q[None]) for q in states]
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+    assert system.max_wave_speed(states) == pytest.approx(expect.max(), rel=1e-12)
 
 
 def test_primitive_conserved_roundtrip():

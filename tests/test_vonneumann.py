@@ -360,7 +360,7 @@ def _tensor_amplitude(theta, c, r, query, blends):
         rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
     else:
         try:
-            rows = predictor_operators(system, taus, RunConfig(order=query.order))[:, 0]
+            rows = predictor_operators(system, taus, query.order)[:, 0]
         except PredictorError:
             rows = np.full((taus.size, degree + 1), np.nan)
     n_tau = rules.tau_rule.n
