@@ -153,7 +153,9 @@ def apply_boundary(field: CellField, kind: str) -> CellField:
     """Fill the ghost layer in place; ``kind`` is 'periodic' or 'transmissive'."""
     g, n = field.ghost, field.grid.n_cells
     if g > n and kind == "periodic":
-        raise ValueError("periodic ghost layer wider than the interior")
+        raise ValueError(
+            f"periodic ghost layer of {g} cells is wider than the interior of {n} cells"
+        )
     if kind == "periodic":
         field.data[:g] = field.data[n : n + g]
         field.data[n + g :] = field.data[g : 2 * g]

@@ -253,10 +253,14 @@ class SystemDescriptor:
 
 
 def _spectral_radius(a: np.ndarray) -> float:
-    """Largest |eigenvalue| over a (..., m, m); NaN, not LAPACK's error, if a is not finite."""
+    """Largest |eigenvalue| over a (..., m, m); NaN, not LAPACK's error, if a is not finite.
+
+    A 1 x 1 matrix is its own eigenvalue, so at m = 1 LAPACK is not called.
+    """
     if not np.isfinite(a).all():
         return math.nan
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    eig = a if a.shape[-1] == 1 else np.linalg.eigvals(a)
+    return float(np.max(np.abs(eig)))
 
 
 def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -271,12 +275,9 @@ def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     prev[0] = np.eye(m)
     rows = []
     for _ in range(order):
-        nxt = np.zeros_like(prev)
-        for j in range(order + 1):
-            nxt[j] = prev[j] @ b
-            if j > 0:
-                nxt[j] -= prev[j - 1] @ a
-        rows.append(nxt.copy())
+        nxt = prev @ b
+        nxt[1:] -= prev[:-1] @ a
+        rows.append(nxt)
         prev = nxt
     return np.array(rows)  # (order, order+1, m, m)
 

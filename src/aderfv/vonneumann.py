@@ -30,10 +30,11 @@ counts as unstable.
 
 Everything A reads - shat, ahat, qL and qR - is linear in the reconstruction
 coefficients beta = blend . phase, where phase holds the mode's values
-e^{i k theta} on the window k = -M..M. The predictor rows, the quadrature
-weights and the basis values therefore collapse into one real (4, M+1)
-functional F(c, r), and all modes of all scenarios come from the single
-2-D product (F blend) phase, with the scenarios' four rows stacked.
+e^{i k theta} on the window k = -M..M, and A weights each of the four by a
+factor of (c, theta). The predictor rows, quadrature weights and basis values
+collapse into one real (4, M+1) functional F(c, r), the factors fold into the
+phases as one (4(2M+1), n_theta) kernel K, and all modes of all scenarios
+come from the single product A = 1 + (F blend) K.
 
 Because the nonlinear stencil weights depend on the data, each map point is
 judged over an ensemble of random weight scenarios; the reported number is
@@ -125,11 +126,7 @@ def blend_matrix(degree: int, weights) -> np.ndarray:
 
 
 def amplitude(
-    theta: np.ndarray,
-    c: float,
-    r: float,
-    query: StabilityQuery,
-    blends: np.ndarray | None = None,
+    theta: np.ndarray, c: float, r: float, query: StabilityQuery, blends: np.ndarray | None = None
 ) -> np.ndarray:
     """Amplification factor of one step for each angle and weight scenario.
 
@@ -171,17 +168,18 @@ def amplitude(
         np.einsum("j,vx,jxl->vl", rows_int, x_weights, rules.basis_interior),
         np.einsum("j,jel->el", rows_tr, rules.basis_trace),
     ])                                                        # (4, M+1)
-    offsets = np.arange(-degree, degree + 1)
-    phases = np.exp(1j * np.outer(offsets, theta))            # (2M+1, n_theta)
-    modes = (functionals @ blends).reshape(-1, offsets.size) @ phases  # (S * 4, n_theta)
-    s_hat, a_hat, q_left, q_right = np.moveaxis(modes.reshape(-1, 4, theta.size), 1, 0)
-
+    # The four functionals' weights, from the flux difference, source and volume
+    # term, times the phases: the (4, 2M+1, n_theta) kernel, read as real pairs.
     ph = np.exp(1j * theta)
-    # c * (fhat_+ - fhat_-), written so the c -> 0 limit stays finite.
-    centred = 0.5 * c * ((q_right + ph * q_left) - (q_left + q_right / ph))
-    spread = (ph * q_left - q_right) - (q_left - q_right / ph)
-    diss = 0.25 * (query.alpha * c * c + 1.0 / query.alpha) * spread
-    amp = 1.0 - centred + diss + r * s_hat - c * (a_hat - (q_right - q_left))
+    d = 0.25 * (query.alpha * c * c + 1.0 / query.alpha)
+    weights = np.empty((4, theta.size), dtype=complex)      # of shat, ahat, qL, qR
+    weights[0], weights[1] = r, -c
+    weights[2] = (d - 0.5 * c) * (ph - 1.0) - c
+    weights[3] = c - (0.5 * c + d) * (1.0 - 1.0 / ph)
+    kernel = weights[:, None] * np.exp(1j * np.outer(np.arange(-degree, degree + 1), theta))
+    modes = (functionals @ blends).reshape(len(blends), -1)           # (S, 4 (2M+1))
+    amp = (modes @ kernel.view(float).reshape(modes.shape[1], 2 * theta.size)).view(complex)
+    amp += 1.0
     return amp[0] if squeeze else amp
 
 
@@ -189,9 +187,11 @@ def max_amplitude(
     c: float, r: float, query: StabilityQuery, blends: np.ndarray | None = None
 ) -> np.ndarray:
     """Largest |A| over the angle grid; non-finite amplitudes count as inf."""
-    amp = np.abs(amplitude(theta_grid(query.n_theta), c, r, query, blends))
-    amp = np.where(np.isfinite(amp), amp, np.inf)
-    return amp.max(axis=-1)
+    parts = amplitude(theta_grid(query.n_theta), c, r, query, blends).view(float)
+    with np.errstate(over="ignore"):  # |A|^2 is NaN or inf if A is, inf past |A| ~ 1e154
+        parts *= parts
+        largest = (parts[..., ::2] + parts[..., 1::2]).max(axis=-1)
+    return np.where(np.isnan(largest), np.inf, np.sqrt(largest))
 
 
 def _scenario_blends(query: StabilityQuery, rng: np.random.Generator) -> np.ndarray:

@@ -206,6 +206,17 @@ def test_convergence_study_rejects_bad_meshes(meshes):
         convergence_study(linear_system(), cfg, meshes=meshes)
 
 
+def test_too_few_periodic_cells_name_the_ghost_width_and_cells():
+    # An order-5 run keeps a ghost layer of five cells, which a periodic
+    # grid of three cannot fill; run and step both name the two counts.
+    system, cfg = linear_system(), RunConfig(order=5, t_out=0.01)
+    with pytest.raises(ValueError, match="ghost layer of 5 cells .* interior of 3 cells"):
+        run(system, Grid(0.0, 1.0, 3), cfg)
+    fld = initial_field(system, Grid(0.0, 1.0, 3), cfg)
+    with pytest.raises(ValueError, match="ghost layer of 5 cells .* interior of 3 cells"):
+        step(system, fld, cfg, 1e-3)
+
+
 _SMOOTH_RUNS = {
     "euler5x64": (euler_ideal_gas, 64,
                   RunConfig(order=5, cfl=0.1, alpha=2.0, t_out=0.05, boundary="periodic")),

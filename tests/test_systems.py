@@ -213,6 +213,48 @@ def test_max_wave_speed():
     assert euler.max_wave_speed(q[None, :]) == pytest.approx(1.0 + np.sqrt(1.4))
 
 
+def test_spectral_radius_of_one_by_one_is_the_entry():
+    # A 1 x 1 matrix is its own eigenvalue: the shortcut equals LAPACK's
+    # value bit for bit, and a non-finite entry still gives NaN.
+    rng = np.random.default_rng(23)
+    for shape in [(1, 1), (7, 1, 1), (3, 5, 1, 1)]:
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        assert systems._spectral_radius(a) == float(np.max(np.abs(np.linalg.eigvals(a))))
+    for bad in (np.nan, np.inf, -np.inf):
+        a = rng.standard_normal((6, 1, 1))
+        a[4] = bad
+        assert np.isnan(systems._spectral_radius(a))
+
+
+def _per_level_ck_matrices(a, b, order):
+    """linear_ck_matrices' recursion one matrix at a time: C'_{k+1, j} =
+    C'_{k, j} B - C'_{k, j-1} A, each j in turn."""
+    m = a.shape[0]
+    prev = np.zeros((order + 1, m, m))
+    prev[0] = np.eye(m)
+    rows = []
+    for _ in range(order):
+        nxt = np.zeros_like(prev)
+        for j in range(order + 1):
+            nxt[j] = prev[j] @ b
+            if j > 0:
+                nxt[j] -= prev[j - 1] @ a
+        rows.append(nxt.copy())
+        prev = nxt
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_linear_ck_matrices_match_the_per_level_recursion(m):
+    rng = np.random.default_rng(m)
+    for order in range(1, 6):
+        for _ in range(20):
+            a, b = rng.standard_normal((2, m, m)) * rng.uniform(0.1, 10.0, (2, 1, 1))
+            np.testing.assert_array_equal(
+                linear_ck_matrices(a, b, order), _per_level_ck_matrices(a, b, order)
+            )
+
+
 def _time_derivative_tables_oracle(a, b, order):
     """Spatial-derivative chains of d_t^k q for q_t = b q - a q_x.
 

@@ -402,6 +402,39 @@ def test_amplitude_matches_tensor_oracle(order, predictor, weight_model):
         assert not np.isfinite(amplitude(th, 0.5, 1.0, query, blends)).any()
 
 
+@pytest.mark.parametrize("order", [1, 3, 5])
+@pytest.mark.parametrize("predictor", ["explicit", "implicit"])
+def test_amplitude_at_arbitrary_angles_matches_tensor_oracle(order, predictor):
+    # The folded kernel takes its angles as given: an odd, unsorted count
+    # with pi and an angle past 2 pi, against the oracle at the same angles.
+    query = StabilityQuery(order=order, predictor=predictor, alpha=0.8, n_scenarios=5)
+    blends = _scenario_blends(query, np.random.default_rng(40 + order))
+    th = np.array([2.9, np.pi, 0.0, 7.1, 1e-3, 4.4, -0.6])
+    central = window_candidate_matrix(order - 1, "central")[None]
+    for c, r in [(0.3, 0.0), (0.85, -3.5), (1.1, 0.4)]:
+        for scenarios in (blends, central):
+            got = amplitude(th, c, r, query, scenarios)
+            ref = _tensor_amplitude(th, c, r, query, scenarios)
+            assert got.shape == ref.shape == (len(scenarios), th.size)
+            err = np.abs(got - ref)
+            assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref))), (c, r, err.max())
+        squeezed = amplitude(th, c, r, query)
+        assert squeezed.shape == th.shape
+        np.testing.assert_array_equal(squeezed, got[0])
+
+
+def test_max_amplitude_is_the_largest_modulus():
+    # The reduction on squared real pairs against abs -> isfinite -> max; a
+    # singular predictor (0.5, 1.0) leaves every scenario at inf.
+    query = StabilityQuery(order=5, n_theta=64, n_scenarios=6)
+    blends = _scenario_blends(query, np.random.default_rng(8))
+    for c, r in [(0.7, -4.0), (1.15, 0.3), (0.5, 1.0)]:
+        amp = amplitude(theta_grid(64), c, r, query, blends)
+        want = np.where(np.isfinite(amp), np.abs(amp), np.inf).max(axis=-1)
+        np.testing.assert_allclose(max_amplitude(c, r, query, blends), want, rtol=1e-15)
+    assert np.all(max_amplitude(0.5, 1.0, query, blends) == np.inf)
+
+
 # Stable scenarios (out of 8) on the _PIN_C x _PIN_R raster: one string per
 # (order, predictor), one digit group per c, one digit per r. Recorded from the
 # tensor-by-tensor amplitude; the raster straddles the c and r boundaries.
