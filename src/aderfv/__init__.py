@@ -9,7 +9,6 @@ from .grid import (
     Grid,
     QuadratureRule,
     RunConfig,
-    apply_boundary,
     error_norms,
     gauss_legendre,
     gauss_lobatto,
@@ -53,7 +52,6 @@ __all__ = [
     "StabilityQuery",
     "StepReport",
     "SystemDescriptor",
-    "apply_boundary",
     "build_predictor_tables",
     "compute_dt",
     "conserved_to_primitive",

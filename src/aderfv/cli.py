@@ -18,12 +18,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, RunConfig, exact_cell_averages
+from .grid import Grid, RunConfig, check_count, exact_cell_averages
 from .predictor import PredictorError
 from .solver import (
     StepError,
     check_convergence_inputs,
-    check_periodic_cells,
     convergence_study,
     format_convergence_table,
     run,
@@ -109,7 +108,7 @@ def _open_output(path):
 
 def cmd_solve(args) -> int:
     system, config, cells = _resolve(args)
-    check_periodic_cells("--cells", [config], [cells])
+    check_count("--cells", cells, 1)
     grid = Grid(0.0, 1.0, cells)
     report = run(system, grid, config)
 
@@ -149,7 +148,7 @@ def cmd_converge(args) -> int:
     meshes = _int_list("meshes", args.meshes) if args.meshes else list(DEFAULT_MESHES)
     # Rejected input must leave no output behind, not even the header row.
     configs = [replace(config, order=order) for order in orders]
-    check_convergence_inputs(system, configs, meshes, args.variable)
+    check_convergence_inputs(system, meshes, args.variable)
 
     with _open_output(args.out) as fh:
         writer = csv.writer(fh)

@@ -13,7 +13,6 @@ __all__ = [
     "gauss_legendre",
     "gauss_lobatto",
     "CellField",
-    "apply_boundary",
     "error_norms",
     "observed_order",
     "RunConfig",
@@ -107,64 +106,30 @@ def gauss_lobatto(n: int) -> QuadratureRule:
 
 
 class CellField:
-    """Cell-average data on a grid, padded with a ghost layer on each side."""
+    """Cell averages on a grid: ``interior`` has one row of m values per cell.
 
-    def __init__(self, grid: Grid, m: int, ghost: int, data: np.ndarray | None = None):
-        if ghost < 1:
-            raise ValueError("ghost width must be >= 1")
+    The field holds no ghost cells; a step gathers each reconstruction
+    stencil from these averages through the run's boundary condition.
+    """
+
+    def __init__(self, grid: Grid, interior: np.ndarray):
+        interior = np.array(interior, dtype=float, order="C")
+        if interior.ndim != 2 or interior.shape[0] != grid.n_cells:
+            raise ValueError(f"cell averages of shape {interior.shape} != ({grid.n_cells}, m)")
         self.grid = grid
-        self.m = int(m)
-        self.ghost = int(ghost)
-        shape = (grid.n_cells + 2 * ghost, m)
-        if data is None:
-            data = np.zeros(shape)
-        data = np.ascontiguousarray(data, dtype=float)
-        if data.shape != shape:
-            raise ValueError(f"data shape {data.shape} != {shape}")
-        self.data = data
-
-    @property
-    def interior(self) -> np.ndarray:
-        """View of the non-ghost cell averages, shape (n_cells, m)."""
-        return self.data[self.ghost : self.ghost + self.grid.n_cells]
-
-    def copy(self) -> "CellField":
-        return CellField(self.grid, self.m, self.ghost, self.data.copy())
+        self.interior = interior
 
     @classmethod
-    def from_cell_averages(cls, grid: Grid, values: np.ndarray, ghost: int) -> "CellField":
+    def from_cell_averages(cls, grid: Grid, values: np.ndarray) -> "CellField":
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] == 1 and grid.n_cells != 1:
             values = values.T
-        field = cls(grid, values.shape[1], ghost)
-        field.interior[:] = values
-        return field
+        return cls(grid, values)
 
     @classmethod
-    def from_function(
-        cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray], ghost: int
-    ) -> "CellField":
+    def from_function(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "CellField":
         """Initialize with per-cell averages of ``fn`` (5-point Gauss-Legendre)."""
-        averages = exact_cell_averages(grid, lambda x, t: fn(x), 0.0)
-        return cls.from_cell_averages(grid, averages, ghost)
-
-
-def apply_boundary(field: CellField, kind: str) -> CellField:
-    """Fill the ghost layer in place; ``kind`` is 'periodic' or 'transmissive'."""
-    g, n = field.ghost, field.grid.n_cells
-    if g > n and kind == "periodic":
-        raise ValueError(
-            f"periodic ghost layer of {g} cells is wider than the interior of {n} cells"
-        )
-    if kind == "periodic":
-        field.data[:g] = field.data[n : n + g]
-        field.data[n + g :] = field.data[g : 2 * g]
-    elif kind == "transmissive":
-        field.data[:g] = field.data[g]
-        field.data[n + g :] = field.data[n + g - 1]
-    else:
-        raise ValueError(f"unknown boundary kind {kind!r}")
-    return field
+        return cls(grid, exact_cell_averages(grid, lambda x, t: fn(x), 0.0))
 
 
 def exact_cell_averages(
@@ -212,7 +177,6 @@ class RunConfig:
     boundary: str = "periodic"
     fp_tol: float = 1e-12
     fp_max_iter: int = 50
-    dt_max: float | None = None
 
     def __post_init__(self) -> None:
         check_count("order", self.order, 1, 5)
@@ -227,8 +191,6 @@ class RunConfig:
         check_count("fp_max_iter", self.fp_max_iter, 1)
         if not (math.isfinite(self.fp_tol) and self.fp_tol >= 0.0):
             raise ValueError(f"fp_tol must be finite and non-negative, got {self.fp_tol}")
-        if self.dt_max is not None and not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
     @property
     def degree(self) -> int:

@@ -25,7 +25,6 @@ from .grid import (
     CellField,
     Grid,
     RunConfig,
-    apply_boundary,
     check_count,
     error_norms,
     observed_order,
@@ -43,7 +42,6 @@ __all__ = [
     "compute_dt",
     "step",
     "run",
-    "check_periodic_cells",
     "check_convergence_inputs",
     "convergence_study",
     "format_convergence_table",
@@ -107,8 +105,8 @@ class ConvergenceRow:
 
 
 def initial_field(system: SystemDescriptor, grid: Grid, config: RunConfig) -> CellField:
-    """Cell-average initial data with a ghost layer wide enough for the order."""
-    return CellField.from_function(grid, system.initial_condition, ghost=config.order)
+    """Cell averages of the system's initial condition on ``grid``."""
+    return CellField.from_function(grid, system.initial_condition)
 
 
 def compute_dt(
@@ -117,29 +115,14 @@ def compute_dt(
     config: RunConfig,
     t_remaining: float | None = None,
 ) -> float:
-    """CFL time step from the fastest wave of the current interior averages."""
+    """CFL time step from the fastest wave of the current cell averages."""
     speed = system.max_wave_speed(fld.interior)
     dt = np.inf if speed == 0.0 else config.cfl * fld.grid.dx / speed
-    if config.dt_max is not None:
-        dt = min(dt, config.dt_max)
     if t_remaining is not None:
         dt = min(dt, t_remaining)
     if not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(
-            f"cannot pick a time step (wave speed {speed}, dt_max {config.dt_max})"
-        )
+        raise ValueError(f"cannot pick a time step (wave speed {speed})")
     return float(dt)
-
-
-def _reconstruction_windows(fld: CellField, degree: int) -> np.ndarray:
-    """Sliding (2M+1)-cell windows for the interior cells plus one ghost each side."""
-    g = fld.ghost
-    if g < degree + 1:
-        raise ValueError(f"ghost width {g} too narrow for degree {degree}")
-    win = np.lib.stride_tricks.sliding_window_view(fld.data, 2 * degree + 1, axis=0)
-    start = g - 1 - degree
-    stop = start + fld.grid.n_cells + 2
-    return np.moveaxis(win[start:stop], -1, 1)
 
 
 def step(
@@ -155,17 +138,19 @@ def step(
     leaves the field unchanged.
     """
     t0 = time.perf_counter()
-    dx = fld.grid.dx
-    apply_boundary(fld, config.boundary)
-    windows = _reconstruction_windows(fld, config.degree)
+    n, deg, dx = fld.grid.n_cells, config.degree, fld.grid.dx
+    # Window j is the (2M+1)-cell stencil of cell j-1, for j = 0..n+1: the
+    # cells past either end are the periodic images or copies of the end cell.
+    idx = np.arange(-1 - deg, n + 1 - deg)[:, None] + np.arange(2 * deg + 1)
+    idx = idx % n if config.boundary == "periodic" else np.clip(idx, 0, n - 1)
+    windows = fld.interior[idx]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        coeffs = reconstruct_batch(windows, config.degree)
+        coeffs = reconstruct_batch(windows, deg)
     bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=(1, 2)))
     if bad.size:
-        # Window j is centred on cell j-1.
         raise StepError(
             "non-finite reconstruction",
-            details={"cells": bad - 1, "states": windows[bad, config.degree]},
+            details={"cells": bad - 1, "states": windows[bad, deg]},
         )
 
     rules = space_time_rules(config.order)
@@ -176,8 +161,8 @@ def step(
             exc.details["cells"] = exc.details["cells"] - 1  # table j covers cell j-1
         raise
 
-    # Table j covers cell j-1 (tables include one ghost cell per side), so the
-    # interface left of interior cell i sits between tables i and i+1.
+    # Table j covers cell j-1 (one neighbour beyond each end), so the
+    # interface left of cell i sits between tables i and i+1.
     fl = interface_fluctuations(
         system,
         tables.trace_right[:-1],
@@ -207,12 +192,7 @@ def step(
     return StepReport(dt, tables.iterations, time.perf_counter() - t0, mass)
 
 
-def run(
-    system: SystemDescriptor,
-    grid: Grid,
-    config: RunConfig,
-    keep_reports: bool = True,
-) -> RunReport:
+def run(system: SystemDescriptor, grid: Grid, config: RunConfig) -> RunReport:
     """March the system from its initial condition to ``config.t_out``."""
     wall0 = time.perf_counter()
     fld = initial_field(system, grid, config)
@@ -230,30 +210,15 @@ def run(
             raise
         t += dt
         n_steps += 1
-        if keep_reports:
-            reports.append(rep)
+        reports.append(rep)
     return RunReport(fld, t, n_steps, time.perf_counter() - wall0, reports)
 
 
-def check_periodic_cells(name: str, configs: list[RunConfig], meshes: list[int]) -> None:
-    """Raise ValueError naming ``name`` unless every mesh has the cells a
-    periodic run needs: at least ``order``, the width of its ghost layer."""
-    fewest = max((c.order for c in configs if c.boundary == "periodic"), default=1)
-    small = [n for n in meshes if n < fewest]
-    if small:
-        raise ValueError(
-            f"{name} must have at least {fewest} cells for a periodic run "
-            f"at order {fewest}, got {small[0]}"
-        )
-
-
-def check_convergence_inputs(
-    system: SystemDescriptor, configs: list[RunConfig], meshes: list[int], variable: int
-) -> None:
+def check_convergence_inputs(system: SystemDescriptor, meshes: list[int], variable: int) -> None:
     """Raise ValueError, naming the input, unless a convergence study can run.
 
-    Every mesh is a positive integer cell count, with the cells a periodic
-    run needs (``check_periodic_cells``).
+    Every mesh is a positive integer cell count; any count works for either
+    boundary, since a step gathers its stencils through the boundary.
     """
     if system.exact_solution is None:
         raise ValueError(f"system {system.name!r} has no exact solution to compare to")
@@ -261,7 +226,6 @@ def check_convergence_inputs(
         raise ValueError(f"variable must be in 0..{system.m - 1}, got {variable}")
     for n_cells in meshes:
         check_count("meshes", n_cells, 1)
-    check_periodic_cells("meshes", configs, meshes)
 
 
 def convergence_study(
@@ -271,13 +235,13 @@ def convergence_study(
     variable: int = 0,
 ) -> list[ConvergenceRow]:
     """Error norms and observed orders of one tracked variable over meshes of [0, 1]."""
-    check_convergence_inputs(system, [config], meshes, variable)
+    check_convergence_inputs(system, meshes, variable)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n_cells in meshes:
         grid = Grid(0.0, 1.0, int(n_cells))
         t0 = time.perf_counter()
-        report = run(system, grid, config, keep_reports=False)
+        report = run(system, grid, config)
         cpu = time.perf_counter() - t0
         linf, l1, l2 = error_norms(report.field, system.exact_solution, report.t_final)
         row = ConvergenceRow(

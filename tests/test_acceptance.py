@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from aderfv.force_flux import interface_fluctuations, path_average_matrix
-from aderfv.grid import Grid, RunConfig, error_norms, exact_cell_averages
+from aderfv.grid import CellField, Grid, RunConfig, error_norms, exact_cell_averages
 from aderfv.ckjet import ck_time_derivatives
 from aderfv.predictor import space_time_rules
 from aderfv.solver import convergence_study, initial_field, run, step
@@ -112,7 +112,7 @@ def test_criterion_2_stiff_front():
     system = leveque_yee(beta=-1000.0, step_position=0.3)
     config = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive")
     grid = Grid(0.0, 1.0, 100)
-    report = run(system, grid, config, keep_reports=False)
+    report = run(system, grid, config)
     q = report.field.interior[:, 0]
     x = grid.cell_centers
     dx = grid.dx
@@ -317,8 +317,7 @@ def test_criterion_4d_equilibrium_and_conservation():
     for system, state in cases:
         config = RunConfig(order=4, cfl=0.5, alpha=2.0, t_out=1.0, boundary="periodic")
         grid = Grid(0.0, 1.0, 12)
-        fld = initial_field(system, grid, config)
-        fld.data[:] = state
+        fld = CellField(grid, np.tile(state, (grid.n_cells, 1)))
         step(system, fld, config, dt=0.01)
         worst = max(worst, np.max(np.abs(fld.interior - state)))
     _check(

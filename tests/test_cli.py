@@ -166,16 +166,24 @@ def test_first_order_diagnostic_mode_runs(capsys):
 
 
 def test_too_few_periodic_cells_exit_one_naming_cells(tmp_path, capsys):
-    # Order 5 needs a ghost layer of five cells; the check names the flag and
-    # the minimum, and comes before the output is opened.
+    # A run needs one cell; the check names the flag and comes before the
+    # output is opened.
     out = tmp_path / "bad.csv"
-    rc = main(["solve", "--preset", "linear-system", "--cells", "3", "--order", "5",
+    rc = main(["solve", "--preset", "linear-system", "--cells", "0", "--order", "5",
                "--out", str(out)])
     assert rc == 1 and not out.exists()
-    err = capsys.readouterr().err
-    assert err == (
-        "aderfv: --cells must have at least 5 cells for a periodic run at order 5, got 3\n"
-    )
+    assert capsys.readouterr().err == "aderfv: --cells must be an integer >= 1, got 0\n"
+
+
+def test_periodic_solve_on_fewer_cells_than_the_order(tmp_path):
+    # Each stencil wraps round the three cells more than once at order 5.
+    out = tmp_path / "three.csv"
+    rc = main(["solve", "--preset", "linear-system", "--cells", "3", "--order", "5",
+               "--t-out", "0.05", "--out", str(out)])
+    assert rc == 0
+    header, rows = _read_csv(out)
+    assert header == ["x", "q_1", "q_2", "exact_1", "exact_2"] and len(rows) == 3
+    assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 def test_non_finite_run_setting_exits_one(capsys):
@@ -227,7 +235,7 @@ def test_converge_rejects_out_of_range_variable(variable, tmp_path, capsys):
     (["--orders", "2,7"], "order"),
     (["--meshes", "8,0"], "meshes"),
     (["--preset", "leveque-yee"], "exact solution"),
-    (["--orders", "3", "--meshes", "8,2"], "meshes"),
+    (["--meshes", "8,-2"], "meshes"),
     (["--meshes", "8.9"], "--meshes must be a comma list of integers, got '8.9'"),
     (["--orders", "3.5"], "--orders must be a comma list of integers, got '3.5'"),
 ])

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from aderfv import solver
 from aderfv.grid import (
     CellField,
     Grid,
     RunConfig,
-    apply_boundary,
     error_norms,
     exact_cell_averages,
     gauss_legendre,
     gauss_lobatto,
     observed_order,
 )
+from aderfv.systems import linear_system
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -78,10 +79,21 @@ def test_from_function_matches_analytic_averages():
     # Cell averages of sin(2 pi x) have the closed form
     # (cos(2 pi x_l) - cos(2 pi x_r)) / (2 pi dx).
     g = Grid(0.0, 1.0, 16)
-    fld = CellField.from_function(g, lambda x: np.sin(2 * np.pi * x)[..., None], ghost=2)
+    fld = CellField.from_function(g, lambda x: np.sin(2 * np.pi * x)[..., None])
     xl, xr = g.interfaces[:-1], g.interfaces[1:]
     expect = (np.cos(2 * np.pi * xl) - np.cos(2 * np.pi * xr)) / (2 * np.pi * g.dx)
     np.testing.assert_allclose(fld.interior[:, 0], expect, atol=1e-13)
+
+
+def test_cell_field_holds_its_own_copy_of_one_row_per_cell():
+    g = Grid(0.0, 1.0, 4)
+    values = np.arange(8.0).reshape(4, 2)
+    fld = CellField(g, values)
+    values[0] = -1.0
+    np.testing.assert_array_equal(fld.interior, np.arange(8.0).reshape(4, 2))
+    for shape in ((4,), (3, 2), (4, 2, 1)):
+        with pytest.raises(ValueError, match="cell averages of shape"):
+            CellField(g, np.zeros(shape))
 
 
 def test_exact_cell_averages_polynomial():
@@ -92,27 +104,48 @@ def test_exact_cell_averages_polynomial():
     np.testing.assert_allclose(avg[:, 0], expect, atol=1e-13)
 
 
-def test_periodic_boundary_fill():
-    g = Grid(0.0, 1.0, 4)
-    fld = CellField.from_cell_averages(g, np.arange(1.0, 5.0)[:, None], ghost=2)
-    apply_boundary(fld, "periodic")
-    np.testing.assert_array_equal(fld.data[:2, 0], [3.0, 4.0])
-    np.testing.assert_array_equal(fld.data[-2:, 0], [1.0, 2.0])
+class _Windows(Exception):
+    """Stops a step at its reconstruction, carrying the windows it gathered."""
 
 
-def test_transmissive_boundary_fill():
-    g = Grid(0.0, 1.0, 4)
-    fld = CellField.from_cell_averages(g, np.arange(1.0, 5.0)[:, None], ghost=2)
-    apply_boundary(fld, "transmissive")
-    np.testing.assert_array_equal(fld.data[:2, 0], [1.0, 1.0])
-    np.testing.assert_array_equal(fld.data[-2:, 0], [4.0, 4.0])
+def _step_windows(monkeypatch, n, order, boundary):
+    def capture(windows, degree):
+        raise _Windows(windows)
+
+    monkeypatch.setattr(solver, "reconstruct_batch", capture)
+    values = np.arange(1.0, 2 * n + 1).reshape(n, 2) ** 1.5
+    fld = CellField.from_cell_averages(Grid(0.0, 1.0, n), values)
+    with pytest.raises(_Windows) as caught:
+        solver.step(linear_system(), fld, RunConfig(order=order, boundary=boundary), 1e-3)
+    return values, caught.value.args[0]
+
+
+def _assert_windows_match_padding(monkeypatch, boundary, mode):
+    # Window j of a step is the (2M+1)-cell stencil of cell j-1, j = 0..n+1:
+    # the cells of the averages padded by M+1 on each side, as np.pad fills
+    # them, slid over. Any n works, fewer cells than the stencil included.
+    for n in range(1, 13):
+        for order in range(1, 6):
+            deg = order - 1
+            values, windows = _step_windows(monkeypatch, n, order, boundary)
+            padded = np.pad(values, ((deg + 1, deg + 1), (0, 0)), mode=mode)
+            win = np.lib.stride_tricks.sliding_window_view(padded, 2 * deg + 1, axis=0)
+            np.testing.assert_array_equal(windows, np.moveaxis(win, -1, 1))
+
+
+def test_periodic_boundary_fill(monkeypatch):
+    _assert_windows_match_padding(monkeypatch, "periodic", "wrap")
+
+
+def test_transmissive_boundary_fill(monkeypatch):
+    _assert_windows_match_padding(monkeypatch, "transmissive", "edge")
 
 
 def test_error_norms_constructed_defect():
     g = Grid(0.0, 1.0, 10)
     exact = lambda x, t: np.zeros(x.shape + (1,))
     delta = np.linspace(-0.3, 0.5, 10)[:, None]
-    fld = CellField.from_cell_averages(g, delta, ghost=1)
+    fld = CellField.from_cell_averages(g, delta)
     linf, l1, l2 = error_norms(fld, exact, t=0.0)
     assert linf[0] == pytest.approx(np.max(np.abs(delta)))
     assert l1[0] == pytest.approx(np.sum(np.abs(delta)) * g.dx)
@@ -147,11 +180,9 @@ def test_run_config_validation():
         {"order": 3, "fp_tol": -1.0},
         {"order": 3, "fp_tol": float("nan")},
         {"order": 3, "fp_tol": float("inf")},
-        {"order": 3, "dt_max": 0.0},
-        {"order": 3, "dt_max": -0.1},
     ):
         # Rejected when built, naming the field, not later in the run.
         with pytest.raises(ValueError, match=list(kwargs)[-1]):
             RunConfig(**kwargs)
-    assert RunConfig(order=3, fp_tol=0.0, fp_max_iter=1, dt_max=1e-3).fp_max_iter == 1
+    assert RunConfig(order=3, fp_tol=0.0, fp_max_iter=1).fp_max_iter == 1
 

@@ -37,26 +37,28 @@ def test_compute_dt_scalar():
 def test_compute_dt_clipping():
     system = scalar_advection_reaction(lam=2.0)
     g = Grid(0.0, 1.0, 10)
-    cfg = RunConfig(order=2, cfl=0.5, dt_max=1e-3)
+    cfg = RunConfig(order=2, cfl=0.5)
     fld = initial_field(system, g, cfg)
-    assert compute_dt(system, fld, cfg) == pytest.approx(1e-3)  # dt_max binds
-    assert compute_dt(system, fld, cfg, t_remaining=2e-4) == pytest.approx(2e-4)
+    assert compute_dt(system, fld, cfg) == pytest.approx(0.025)
+    assert compute_dt(system, fld, cfg, t_remaining=2e-4) == pytest.approx(2e-4)  # binds
+    assert compute_dt(system, fld, cfg, t_remaining=1.0) == pytest.approx(0.025)
 
 
 def test_compute_dt_zero_wave_speed():
+    # With no wave speed the remaining time is the step; without one there is none.
     system = scalar_advection_reaction(lam=0.0, beta=-1.0)
     g = Grid(0.0, 1.0, 10)
-    fld = initial_field(system, g, RunConfig(order=2))
-    cfg = RunConfig(order=2, dt_max=0.01)
-    assert compute_dt(system, fld, cfg) == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        compute_dt(system, fld, RunConfig(order=2))
+    cfg = RunConfig(order=2)
+    fld = initial_field(system, g, cfg)
+    assert compute_dt(system, fld, cfg, t_remaining=0.01) == pytest.approx(0.01)
+    with pytest.raises(ValueError, match="cannot pick a time step"):
+        compute_dt(system, fld, cfg)
 
 
 def test_compute_dt_rejects_a_non_finite_cell_average():
     # A NaN average has no wave speed, so there is no step to take.
     system = euler_ideal_gas()
-    cfg = RunConfig(order=3, cfl=0.1, dt_max=1e-3)
+    cfg = RunConfig(order=3, cfl=0.1)
     fld = initial_field(system, Grid(0.0, 1.0, 16), cfg)
     fld.interior[7] = np.nan
     with pytest.raises(ValueError, match="cannot pick a time step"):
@@ -90,7 +92,7 @@ def test_first_order_upwind_hand_calculation():
     system = scalar_advection_reaction(lam=1.0, beta=0.0)
     g = Grid(0.0, 1.0, 4)
     cfg = RunConfig(order=1, alpha=2.0)
-    fld = CellField.from_cell_averages(g, np.array([1.0, 2.0, 3.0, 4.0])[:, None], ghost=1)
+    fld = CellField.from_cell_averages(g, np.array([1.0, 2.0, 3.0, 4.0])[:, None])
     step(system, fld, cfg, dt=0.125)
     np.testing.assert_allclose(fld.interior[:, 0], [2.5, 1.5, 2.5, 3.5], atol=1e-14)
 
@@ -108,9 +110,7 @@ def test_equilibrium_is_preserved(factory, state):
     system = factory()
     g = Grid(0.0, 1.0, 12)
     cfg = RunConfig(order=4, alpha=2.0)
-    fld = CellField.from_cell_averages(
-        g, np.tile(state, (12, 1)), ghost=cfg.order
-    )
+    fld = CellField.from_cell_averages(g, np.tile(state, (12, 1)))
     step(system, fld, cfg, dt=2e-3)
     np.testing.assert_allclose(fld.interior, np.tile(state, (12, 1)), atol=1e-13)
 
@@ -197,24 +197,30 @@ def test_convergence_study_requires_exact_solution():
         convergence_study(system, RunConfig(order=2, t_out=0.1), meshes=[8, 16])
 
 
-@pytest.mark.parametrize("meshes", [[8.9], [True], [8, 0], [8, 2]])
+@pytest.mark.parametrize("meshes", [[8.9], [True], [8, 0]])
 def test_convergence_study_rejects_bad_meshes(meshes):
-    # A mesh is an integer cell count, and a periodic run at order 3 needs
-    # three cells for its ghost layer; the check comes before any run.
+    # A mesh is a positive integer cell count; the check comes before any run.
     cfg = RunConfig(order=3, t_out=0.1, boundary="periodic")
     with pytest.raises(ValueError, match="meshes"):
         convergence_study(linear_system(), cfg, meshes=meshes)
 
 
-def test_too_few_periodic_cells_name_the_ghost_width_and_cells():
-    # An order-5 run keeps a ghost layer of five cells, which a periodic
-    # grid of three cannot fill; run and step both name the two counts.
-    system, cfg = linear_system(), RunConfig(order=5, t_out=0.01)
-    with pytest.raises(ValueError, match="ghost layer of 5 cells .* interior of 3 cells"):
-        run(system, Grid(0.0, 1.0, 3), cfg)
-    fld = initial_field(system, Grid(0.0, 1.0, 3), cfg)
-    with pytest.raises(ValueError, match="ghost layer of 5 cells .* interior of 3 cells"):
-        step(system, fld, cfg, 1e-3)
+@pytest.mark.parametrize("factory,alpha", [(linear_system, 1.9), (euler_ideal_gas, 2.0)])
+@pytest.mark.parametrize("order", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_periodic_run_on_few_cells_matches_the_tiled_run(factory, alpha, order, n):
+    # Both initial conditions have period 1, so a periodic run on n cells of
+    # [0, 1] is k copies of itself on k*n cells of [0, k]. The tiled grid is
+    # wide enough that no stencil wraps onto its own cell, yet the n-cell run
+    # wraps its stencils, the ones of n = 1 through one cell 2M+1 times.
+    system = factory()
+    cfg = RunConfig(order=order, cfl=0.1, alpha=alpha, t_out=0.1, boundary="periodic")
+    k = -(-(2 * order - 1) // n)
+    few = run(system, Grid(0.0, 1.0, n), cfg)
+    tiled = run(system, Grid(0.0, float(k), k * n), cfg)
+    assert few.n_steps == tiled.n_steps
+    np.testing.assert_allclose(tiled.field.interior, np.tile(few.field.interior, (k, 1)),
+                               rtol=0, atol=1e-14)
 
 
 _SMOOTH_RUNS = {
