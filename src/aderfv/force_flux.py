@@ -30,6 +30,10 @@ __all__ = [
     "noncons_average",
 ]
 
+# Segment-path rule of the two-state matrix average, built once: a
+# gauss_legendre call takes tens of microseconds.
+_PATH_RULE = gauss_legendre(3)
+
 
 @dataclass(frozen=True)
 class FluctuationPair:
@@ -49,11 +53,9 @@ def path_average_matrix(
     system: SystemDescriptor,
     q_left: np.ndarray,
     q_right: np.ndarray,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule = _PATH_RULE,
 ) -> np.ndarray:
     """Average of A along the straight segment joining two states."""
-    if rule is None:
-        rule = gauss_legendre(3)
     q_left = np.asarray(q_left, dtype=float)
     q_right = np.asarray(q_right, dtype=float)
     delta = q_right - q_left
@@ -84,7 +86,6 @@ def interface_fluctuations(
     alpha: float,
     dt: float,
     dx: float,
-    path_rule: QuadratureRule | None = None,
 ) -> FluctuationPair:
     """Fluctuations of one (or a batch of) interface(s).
 
@@ -92,7 +93,7 @@ def interface_fluctuations(
     cells left and right of the interface, shape (..., n_trace, m), sampled at
     the times whose unit-interval quadrature ``weights`` are given.
     """
-    atilde = path_average_matrix(system, trace_left, trace_right, path_rule)
+    atilde = path_average_matrix(system, trace_left, trace_right)
     aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
     dq = np.asarray(trace_right, dtype=float) - np.asarray(trace_left, dtype=float)
     # sum_j w_j A(tau_j) dq(tau_j) as one product over the flattened (j, b) axes.

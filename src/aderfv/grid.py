@@ -175,8 +175,6 @@ class RunConfig:
     alpha: float = 1.0
     t_out: float = 1.0
     boundary: str = "periodic"
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 50
 
     def __post_init__(self) -> None:
         check_count("order", self.order, 1, 5)
@@ -188,9 +186,6 @@ class RunConfig:
             raise ValueError(f"t_out must be finite and non-negative, got {self.t_out}")
         if self.boundary not in ("periodic", "transmissive"):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
-        check_count("fp_max_iter", self.fp_max_iter, 1)
-        if not (math.isfinite(self.fp_tol) and self.fp_tol >= 0.0):
-            raise ValueError(f"fp_tol must be finite and non-negative, got {self.fp_tol}")
 
     @property
     def degree(self) -> int:

@@ -29,9 +29,10 @@ serves all of them. It gives G^(k)(w) and dG^(k)/dD_0(w), and one (T, M)
 Taylor contraction per block gives each point its explicit start
 D_0 = w_0 + sum_k tau^k / k! G^(k)(w), the classical ADER-CK predictor, and
 its first sweep's chord I + sum_k (-tau)^k / k! dG^(k)/dD_0(w), the Jacobian
-of the state equation at D = w. A point refreshes its Jacobian on the sweep
-after a Newton step larger than sqrt(fp_tol) of its state scale, and reuses
-the stored one as a chord otherwise, so a point that starts inside Newton's
+of the state equation at D = w. A point converges at a Newton step of
+1e-12 of its state scale (1 + max |D_0|). It refreshes its Jacobian on the
+sweep after a step larger than 1e-6 of it, the square root, and reuses the
+stored one as a chord otherwise, so a point that starts inside Newton's
 quadratic range never pays for one (Kelley 1995, ch. 5). A Jacobian is
 factored once, when it is stored, by a batched LU with partial pivoting over
 the m component rows, and every sweep that uses it only substitutes; an
@@ -82,6 +83,10 @@ __all__ = [
     "build_predictor_tables",
 ]
 
+# A point has converged when its Newton step is at most this fraction of its
+# state scale; a solve that needs more than _SWEEP_LIMIT sweeps fails.
+_NEWTON_TOL = 1e-12
+_SWEEP_LIMIT = 50
 # Halvings of one Newton step before it is taken as it stands (or, for an
 # inadmissible state, rejected).
 _BACKTRACK_LIMIT = 5
@@ -129,11 +134,9 @@ def _basis_tensor(degree: int, nodes: np.ndarray) -> np.ndarray:
 class SpaceTimeRules:
     """Quadrature rules and cached basis tensors for one scheme order."""
 
-    degree: int
     xi_rule: QuadratureRule          # interior spatial nodes (volume integrals)
     tau_rule: QuadratureRule         # interior temporal nodes (volume integrals)
     trace_rule: QuadratureRule       # temporal nodes of the interface traces
-    path_rule: QuadratureRule        # segment-path rule for two-state averages
     basis_interior: np.ndarray       # (M+1, n_xi, M+1)
     basis_trace: np.ndarray          # (M+1, 2, M+1) at xi = 0 and xi = 1
     diff_matrix: np.ndarray          # (n_xi, n_xi) unit-cell Lagrange derivative
@@ -146,11 +149,9 @@ def space_time_rules(order: int) -> SpaceTimeRules:
     tau_rule = gauss_legendre(degree + 1)
     trace_rule = gauss_lobatto(max(degree + 1, 2))
     return SpaceTimeRules(
-        degree=degree,
         xi_rule=xi_rule,
         tau_rule=tau_rule,
         trace_rule=trace_rule,
-        path_rule=gauss_legendre(3),
         basis_interior=_basis_tensor(degree, xi_rule.nodes),
         basis_trace=_basis_tensor(degree, np.array([0.0, 1.0])),
         diff_matrix=_lagrange_diff_matrix(xi_rule.nodes),
@@ -408,19 +409,6 @@ def solve_derivative_chain(
     return out
 
 
-def _gather(x: np.ndarray, points) -> np.ndarray:
-    """``x`` at ``points``, a slice or an index array.
-
-    A slice gives a view. An index array gives a copy by ``take``, which
-    numpy runs several times faster than an indexed read of an array of two
-    or more dimensions (1 against 6 us for 420 of 1400 rows of width 2, on
-    a 2-core x86 VM).
-    """
-    if isinstance(points, slice):
-        return x[points]
-    return x.take(points, axis=0)
-
-
 def _point_views(blocks: list, points: np.ndarray) -> list[np.ndarray]:
     """Views of an array over the points of ``blocks``, one per block.
 
@@ -473,9 +461,7 @@ def _explicit_start(
     return start, chord, jet
 
 
-def solve_predictor_points(
-    system: SystemDescriptor, blocks, config: RunConfig
-) -> tuple[list[np.ndarray], int]:
+def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.ndarray], int]:
     """Newton on the reduced state equation at the space-time points of node blocks.
 
     Each block is a pair (w, taus): w, shape (cells, nodes, M+1, m), holds
@@ -517,12 +503,11 @@ def solve_predictor_points(
     # At tau = 0 the state equation reads D = w exactly: those points keep
     # their reconstruction stacks and stay out of the Newton batch.
     moving = tau != 0.0
-    if system.admissible is not None:
-        still = np.flatnonzero(~moving)
-        bad = ~system.admissible(stacks[still, 0])
-        if bad.any():
-            message = "inadmissible reconstructed state at tau = 0"
-            raise named(_point_error(message, bad, tau[still], stacks[still, 0]), still)
+    still = np.flatnonzero(~moving)
+    bad = ~system.admissible(stacks[still, 0])
+    if bad.any():
+        message = "inadmissible reconstructed state at tau = 0"
+        raise named(_point_error(message, bad, tau[still], stacks[still, 0]), still)
     point = np.flatnonzero(moving)
     if not point.size:
         return _point_views(blocks, stacks), 0
@@ -539,8 +524,7 @@ def solve_predictor_points(
     factors = _lu_factor(chord)
     # Points that start from the explicit Taylor value rather than from w_0.
     explicit = has_jet & np.isfinite(_point_norm(start))
-    if system.admissible is not None:
-        explicit[explicit] = system.admissible(start[explicit])
+    explicit[explicit] = system.admissible(start[explicit])
     d0 = np.where(explicit[:, None], start, w[:, 0])
     # Points that take the total derivative on their next sweep.
     refresh = ~has_jet
@@ -549,7 +533,7 @@ def solve_predictor_points(
     while point.size:
         sweeps += 1
         try:
-            if sweeps > config.fp_max_iter:
+            if sweeps > _SWEEP_LIMIT:
                 raise _point_error(
                     "predictor fixed point did not converge",
                     np.ones(point.size, dtype=bool), tau, d0,
@@ -571,10 +555,10 @@ def solve_predictor_points(
             continue
 
         scale = 1.0 + _point_norm(d0_new)
-        done = step <= config.fp_tol * scale
+        done = step <= _NEWTON_TOL * scale
         # A step that large means the point was outside the quadratic range
         # of its Jacobian, which then no longer serves as a chord.
-        refresh = step > np.sqrt(config.fp_tol) * scale
+        refresh = step > np.sqrt(_NEWTON_TOL) * scale
         # Converged points write their stacks and leave the batch.
         stacks[point[done], 0], stacks[point[done], 1:] = d0_new[done], rest[done]
         keep = np.flatnonzero(~done)
@@ -591,36 +575,28 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     """One outer sweep over a batch of points: chain, then one guarded Newton step.
 
     A point where ``refresh`` holds stores the factors of the total
-    derivative of the reduced residual in ``factors`` (``_lu_factor``); the
-    others solve with the factors stored there. ``taylor`` holds the points'
-    rows (-tau)^k / k!. Returns the new states, the chain solutions and each
+    derivative of the reduced residual in ``factors`` (``_lu_factor``), and
+    takes its residual from the same complex step; every point then solves
+    with the factors stored there. ``taylor`` holds the points' rows
+    (-tau)^k / k!. Returns the new states, the chain solutions and each
     point's step size; a failure raises a PredictorError under the points'
     indices in the batch.
     """
     rest = solve_derivative_chain(system, d0, w_rest, tau, taylor.shape[-1])
-
-    def rows(mask):
-        # Usually every point takes one path: then the batch goes uncopied.
-        return slice(None) if mask.all() else np.flatnonzero(mask)
-
-    def at(r, *arrays):
-        return tuple(_gather(x, r) for x in arrays)
-
+    h = predictor_residual(system, d0, rest, tau, w0, taylor)
     # Refreshed points take their residual from the jet of their Jacobian,
     # the total derivative through the chain from their data w_1..w_M.
-    h = np.empty_like(d0)
     if refresh.any():
-        r = rows(refresh)
+        r = np.flatnonzero(refresh)
         try:
-            h[r], jac = residual_and_jacobian(system, *at(r, d0, w_rest, tau, w0, taylor))
+            h[r], jac = residual_and_jacobian(
+                system, *(x.take(r, axis=0) for x in (d0, w_rest, tau, w0, taylor))
+            )
         except PredictorError as exc:
-            exc.details["points"] = np.arange(len(d0))[r][exc.details["points"]]
+            exc.details["points"] = r[exc.details["points"]]
             raise
         for store, new in zip(factors, _lu_factor(jac)):
             store[..., r] = new
-    if not refresh.all():
-        r = rows(~refresh)
-        h[r] = predictor_residual(system, *at(r, d0, rest, tau, w0, taylor))
 
     delta = _lu_solve(factors, h)
     d0_new = d0 - delta
@@ -646,13 +622,11 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     scale = 1.0 + _point_norm(d0)
     big = _point_norm(delta) > _DESCENT_GATE * scale
     h_ref = _point_norm(h)
-    trial = np.flatnonzero(big) if system.admissible is None else np.arange(len(d0))
+    trial = np.arange(len(d0))
     for halvings in range(_BACKTRACK_LIMIT + 1):
         if not trial.size:
             break
-        halve = np.zeros(trial.size, dtype=bool)
-        if system.admissible is not None:
-            halve = ~system.admissible(d0_new.take(trial, axis=0))
+        halve = ~system.admissible(d0_new.take(trial, axis=0))
         if halvings == _BACKTRACK_LIMIT:
             if halve.any():
                 bad = np.zeros(len(d0), dtype=bool)
@@ -664,7 +638,8 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
         descend = big[trial] & ~halve
         if descend.any():
             p = trial[descend]
-            h_try = _point_norm(predictor_residual(system, *at(p, d0_new, rest, tau, w0, taylor)))
+            args = (x.take(p, axis=0) for x in (d0_new, rest, tau, w0, taylor))
+            h_try = _point_norm(predictor_residual(system, *args))
             halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
         trial = trial[halve]
         delta[trial] *= 0.5
@@ -766,7 +741,7 @@ def build_predictor_tables(
         # Node blocks: the interior nodes at the tau-rule times, the trace
         # ends at the trace-rule times.
         blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes * dt)]
-        (values, traces), sweeps = solve_predictor_points(system, blocks, config)
+        (values, traces), sweeps = solve_predictor_points(system, blocks)
         values, traces = values[..., 0, :], traces[..., 0, :]
     x_deriv = rules.diff_matrix @ values / dx
 

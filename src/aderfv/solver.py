@@ -141,6 +141,7 @@ def step(
     n, deg, dx = fld.grid.n_cells, config.degree, fld.grid.dx
     # Window j is the (2M+1)-cell stencil of cell j-1, for j = 0..n+1: the
     # cells past either end are the periodic images or copies of the end cell.
+    # A failure names table j by idx[j, M], the grid cell at its centre.
     idx = np.arange(-1 - deg, n + 1 - deg)[:, None] + np.arange(2 * deg + 1)
     idx = idx % n if config.boundary == "periodic" else np.clip(idx, 0, n - 1)
     windows = fld.interior[idx]
@@ -150,7 +151,7 @@ def step(
     if bad.size:
         raise StepError(
             "non-finite reconstruction",
-            details={"cells": bad - 1, "states": windows[bad, deg]},
+            details={"cells": idx[bad, deg], "states": windows[bad, deg]},
         )
 
     rules = space_time_rules(config.order)
@@ -158,7 +159,7 @@ def step(
         tables = build_predictor_tables(system, coeffs, dt, dx, config)
     except PredictorError as exc:
         if "cells" in exc.details:
-            exc.details["cells"] = exc.details["cells"] - 1  # table j covers cell j-1
+            exc.details["cells"] = idx[exc.details["cells"], deg]
         raise
 
     # Table j covers cell j-1 (one neighbour beyond each end), so the
@@ -171,15 +172,13 @@ def step(
         config.alpha,
         dt,
         dx,
-        rules.path_rule,
     )
     src = source_average(system, tables, rules)[1:-1]
     anc = noncons_average(system, tables, rules)[1:-1]
 
     new = fld.interior + (-dt / dx * (fl.dplus[:-1] + fl.dminus[1:]) + dt * (src - anc))
     bad = ~np.isfinite(new).all(axis=-1)
-    if system.admissible is not None:
-        bad[~bad] = ~system.admissible(new[~bad])
+    bad[~bad] = ~system.admissible(new[~bad])
     if np.any(bad):
         cells = np.flatnonzero(bad)
         raise StepError(

@@ -131,6 +131,11 @@ def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndar
     return jac.transpose(tuple(range(1, nb + 2)) + (0,))
 
 
+def _admit_all(q: np.ndarray) -> np.ndarray:
+    """The admissibility test of a law that accepts every state: all True."""
+    return np.ones(np.shape(q)[:-1], dtype=bool)
+
+
 def _state_array(q) -> np.ndarray:
     """States as a float array, or as a complex one if they are complex."""
     q = np.asarray(q)
@@ -152,7 +157,8 @@ class SystemDescriptor:
     ``matrix``. ``constant_coefficients`` declares A and dS/dQ independent of
     Q (a linear law): ``matrix``, ``source_jacobian`` and ``max_wave_speed``
     then return their values at Q = 0, derived once, and ``closed_ck`` gives
-    its CK matrices.
+    its CK matrices. ``admissible`` maps states (..., m) to a mask (...,) of
+    the states the law accepts, by default every state.
     """
 
     name: str
@@ -162,7 +168,7 @@ class SystemDescriptor:
     matrix_rows: Callable[[Sequence], list] | None = None
     source_terms: Callable[[Sequence], list] | None = None
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
-    admissible: Callable[[np.ndarray], np.ndarray] | None = None
+    admissible: Callable[[np.ndarray], np.ndarray] = _admit_all
     constant_coefficients: bool = False
 
     def __post_init__(self) -> None:

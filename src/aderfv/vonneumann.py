@@ -205,8 +205,7 @@ def _scenario_blends(query: StabilityQuery, rng: np.random.Generator) -> np.ndar
     degree = query.order - 1
     draws = rng.random((query.n_scenarios, 3))
     if query.weight_model == "weno-law":
-        oi = 1.0 + draws
-        weights = nonlinear_weights(oi[:, 0], oi[:, 1], oi[:, 2])
+        weights = nonlinear_weights(1.0 + draws)
     else:
         weights = draws / draws.sum(axis=1, keepdims=True)
     return blend_matrix(degree, weights)

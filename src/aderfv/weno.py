@@ -189,13 +189,12 @@ def oscillation_matrix(degree: int) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in exact])
 
 
-def nonlinear_weights(oi_left, oi_central, oi_right) -> np.ndarray:
-    """Normalized stencil weights (left, central, right) from oscillation indices."""
-    oi = np.stack(
-        [np.asarray(oi_left, dtype=float), np.asarray(oi_central, dtype=float),
-         np.asarray(oi_right, dtype=float)],
-        axis=-1,
-    )
+def nonlinear_weights(oi) -> np.ndarray:
+    """Normalized stencil weights (..., 3) from the oscillation indices (..., 3).
+
+    The last axis runs over the (left, central, right) stencils.
+    """
+    oi = np.asarray(oi, dtype=float)
     lam = np.array([LAMBDA_SIDE, LAMBDA_CENTRAL, LAMBDA_SIDE])
     raw = lam / (oi + WEIGHT_EPS) ** WEIGHT_EXPONENT
     return raw / np.sum(raw, axis=-1, keepdims=True)
@@ -214,7 +213,7 @@ def reconstruct_batch(windows: np.ndarray, degree: int) -> np.ndarray:
     if degree == 0:
         return betas[:, :, 1]
     oi = np.sum((betas @ oscillation_matrix(degree)) * betas, axis=-1)   # (c, m, 3)
-    weights = nonlinear_weights(oi[..., 0], oi[..., 1], oi[..., 2])     # (c, m, 3)
+    weights = nonlinear_weights(oi)                                     # (c, m, 3)
     return (
         weights[..., 0, None] * betas[:, :, 0]
         + weights[..., 1, None] * betas[:, :, 1]

@@ -234,8 +234,8 @@ def test_criterion_4b_reconstruction_oracles():
         f"worst coefficient error {worst:.2e}",
     )
 
-    w = weno.nonlinear_weights(0.0, 0.0, 0.0)
-    rand = weno.nonlinear_weights(*rng.uniform(0.0, 5.0, size=3))
+    w = weno.nonlinear_weights(np.zeros(3))
+    rand = weno.nonlinear_weights(rng.uniform(0.0, 5.0, size=3))
     _check(
         "WENO: nonlinear weights normalized, including all-zero indices",
         abs(w.sum() - 1.0) <= 1e-15 and abs(rand.sum() - 1.0) <= 1e-15 and (w >= 0).all(),

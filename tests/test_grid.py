@@ -174,15 +174,8 @@ def test_run_config_validation():
         {"order": 3, "alpha": float("nan")},
         {"order": 3, "alpha": float("inf")},
         {"order": 3, "boundary": "weird"},
-        {"order": 3, "fp_max_iter": 0},
-        {"order": 3, "fp_max_iter": -3},
-        {"order": 3, "fp_max_iter": 5.0},
-        {"order": 3, "fp_tol": -1.0},
-        {"order": 3, "fp_tol": float("nan")},
-        {"order": 3, "fp_tol": float("inf")},
     ):
         # Rejected when built, naming the field, not later in the run.
         with pytest.raises(ValueError, match=list(kwargs)[-1]):
             RunConfig(**kwargs)
-    assert RunConfig(order=3, fp_tol=0.0, fp_max_iter=1).fp_max_iter == 1
 

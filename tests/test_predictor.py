@@ -40,10 +40,10 @@ def _poly_derivatives(coeffs, xi, dx, n):
     ])
 
 
-def _solve_point(system, w, tau, cfg):
+def _solve_point(system, w, tau):
     """Derivative stack (M+1, m) and sweep count of one predictor point."""
     (stacks,), sweeps = solve_predictor_points(
-        system, [(np.asarray(w, dtype=float)[None, None], np.array([float(tau)]))], cfg
+        system, [(np.asarray(w, dtype=float)[None, None], np.array([float(tau)]))]
     )
     return stacks[0, 0, 0], sweeps
 
@@ -55,7 +55,6 @@ def test_space_time_rules_layout(order):
     assert rules.xi_rule.n == n and rules.tau_rule.n == n
     assert rules.trace_rule.n == max(n, 2)
     assert rules.trace_rule.nodes[0] == 0.0 and rules.trace_rule.nodes[-1] == 1.0
-    assert rules.path_rule.n == 3
     # differentiation matrix is exact on the interpolating polynomial space
     nodes = rules.tau_rule.nodes
     for p in range(n):
@@ -77,9 +76,8 @@ def test_derivative_chain_hand_check():
 
 def test_zero_time_offset_returns_data():
     system = scalar_advection_reaction()
-    cfg = RunConfig(order=4)
     w = np.random.default_rng(0).normal(size=(4, 1))
-    stack, sweeps = _solve_point(system, w, 0.0, cfg)
+    stack, sweeps = _solve_point(system, w, 0.0)
     np.testing.assert_allclose(stack, w, atol=1e-14)
     assert sweeps <= 2
 
@@ -99,7 +97,7 @@ def test_advection_of_low_degree_data_is_exact(order, degree):
     tau = 0.02
     for xi in (0.0, 0.31, 1.0):
         w = _poly_derivatives(coeffs, xi, dx, cfg.degree + 1)
-        stack, _ = _solve_point(system, w, tau, cfg)
+        stack, _ = _solve_point(system, w, tau)
         expect = _poly_derivatives(coeffs, xi - lam * tau / dx, dx, 1)[0]
         np.testing.assert_allclose(stack[0], expect, atol=1e-11)
 
@@ -110,23 +108,21 @@ def test_stiff_linear_reaction_closed_form(order):
     # T the truncated exponential, so very stiff tau b is tamed.
     beta, tau, w0 = -1000.0, 0.05, 1.0
     system = scalar_advection_reaction(lam=1.0, beta=beta)
-    cfg = RunConfig(order=order)
     w = np.zeros((order, 1))
     w[0, 0] = w0
-    stack, sweeps = _solve_point(system, w, tau, cfg)
+    stack, sweeps = _solve_point(system, w, tau)
     t_poly = sum((-tau * beta) ** k / math.factorial(k) for k in range(order))
     assert stack[0, 0] == pytest.approx(w0 / t_poly, rel=1e-10)
-    assert sweeps <= cfg.fp_max_iter
+    assert sweeps <= predictor._SWEEP_LIMIT
 
 
 def test_nonlinear_reaction_against_bisection():
     # Order 2 constant-data point problem is scalar root finding on
     # f(q) = q - w - tau S(q); compare against a bisection oracle.
     system = leveque_yee(beta=-1000.0)
-    cfg = RunConfig(order=2)
     tau, w0 = 1e-3, 0.8
     w = np.array([[w0], [0.0]])
-    stack, _ = _solve_point(system, w, tau, cfg)
+    stack, _ = _solve_point(system, w, tau)
 
     def f(q):
         return q - w0 - tau * system.source(np.array([q]))[0]
@@ -166,12 +162,11 @@ def test_point_consistency_order_in_time(order):
     # observed rate is min(M+1, 3). (The full update recovers order M+1
     # through the volume term; see the one-step sweep in test_solver.)
     system = linear_system()
-    cfg = RunConfig(order=order)
     x = 0.37
     seeds = _linear_exact_seeds(x, order)
     errs = []
     for tau in (0.04, 0.02):
-        stack, _ = _solve_point(system, seeds, tau, cfg)
+        stack, _ = _solve_point(system, seeds, tau)
         exact = system.exact_solution(np.array([x]), tau)[0]
         errs.append(np.max(np.abs(stack[0] - exact)))
     observed = np.log2(errs[0] / errs[1])
@@ -182,12 +177,11 @@ def test_admissibility_guard_raises():
     bad = dataclasses.replace(
         noncons_system(), admissible=lambda q: np.zeros(q.shape[:-1], dtype=bool)
     )
-    cfg = RunConfig(order=3)
     w = np.zeros((3, 2))
     w[0] = [1.0, 1.0]
     w[1] = [0.3, 0.1]
     with pytest.raises(PredictorError):
-        _solve_point(bad, w, 0.01, cfg)
+        _solve_point(bad, w, 0.01)
 
 
 def test_inadmissible_reconstruction_names_its_cell():
@@ -241,16 +235,17 @@ def test_newton_failure_names_its_trace_end(monkeypatch):
     np.testing.assert_array_equal(details["states"], [ref.trace_right[4, 0]])
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
     # One node in each of three cells, at tau = 0 and 0.05. The two cells at
     # an equilibrium of the source converge on the first sweep and leave the
     # batch; the cap then names the middle cell's moving point by its place
     # in the layout (cells, T, nodes).
     system = leveque_yee(beta=-1e7)
-    cfg = RunConfig(order=3, fp_tol=1e-16, fp_max_iter=3)
+    monkeypatch.setattr(predictor, "_NEWTON_TOL", 1e-16)
+    monkeypatch.setattr(predictor, "_SWEEP_LIMIT", 3)
     w = np.array([[[0.0], [0.0], [0.0]], [[0.75], [0.1], [0.0]], [[1.0], [0.0], [0.0]]])
     with pytest.raises(PredictorError) as err:
-        solve_predictor_points(system, [(w[:, None], np.array([0.0, 0.05]))], cfg)
+        solve_predictor_points(system, [(w[:, None], np.array([0.0, 0.05]))])
     assert str(err.value) == "predictor fixed point did not converge"
     details = err.value.details
     np.testing.assert_array_equal(details["points"], [3])
@@ -258,12 +253,12 @@ def test_iteration_cap_raises():
     np.testing.assert_array_equal(details["tau"], [0.05])
 
 
-def _newton_failure(system, w, tau, order):
+def _newton_failure(system, w, tau):
     # One block per point, a single node at a single time: the failure's
     # ``points`` then number the entries of ``w``.
     blocks = [(np.asarray(wi, float)[None, None], np.array([ti])) for wi, ti in zip(w, tau)]
     with pytest.raises(PredictorError) as err:
-        solve_predictor_points(system, blocks, RunConfig(order=order))
+        solve_predictor_points(system, blocks)
     return err.value
 
 
@@ -278,7 +273,7 @@ def _euler_points(n, degree, bad, rho):
 def test_jet_overflow_names_its_points():
     w = np.zeros((4, 3, 1))
     w[:, 0, 0] = [0.5, 1e110, 0.2, 1e110]
-    err = _newton_failure(leveque_yee(), w, [0.01] * 4, 3)
+    err = _newton_failure(leveque_yee(), w, [0.01] * 4)
     assert str(err) == "CK jet failed: non-finite space-time jet coefficients"
     np.testing.assert_array_equal(err.details["points"], [1, 3])
     np.testing.assert_array_equal(err.details["tau"], [0.01, 0.01])
@@ -291,7 +286,7 @@ def test_jet_zero_division_names_its_points():
     # direction 0 sees density i h, so the residual stays finite and only
     # the Jacobian does not: the Newton iterate fails there.
     w = _euler_points(5, 1, [1, 4], 0.0)
-    err = _newton_failure(euler_ideal_gas(), w, [0.01, 0.01, 0.0, 0.01, 0.02], 2)
+    err = _newton_failure(euler_ideal_gas(), w, [0.01, 0.01, 0.0, 0.01, 0.02])
     assert str(err) == "non-finite predictor iterate"
     np.testing.assert_array_equal(err.details["points"], [1, 4])
     np.testing.assert_array_equal(err.details["tau"], [0.01, 0.02])
@@ -300,7 +295,7 @@ def test_jet_zero_division_names_its_points():
 
 def test_non_finite_chain_names_its_points():
     w = _euler_points(3, 2, [2], 1e-300)
-    err = _newton_failure(euler_ideal_gas(), w, [0.01] * 3, 3)
+    err = _newton_failure(euler_ideal_gas(), w, [0.01] * 3)
     assert str(err) == "non-finite derivative chain solution"
     np.testing.assert_array_equal(err.details["points"], [2])
     np.testing.assert_array_equal(err.details["tau"], [0.01])
@@ -314,7 +309,7 @@ def test_singular_chain_names_its_points(make):
     w = np.full((3, 2, system.m), 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err = _newton_failure(system, w, [0.1, 0.2, 0.5], 2)
+        err = _newton_failure(system, w, [0.1, 0.2, 0.5])
     assert str(err) == "singular derivative chain (I - tau J): Singular matrix"
     np.testing.assert_array_equal(err.details["points"], [2])
     np.testing.assert_array_equal(err.details["tau"], [0.5])
@@ -346,7 +341,7 @@ def test_failing_complex_chain_names_its_points(monkeypatch):
     w = np.zeros((4, 3, 2))
     w[:, 0] = [[1.0, 1.0], [1.1, 0.9], [1.2, 1.0], [0.9, 1.1]]
     w[:, 1] = 0.1
-    err = _newton_failure(system, w, [0.0, 0.01, 0.02, 0.03], 3)
+    err = _newton_failure(system, w, [0.0, 0.01, 0.02, 0.03])
     assert str(err) == "non-finite derivative chain solution"
     np.testing.assert_array_equal(err.details["points"], [2])
     np.testing.assert_array_equal(err.details["tau"], [0.02])
@@ -378,7 +373,7 @@ def test_singular_newton_step_names_its_points(monkeypatch):
     w = np.array([[[0.75], [0.1], [0.0]]] * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err = _newton_failure(leveque_yee(), w, [0.01, 0.02, 0.03], 3)
+        err = _newton_failure(leveque_yee(), w, [0.01, 0.02, 0.03])
     assert str(err) == "singular predictor Jacobian: Singular matrix"
     np.testing.assert_array_equal(err.details["points"], [1])
     np.testing.assert_array_equal(err.details["tau"], [0.02])
@@ -389,7 +384,7 @@ def test_non_finite_iterate_names_its_points(monkeypatch):
     # A subnormal Jacobian turns the Newton step into an overflow.
     _patched_jacobian(monkeypatch, 1e-320)
     w = np.array([[[0.75], [0.1], [0.0]]] * 3)
-    err = _newton_failure(leveque_yee(), w, [0.01, 0.02, 0.03], 3)
+    err = _newton_failure(leveque_yee(), w, [0.01, 0.02, 0.03])
     assert str(err) == "non-finite predictor iterate"
     np.testing.assert_array_equal(err.details["points"], [1])
     np.testing.assert_array_equal(err.details["tau"], [0.02])
@@ -571,7 +566,6 @@ def test_predictor_operators_match_newton_probe(make, order):
     # Column p of P(tau) is the Newton predictor of the unit stack e_p on the
     # same law run through the generic series engine, over the stability
     # analyzer's range: tau up to 1 with r = tau * beta down to -10.
-    cfg = RunConfig(order=order)
     n = order * make().m
     units = np.eye(n).reshape(n, order, -1)
     taus = np.array([0.0, 0.1, 0.37, 0.8, 1.0])
@@ -580,7 +574,7 @@ def test_predictor_operators_match_newton_probe(make, order):
         ops = predictor_operators(system, taus, order)
         newton = dataclasses.replace(system, constant_coefficients=False)
         # One cell whose n nodes hold the unit stacks, at every tau.
-        (stacks,), _ = solve_predictor_points(newton, [(units[None], taus)], cfg)
+        (stacks,), _ = solve_predictor_points(newton, [(units[None], taus)])
         ref = stacks[0, :, :, 0].swapaxes(-1, -2)
         assert ops.shape == ref.shape == (taus.size, system.m, n)
         np.testing.assert_allclose(ops, ref, rtol=0, atol=1e-13 * np.abs(ops).max())
@@ -693,8 +687,7 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
     # One block per node, each at its own times.
     taus = [[1e-3], [1e-3, 2e-3, 5e-4], [2e-3, 1e-3], [5e-4]]
     blocks = [(w[None, None], np.array(t)) for w, t in zip(w_nodes, taus)]
-    cfg = RunConfig(order=3)
-    ref, ref_sweeps = solve_predictor_points(system, blocks, cfg)
+    ref, ref_sweeps = solve_predictor_points(system, blocks)
 
     exact_jet = ckjet.ck_state_jacobian
 
@@ -715,7 +708,7 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
 
     monkeypatch.setattr(ckjet, "ck_state_jacobian", failing_jet)
     monkeypatch.setattr(predictor, "residual_and_jacobian", recorded)
-    got, sweeps = solve_predictor_points(system, blocks, cfg)
+    got, sweeps = solve_predictor_points(system, blocks)
     np.testing.assert_array_equal(fresh[0], [[0.75]] * 3)
     for got_b, ref_b in zip(got, ref):
         np.testing.assert_allclose(got_b, ref_b, rtol=0, atol=1e-12)
@@ -723,7 +716,7 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
 
 
 @pytest.mark.parametrize("taus, cap", [([0.01], 20), ([0.01, 0.02, 0.03, 0.05], 60)])
-def test_newton_guards_converge_a_front_state(taus, cap):
+def test_newton_guards_converge_a_front_state(taus, cap, monkeypatch):
     # A LeVeque-Yee state between the front's equilibria. With the descent
     # gate and a Jacobian refresh after each large step, Newton takes 12
     # sweeps at tau = 0.01 and 54 for the batch; without the gate it takes
@@ -732,9 +725,8 @@ def test_newton_guards_converge_a_front_state(taus, cap):
     system = leveque_yee()
     w = np.array([[[0.75], [0.1], [0.0]]])
     tau = np.array(taus)
-    (stacks,), sweeps = solve_predictor_points(
-        system, [(w[None], tau)], RunConfig(order=3, fp_max_iter=cap)
-    )
+    monkeypatch.setattr(predictor, "_SWEEP_LIMIT", cap)
+    (stacks,), sweeps = solve_predictor_points(system, [(w[None], tau)])
     stacks = stacks[0, :, 0]  # the node's points, along the time axis
     assert sweeps <= cap
     assert stacks[0, 0, 0] == pytest.approx(0.98492774, abs=1e-8)
@@ -752,8 +744,7 @@ def test_failed_jet_at_a_trial_state_halves_the_step(monkeypatch):
     # failed, the point would have started again from w_0, on another path.
     system = leveque_yee()
     blocks = [(np.array([[[[0.75], [0.1], [0.0]]]]), np.array([0.01]))]
-    cfg = RunConfig(order=3)
-    (ref,), ref_sweeps = solve_predictor_points(system, blocks, cfg)
+    (ref,), ref_sweeps = solve_predictor_points(system, blocks)
     exact_jet = ckjet.ck_time_derivatives
     failed = []
 
@@ -764,7 +755,7 @@ def test_failed_jet_at_a_trial_state_halves_the_step(monkeypatch):
         return exact_jet(sys_, (np.where(beyond, np.inf, d0), rest), order)
 
     monkeypatch.setattr(ckjet, "ck_time_derivatives", jet)
-    (got,), sweeps = solve_predictor_points(system, blocks, cfg)
+    (got,), sweeps = solve_predictor_points(system, blocks)
     assert failed and min(failed) > 17.0
     np.testing.assert_array_equal(got, ref)
     assert sweeps == ref_sweeps == 12
@@ -783,9 +774,9 @@ def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
     for name in ("predictor_residual", "residual_and_jacobian"):
         exact = getattr(predictor, name)
         monkeypatch.setattr(predictor, name, lambda *a, f=exact: seen.append(a[1]) or f(*a))
-    (stacks,), sweeps = solve_predictor_points(system, blocks, RunConfig(order=3))
+    (stacks,), sweeps = solve_predictor_points(system, blocks)
     assert np.all(np.concatenate(seen) < 0.9)
-    (ref,), _ = solve_predictor_points(leveque_yee(), blocks, RunConfig(order=3))
+    (ref,), _ = solve_predictor_points(leveque_yee(), blocks)
     np.testing.assert_allclose(stacks, ref, rtol=0, atol=1e-12)
 
 

@@ -65,25 +65,44 @@ def test_compute_dt_rejects_a_non_finite_cell_average():
         compute_dt(system, fld, cfg, t_remaining=0.5)
 
 
-def test_non_hyperbolic_initial_cell_stops_the_predictor_there():
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+@pytest.mark.parametrize("cell", [0, 32, 63])
+def test_non_hyperbolic_initial_cell_stops_the_predictor_there(cell, boundary):
     # u < 0 gives the non-conservative law complex wave speeds lam +- sqrt(u).
     # The time step is still picked from |lambda|; the predictor rejects the
-    # cell's inadmissible states at step 1 and names that cell.
+    # cell's inadmissible states at step 1 and names that cell, also where
+    # the tables past an end of the grid hold it as an image or a copy.
     system = noncons_system()
     base = system.initial_condition
 
     def initial_condition(x):
         q = base(x)
-        q[(x >= 32 / 64) & (x < 33 / 64), 0] = -0.5
+        q[(x >= cell / 64) & (x < (cell + 1) / 64), 0] = -0.5
         return q
 
     system = dataclasses.replace(system, initial_condition=initial_condition)
-    cfg = RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary="periodic")
+    cfg = RunConfig(order=5, cfl=0.1, alpha=2.2, t_out=0.05, boundary=boundary)
     with pytest.raises(predictor.PredictorError) as err:
         run(system, Grid(0.0, 1.0, 64), cfg)
     details = err.value.details
     assert details["step"] == 1 and details["t"] == 0.0
-    assert set(details["cells"]) == {32}
+    assert set(details["cells"]) == {cell}
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+@pytest.mark.parametrize("cell", [0, 15])
+def test_non_finite_reconstruction_at_an_end_names_grid_cells(cell, boundary):
+    # A NaN average spoils every order-3 window within two cells of it; the
+    # windows past an end of the grid are named by the cells at their centres.
+    n = 16
+    fld = CellField(Grid(0.0, 1.0, n), np.ones((n, 2)))
+    fld.interior[cell] = np.nan
+    cfg = RunConfig(order=3, boundary=boundary)
+    with pytest.raises(StepError, match="non-finite reconstruction") as err:
+        step(linear_system(), fld, cfg, dt=0.01)
+    near = cell + np.arange(-2, 3)
+    near = near % n if boundary == "periodic" else np.clip(near, 0, n - 1)
+    assert set(err.value.details["cells"]) == set(near)
 
 
 def test_first_order_upwind_hand_calculation():

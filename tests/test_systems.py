@@ -33,10 +33,7 @@ def _random_states(system, rng, count):
     x = rng.uniform(0.0, 1.0, size=count)
     base = system.initial_condition(x)
     states = base * (1.0 + 0.2 * rng.standard_normal(base.shape))
-    if system.admissible is not None:
-        keep = np.array([system.admissible(q) for q in states])
-        states = states[keep]
-    return states
+    return states[system.admissible(states)]
 
 
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
@@ -200,6 +197,18 @@ def test_noncons_admissibility_guard():
     system = noncons_system()
     assert system.admissible(np.array([1.0, 2.0]))
     assert not system.admissible(np.array([-0.1, 2.0]))
+
+
+@pytest.mark.parametrize("shape", [(2,), (4, 2), (3, 5, 2)])
+def test_law_without_admissibility_test_accepts_every_state(shape):
+    # A law built without ``admissible`` passes every state, even a
+    # non-finite one, with one mask entry per state of the batch.
+    system = linear_system()
+    q = np.random.default_rng(1).normal(scale=1e3, size=shape)
+    q.flat[-1] = np.nan
+    mask = system.admissible(q)
+    assert mask.dtype == bool and mask.shape == shape[:-1]
+    assert mask.all()
 
 
 def test_max_wave_speed():
