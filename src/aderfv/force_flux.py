@@ -121,7 +121,10 @@ def source_average(
 def noncons_average(
     system: SystemDescriptor, table: PredictorTable, rules: SpaceTimeRules
 ) -> np.ndarray:
-    """Space-time average of A(Q) dQ/dx over the predictor table, (..., m)."""
-    mats = system.matrix(table.values)
-    integrand = np.einsum("...ab,...b->...a", mats, table.x_derivative)
+    """Space-time average of A(Q) dQ/dx over the predictor table, (..., m).
+
+    A(Q) dQ/dx is taken at each table node by ``SystemDescriptor.matrix_product``,
+    one directional derivative of the law, without forming A.
+    """
+    integrand = system.matrix_product(table.values, table.x_derivative)
     return _volume_average(integrand, rules)

@@ -370,10 +370,12 @@ def solve_derivative_chain(
 
     With J = source Jacobian and A = system matrix both evaluated at D_0,
     solve (I - tau J) D_M = w_M and then (I - tau J) D_k = w_k - tau A D_{k+1}
-    for k = M-1..1, with I - tau J factored once (``_lu_factor``). D_0 may
-    be complex: J and A are analytic in it, so a complex step in D_0 passes
-    through the chain. A singular I - tau J or a non-finite solution raises
-    a PredictorError that names its points (flat indices into the batch).
+    for k = M-1..1, with I - tau J factored once (``_lu_factor``). A is
+    never formed: each A D_{k+1} is one directional derivative of the law
+    (``SystemDescriptor.matrix_product``). D_0 may be complex: J and A D_{k+1}
+    are analytic in it, so a complex step in D_0 passes through the chain.
+    A singular I - tau J or a non-finite solution raises a PredictorError
+    that names its points (flat indices into the batch).
     """
     d0 = np.asarray(d0)
     w_rest = np.asarray(w_rest, dtype=float)
@@ -393,13 +395,9 @@ def solve_derivative_chain(
         if not system.source_free:
             factors = _lu_factor(np.eye(m) - tau[..., None, None] * system.source_jacobian(d0))
         out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
-        if order > 1:
-            amat = system.matrix(d0)
         for k in range(order - 2, -1, -1):
-            out[..., k, :] = solve(
-                w_rest[..., k, :]
-                - tau[..., None] * np.einsum("...ab,...b->...a", amat, out[..., k + 1, :])
-            )
+            flow = system.matrix_product(d0, out[..., k + 1, :])
+            out[..., k, :] = solve(w_rest[..., k, :] - tau[..., None] * flow)
     if not np.all(np.isfinite(out)):
         # A singular point's solution is never finite.
         if factors is not None:

@@ -4,17 +4,18 @@ Each balance law dQ/dt + A(Q) dQ/dx = S(Q) is written down once, in a generic
 form that uses only ring operations: a conservative law gives its flux F(Q)
 (so A = dF/dQ), a non-conservative law gives the rows of A(Q), and either may
 add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
-these forms over truncated power series; the vectorised matrix, source and
-source Jacobian used by the predictor and the fluxes are derived from the same
-forms on ndarray components. At a real state a Jacobian is taken by
-complex-step differentiation; at a complex state, from first-order truncated
-series of the forms, so ``matrix`` and ``source_jacobian`` are analytic in Q
-and a complex step can pass through them. A system that declares
-``constant_coefficients`` also gets its closed-form CK matrices from the same
-forms, from which the predictor's linear operators and the stability
-analyzer's explicit rows are built. The CFL wave speed is the spectral radius
-of the derived A(Q). Initial data, admissibility and the exact solutions of
-the manufactured tests are given per system.
+these forms over truncated power series; the vectorised matrix, its product
+with a vector, source and source Jacobian used by the predictor and the fluxes
+are derived from the same forms on ndarray components. At a real state a
+Jacobian is taken by complex-step differentiation; at a complex state, from
+first-order truncated series of the forms, so ``matrix``, ``matrix_product``
+and ``source_jacobian`` are analytic in Q and a complex step can pass through
+them. ``matrix_product`` takes A(Q) v as one directional derivative, without
+forming A. A system that declares ``constant_coefficients`` also gets its
+closed-form CK matrices from the same forms, from which the predictor's linear
+operators and the stability analyzer's explicit rows are built. The CFL wave
+speed is the spectral radius of the derived A(Q). Initial data, admissibility
+and the exact solutions of the manufactured tests are given per system.
 """
 from __future__ import annotations
 
@@ -131,6 +132,39 @@ def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndar
     return jac.transpose(tuple(range(1, nb + 2)) + (0,))
 
 
+def _terms_product(terms: Callable[[Sequence], list], q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Derivative of generic ``terms`` at states q in direction v, (..., m).
+
+    One direction instead of the m of ``_terms_jacobian``, with its
+    branching: at real q and v, Im term_i(q + i h v) / h; otherwise the
+    x-coefficient of term_i on the first-order series q_i + x v_i, so a
+    complex step in q or v passes through. q and v broadcast.
+    """
+    m, shape = q.shape[-1], np.broadcast(q, v).shape
+    if np.iscomplexobj(q) or np.iscomplexobj(v):
+        c = np.empty((2, 1) + shape, dtype=np.result_type(q, v))
+        c[0, 0], c[1, 0] = q, v
+        out = np.zeros(shape, dtype=c.dtype)
+        for i, term in enumerate(terms([TruncatedSeries(c[..., i]) for i in range(m)])):
+            if isinstance(term, TruncatedSeries):
+                out[..., i] = term.c[1, 0]
+        return out
+    qc = np.empty(shape, dtype=complex)
+    qc.real = q
+    np.multiply(v, _COMPLEX_STEP, out=qc.imag)
+    out = np.empty(shape)
+    for i, term in enumerate(terms([qc[..., i] for i in range(m)])):
+        np.divide(np.imag(term), _COMPLEX_STEP, out=out[..., i])
+    return out
+
+
+def _row_products(rows: Sequence, v: np.ndarray, batch: tuple) -> np.ndarray:
+    """sum_j rows[i][j] v_j for each row i, shape batch + (len(rows),)."""
+    return _stack_terms(
+        [sum(a * v[..., j] for j, a in enumerate(row)) for row in rows], batch
+    )
+
+
 def _admit_all(q: np.ndarray) -> np.ndarray:
     """The admissibility test of a law that accepts every state: all True."""
     return np.ones(np.shape(q)[:-1], dtype=bool)
@@ -150,15 +184,18 @@ class SystemDescriptor:
     ``matrix_rows`` (non-conservative form) is given; ``source_terms`` is
     optional. These generic callables take a sequence of m scalar-like
     components (floats, arrays or truncated series) and return lists of
-    scalar-likes. The vectorised ``matrix``, ``source`` and
-    ``source_jacobian`` map state arrays (..., m) and are derived from them;
-    at complex states the first and last are analytic (see
-    ``_terms_jacobian``). ``max_wave_speed`` is the spectral radius of
+    scalar-likes. The vectorised ``matrix``, ``matrix_product``, ``source``
+    and ``source_jacobian`` map state arrays (..., m) and are derived from
+    them; at complex states all but ``source`` are analytic (see
+    ``_terms_jacobian`` and ``_terms_product``). ``matrix_product(q, v)`` is
+    A(Q) v without forming A, for callers that only apply A to vectors (the
+    predictor's derivative chain, the volume term); ``matrix`` is for those
+    that need A itself. ``max_wave_speed`` is the spectral radius of
     ``matrix``. ``constant_coefficients`` declares A and dS/dQ independent of
-    Q (a linear law): ``matrix``, ``source_jacobian`` and ``max_wave_speed``
-    then return their values at Q = 0, derived once, and ``closed_ck`` gives
-    its CK matrices. ``admissible`` maps states (..., m) to a mask (...,) of
-    the states the law accepts, by default every state.
+    Q (a linear law): ``matrix``, ``matrix_product``, ``source_jacobian`` and
+    ``max_wave_speed`` then use their values at Q = 0, derived once, and
+    ``closed_ck`` gives its CK matrices. ``admissible`` maps states (..., m)
+    to a mask (...,) of the states the law accepts, by default every state.
     """
 
     name: str
@@ -193,6 +230,21 @@ class SystemDescriptor:
             return _terms_jacobian(self.flux_terms, q)
         rows = self.matrix_rows(_components(q))
         return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
+
+    def matrix_product(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A(Q) v without forming A, shape (..., m); Q and v broadcast and may be complex.
+
+        A flux law takes the derivative of F at Q in the one direction v
+        (``_terms_product``), a ``matrix_rows`` law sums its rows against v,
+        and a constant-coefficient law sums the rows of its derived A.
+        """
+        q, v = _state_array(q), _state_array(v)
+        batch = np.broadcast(q, v).shape[:-1]
+        if self.constant_coefficients:
+            return _row_products(self._constant_matrices[0], v, batch)
+        if self.flux_terms is not None:
+            return _terms_product(self.flux_terms, q, v)
+        return _row_products(self.matrix_rows(_components(q)), v, batch)
 
     def source(self, q: np.ndarray) -> np.ndarray:
         """Algebraic source S(Q), shape (..., m)."""
@@ -451,8 +503,10 @@ def euler_ideal_gas(gamma: float = 1.4) -> SystemDescriptor:
         return [q[1], momentum + p, u * (q[2] + p)]
 
     def admissible(q):
-        q = np.asarray(q)
-        prim = conserved_to_primitive(q, gamma)
+        # At rho = 0 the velocity is not finite, so neither is the pressure:
+        # such a state fails the test, with no floating-point warning.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            prim = conserved_to_primitive(np.asarray(q), gamma)
         return (prim[..., 0] > 0.0) & (prim[..., 2] > 0.0)
 
     return SystemDescriptor(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aderfv import ckjet, force_flux, predictor, solver
 from aderfv.force_flux import (
     force_alpha_split,
     interface_fluctuations,
@@ -10,10 +11,13 @@ from aderfv.force_flux import (
     path_average_matrix,
     source_average,
 )
-from aderfv.grid import RunConfig, gauss_legendre
+from aderfv.grid import Grid, RunConfig, gauss_legendre
 from aderfv.predictor import PredictorTable, space_time_rules
+from aderfv.solver import compute_dt, initial_field, step
 from aderfv.systems import (
+    SystemDescriptor,
     euler_ideal_gas,
+    leveque_yee,
     linear_system,
     noncons_system,
     scalar_advection_reaction,
@@ -182,3 +186,74 @@ def test_path_rule_default_is_three_point():
     a_default = path_average_matrix(system, ql, qr)
     a_explicit = path_average_matrix(system, ql, qr, rule=rule)
     np.testing.assert_allclose(a_default, a_explicit, atol=1e-15)
+
+
+def _first_step_tables(system, order, monkeypatch):
+    """The arguments and predictor tables of a 16-cell run's first step."""
+    calls = []
+    exact = solver.build_predictor_tables
+    monkeypatch.setattr(
+        solver, "build_predictor_tables", lambda *args: calls.append(args) or exact(*args)
+    )
+    cfg = RunConfig(order=order, cfl=0.1, alpha=2.0, t_out=1.0, boundary="periodic")
+    fld = initial_field(system, Grid(0.0, 1.0, 16), cfg)
+    step(system, fld, cfg, compute_dt(system, fld, cfg))
+    monkeypatch.setattr(solver, "build_predictor_tables", exact)
+    (args,) = calls
+    return args, exact(*args)
+
+
+def _formed_volume_term(system, table, rules):
+    """The volume term from the formed matrices A(Q): the reference for ``matrix_product``."""
+    integrand = np.einsum("...ab,...b->...a", system.matrix(table.values), table.x_derivative)
+    return force_flux._volume_average(integrand, rules)
+
+
+@pytest.mark.parametrize(
+    "make, order, atol",
+    [(euler_ideal_gas, 5, 1e-14), (noncons_system, 5, 0.0), (linear_system, 5, 0.0),
+     (leveque_yee, 3, 0.0), (scalar_advection_reaction, 3, 0.0)],
+)
+def test_noncons_average_matches_the_formed_matrix(make, order, atol, monkeypatch):
+    # Laws whose product is exact (constant A, rows of A, m = 1) give the
+    # formed matrix's volume term bit for bit; Euler's complex step of the
+    # flux in one direction agrees to round-off of the term's scale.
+    system = make()
+    _, table = _first_step_tables(system, order, monkeypatch)
+    rules = space_time_rules(order)
+    got, want = noncons_average(system, table, rules), _formed_volume_term(system, table, rules)
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system])
+@pytest.mark.parametrize("refresh", [False, True])
+def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypatch):
+    # The derivative chain and the volume term only apply A(Q) to vectors
+    # (``matrix_product``); A is formed only for the interface splitting and
+    # the CFL speed. Failing node jets make every point take the total
+    # derivative on its first sweep, so the chain also runs under the
+    # complex step.
+    system = make()
+    args, table = _first_step_tables(system, 5, monkeypatch)
+    rules = space_time_rules(5)
+    want = noncons_average(system, table, rules)
+    refreshed = []
+    if refresh:
+        exact_jet, exact_total = ckjet.ck_state_jacobian, predictor.residual_and_jacobian
+        monkeypatch.setattr(
+            ckjet, "ck_state_jacobian",
+            lambda *a: tuple(np.full_like(x, np.nan) for x in exact_jet(*a)),
+        )
+        monkeypatch.setattr(
+            predictor, "residual_and_jacobian",
+            lambda *a: refreshed.append(len(a[1])) or exact_total(*a),
+        )
+
+    def formed(self, q):
+        raise AssertionError("SystemDescriptor.matrix called")
+
+    monkeypatch.setattr(SystemDescriptor, "matrix", formed)
+    again = predictor.build_predictor_tables(*args)
+    assert again.iterations >= 1 and bool(refreshed) == refresh
+    np.testing.assert_allclose(again.values, table.values, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(noncons_average(system, table, rules), want)

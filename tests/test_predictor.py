@@ -294,7 +294,11 @@ def test_jet_zero_division_names_its_points():
 
 
 def test_non_finite_chain_names_its_points():
-    w = _euler_points(3, 2, [2], 1e-300)
+    # At M = 2 the chain applies A(D_0) to D_2 = w_2 = 0 before any jet is
+    # used, and at zero density the flux's velocity 0 / 0 makes that product
+    # NaN. (A tiny density is no trigger: A(D_0) overflows there, but its
+    # product with D_2 = 0 is exactly 0, and the CK jet fails instead.)
+    w = _euler_points(3, 2, [2], 0.0)
     err = _newton_failure(euler_ideal_gas(), w, [0.01] * 3)
     assert str(err) == "non-finite derivative chain solution"
     np.testing.assert_array_equal(err.details["points"], [2])

@@ -1,6 +1,7 @@
 """Model definitions: derived Jacobians, exact solutions, wave speeds."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ def test_noncons_admissibility_guard():
     assert not system.admissible(np.array([-0.1, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "state, admitted",
+    [([0.0, 0.0, 1.0], False), ([0.0, 1.0, 1.0], False), ([-1.0, 0.5, 6.0], False),
+     ([1.0, 0.5, -1.0], False), ([1.0, 0.5, 6.0], True)],
+)
+def test_euler_admissibility_answers_at_zero_density_without_a_warning(state, admitted):
+    # At rho = 0 the velocity is 0 / 0 or 1 / 0: the test rejects the state
+    # rather than raising the division's warning as an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = euler_ideal_gas().admissible(np.array([state]))
+    assert mask.tolist() == [admitted]
+
+
 @pytest.mark.parametrize("shape", [(2,), (4, 2), (3, 5, 2)])
 def test_law_without_admissibility_test_accepts_every_state(shape):
     # A law built without ``admissible`` passes every state, even a
@@ -393,3 +408,79 @@ def test_jacobians_are_analytic_at_complex_states(factory):
             fd = (form(states + dq[..., 0] * step) - form(states - dq[..., 0] * step)) / (2 * dq)
             scale = 1.0 + np.abs(fd).max()
             np.testing.assert_allclose(stepped.imag / h, fd, rtol=0, atol=1e-7 * scale)
+
+
+def _applied(mats, v):
+    """A v from the formed matrices: the reference for ``matrix_product``."""
+    return np.einsum("...ab,...b->...a", mats, v)
+
+
+# Laws whose A v is a sum of exact products or of the exact entries of A:
+# their product is the formed matrix's, bit for bit.
+_EXACT_PRODUCTS = [scalar_advection_reaction, leveque_yee, linear_system, noncons_system]
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+@pytest.mark.parametrize("scale", [1e-30, 1e-10, 1.0, 1e10, 1e30])
+def test_matrix_product_at_real_states_is_the_matrix_times_v(factory, scale):
+    system = factory()
+    rng = np.random.default_rng(13)
+    q = _random_states(system, rng, 60)[:40]
+    v = scale * np.abs(q).max(axis=-1, keepdims=True) * rng.standard_normal(q.shape)
+    mats = system.matrix(q)
+    got, want = system.matrix_product(q, v), _applied(mats, v)
+    assert got.shape == q.shape and got.dtype == float
+    if factory in _EXACT_PRODUCTS:
+        np.testing.assert_array_equal(got, want)
+    else:
+        bound = _applied(np.abs(mats), np.abs(v))
+        assert np.all(np.abs(got - want) <= 1e-14 * bound)
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_matrix_product_passes_a_complex_step(factory):
+    # At Q + i h e_j, and along a complex v, the product is A(Q + i h e_j) v:
+    # its imaginary part over h is the derivative of A(Q) v in Q_j.
+    system = factory()
+    rng = np.random.default_rng(14)
+    q = _random_states(system, rng, 30)[:20]
+    h = 1e-20
+    for j in range(system.m):
+        step = np.zeros(system.m)
+        step[j] = 1.0
+        qc = q + 1j * h * step
+        for v in (rng.standard_normal(q.shape), rng.standard_normal(q.shape) * (1 + 1j * h)):
+            got, want = system.matrix_product(qc, v), _applied(system.matrix(qc), v)
+            assert got.dtype == want.dtype  # real for a constant A and a real v
+            if factory in (scalar_advection_reaction, leveque_yee, linear_system):
+                np.testing.assert_array_equal(got, want)
+            scale = _applied(np.abs(system.matrix(q)), np.abs(v))
+            np.testing.assert_allclose(got.real, want.real, rtol=0, atol=1e-14 * scale.max())
+            np.testing.assert_allclose(
+                got.imag / h, want.imag / h, rtol=0, atol=1e-13 * np.abs(want.imag / h).max()
+            )
+    # Real states with a complex direction take the same series.
+    v = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+    np.testing.assert_allclose(
+        system.matrix_product(q, v), _applied(system.matrix(q), v), rtol=1e-14, atol=1e-14
+    )
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_matrix_product_broadcasts_states_against_directions(factory):
+    system = factory()
+    rng = np.random.default_rng(15)
+    q = _random_states(system, rng, 10)[:4].reshape(4, 1, -1)
+    v = rng.standard_normal((1, 6, system.m))
+    got = system.matrix_product(q, v)
+    assert got.shape == (4, 6, system.m)
+    # numpy's complex multiply may round by operand layout, so the complex
+    # step of the Euler flux can differ in the last bit between batch shapes.
+    atol = 0.0 if factory in _EXACT_PRODUCTS else 1e-15 * np.abs(got).max()
+    for a, b in np.ndindex(4, 6):
+        np.testing.assert_allclose(
+            got[a, b], system.matrix_product(q[a, 0], v[0, b]), rtol=0, atol=atol
+        )
+    np.testing.assert_allclose(
+        system.matrix_product(q[0, 0], v[0]), got[0], rtol=0, atol=atol
+    )
