@@ -53,10 +53,9 @@ takes each point's coefficients once and hands them to every residual.
 
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
-for P directly at the step's quadrature times, from the law's closed-form CK
-matrices and without a Newton sweep, then contract every cell with them in
-one piece; the stability analyzer takes its predictor from the same
-operators.
+for P directly at the step's quadrature times, from the law's closed CK table
+alone and without a Newton sweep, then contract every cell with them in one
+piece; the stability analyzer hands the same operators the model's table.
 """
 from __future__ import annotations
 
@@ -646,25 +645,25 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     return d0_new, rest, _point_norm(d0_new - d0)
 
 
-def predictor_operators(system: SystemDescriptor, tau: np.ndarray, order: int) -> np.ndarray:
-    """D_0(tau) = P(tau) w for a constant-coefficient law at scheme ``order``, one per tau.
+def predictor_operators(ck: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """D_0(tau) = P(tau) w for a constant-coefficient law, one per tau.
 
-    P(tau), shape (m, (M+1) m) with w the (M+1, m) stack flattened, solves the
-    linear implicit Taylor system directly. With C = ``closed_ck(M)``,
-    J = C[0, 0], A = -C[0, 1] and E_j the block-j selector, the chain
-    operators D_j = R_j w are R_M = (I - tau J)^-1 E_M and
-    R_j = (I - tau J)^-1 (E_j - tau A R_{j+1}); then
+    ``ck`` is the law's closed CK table C, shape (M, M+1, m, m) (see
+    ``linear_ck_matrices``), for reconstruction degree M. P(tau), shape
+    (m, (M+1) m) with w the (M+1, m) stack flattened, solves the linear
+    implicit Taylor system directly. With J = C[0, 0], A = -C[0, 1] and E_j
+    the block-j selector, the chain operators D_j = R_j w are
+    R_M = (I - tau J)^-1 E_M and R_j = (I - tau J)^-1 (E_j - tau A R_{j+1});
+    then
 
       L P = E_0 - sum_k c_k sum_{j>=1} C[k-1, j] R_j,
       L = I + sum_k c_k C[k-1, 0],   c_k = (-tau)^k / k!.
 
-    Returns the operators, shape tau.shape + (m, (M+1) m).
+    At M = 0 there is no chain, and P = I. Returns the operators, shape
+    tau.shape + (m, (M+1) m).
     """
-    if not system.constant_coefficients:
-        raise ValueError(f"system {system.name!r} does not have constant coefficients")
     tau = np.asarray(tau, dtype=float)
-    m, degree = system.m, order - 1
-    ck = system.closed_ck(degree)                       # (M, M+1, m, m)
+    degree, m = ck.shape[0], ck.shape[-1]
     # R_j is held transposed, (T, (M+1) m, m), so that all the columns of a
     # right-hand side solve together against factors of batch shape (T, 1).
     units = np.eye((degree + 1) * m).reshape(degree + 1, m, -1).swapaxes(1, 2)
@@ -673,10 +672,12 @@ def predictor_operators(system: SystemDescriptor, tau: np.ndarray, order: int) -
     # sum_k c_k C[k-1, j] for every j, shape (M+1, T, m, m).
     weighted = np.tensordot(coef, ck, axes=(1, 0)).swapaxes(0, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        chain = _lu_factor((np.eye(m) - t * system.closed_ck(1)[0, 0])[:, None])
         lhs = _lu_factor((np.eye(m) + weighted[0])[:, None])
-        # At M = 0 there is no chain to solve.
-        if degree and _zero_pivots(chain).any() or _zero_pivots(lhs).any():
+        singular = _zero_pivots(lhs).any()
+        if degree:
+            chain = _lu_factor((np.eye(m) - t * ck[0, 0])[:, None])
+            singular |= _zero_pivots(chain).any()
+        if singular:
             raise PredictorError("singular linear predictor: Singular matrix")
         rhs = units[0]
         for j in range(degree, 0, -1):
@@ -692,12 +693,13 @@ def predictor_operators(system: SystemDescriptor, tau: np.ndarray, order: int) -
 
 @lru_cache(maxsize=8)
 def _step_operators(system: SystemDescriptor, order: int, taus: tuple) -> np.ndarray:
-    """Read-only ``predictor_operators`` at a step's node times.
+    """Read-only ``predictor_operators`` of the law's closed CK table at a
+    step's node times.
 
     Every step of a run but the last has the same dt, so the operators are
     kept for the steps that repeat it.
     """
-    ops = predictor_operators(system, np.array(taus), order)
+    ops = predictor_operators(system.closed_ck(order - 1), np.array(taus))
     ops.flags.writeable = False
     return ops
 

@@ -6,21 +6,22 @@ form that uses only ring operations: a conservative law gives its flux F(Q)
 add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
 these forms over truncated power series; the vectorised matrix, its product
 with a vector, source and source Jacobian used by the predictor and the fluxes
-are derived from the same forms on ndarray components. At a real state a
-Jacobian is taken by complex-step differentiation; at a complex state, from
-first-order truncated series of the forms, so ``matrix``, ``matrix_product``
-and ``source_jacobian`` are analytic in Q and a complex step can pass through
-them. ``matrix_product`` takes A(Q) v as one directional derivative, without
-forming A. A system that declares ``constant_coefficients`` also gets its
-closed-form CK matrices from the same forms, from which the predictor's linear
-operators and the stability analyzer's explicit rows are built. The CFL wave
+are derived from the same forms on ndarray components. One routine takes
+every derivative of the forms, along a direction v: by complex-step
+differentiation at a real state, from first-order truncated series at a
+complex one, so ``matrix``, ``matrix_product`` and ``source_jacobian`` are
+analytic in Q and a complex step can pass through them. ``matrix_product``
+takes A(Q) v as one directional derivative, without forming A; a Jacobian is
+the derivative along the m unit vectors. A system that declares
+``constant_coefficients`` also gets its closed-form CK table from the same
+forms, from which the predictor's linear operators are built. The CFL wave
 speed is the spectral radius of the derived A(Q). Initial data, admissibility
 and the exact solutions of the manufactured tests are given per system.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -100,45 +101,15 @@ def _repeat(mat: np.ndarray, batch: tuple) -> np.ndarray:
     return np.broadcast_to(mat, batch + mat.shape).copy()
 
 
-def _terms_jacobian(terms: Callable[[Sequence], list], q: np.ndarray) -> np.ndarray:
-    """Jacobian of generic ``terms`` at states q (..., m), shape (..., m, m).
-
-    At real states, Im term_i / h is divided straight into an array laid out
-    (j,) + batch + (i,), the layout ``complex_step_jacobian`` returns, seen as
-    batch + (i, j). At complex states, where a complex step would not be
-    analytic, the terms are evaluated on first-order series: in direction j
-    component i is q_i + x [i = j], so the x-coefficient of term_i is
-    d term_i / dq_j. One direction at a time keeps the series at the
-    batch's size.
-    """
-    m, nb = q.shape[-1], q.ndim - 1
-    if np.iscomplexobj(q):
-        jac = np.zeros((m,) + q.shape, dtype=q.dtype)
-        for j in range(m):
-            comps = []
-            for i in range(m):
-                c = np.zeros((2, 1) + q.shape[:-1], dtype=q.dtype)
-                c[0, 0] = q[..., i]
-                c[1, 0] = i == j
-                comps.append(TruncatedSeries(c))
-            for i, term in enumerate(terms(comps)):
-                if isinstance(term, TruncatedSeries):
-                    jac[j, ..., i] = term.c[1, 0]
-    else:
-        qc = _step_states(q)
-        jac = np.empty((m,) + q.shape)
-        for i, term in enumerate(terms(list(qc))):
-            np.divide(np.imag(term), _COMPLEX_STEP, out=jac[..., i])
-    return jac.transpose(tuple(range(1, nb + 2)) + (0,))
-
-
 def _terms_product(terms: Callable[[Sequence], list], q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Derivative of generic ``terms`` at states q in direction v, (..., m).
 
-    One direction instead of the m of ``_terms_jacobian``, with its
-    branching: at real q and v, Im term_i(q + i h v) / h; otherwise the
-    x-coefficient of term_i on the first-order series q_i + x v_i, so a
-    complex step in q or v passes through. q and v broadcast.
+    At real q and v, Im term_i(q + i h v) / h; otherwise the x-coefficient of
+    term_i on the first-order series q_i + x v_i, so a complex step in q or v
+    passes through. q and v broadcast: a Jacobian (..., m, m) is the
+    derivative along the m unit vectors, q[..., None, :] against I, with
+    direction j in axis -2 (Griewank & Walther, Evaluating Derivatives, 2008,
+    ch. 3).
     """
     m, shape = q.shape[-1], np.broadcast(q, v).shape
     if np.iscomplexobj(q) or np.iscomplexobj(v):
@@ -186,15 +157,17 @@ class SystemDescriptor:
     components (floats, arrays or truncated series) and return lists of
     scalar-likes. The vectorised ``matrix``, ``matrix_product``, ``source``
     and ``source_jacobian`` map state arrays (..., m) and are derived from
-    them; at complex states all but ``source`` are analytic (see
-    ``_terms_jacobian`` and ``_terms_product``). ``matrix_product(q, v)`` is
+    them; every derivative among them (a flux law's ``matrix`` and
+    ``matrix_product``, ``source_jacobian``) is the one directional
+    derivative ``_terms_product``, and at complex states all but ``source``
+    are analytic. ``matrix_product(q, v)`` is
     A(Q) v without forming A, for callers that only apply A to vectors (the
     predictor's derivative chain, the volume term); ``matrix`` is for those
     that need A itself. ``max_wave_speed`` is the spectral radius of
     ``matrix``. ``constant_coefficients`` declares A and dS/dQ independent of
     Q (a linear law): ``matrix``, ``matrix_product``, ``source_jacobian`` and
     ``max_wave_speed`` then use their values at Q = 0, derived once, and
-    ``closed_ck`` gives its CK matrices. ``admissible`` maps states (..., m)
+    ``closed_ck`` gives its closed CK table. ``admissible`` maps states (..., m)
     to a mask (...,) of the states the law accepts, by default every state.
     """
 
@@ -223,13 +196,10 @@ class SystemDescriptor:
         q = _state_array(q)
         if self.constant_coefficients:
             return _repeat(self._constant_matrices[0], q.shape[:-1])
-        return self._derived_matrix(q)
-
-    def _derived_matrix(self, q: np.ndarray) -> np.ndarray:
-        if self.flux_terms is not None:
-            return _terms_jacobian(self.flux_terms, q)
-        rows = self.matrix_rows(_components(q))
-        return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
+        if self.flux_terms is None:
+            rows = self.matrix_rows(_components(q))
+            return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
+        return _terms_product(self.flux_terms, q[..., None, :], np.eye(self.m)).swapaxes(-1, -2)
 
     def matrix_product(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A(Q) v without forming A, shape (..., m); Q and v broadcast and may be complex.
@@ -258,12 +228,9 @@ class SystemDescriptor:
         q = _state_array(q)
         if self.constant_coefficients:
             return _repeat(self._constant_matrices[1], q.shape[:-1])
-        return self._derived_source_jacobian(q)
-
-    def _derived_source_jacobian(self, q: np.ndarray) -> np.ndarray:
         if self.source_terms is None:
             return np.zeros(q.shape + (self.m,), dtype=q.dtype)
-        return _terms_jacobian(self.source_terms, q)
+        return _terms_product(self.source_terms, q[..., None, :], np.eye(self.m)).swapaxes(-1, -2)
 
     def max_wave_speed(self, states: np.ndarray) -> float:
         """Largest |eigenvalue| of A(Q) over ``states`` (..., m), NaN for any fault that
@@ -282,11 +249,12 @@ class SystemDescriptor:
     def _constant_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """A and dS/dQ of a constant-coefficient law, derived once at Q = 0.
 
-        The complex step of a linear form does not depend on the state, so
-        these are the derived values at every state, bit for bit.
+        They are taken as for a law without constant coefficients. The
+        complex step of a linear form does not depend on the state, so these
+        are the derived values at every state, bit for bit.
         """
-        zero = np.zeros(self.m)
-        mats = self._derived_matrix(zero), self._derived_source_jacobian(zero)
+        law, zero = replace(self, constant_coefficients=False), np.zeros(self.m)
+        mats = law.matrix(zero), law.source_jacobian(zero)
         for mat in mats:
             mat.flags.writeable = False
         return mats
@@ -321,13 +289,15 @@ def _spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(eig)))
 
 
-def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+def linear_ck_matrices(a: np.typing.ArrayLike, b: np.typing.ArrayLike, order: int) -> np.ndarray:
     """Coefficient matrices C[k, j] with d_t^{k+1} Q = sum_j C[k, j] @ (d_x^j Q).
 
     Valid for constant-coefficient linear systems dQ/dt = B Q - A dQ/dx: apply
     the operator (B - A d_x) repeatedly, so C'_{k+1,j} = C'_{k,j} B - C'_{k,j-1} A
-    with C'_{0,0} = I. Rows are returned for k = 1..order.
+    with C'_{0,0} = I. Rows are returned for k = 1..order, shape
+    (order, order + 1, m, m), so C[0, 0] = B and C[0, 1] = -A.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m = a.shape[0]
     prev = np.zeros((order + 1, m, m))
     prev[0] = np.eye(m)
@@ -337,7 +307,7 @@ def linear_ck_matrices(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
         nxt[1:] -= prev[:-1] @ a
         rows.append(nxt)
         prev = nxt
-    return np.array(rows)  # (order, order+1, m, m)
+    return np.array(rows).reshape(order, order + 1, m, m)
 
 
 # ---------------------------------------------------------------------------

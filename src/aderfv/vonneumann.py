@@ -9,13 +9,13 @@ A single Fourier mode with phase angle theta is pushed through one full step
 of the scheme: reconstruction (a fixed blend of the three candidate stencils),
 space-time predictor, trace-rule time averaging of the centred alpha-split
 flux, and the tensor-rule averages of the source and of the volume term. The
-predictions come from the solver's own predictor on the model law
-scalar_advection_reaction(lam=c, beta=r) at dx = dt = 1: the implicit one as
-its ``predictor_operators`` (solved in closed form, no Newton sweep), the
-explicit one as the Taylor series of the same law's CK time derivatives, read
-off its closed-form CK matrices ``closed_ck`` (the classical ADER-CK
-predictor of Titarev & Toro, J. Sci. Comput. 17, 2002). The amplification
-factor is
+predictions come from the solver's own predictor at dx = dt = 1, fed the
+model's closed CK table ``linear_ck_matrices([[c]], [[r]], M)``, the table a
+constant-coefficient law gives the solver: the implicit one as its
+``predictor_operators`` (solved in closed form, no Newton sweep), the explicit
+one as the Taylor series of the CK time derivatives read off the same table
+(the classical ADER-CK predictor of Titarev & Toro, J. Sci. Comput. 17,
+2002). No law is built per point. The amplification factor is
 
   A(theta) = 1 - c (fhat_+ - fhat_-) + r shat - c (ahat - (qR - qL)),
   fhat = (qL + qR)/2 - (alpha c + 1/(alpha c))/4 (qR - qL),
@@ -64,7 +64,7 @@ import numpy as np
 
 from .grid import check_count
 from .predictor import PredictorError, predictor_operators, space_time_rules
-from .systems import scalar_advection_reaction
+from .systems import linear_ck_matrices
 from .weno import _candidate_stack, nonlinear_weights, window_candidate_matrix
 
 __all__ = [
@@ -143,17 +143,17 @@ def amplitude(
 
     rules = space_time_rules(query.order)
     # The solver's predictor on q_t + c q_x = r q at dx = dt = 1, as rows
-    # q(tau) = P(tau) w. Explicit rows are e_0 + sum_k tau^k / k! C[k-1], with
-    # C[k-1, j] = d(d_t^k q)/d(d_x^j q) the law's closed-form CK matrices.
-    system = scalar_advection_reaction(lam=c, beta=r)
+    # q(tau) = P(tau) w, from the model law's closed CK table, with
+    # C[k-1, j] = d(d_t^k q)/d(d_x^j q). Explicit rows are
+    # e_0 + sum_k tau^k / k! C[k-1].
+    ck = linear_ck_matrices([[c]], [[r]], degree)              # (M, M+1, 1, 1)
     taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes])
     if query.predictor == "explicit":
-        ck = system.closed_ck(degree)[:, :, 0, 0]              # (M, M+1)
         growth = np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1)
-        rows = np.eye(degree + 1)[0] + growth @ ck
+        rows = np.eye(degree + 1)[0] + growth @ ck[:, :, 0, 0]
     else:
         try:
-            rows = predictor_operators(system, taus, query.order)[:, 0]
+            rows = predictor_operators(ck, taus)[:, 0]
         except PredictorError:  # a singular predictor (e.g. tau r = 1) is unstable
             rows = np.full((taus.size, degree + 1), np.nan)
 

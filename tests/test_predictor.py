@@ -557,7 +557,7 @@ def test_constant_coefficient_tables_match_newton(make, order):
 @pytest.mark.parametrize("order", [1, 3, 5])
 def test_predictor_operators_are_unit_columns_at_zero_time(order):
     system = linear_system()
-    ops = predictor_operators(system, np.array([0.0, 0.0]), order)
+    ops = predictor_operators(system.closed_ck(order - 1), np.array([0.0, 0.0]))
     assert ops.shape == (2, system.m, order * system.m)
     expect = np.zeros((system.m, order * system.m))
     expect[:, : system.m] = np.eye(system.m)
@@ -575,7 +575,7 @@ def test_predictor_operators_match_newton_probe(make, order):
     taus = np.array([0.0, 0.1, 0.37, 0.8, 1.0])
     for lam, beta in [(0.4, 0.0), (1.3, -4.0), (0.9, -10.0)]:
         system = make(lam=lam, beta=beta)
-        ops = predictor_operators(system, taus, order)
+        ops = predictor_operators(system.closed_ck(order - 1), taus)
         newton = dataclasses.replace(system, constant_coefficients=False)
         # One cell whose n nodes hold the unit stacks, at every tau.
         (stacks,), _ = solve_predictor_points(newton, [(units[None], taus)])
@@ -588,9 +588,9 @@ def test_predictor_operators_singular_chain_raises():
     # Order 2 at tau * r = 1: I - tau J vanishes.
     system = scalar_advection_reaction(lam=0.5, beta=1.0)
     with pytest.raises(PredictorError, match="singular"):
-        predictor_operators(system, np.array([0.5, 1.0]), 2)
+        predictor_operators(system.closed_ck(1), np.array([0.5, 1.0]))
     # Order 1 has no chain: its operator there is the identity.
-    ops = predictor_operators(system, np.array([1.0]), 1)
+    ops = predictor_operators(system.closed_ck(0), np.array([1.0]))
     np.testing.assert_array_equal(ops, [[[1.0]]])
 
 
@@ -620,8 +620,10 @@ def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):
 
 
 def test_predictor_operators_reject_nonlinear_laws():
+    # The operators take a closed CK table, which only a law with constant
+    # coefficients has.
     with pytest.raises(ValueError, match="constant coefficients"):
-        predictor_operators(leveque_yee(), np.array([0.1]), 3)
+        leveque_yee().closed_ck(2)
 
 
 @pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system, leveque_yee])

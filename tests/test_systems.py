@@ -279,6 +279,15 @@ def test_linear_ck_matrices_match_the_per_level_recursion(m):
             )
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_linear_ck_matrices_at_order_zero_are_an_empty_table(m):
+    # No rows, but the table's shape (order, order + 1, m, m) all the same.
+    a, b = np.eye(m), -np.eye(m)
+    mats = linear_ck_matrices(a, b, 0)
+    assert mats.shape == (0, 1, m, m)
+    np.testing.assert_array_equal(mats, linear_ck_matrices(a, b, 3)[:0, :1])
+
+
 def _time_derivative_tables_oracle(a, b, order):
     """Spatial-derivative chains of d_t^k q for q_t = b q - a q_x.
 
@@ -353,8 +362,8 @@ def test_constant_coefficient_matrices_derived_once(factory, monkeypatch):
     states = _random_states(system, np.random.default_rng(10), 30).reshape(5, 6, -1)
     want = derived.matrix(states), derived.source_jacobian(states)
     calls = []
-    original = systems._terms_jacobian
-    monkeypatch.setattr(systems, "_terms_jacobian", lambda *a: calls.append(1) or original(*a))
+    original = systems._terms_product
+    monkeypatch.setattr(systems, "_terms_product", lambda *a: calls.append(1) or original(*a))
     for _ in range(3):
         mats, jac = system.matrix(states), system.source_jacobian(states)
         np.testing.assert_array_equal(mats, want[0])
@@ -408,6 +417,20 @@ def test_jacobians_are_analytic_at_complex_states(factory):
             fd = (form(states + dq[..., 0] * step) - form(states - dq[..., 0] * step)) / (2 * dq)
             scale = 1.0 + np.abs(fd).max()
             np.testing.assert_allclose(stepped.imag / h, fd, rtol=0, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_matrix_columns_are_the_unit_direction_products(factory):
+    # One derivative routine: column j of A(Q) is A(Q) e_j, bit for bit, at
+    # real states and at complex ones.
+    system = factory()
+    q = _random_states(system, np.random.default_rng(16), 40)[:30].reshape(5, 6, -1)
+    for states in (q, q + 1j * 1e-20 * np.arange(1, system.m + 1)):
+        mats = system.matrix(states)
+        for j, unit in enumerate(np.eye(system.m)):
+            column = system.matrix_product(states, unit)
+            assert column.dtype == mats.dtype
+            assert column.tobytes() == mats[..., j].tobytes(), (j, states.dtype)
 
 
 def _applied(mats, v):

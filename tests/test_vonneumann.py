@@ -1,6 +1,7 @@
 """Stability-analysis tests: amplification oracles, regions, determinism."""
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ def _tensor_amplitude(theta, c, r, query, blends):
         rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
     else:
         try:
-            rows = predictor_operators(system, taus, query.order)[:, 0]
+            rows = predictor_operators(system.closed_ck(degree), taus)[:, 0]
         except PredictorError:
             rows = np.full((taus.size, degree + 1), np.nan)
     n_tau = rules.tau_rule.n
@@ -457,3 +458,27 @@ def test_stability_map_verdicts_pinned(order, predictor):
     query = StabilityQuery(order=order, predictor=predictor, n_theta=32, n_scenarios=8)
     expected = np.array([[int(d) for d in row] for row in _PINNED[order, predictor].split()])
     assert np.array_equal(stability_map(query, _PIN_C, _PIN_R) * 8, expected)
+
+
+# Stability sub-rasters of every order, predictor and weight model at the
+# default sampling, on a coarse (c, r) raster that spans the default one, as
+# recorded in ``data/reference_rasters.npz`` (see
+# ``data/record_reference_rasters.py``). They must agree exactly.
+REFERENCE_C = np.round(np.arange(1, 13) * 0.1, 10)        # 0.1 .. 1.2
+REFERENCE_R = np.arange(-10.0, 1.0, 2.0)                   # -10 .. 0
+REFERENCE_RASTERS = {
+    f"order{order}-{predictor}-{model}": StabilityQuery(
+        order=order, predictor=predictor, weight_model=model
+    )
+    for order in range(1, 6)
+    for predictor in ("implicit", "explicit")
+    for model in ("weno-law", "uniform")
+}
+_REFERENCE_RASTERS = Path(__file__).parent / "data" / "reference_rasters.npz"
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_RASTERS))
+def test_stability_rasters_match_the_recorded_ones(name):
+    got = stability_map(REFERENCE_RASTERS[name], REFERENCE_C, REFERENCE_R)
+    with np.load(_REFERENCE_RASTERS) as recorded:
+        np.testing.assert_array_equal(got, recorded[name])
