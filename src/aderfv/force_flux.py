@@ -10,6 +10,15 @@ two-step splitting; larger alpha trades dissipation for a tighter stability
 range. The interface fluctuation is the trace-rule time average of
 A+-(qL(tau), qR(tau)) (qR - qL), and the volume terms are tensor quadrature
 averages over the predictor tables.
+
+A flux law without a source (``SystemDescriptor.flux_form``) is taken in flux
+form, from the traces alone: the centred half of each fluctuation is the
+trace-rule average of 1/2 (F(qR) - F(qL)), with the same dissipation, the
+volume term is the trace-rule average of (F(Q(1, tau)) - F(Q(0, tau))) / dx,
+the exact x-average of dF/dx, and the source average is zero. The update then
+telescopes, so such a law keeps its totals to round-off (Pares, SIAM J. Numer.
+Anal. 44, 2006: a path-conservative scheme conserves when its path integral
+of A is F(qR) - F(qL)).
 """
 from __future__ import annotations
 
@@ -64,16 +73,20 @@ def path_average_matrix(
     return np.einsum("g,...gab->...ab", rule.weights, system.matrix(states))
 
 
+def _dissipation(atilde: np.ndarray, alpha: float, dt: float, dx: float) -> np.ndarray:
+    """The splitting's dissipation matrix (alpha dt / 4 dx) (Atilde^2 + (dx / alpha dt)^2 I)."""
+    if alpha <= 0.0 or dt <= 0.0:
+        raise ValueError("force_alpha_split needs alpha > 0 and dt > 0")
+    mu = alpha * dt / (4.0 * dx)
+    lam = dx / (alpha * dt)
+    return mu * (atilde @ atilde + lam**2 * np.eye(atilde.shape[-1]))
+
+
 def force_alpha_split(
     atilde: np.ndarray, alpha: float, dt: float, dx: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a path-averaged matrix into its A+ / A- parts."""
-    if alpha <= 0.0 or dt <= 0.0:
-        raise ValueError("force_alpha_split needs alpha > 0 and dt > 0")
-    m = atilde.shape[-1]
-    mu = alpha * dt / (4.0 * dx)
-    lam = dx / (alpha * dt)
-    diss = mu * (atilde @ atilde + lam**2 * np.eye(m))
+    diss = _dissipation(atilde, alpha, dt, dx)
     half = 0.5 * atilde
     return half + diss, half - diss
 
@@ -91,10 +104,12 @@ def interface_fluctuations(
 
     ``trace_left`` / ``trace_right`` are the predictor traces taken from the
     cells left and right of the interface, shape (..., n_trace, m), sampled at
-    the times whose unit-interval quadrature ``weights`` are given.
+    the times whose unit-interval quadrature ``weights`` are given. The
+    fluctuations are sum_j w_j A+-_j dq_j; for a ``flux_form`` law their
+    centred half is 1/2 sum_j w_j (F(qR_j) - F(qL_j)) instead of
+    1/2 sum_j w_j Atilde_j dq_j, so D+ + D- is the flux jump.
     """
     atilde = path_average_matrix(system, trace_left, trace_right)
-    aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
     dq = np.asarray(trace_right, dtype=float) - np.asarray(trace_left, dtype=float)
     # sum_j w_j A(tau_j) dq(tau_j) as one product over the flattened (j, b) axes.
     batch, m = dq.shape[:-2], dq.shape[-1]
@@ -103,6 +118,11 @@ def interface_fluctuations(
     def apply(mat: np.ndarray) -> np.ndarray:
         return (mat.swapaxes(-3, -2).reshape(batch + (m, -1)) @ wdq)[..., 0]
 
+    if system.flux_form:
+        diss = apply(_dissipation(atilde, alpha, dt, dx))
+        half = 0.5 * (weights @ (system.flux(trace_right) - system.flux(trace_left)))
+        return FluctuationPair(half + diss, half - diss)
+    aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
     return FluctuationPair(apply(aplus), apply(aminus))
 
 
@@ -114,7 +134,12 @@ def _volume_average(integrand: np.ndarray, rules: SpaceTimeRules) -> np.ndarray:
 def source_average(
     system: SystemDescriptor, table: PredictorTable, rules: SpaceTimeRules
 ) -> np.ndarray:
-    """Space-time average of the source over the predictor table, (..., m)."""
+    """Space-time average of the source over the predictor table, (..., m).
+
+    A law without a source gets zeros, and its table's nodes are not read.
+    """
+    if system.source_free:
+        return np.zeros(table.trace_left.shape[:-2] + (system.m,))
     return _volume_average(system.source(table.values), rules)
 
 
@@ -123,8 +148,14 @@ def noncons_average(
 ) -> np.ndarray:
     """Space-time average of A(Q) dQ/dx over the predictor table, (..., m).
 
-    A(Q) dQ/dx is taken at each table node by ``SystemDescriptor.matrix_product``,
-    one directional derivative of the law, without forming A.
+    A(Q) dQ/dx is taken at each interior node by
+    ``SystemDescriptor.matrix_product``, one directional derivative of the
+    law, without forming A. A ``flux_form`` law has no interior nodes: its
+    term is the exact x-integral of dF/dx, the trace-rule average of
+    (F(Q(1, tau)) - F(Q(0, tau))) / dx over the cell's own traces.
     """
+    if system.flux_form:
+        jump = system.flux(table.trace_right) - system.flux(table.trace_left)
+        return rules.trace_rule.weights @ jump / table.dx
     integrand = system.matrix_product(table.values, table.x_derivative)
     return _volume_average(integrand, rules)

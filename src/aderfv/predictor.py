@@ -17,7 +17,9 @@ current D_0 and takes one Newton step on the reduced equation.
 The points of a step are a product of each cell's spatial nodes and the
 step's quadrature times. They come in node blocks, the interior nodes at the
 tau-rule times and the two trace ends at the trace-rule times, and a block's
-points are laid out (cells, T, nodes) as the tables are. The points at
+points are laid out (cells, T, nodes) as the tables are. The update of a
+flux law without a source reads the traces alone (``force_flux``), so its
+interior block has no nodes, on either route below. The points at
 tau > 0 form one Newton batch of the points still iterating: a converged
 point writes its stacks into the layout and leaves it. A sweep acts on each
 point alone, so cells solved apart differ from one batch only through the
@@ -163,15 +165,18 @@ class PredictorTable:
 
     ``values`` holds Q at the interior tensor nodes (..., n_tau, n_xi, m);
     ``x_derivative`` is the spatial derivative of the Lagrange interpolant
-    through the interior nodes, in physical units. The interface traces are
-    stored at the trace-rule times. The nodes themselves are those of
-    ``space_time_rules(order)``.
+    through the interior nodes, in physical units, for cells of width ``dx``.
+    The interface traces are stored at the trace-rule times. The nodes
+    themselves are those of ``space_time_rules(order)``. The update of a
+    ``flux_form`` law reads the traces alone, so its tables have no interior
+    nodes: n_xi = 0.
     """
 
     values: np.ndarray
     x_derivative: np.ndarray
     trace_left: np.ndarray   # Q(xi=0, tau), shape (..., n_trace, m)
     trace_right: np.ndarray  # Q(xi=1, tau), shape (..., n_trace, m)
+    dx: float
     iterations: int = 0
 
 
@@ -724,16 +729,18 @@ def build_predictor_tables(
     points names their indices in ``coeffs`` under ``details["cells"]``.
     """
     rules = space_time_rules(config.order)
-    w_int = _node_derivatives(coeffs, rules.basis_interior, dx)
+    # A flux-form law's update reads only the traces: its interior block is empty.
+    n_xi = 0 if system.flux_form else rules.xi_rule.n
+    w_int = _node_derivatives(coeffs, rules.basis_interior[:, :n_xi], dx)
     w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node block,
         # the operators at both blocks' times solved together.
         taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes]) * dt
-        ops = _step_operators(system, config.order, tuple(taus)).reshape(taus.size * system.m, -1)
-        split = rules.tau_rule.n * system.m
+        ops = _step_operators(system, config.order, tuple(taus))
+        split, k = rules.tau_rule.n, ops.shape[-1]
         values, traces = (
-            (w.reshape(-1, ops.shape[1]) @ p.T).reshape(w.shape[:2] + (-1, system.m)).swapaxes(1, 2)
+            (w.reshape(-1, k) @ p.reshape(-1, k).T).reshape(w.shape[:2] + p.shape[:2]).swapaxes(1, 2)
             for w, p in ((w_int, ops[:split]), (w_tr, ops[split:]))
         )
         sweeps = 0
@@ -743,12 +750,13 @@ def build_predictor_tables(
         blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes * dt)]
         (values, traces), sweeps = solve_predictor_points(system, blocks)
         values, traces = values[..., 0, :], traces[..., 0, :]
-    x_deriv = rules.diff_matrix @ values / dx
+    x_deriv = rules.diff_matrix[:n_xi, :n_xi] @ values / dx
 
     return PredictorTable(
         values=values,
         x_derivative=x_deriv,
         trace_left=traces[:, :, 0, :],
         trace_right=traces[:, :, 1, :],
+        dx=dx,
         iterations=sweeps,
     )

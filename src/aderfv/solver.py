@@ -6,12 +6,12 @@ The fully discrete update of cell i over a step of size dt is
 
 with the interface fluctuations D+- built from the predictor traces and the
 centred alpha-splitting, S_i the space-time average of the source over the
-predictor table, and A_i the space-time average of A(Q) dQ/dx. For a
-conservative law the conserved totals are kept to round-off only on data
-along which the flux is linear (the Euler density wave of ``euler_ideal_gas``);
-elsewhere they drift at truncation level, mass included: by up to 3e-8 at
-order 3 and 2e-12 at order 5 over 90 steps on 64 cells of an Euler wave in
-all three primitive variables.
+predictor table, and A_i the space-time average of A(Q) dQ/dx. A flux law
+without a source (``SystemDescriptor.flux_form``, Euler among the bundled
+laws) is taken in flux form: D+ + D- is the trace-rule average of the flux
+jump at the interface, A_i that of the cell's own F(Q(1, tau)) - F(Q(0, tau))
+over dx, and S_i = 0, so the update telescopes and the conserved totals are
+kept to round-off on any data. Its predictor tables hold the traces alone.
 """
 from __future__ import annotations
 

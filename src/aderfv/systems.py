@@ -5,8 +5,8 @@ form that uses only ring operations: a conservative law gives its flux F(Q)
 (so A = dF/dQ), a non-conservative law gives the rows of A(Q), and either may
 add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
 these forms over truncated power series; the vectorised matrix, its product
-with a vector, source and source Jacobian used by the predictor and the fluxes
-are derived from the same forms on ndarray components. One routine takes
+with a vector, flux, source and source Jacobian used by the predictor and the
+fluxes are derived from the same forms on ndarray components. One routine takes
 every derivative of the forms, along a direction v: by complex-step
 differentiation at a real state, from first-order truncated series at a
 complex one, so ``matrix``, ``matrix_product`` and ``source_jacobian`` are
@@ -155,9 +155,9 @@ class SystemDescriptor:
     ``matrix_rows`` (non-conservative form) is given; ``source_terms`` is
     optional. These generic callables take a sequence of m scalar-like
     components (floats, arrays or truncated series) and return lists of
-    scalar-likes. The vectorised ``matrix``, ``matrix_product``, ``source``
-    and ``source_jacobian`` map state arrays (..., m) and are derived from
-    them; every derivative among them (a flux law's ``matrix`` and
+    scalar-likes. The vectorised ``flux``, ``matrix``, ``matrix_product``,
+    ``source`` and ``source_jacobian`` map state arrays (..., m) and are
+    derived from them; every derivative among them (a flux law's ``matrix`` and
     ``matrix_product``, ``source_jacobian``) is the one directional
     derivative ``_terms_product``, and at complex states all but ``source``
     are analytic. ``matrix_product(q, v)`` is
@@ -190,6 +190,19 @@ class SystemDescriptor:
     @property
     def source_free(self) -> bool:
         return self.source_terms is None
+
+    @property
+    def flux_form(self) -> bool:
+        """A flux law without a source: the update takes it in flux form, from
+        the predictor traces alone."""
+        return self.flux_terms is not None and self.source_free
+
+    def flux(self, q: np.ndarray) -> np.ndarray:
+        """Flux F(Q), shape (..., m), of a law given by ``flux_terms``."""
+        if self.flux_terms is None:
+            raise ValueError(f"system {self.name!r} has no flux")
+        q = np.asarray(q, dtype=float)
+        return _stack_terms(self.flux_terms(_components(q)), q.shape[:-1])
 
     def matrix(self, q: np.ndarray) -> np.ndarray:
         """Quasi-linear matrix A(Q), shape (..., m, m); Q may be complex."""

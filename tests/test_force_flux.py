@@ -69,27 +69,44 @@ def test_split_validates_arguments():
         force_alpha_split(np.eye(2), 1.0, -0.01, 0.1)
 
 
-def test_fluctuation_consistency_random_pairs():
-    # D+ + D- equals the time-integrated path average times the jump,
-    # because the +- dissipation parts cancel exactly.
-    system = euler_ideal_gas()
+@pytest.mark.parametrize(
+    "make, base",
+    [(euler_ideal_gas, [1.0, 0.5, 2.0]), (noncons_system, [1.0, 1.0])],
+    ids=["euler", "noncons"],
+)
+def test_fluctuation_consistency_random_pairs(make, base):
+    # D+ - D- is the splitting's dissipation, 2 sum_j w_j mu (Atilde_j^2 +
+    # lam^2 I) dq_j, for every law. D+ + D- is the time-integrated jump, as
+    # the +- dissipation parts cancel: the flux jump for a law taken in flux
+    # form (Euler), the path average times qR - qL otherwise.
+    system = make()
     rules = space_time_rules(3)
     weights = rules.trace_rule.weights
     rng = np.random.default_rng(42)
     dt, dx, alpha = 0.004, 0.05, 2.0
-    base = np.array([1.0, 0.5, 2.0])
+    base = np.array(base)
     n_nodes = rules.trace_rule.n
     for _ in range(1000):
-        ql = base * (1.0 + 0.3 * rng.standard_normal((n_nodes, 3)))
-        qr = base * (1.0 + 0.3 * rng.standard_normal((n_nodes, 3)))
+        ql = base * (1.0 + 0.3 * rng.standard_normal((n_nodes, system.m)))
+        qr = base * (1.0 + 0.3 * rng.standard_normal((n_nodes, system.m)))
         fl = interface_fluctuations(
             system, ql[None], qr[None], weights, alpha, dt, dx
         )
-        total = np.zeros(3)
+        total, diss = np.zeros(system.m), np.zeros(system.m)
         for j in range(n_nodes):
-            atil = path_average_matrix(system, ql[j], qr[j])
-            total += weights[j] * (atil @ (qr[j] - ql[j]))
-        np.testing.assert_allclose(fl.dplus[0] + fl.dminus[0], total, atol=1e-13)
+            aplus, aminus = force_alpha_split(
+                path_average_matrix(system, ql[j], qr[j]), alpha, dt, dx
+            )
+            diss += weights[j] * ((aplus - aminus) @ (qr[j] - ql[j]))
+            if system.flux_form:
+                jump = np.subtract(system.flux_terms(qr[j]), system.flux_terms(ql[j]))
+            else:
+                jump = (aplus + aminus) @ (qr[j] - ql[j])
+            total += weights[j] * jump
+        # D+ and D- each carry the dissipation, so their sum rounds at its scale.
+        atol = 1e-13 * (1.0 + np.abs(diss).max())
+        np.testing.assert_allclose(fl.dplus[0] + fl.dminus[0], total, rtol=0, atol=atol)
+        np.testing.assert_allclose(fl.dplus[0] - fl.dminus[0], diss, rtol=0, atol=atol)
 
 
 def test_fluctuation_scalar_hand_formula():
@@ -132,6 +149,7 @@ def _table_from_function(fn, order, dx):
         x_derivative=x_der,
         trace_left=trace_left,
         trace_right=trace_right,
+        dx=dx,
         iterations=1,
     )
 
@@ -211,13 +229,14 @@ def _formed_volume_term(system, table, rules):
 
 @pytest.mark.parametrize(
     "make, order, atol",
-    [(euler_ideal_gas, 5, 1e-14), (noncons_system, 5, 0.0), (linear_system, 5, 0.0),
+    [(noncons_system, 5, 0.0), (linear_system, 5, 0.0),
      (leveque_yee, 3, 0.0), (scalar_advection_reaction, 3, 0.0)],
 )
 def test_noncons_average_matches_the_formed_matrix(make, order, atol, monkeypatch):
-    # Laws whose product is exact (constant A, rows of A, m = 1) give the
-    # formed matrix's volume term bit for bit; Euler's complex step of the
-    # flux in one direction agrees to round-off of the term's scale.
+    # The laws that integrate A(Q) dQ/dx at the interior nodes. Their
+    # products are exact (constant A, rows of A, m = 1), so they give the
+    # formed matrix's volume term bit for bit. Euler, taken in flux form, has
+    # no interior nodes (``test_flux_form_volume_term_is_the_trace_flux_jump``).
     system = make()
     _, table = _first_step_tables(system, order, monkeypatch)
     rules = space_time_rules(order)
@@ -225,14 +244,34 @@ def test_noncons_average_matches_the_formed_matrix(make, order, atol, monkeypatc
     np.testing.assert_allclose(got, want, rtol=0, atol=atol * np.abs(want).max())
 
 
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_flux_form_volume_term_is_the_trace_flux_jump(order, monkeypatch):
+    # Euler's volume term is the x-integral of dF/dx over the cell's own
+    # traces, (1/dx) sum_j w_j (F(Q(1, tau_j)) - F(Q(0, tau_j))), and its
+    # source average is zero; neither reads an interior node, as there are none.
+    system = euler_ideal_gas()
+    args, table = _first_step_tables(system, order, monkeypatch)
+    rules, dx = space_time_rules(order), args[3]
+    assert table.values.shape[2] == 0 and table.dx == dx
+    want = np.zeros(table.trace_left.shape[:1] + (3,))
+    for c, j in np.ndindex(want.shape[0], rules.trace_rule.n):
+        jump = np.subtract(
+            system.flux_terms(table.trace_right[c, j]), system.flux_terms(table.trace_left[c, j])
+        )
+        want[c] += rules.trace_rule.weights[j] * jump / dx
+    got = noncons_average(system, table, rules)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    np.testing.assert_array_equal(source_average(system, table, rules), 0.0)
+
+
 @pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system])
 @pytest.mark.parametrize("refresh", [False, True])
 def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypatch):
     # The derivative chain and the volume term only apply A(Q) to vectors
-    # (``matrix_product``); A is formed only for the interface splitting and
-    # the CFL speed. Failing node jets make every point take the total
-    # derivative on its first sweep, so the chain also runs under the
-    # complex step.
+    # (``matrix_product``), or take Euler's flux at the traces; A is formed
+    # only for the interface splitting and the CFL speed. Failing node jets
+    # make every point take the total derivative on its first sweep, so the
+    # chain also runs under the complex step.
     system = make()
     args, table = _first_step_tables(system, 5, monkeypatch)
     rules = space_time_rules(5)
@@ -255,5 +294,7 @@ def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypa
     monkeypatch.setattr(SystemDescriptor, "matrix", formed)
     again = predictor.build_predictor_tables(*args)
     assert again.iterations >= 1 and bool(refreshed) == refresh
-    np.testing.assert_allclose(again.values, table.values, rtol=0, atol=1e-12)
+    assert again.values.shape[2] == (0 if system.flux_form else rules.xi_rule.n)
+    for name in ("values", "trace_left", "trace_right"):
+        np.testing.assert_allclose(getattr(again, name), getattr(table, name), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(noncons_average(system, table, rules), want)

@@ -531,6 +531,31 @@ def test_equilibrium_table_is_constant():
     np.testing.assert_allclose(t.x_derivative, 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("order", [3, 5])
+def test_flux_form_tables_solve_only_the_traces(order):
+    # Euler's update reads the traces alone, so its tables have no interior
+    # nodes. Each point is solved on its own, so the traces are those of the
+    # two-block solve, which also solves the interior nodes (bit for bit on a
+    # 2-core x86 VM with numpy 2.4).
+    system = euler_ideal_gas()
+    cfg = RunConfig(order=order)
+    rules = space_time_rules(order)
+    x = np.linspace(0.0, 1.0, 6 * (2 * cfg.degree + 1)).reshape(6, -1)
+    coeffs = weno.reconstruct_batch(system.initial_condition(x), cfg.degree)
+    dt, dx = 0.004, 1.0 / 16
+    table = build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
+    assert table.values.shape == table.x_derivative.shape == (6, rules.tau_rule.n, 0, 3)
+    assert table.dx == dx
+    blocks = [
+        (predictor._node_derivatives(coeffs, rules.basis_interior, dx), rules.tau_rule.nodes * dt),
+        (predictor._node_derivatives(coeffs, rules.basis_trace, dx), rules.trace_rule.nodes * dt),
+    ]
+    (values, traces), sweeps = solve_predictor_points(system, blocks)
+    assert values.shape[2] == rules.xi_rule.n and table.iterations == sweeps >= 1
+    for end, got in enumerate((table.trace_left, table.trace_right)):
+        np.testing.assert_allclose(got, traces[:, :, end, 0], rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("make", [linear_system, scalar_advection_reaction])
 def test_constant_coefficient_tables_match_newton(make, order):

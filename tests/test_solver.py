@@ -22,6 +22,7 @@ from aderfv.systems import (
     leveque_yee,
     linear_system,
     noncons_system,
+    primitive_to_conserved,
     scalar_advection_reaction,
 )
 
@@ -183,6 +184,40 @@ def test_euler_conservation_drift():
     final = rep.field.interior.sum(axis=0)
     assert np.max(np.abs(final - initial) / np.abs(initial)) < 1e-12
     assert rep.conservation_drift is not None
+
+
+def _three_primitive_wave(x):
+    x = np.asarray(x)
+    phase = 2.0 * np.pi * x
+    return primitive_to_conserved(
+        1.0 + 0.2 * np.sin(phase), 1.0 + 0.1 * np.sin(phase), 2.0 + 0.3 * np.cos(phase)
+    )
+
+
+_FLUX_FORM_LAWS = {
+    # Euler on a wave in all three primitives, on the Newton route: before the
+    # flux form its totals drifted by 7.2e-9, 3.4e-8, 7.1e-12 and 1.7e-12 at
+    # orders 2-5, the flux being nonlinear along it.
+    "euler-wave": lambda: dataclasses.replace(
+        euler_ideal_gas(), initial_condition=_three_primitive_wave
+    ),
+    # A constant-coefficient law, on the closed-form route.
+    "scalar-advection": lambda: dataclasses.replace(
+        scalar_advection_reaction(), source_terms=None
+    ),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("law", list(_FLUX_FORM_LAWS))
+def test_source_free_flux_laws_conserve_to_round_off(law, order):
+    # The interface and volume terms both take the flux at the predictor
+    # traces, so the update telescopes over a periodic grid.
+    system = _FLUX_FORM_LAWS[law]()
+    assert system.flux_form
+    cfg = RunConfig(order=order, cfl=0.1, alpha=2.0, t_out=0.05, boundary="periodic")
+    rep = run(system, Grid(0.0, 1.0, 64), cfg)
+    assert np.max(np.abs(rep.conservation_drift)) <= 1e-14
 
 
 def test_transmissive_run_moves_front():

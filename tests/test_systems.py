@@ -138,6 +138,32 @@ def test_exact_solution_matches_initial_condition(factory):
     )
 
 
+def test_euler_flux_matches_closed_form():
+    # F = (rho u, rho u^2 + p, u (E + p)), over a batch of states.
+    system = euler_ideal_gas()
+    states = _random_states(system, np.random.default_rng(5), 30)[:24].reshape(4, 6, 3)
+    rho, u, p = np.moveaxis(conserved_to_primitive(states), -1, 0)
+    expect = np.stack([rho * u, rho * u**2 + p, u * (states[..., 2] + p)], axis=-1)
+    np.testing.assert_allclose(system.flux(states), expect, rtol=1e-13, atol=0)
+
+
+def test_flux_form_is_a_source_free_flux_law():
+    # Only a flux law without a source is updated in flux form; a matrix_rows
+    # law has no flux to evaluate.
+    forms = {make.__name__: make().flux_form for make in ALL_FACTORIES}
+    assert forms == {
+        "scalar_advection_reaction": False,
+        "leveque_yee": False,
+        "linear_system": False,
+        "noncons_system": False,
+        "euler_ideal_gas": True,
+    }
+    assert dataclasses.replace(linear_system(), source_terms=None).flux_form
+    assert not dataclasses.replace(noncons_system(), source_terms=None).flux_form
+    with pytest.raises(ValueError, match="no flux"):
+        noncons_system().flux(np.ones(2))
+
+
 def _euler_speeds(q):
     rho, u, p = np.moveaxis(conserved_to_primitive(q, 1.4), -1, 0)
     return np.abs(u) + np.sqrt(1.4 * p / rho)
