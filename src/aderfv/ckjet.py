@@ -32,44 +32,15 @@ derivatives is the predictor's.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import threading
 
 import numpy as np
 
-from .series import SeriesTape, TruncatedSeries, Workspace
+from .series import BLOCK, SeriesTape, TruncatedSeries, borrowed_workspace, lane_width
 from .systems import SystemDescriptor, complex_step_jacobian
 
 __all__ = ["ck_time_derivatives", "ck_state_jacobian"]
-
-# Points per jet block. Every leaf and node of a law's tape takes one
-# workspace slot of (order + 1)^2 coefficient blocks of this many points, so
-# the storage a workspace keeps is set by the law and the order, not the batch
-# (Euler at order 5: 17 slots, 14 MB). Larger blocks spend less interpreter
-# time per point and more memory.
-_BLOCK = 2048
-
-# Idle workspaces. A jet borrows one for the length of the call, so jets
-# that callers run concurrently, each on a thread of its own, never share
-# storage, and the storage outlives the thread that used it: the pool holds
-# as many workspaces as jets have ever run at once, each reused across sweeps
-# and steps.
-_idle_workspaces: list[Workspace] = []
-_pool_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _borrowed_workspace():
-    with _pool_lock:
-        workspace = _idle_workspaces.pop() if _idle_workspaces else Workspace()
-    try:
-        yield workspace
-    finally:
-        with _pool_lock:
-            _idle_workspaces.append(workspace)
-
 
 def _lift(value, like: TruncatedSeries) -> TruncatedSeries:
     if isinstance(value, TruncatedSeries):
@@ -97,13 +68,6 @@ def _rhs_terms(system: SystemDescriptor, comps: list[TruncatedSeries]) -> list[T
         src = system.source_terms(comps)
         rhs = [rhs[i] + src[i] for i in range(m)]
     return rhs
-
-
-def _width(points: int) -> int:
-    """Lanes for a block of ``points``, so a few bound programs serve every count: a
-    multiple of 8, or of 2^(b - 5) for b bits, at most 1/16 more past 128 points."""
-    step = 1 << max(3, points.bit_length() - 5)
-    return -(-points // step) * step
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,14 +114,14 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
     # not reused while its tape is kept.
     key = (system.flux_terms, system.matrix_rows, system.source_terms, m, order, dtype)
     nan = complex(np.nan, np.nan) if np.iscomplexobj(out) else np.nan
-    with _borrowed_workspace() as workspace, np.errstate(
+    with borrowed_workspace() as workspace, np.errstate(
         invalid="ignore", over="ignore", divide="ignore"
     ):
         tape, _ = workspace.tape(key, record)
-        for start in range(0, len(d0), _BLOCK):
-            stop = min(start + _BLOCK, len(d0))
+        for start in range(0, len(d0), BLOCK):
+            stop = min(start + BLOCK, len(d0))
             count = stop - start
-            program, arrays = workspace.program(tape, _width(count))
+            program, arrays = workspace.program(tape, lane_width(count))
             leaves = arrays[:m]
             # The leaves, the first m series, get D_j / j! (D_0 / 1 too, for its
             # signed zeros); lanes past ``count`` repeat point 0 and fail with it.

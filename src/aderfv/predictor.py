@@ -41,7 +41,12 @@ the m component rows, and every sweep that uses it only substitutes; an
 exact zero pivot makes a point singular. A refreshed Jacobian is the total
 derivative d/dD_0 H(D_0, R(D_0)), taken by one complex step in D_0 through
 the chain and the CK jet, so Newton converges at a stiff front, where
-D_1..D_M depend strongly on D_0 through J_S(D_0). A start that
+D_1..D_M depend strongly on D_0 through J_S(D_0). A sweep takes one CK
+jet: where points refresh, the batch's residuals at its real chain solution
+ride in the jet of their complex step as lanes with zero imaginary part.
+That is exact for a law that only adds and multiplies; a law with a quotient
+(Euler) can round otherwise there in the last bit, but the smooth runs never
+refresh. A start that
 is not finite or not admissible, or whose first sweep fails, falls back to
 w_0. A CK jet that fails marks its own points NaN: a node whose jet fails
 leaves its points a fresh Jacobian on their first sweep, a trial state
@@ -332,7 +337,8 @@ def residual_and_jacobian(
     tau: np.ndarray,
     w0: np.ndarray,
     taylor: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    batch: tuple | None = None,
+) -> tuple:
     """Reduced residual and its total derivative in D_0, shapes (..., m), (..., m, m).
 
     The reduced residual is H(D_0, R(D_0)), with R(D_0) = D_1..D_M the
@@ -343,11 +349,19 @@ def residual_and_jacobian(
     dH/dD_0 = d/dD_0 H(D_0, R(D_0)) is exact to rounding; the residual is
     the real part. A failing chain names its points in the batch. ``taylor``
     is as in ``predictor_residual``.
+
+    ``batch``, the arrays (D_0, D_1..D_M, Taylor rows, w_0) of a sweep's
+    whole batch at its real chain solution, rides in the same jet as complex
+    lanes with zero imaginary part, ahead of the stepped ones; their
+    ``predictor_residual``, the real part, comes back as a third member. A
+    law that only adds and multiplies gives it bit for bit; a quotient of
+    complex lanes can round otherwise in the last bit.
     """
     d0 = np.asarray(d0, dtype=float)
     order = np.shape(w_rest)[-2]
     if taylor is None:
         taylor = _taylor_coefficients(tau, order)
+    lanes = []
 
     def reduced(d0c):
         try:
@@ -357,10 +371,21 @@ def residual_and_jacobian(
             bad = np.zeros(d0c.shape[:-1], dtype=bool)
             bad.flat[exc.details["points"]] = True
             raise _point_error(str(exc), bad.any(axis=0), tau, d0) from exc
-        return _state_residual(system, d0c, rest, taylor, w0)
+        if batch is None:
+            return _state_residual(system, d0c, rest, taylor, w0)
+        n, stepped = len(batch[0]), d0c.shape[:-1]
+
+        def joined(b, x):  # the batch's lanes, then the stepped copies'
+            trail = b.shape[1:]
+            return np.concatenate([b, np.broadcast_to(x, stepped + trail).reshape((-1,) + trail)])
+
+        h = _state_residual(system, *map(joined, batch, (d0c, rest, taylor, w0)))
+        lanes.append(h[:n].real.copy())
+        return h[n:].reshape(d0c.shape)
 
     with np.errstate(over="ignore"):
-        return complex_step_jacobian(reduced, d0)
+        h, jac = complex_step_jacobian(reduced, d0)
+    return (h, jac) if batch is None else (h, jac, lanes[0])
 
 
 def solve_derivative_chain(
@@ -579,26 +604,32 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     A point where ``refresh`` holds stores the factors of the total
     derivative of the reduced residual in ``factors`` (``_lu_factor``), and
     takes its residual from the same complex step; every point then solves
-    with the factors stored there. ``taylor`` holds the points' rows
-    (-tau)^k / k!. Returns the new states, the chain solutions and each
-    point's step size; a failure raises a PredictorError under the points'
-    indices in the batch.
+    with the factors stored there. The sweep takes one CK jet: with no
+    refresh, ``predictor_residual`` over the batch, and otherwise the jet of
+    ``residual_and_jacobian``, which carries the batch's real lanes too.
+    ``taylor`` holds the points' rows (-tau)^k / k!. Returns the new states,
+    the chain solutions and each point's step size; a failure raises a
+    PredictorError under the points' indices in the batch.
     """
     rest = solve_derivative_chain(system, d0, w_rest, tau, taylor.shape[-1])
-    h = predictor_residual(system, d0, rest, tau, w0, taylor)
-    # Refreshed points take their residual from the jet of their Jacobian,
-    # the total derivative through the chain from their data w_1..w_M.
     if refresh.any():
+        # Refreshed points take their residual from the jet of their
+        # Jacobian, the total derivative through the chain from their data
+        # w_1..w_M; the batch's residuals ride in the same jet.
         r = np.flatnonzero(refresh)
         try:
-            h[r], jac = residual_and_jacobian(
-                system, *(x.take(r, axis=0) for x in (d0, w_rest, tau, w0, taylor))
+            h_r, jac, h = residual_and_jacobian(
+                system, *(x.take(r, axis=0) for x in (d0, w_rest, tau, w0, taylor)),
+                batch=(d0, rest, taylor, w0),
             )
         except PredictorError as exc:
             exc.details["points"] = r[exc.details["points"]]
             raise
+        h[r] = h_r
         for store, new in zip(factors, _lu_factor(jac)):
             store[..., r] = new
+    else:
+        h = predictor_residual(system, d0, rest, tau, w0, taylor)
 
     delta = _lu_solve(factors, h)
     d0_new = d0 - delta

@@ -22,13 +22,22 @@ evaluation that runs again is neither recorded nor sliced anew.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
+import threading
 
 import numpy as np
 
-__all__ = ["TruncatedSeries", "SeriesTape", "Workspace"]
+__all__ = ["TruncatedSeries", "SeriesTape", "Workspace", "borrowed_workspace", "lane_width"]
+
+# Points per block of a tape's program. Every leaf and node of a tape takes
+# one workspace slot of its coefficient blocks at this many points, so the
+# storage a workspace keeps is set by its tapes, not by the batch (Euler's jet
+# at order 5: 17 slots, 14 MB). Larger blocks spend less interpreter time per
+# point and more memory.
+BLOCK = 2048
 
 
 def _scalar(value) -> bool:
@@ -260,9 +269,11 @@ class Workspace:
     their programs bound to its slots.
     """
 
-    # Four laws, each at a real and a complex dtype (a residual and its
-    # complex-step Jacobian), before the oldest is recorded again.
-    TAPES = 8
+    # Four laws, each with its jet at a real and a complex dtype (a residual
+    # and its complex-step Jacobian) and the programs of its flux's and its
+    # source's derivatives at complex states, before the oldest is recorded
+    # again.
+    TAPES = 16
     PROGRAMS = 64
 
     def __init__(self) -> None:
@@ -312,6 +323,33 @@ class Workspace:
         return self.programs[tape, points]
 
 
+# Idle workspaces. A caller borrows one for the length of a call, so tapes
+# that callers run concurrently, each on a thread of its own, never share
+# storage, and the storage outlives the thread that used it: the pool holds
+# as many workspaces as have ever run at once, each reused across calls.
+_idle_workspaces: list[Workspace] = []
+_pool_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def borrowed_workspace():
+    """A workspace from the pool, returned to it on exit."""
+    with _pool_lock:
+        workspace = _idle_workspaces.pop() if _idle_workspaces else Workspace()
+    try:
+        yield workspace
+    finally:
+        with _pool_lock:
+            _idle_workspaces.append(workspace)
+
+
+def lane_width(points: int) -> int:
+    """Lanes for a block of ``points``, so a few bound programs serve every count: a
+    multiple of 8, or of 2^(b - 5) for b bits, at most 1/16 more past 128 points."""
+    step = 1 << max(3, points.bit_length() - 5)
+    return -(-points // step) * step
+
+
 class SeriesTape:
     """Series with one flat batch axis whose t-columns are filled level by level.
 
@@ -319,10 +357,11 @@ class SeriesTape:
     operations on tape series record their results here in creation order,
     which is an evaluation order. Time level k fills column k of every node
     on the rows j < nx - k, the triangle a jet needs, then column k + 1 of
-    every integrated leaf. ``compile`` writes the levels once as one flat
-    program over numbered slots; ``bind`` puts it on workspace storage for a
-    number of points, and the caller writes the leaves' column 0 and runs
-    it. The series never hold storage.
+    every integrated leaf. A tape without integrals, a plain evaluation at
+    t-degree 0, has the one level k = 0. ``compile`` writes the levels once
+    as one flat program over numbered slots; ``bind`` puts it on workspace
+    storage for a number of points, and the caller writes the leaves' column
+    0 and runs it. The series never hold storage.
     """
 
     def __init__(self, workspace: Workspace) -> None:
@@ -352,7 +391,8 @@ class SeriesTape:
         fills = [(s, s._fill, s._args) for s in self.series if s._fill] + self.integrals
         nx, nt = self.series[0].c.shape[:2]
         program = []
-        for k, (s, fill, args) in itertools.product(range(nt - 1), fills):
+        levels = nt - 1 if self.integrals else 1
+        for k, (s, fill, args) in itertools.product(range(levels), fills):
             args = [slots.get(id(a), a.c) if isinstance(a, TruncatedSeries) else a for a in args]
             program += fill(slots[id(s)], args, k, nx - k, _Slot(len(self.series)))
         return program

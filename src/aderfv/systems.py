@@ -8,11 +8,12 @@ these forms over truncated power series; the vectorised matrix, its product
 with a vector, flux, source and source Jacobian used by the predictor and the
 fluxes are derived from the same forms on ndarray components. One routine takes
 every derivative of the forms, along a direction v: by complex-step
-differentiation at a real state, from first-order truncated series at a
-complex one, so ``matrix``, ``matrix_product`` and ``source_jacobian`` are
-analytic in Q and a complex step can pass through them. ``matrix_product``
-takes A(Q) v as one directional derivative, without forming A; a Jacobian is
-the derivative along the m unit vectors. A system that declares
+differentiation at a real state, and at a complex one by a program of
+first-order truncated series, recorded and compiled once per form and dtype
+as the CK jets are, so ``matrix``, ``matrix_product`` and ``source_jacobian``
+are analytic in Q and a complex step can pass through them.
+``matrix_product`` takes A(Q) v as one directional derivative, without
+forming A; a Jacobian is the derivative along the m unit vectors. A system that declares
 ``constant_coefficients`` also gets its closed-form CK table from the same
 forms, from which the predictor's linear operators are built. The CFL wave
 speed is the spectral radius of the derived A(Q). Initial data, admissibility
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .series import TruncatedSeries
+from .series import BLOCK, SeriesTape, TruncatedSeries, borrowed_workspace, lane_width
 
 __all__ = [
     "SystemDescriptor",
@@ -106,27 +107,48 @@ def _terms_product(terms: Callable[[Sequence], list], q: np.ndarray, v: np.ndarr
 
     At real q and v, Im term_i(q + i h v) / h; otherwise the x-coefficient of
     term_i on the first-order series q_i + x v_i, so a complex step in q or v
-    passes through. q and v broadcast: a Jacobian (..., m, m) is the
-    derivative along the m unit vectors, q[..., None, :] against I, with
+    passes through. That series program is recorded once per ``terms`` and
+    dtype on a kept tape (``series.SeriesTape``) and run over the points in
+    blocks, as the CK jets are. q and v broadcast: a Jacobian (..., m, m) is
+    the derivative along the m unit vectors, q[..., None, :] against I, with
     direction j in axis -2 (Griewank & Walther, Evaluating Derivatives, 2008,
     ch. 3).
     """
     m, shape = q.shape[-1], np.broadcast(q, v).shape
-    if np.iscomplexobj(q) or np.iscomplexobj(v):
-        c = np.empty((2, 1) + shape, dtype=np.result_type(q, v))
-        c[0, 0], c[1, 0] = q, v
-        out = np.zeros(shape, dtype=c.dtype)
-        for i, term in enumerate(terms([TruncatedSeries(c[..., i]) for i in range(m)])):
-            if isinstance(term, TruncatedSeries):
-                out[..., i] = term.c[1, 0]
+    if not (np.iscomplexobj(q) or np.iscomplexobj(v)):
+        qc = np.empty(shape, dtype=complex)
+        qc.real = q
+        np.multiply(v, _COMPLEX_STEP, out=qc.imag)
+        out = np.empty(shape)
+        for i, term in enumerate(terms([qc[..., i] for i in range(m)])):
+            np.divide(np.imag(term), _COMPLEX_STEP, out=out[..., i])
         return out
-    qc = np.empty(shape, dtype=complex)
-    qc.real = q
-    np.multiply(v, _COMPLEX_STEP, out=qc.imag)
-    out = np.empty(shape)
-    for i, term in enumerate(terms([qc[..., i] for i in range(m)])):
-        np.divide(np.imag(term), _COMPLEX_STEP, out=out[..., i])
-    return out
+    dtype = np.result_type(q, v)
+    q, v = (np.broadcast_to(x, shape).reshape(-1, m) for x in (q, v))
+    out = np.zeros(q.shape, dtype=dtype)
+
+    def record(tape: SeriesTape) -> list:
+        # The slot of each term's series; a constant term's derivative is 0.
+        results = terms([tape.leaf(2, 1, dtype) for _ in range(m)])
+        on_tape = lambda t: isinstance(t, TruncatedSeries) and t._tape is tape  # noqa: E731
+        return [tape.series.index(t) if on_tape(t) else None for t in results]
+
+    with borrowed_workspace() as workspace:
+        tape, slots = workspace.tape((terms, m, dtype), record)
+        for start in range(0, len(q), BLOCK):
+            stop = min(start + BLOCK, len(q))
+            count = stop - start
+            program, arrays = workspace.program(tape, lane_width(count))
+            # Lanes past ``count`` repeat point 0.
+            for i, leaf in enumerate(arrays[:m]):
+                leaf[0, 0, :count], leaf[1, 0, :count] = q[start:stop, i], v[start:stop, i]
+                leaf[:, 0, count:] = leaf[:, 0, :1]
+            for f, args in program:
+                f(*args)
+            for i, slot in enumerate(slots):
+                if slot is not None:
+                    out[start:stop, i] = arrays[slot][1, 0, :count]
+    return out.reshape(shape)
 
 
 def _row_products(rows: Sequence, v: np.ndarray, batch: tuple) -> np.ndarray:

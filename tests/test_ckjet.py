@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aderfv import ckjet
+from aderfv import ckjet, series
 from aderfv.ckjet import ck_time_derivatives
 from aderfv.grid import Grid, RunConfig
 from aderfv.predictor import predictor_residual, residual_and_jacobian, solve_derivative_chain
@@ -259,15 +259,15 @@ def test_failed_points_come_back_nan(monkeypatch, make, stack, spoil, step):
     # points are bit for bit those of a clean call, whichever block the
     # failures are in: two full blocks and a partial one, at whose lane 0 the
     # padding lanes fail too. A complex stack has imaginary parts of ``step``.
-    monkeypatch.setattr(ckjet, "_idle_workspaces", [])
+    monkeypatch.setattr(series, "_idle_workspaces", [])
     rng = np.random.default_rng(73)
     system = make()
-    d = stack(rng, (2 * ckjet._BLOCK + 5,), 3)
+    d = stack(rng, (2 * series.BLOCK + 5,), 3)
     if step:
         d = d + step * 1j * rng.standard_normal(d.shape)
     ref = ck_time_derivatives(system, d, 3)
     assert np.isfinite(ref).all()
-    block = ckjet._BLOCK
+    block = series.BLOCK
     for failing in ([3], [block + 17], [2 * block], [0, block - 1, block, 2 * block + 4]):
         bad = d.copy()
         for p in failing:
@@ -317,7 +317,7 @@ def test_taylor_jet_equals_per_level_jet_exactly(make, centre):
     # same order, so the time derivatives are bit-identical. Batch sizes
     # around the block size cover partial, full and one-point blocks.
     system = make()
-    block = ckjet._BLOCK
+    block = series.BLOCK
     rng = np.random.default_rng(71)
     for order in range(1, 6):
         for batch in [(1,), (block - 1,), (block,), (block + 1,), (3, 2178)]:
@@ -351,7 +351,7 @@ def _toy_law():
 
 def test_toy_law_jet_equals_per_level_jet_exactly():
     system = _toy_law()
-    block = ckjet._BLOCK
+    block = series.BLOCK
     rng = np.random.default_rng(76)
     for order in range(1, 6):
         for batch in [(1,), (block - 1,), (block,), (block + 1,)]:
@@ -366,11 +366,79 @@ def test_toy_law_jet_equals_per_level_jet_exactly():
                 assert np.array_equal(got, ref), (order, batch, complex_stack)
 
 
+def _node_by_node_derivative(terms, q, v):
+    """The x-coefficient of ``terms`` on the series q + x v, each operation
+    evaluated as it is called: the reference for the compiled derivatives."""
+    m, shape = q.shape[-1], np.broadcast(q, v).shape
+    c = np.empty((2, 1) + shape, dtype=np.result_type(q, v))
+    c[0, 0], c[1, 0] = q, v
+    out = np.zeros(shape, dtype=c.dtype)
+    for i, term in enumerate(terms([TruncatedSeries(c[..., i]) for i in range(m)])):
+        if isinstance(term, TruncatedSeries):
+            out[..., i] = term.c[1, 0]
+    return out
+
+
+_DERIVATIVE_LAWS = [
+    (euler_ideal_gas, [1.0, 0.5, 6.0]),
+    (noncons_system, [1.0, 1.0]),
+    (leveque_yee, [0.5]),
+    (linear_system, [0.1, 0.2]),
+    (scalar_advection_reaction, [0.3]),
+    (_toy_law, [0.5, 0.3, 0.2]),
+]
+
+
+@pytest.mark.parametrize("make, centre", _DERIVATIVE_LAWS, ids=lambda x: getattr(x, "__name__", ""))
+def test_compiled_derivatives_at_complex_states_match_node_by_node_series(make, centre, monkeypatch):
+    # At complex states a law's derivatives run a first-order series program
+    # recorded once per terms callable and dtype. Its lanes give the values
+    # of the series evaluated one operation at a time, bit for bit, for A,
+    # A v and dS/dQ, at real and complex directions and across block sizes.
+    # A second pass records and compiles no tape.
+    monkeypatch.setattr(series, "_idle_workspaces", [])
+    system = dataclasses.replace(make(), constant_coefficients=False)
+    m, eye = system.m, np.eye(system.m)
+    rng = np.random.default_rng(78)
+    cases = []
+    for points in (1, 7, 64, series.BLOCK + 1):
+        q = centre + 0.1 * rng.standard_normal((points, m))
+        dq = 1e-3 * rng.standard_normal((points, m))
+        v = rng.standard_normal((points, m))
+        dv = rng.standard_normal((points, m))
+        cases += [(q + 1j * dq, v), (q + 1j * dq, v + 1j * dv), (q, v + 1j * dv)]
+    recorded, compiled = [], []
+    for check in range(2):
+        for q, v in cases:
+            if system.flux_terms is not None:
+                flux = system.flux_terms
+                got = system.matrix_product(q, v)
+                assert got.tobytes() == _node_by_node_derivative(flux, q, v).tobytes()
+            if not np.iscomplexobj(q):
+                continue  # A and dS/dQ at a real state are one complex step
+            if system.flux_terms is not None:
+                want = _node_by_node_derivative(flux, q[:, None, :], eye).swapaxes(-1, -2)
+                assert system.matrix(q).tobytes() == want.tobytes()
+            if system.source_terms is not None:
+                want = _node_by_node_derivative(system.source_terms, q[:, None, :], eye)
+                assert system.source_jacobian(q).tobytes() == want.swapaxes(-1, -2).tobytes()
+        if not check:
+            tape, compile_tape = Workspace.tape, SeriesTape.compile
+            monkeypatch.setattr(
+                Workspace, "tape",
+                lambda self, key, record: tape(self, key, lambda t: recorded.append(key) or record(t)),
+            )
+            monkeypatch.setattr(
+                SeriesTape, "compile", lambda self: compiled.append(self) or compile_tape(self)
+            )
+    assert recorded == compiled == []
+
+
 def test_failed_jet_leaves_next_result_unchanged(monkeypatch):
     # A jet with failed points leaves its law's tape kept, holding no
     # storage, and the next call on that tape repeats the first result.
     idle = []
-    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    monkeypatch.setattr(series, "_idle_workspaces", idle)
     system = euler_ideal_gas()
     rng = np.random.default_rng(72)
     d = _euler_stack(rng, (700,), 4)
@@ -389,7 +457,7 @@ def test_failed_jet_leaves_next_result_unchanged(monkeypatch):
 def _fresh_jet(monkeypatch, system, d, order):
     """The jet on a new workspace, so on a newly recorded tape."""
     with monkeypatch.context() as patch:
-        patch.setattr(ckjet, "_idle_workspaces", [])
+        patch.setattr(series, "_idle_workspaces", [])
         return ck_time_derivatives(system, d, order)
 
 
@@ -397,11 +465,11 @@ def test_kept_tapes_match_fresh_tapes(monkeypatch):
     # Two laws with the same code and different constants, and Euler, in one
     # interleaved sequence: each call must match a jet on a fresh tape, so no
     # law is ever evaluated on another law's tape.
-    monkeypatch.setattr(ckjet, "_idle_workspaces", [])
+    monkeypatch.setattr(series, "_idle_workspaces", [])
     laws = [(leveque_yee(beta=-1000.0), [0.5]), (leveque_yee(beta=-10.0), [0.5]),
             (euler_ideal_gas(), [1.0, 0.5, 6.0])]
     rng = np.random.default_rng(75)
-    block = ckjet._BLOCK
+    block = series.BLOCK
     cases = []
     for order in range(1, 6):
         for batch in (1, 7, block, block + 1):
@@ -420,7 +488,7 @@ def test_kept_tapes_match_fresh_tapes(monkeypatch):
 
 def test_workspace_keeps_a_bounded_number_of_tapes(monkeypatch):
     idle = []
-    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    monkeypatch.setattr(series, "_idle_workspaces", idle)
     limit = Workspace.TAPES
     d = np.full((40, 3, 1), 0.5)
     for beta in range(1, limit + 4):
@@ -439,7 +507,7 @@ def test_workspace_storage_stays_bounded(monkeypatch):
     # kept tapes hold no storage, the bound programs stay within their limit,
     # and a second pass over the sizes grows no slot.
     idle = []
-    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    monkeypatch.setattr(series, "_idle_workspaces", idle)
     laws = [leveque_yee(beta=-float(beta)) for beta in range(1, Workspace.TAPES + 3)]
     rng = np.random.default_rng(77)
     sizes = []
@@ -457,9 +525,10 @@ def test_workspace_storage_stays_bounded(monkeypatch):
 
 
 def test_stiff_episode_records_and_compiles_each_tape_once(monkeypatch):
-    # One leveque-yee3-stiff episode: every (law, order, dtype) tape is
-    # recorded once and compiled once, however many batch sizes it serves.
-    monkeypatch.setattr(ckjet, "_idle_workspaces", [])
+    # One leveque-yee3-stiff episode: every tape, a jet per (law, order,
+    # dtype) or a derivative program per (terms, dtype), is recorded once and
+    # compiled once, however many batch sizes it serves.
+    monkeypatch.setattr(series, "_idle_workspaces", [])
     recorded, compiled = [], []
     tape = Workspace.tape
     compile_tape = SeriesTape.compile
@@ -474,11 +543,17 @@ def test_stiff_episode_records_and_compiles_each_tape_once(monkeypatch):
     monkeypatch.setattr(Workspace, "tape", recording_tape)
     monkeypatch.setattr(SeriesTape, "compile", counting_compile)
     config = RunConfig(order=3, cfl=0.1, alpha=2.4, t_out=0.3, boundary="transmissive")
-    report = run(leveque_yee(beta=-1000.0), Grid(0.0, 1.0, 100), config)
+    system = leveque_yee(beta=-1000.0)
+    report = run(system, Grid(0.0, 1.0, 100), config)
     assert report.n_steps > 100
-    assert len(recorded) == 2
-    assert {key[-2:] for key in recorded} == {(2, np.dtype(float)), (2, np.dtype(complex))}
-    assert len(compiled) == len(set(map(id, compiled))) == 2
+    # The jet at real and complex stacks, and the complex-step chain's
+    # derivatives of the flux (A v) and of the source (dS/dQ).
+    jets = {(system.flux_terms, None, system.source_terms, 1, 2, np.dtype(dtype))
+            for dtype in (float, complex)}
+    derivatives = {(terms, 1, np.dtype(complex)) for terms in (system.flux_terms, system.source_terms)}
+    assert len(recorded) == 4
+    assert set(recorded) == jets | derivatives
+    assert len(compiled) == len(set(map(id, compiled))) == 4
 
 
 def test_repeated_jacobian_reuses_the_workspace(monkeypatch):
@@ -486,7 +561,7 @@ def test_repeated_jacobian_reuses_the_workspace(monkeypatch):
     # empty, the first call allocates one, and a second call on the same
     # batch allocates none of it again.
     idle = []
-    monkeypatch.setattr(ckjet, "_idle_workspaces", idle)
+    monkeypatch.setattr(series, "_idle_workspaces", idle)
     system = euler_ideal_gas()
     rng = np.random.default_rng(73)
     d0 = np.array([1.0, 0.5, 6.0]) + 0.1 * rng.standard_normal((2178, 3))
@@ -511,20 +586,25 @@ def test_repeated_jacobian_reuses_the_workspace(monkeypatch):
 
 
 def test_concurrent_jets_match_serial_ones():
-    # Jets running at once on several threads each borrow a workspace of
-    # their own, so every thread gets the serial result.
+    # Jets and derivative programs running at once on several threads each
+    # borrow a workspace of their own, so every thread gets the serial result.
     system = euler_ideal_gas()
     rng = np.random.default_rng(74)
     stacks = [_euler_stack(rng, (900,), 4) + 1e-3j * rng.standard_normal((900, 5, 3))
               for _ in range(6)]
-    serial = [ck_time_derivatives(system, d, 4) for d in stacks]
+
+    def both(d):
+        # A jet, and A(Q) at the complex states D_0: a derivative program.
+        return ck_time_derivatives(system, d, 4), system.matrix(d[:, 0])
+
+    serial = [both(d) for d in stacks]
     got = [None] * len(stacks)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def work(i):
             for _ in range(3):
-                got[i] = ck_time_derivatives(system, stacks[i], 4)
+                got[i] = both(stacks[i])
 
         workers = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
         for w in workers:
@@ -535,7 +615,7 @@ def test_concurrent_jets_match_serial_ones():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     for a, b in zip(got, serial):
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_residual_at_zero_time_offset():

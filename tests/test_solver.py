@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aderfv.grid import CellField, Grid, RunConfig, error_norms, exact_cell_averages
-from aderfv import predictor, solver
+from aderfv import ckjet, predictor, solver
 from aderfv.solver import (
     StepError,
     compute_dt,
@@ -320,6 +320,21 @@ def test_reference_runs_keep_steps_and_sweeps(name):
         np.testing.assert_allclose(rep.field.interior, recorded[name], rtol=0, atol=atol)
 
 
+def test_stiff_reference_run_takes_one_jet_per_sweep(monkeypatch):
+    # A step takes one jet over its node stacks for the explicit starts, and
+    # each Newton sweep one CK jet: a sweep that refreshes Jacobians carries
+    # its batch's residuals in the refreshed points' complex-step jet. No
+    # descent check fires in this run, so there is no other jet.
+    jets, sweeps = [], []
+    exact_jet, exact_sweep = ckjet.ck_time_derivatives, predictor._sweep
+    monkeypatch.setattr(ckjet, "ck_time_derivatives", lambda *a: jets.append(1) or exact_jet(*a))
+    monkeypatch.setattr(predictor, "_sweep", lambda *a: sweeps.append(1) or exact_sweep(*a))
+    make, n_cells, cfg = REFERENCE_RUNS["leveque-yee3x100"][:3]
+    rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
+    assert (rep.n_steps, len(sweeps)) == (300, 1221)
+    assert len(jets) == rep.n_steps + len(sweeps) == 1521
+
+
 @pytest.mark.parametrize("name", list(_SMOOTH_RUNS))
 def test_smooth_reference_runs_take_no_total_derivative(name, monkeypatch):
     # Every Newton step of a smooth run stays far inside the node chord's
@@ -327,7 +342,9 @@ def test_smooth_reference_runs_take_no_total_derivative(name, monkeypatch):
     # so no point refreshes its Jacobian.
     calls = []
     exact = predictor.residual_and_jacobian
-    monkeypatch.setattr(predictor, "residual_and_jacobian", lambda *a: calls.append(1) or exact(*a))
+    monkeypatch.setattr(
+        predictor, "residual_and_jacobian", lambda *a, **k: calls.append(1) or exact(*a, **k)
+    )
     make, n_cells, cfg = _SMOOTH_RUNS[name]
     run(make(), Grid(0.0, 1.0, n_cells), cfg)
     assert not calls
