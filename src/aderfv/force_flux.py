@@ -11,14 +11,22 @@ range. The interface fluctuation is the trace-rule time average of
 A+-(qL(tau), qR(tau)) (qR - qL), and the volume terms are tensor quadrature
 averages over the predictor tables.
 
-A flux law without a source (``SystemDescriptor.flux_form``) is taken in flux
-form, from the traces alone: the centred half of each fluctuation is the
-trace-rule average of 1/2 (F(qR) - F(qL)), with the same dissipation, the
-volume term is the trace-rule average of (F(Q(1, tau)) - F(Q(0, tau))) / dx,
-the exact x-average of dF/dx, and the source average is zero. The update then
-telescopes, so such a law keeps its totals to round-off (Pares, SIAM J. Numer.
-Anal. 44, 2006: a path-conservative scheme conserves when its path integral
-of A is F(qR) - F(qL)).
+The fluctuations take one of three routes, by the law's form:
+
+- a flux law without a source (``SystemDescriptor.flux_form``) is taken in
+  flux form, from the traces alone. The centred half of each fluctuation is
+  the trace-rule average of 1/2 (F(qR) - F(qL)). The dissipation applies
+  Atilde to vectors and never forms it: two ``matrix_product`` passes over
+  the path nodes give Atilde dq, then Atilde (Atilde dq). The volume term is
+  the trace-rule average of (F(Q(1, tau)) - F(Q(0, tau))) / dx, the exact
+  x-average of dF/dx, and the source average is zero. The update then
+  telescopes, so such a law keeps its totals to round-off (Pares, SIAM J.
+  Numer. Anal. 44, 2006: a path-conservative scheme conserves when its path
+  integral of A is F(qR) - F(qL));
+- a law with ``constant_coefficients`` has Atilde = A at every state: A+- are
+  formed once per call and applied once to the trace-rule average of the
+  jumps;
+- any other law forms Atilde at every trace time and applies its A+-.
 """
 from __future__ import annotations
 
@@ -73,20 +81,19 @@ def path_average_matrix(
     return np.einsum("g,...gab->...ab", rule.weights, system.matrix(states))
 
 
-def _dissipation(atilde: np.ndarray, alpha: float, dt: float, dx: float) -> np.ndarray:
-    """The splitting's dissipation matrix (alpha dt / 4 dx) (Atilde^2 + (dx / alpha dt)^2 I)."""
+def _splitting_scales(alpha: float, dt: float, dx: float) -> tuple[float, float]:
+    """mu = alpha dt / 4 dx and lam = dx / alpha dt of the splitting's dissipation."""
     if alpha <= 0.0 or dt <= 0.0:
-        raise ValueError("force_alpha_split needs alpha > 0 and dt > 0")
-    mu = alpha * dt / (4.0 * dx)
-    lam = dx / (alpha * dt)
-    return mu * (atilde @ atilde + lam**2 * np.eye(atilde.shape[-1]))
+        raise ValueError("the alpha splitting needs alpha > 0 and dt > 0")
+    return alpha * dt / (4.0 * dx), dx / (alpha * dt)
 
 
 def force_alpha_split(
     atilde: np.ndarray, alpha: float, dt: float, dx: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a path-averaged matrix into its A+ / A- parts."""
-    diss = _dissipation(atilde, alpha, dt, dx)
+    mu, lam = _splitting_scales(alpha, dt, dx)
+    diss = mu * (atilde @ atilde + lam**2 * np.eye(atilde.shape[-1]))
     half = 0.5 * atilde
     return half + diss, half - diss
 
@@ -105,12 +112,38 @@ def interface_fluctuations(
     ``trace_left`` / ``trace_right`` are the predictor traces taken from the
     cells left and right of the interface, shape (..., n_trace, m), sampled at
     the times whose unit-interval quadrature ``weights`` are given. The
-    fluctuations are sum_j w_j A+-_j dq_j; for a ``flux_form`` law their
-    centred half is 1/2 sum_j w_j (F(qR_j) - F(qL_j)) instead of
-    1/2 sum_j w_j Atilde_j dq_j, so D+ + D- is the flux jump.
+    fluctuations are sum_j w_j A+-_j dq_j, taken by one of three routes:
+
+    - a ``flux_form`` law: the centred half is 1/2 sum_j w_j (F(qR_j) -
+      F(qL_j)), so D+ + D- is the flux jump, and the dissipation
+      mu sum_j w_j (Atilde_j (Atilde_j dq_j) + lam^2 dq_j) comes from two
+      ``matrix_product`` passes over the path nodes, without forming Atilde;
+    - a law with ``constant_coefficients``: A+- are formed once, from the
+      law's A, and applied to sum_j w_j dq_j;
+    - any other law: A+-_j are formed from the path average at every trace
+      time and applied to w_j dq_j.
     """
+    trace_left = np.asarray(trace_left, dtype=float)
+    trace_right = np.asarray(trace_right, dtype=float)
+    dq = trace_right - trace_left
+    if system.flux_form:
+        mu, lam = _splitting_scales(alpha, dt, dx)
+        # The path nodes of every trace time, (..., n_trace, n_path, m).
+        states = trace_left[..., None, :] + _PATH_RULE.nodes[:, None] * dq[..., None, :]
+
+        def path_average(v: np.ndarray) -> np.ndarray:
+            """Atilde_j v_j = sum_g w_g A(q_g) v_j, without forming A."""
+            return _PATH_RULE.weights @ system.matrix_product(states, v[..., None, :])
+
+        diss = mu * (weights @ (path_average(path_average(dq)) + lam**2 * dq))
+        half = 0.5 * (weights @ (system.flux(trace_right) - system.flux(trace_left)))
+        return FluctuationPair(half + diss, half - diss)
+    if system.constant_coefficients:
+        aplus, aminus = force_alpha_split(system.matrix(np.zeros(system.m)), alpha, dt, dx)
+        wdq = weights @ dq
+        return FluctuationPair(wdq @ aplus.T, wdq @ aminus.T)
     atilde = path_average_matrix(system, trace_left, trace_right)
-    dq = np.asarray(trace_right, dtype=float) - np.asarray(trace_left, dtype=float)
+    aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
     # sum_j w_j A(tau_j) dq(tau_j) as one product over the flattened (j, b) axes.
     batch, m = dq.shape[:-2], dq.shape[-1]
     wdq = (weights[:, None] * dq).reshape(batch + (-1, 1))
@@ -118,11 +151,6 @@ def interface_fluctuations(
     def apply(mat: np.ndarray) -> np.ndarray:
         return (mat.swapaxes(-3, -2).reshape(batch + (m, -1)) @ wdq)[..., 0]
 
-    if system.flux_form:
-        diss = apply(_dissipation(atilde, alpha, dt, dx))
-        half = 0.5 * (weights @ (system.flux(trace_right) - system.flux(trace_left)))
-        return FluctuationPair(half + diss, half - diss)
-    aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
     return FluctuationPair(apply(aplus), apply(aminus))
 
 

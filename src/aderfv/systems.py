@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,6 +151,14 @@ def _terms_product(terms: Callable[[Sequence], list], q: np.ndarray, v: np.ndarr
     return out.reshape(shape)
 
 
+@cache
+def _identity(m: int) -> np.ndarray:
+    """The read-only m x m identity: the unit directions of a Jacobian, built once per m."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def _row_products(rows: Sequence, v: np.ndarray, batch: tuple) -> np.ndarray:
     """sum_j rows[i][j] v_j for each row i, shape batch + (len(rows),)."""
     return _stack_terms(
@@ -234,19 +242,20 @@ class SystemDescriptor:
         if self.flux_terms is None:
             rows = self.matrix_rows(_components(q))
             return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
-        return _terms_product(self.flux_terms, q[..., None, :], np.eye(self.m)).swapaxes(-1, -2)
+        return _terms_product(self.flux_terms, q[..., None, :], _identity(self.m)).swapaxes(-1, -2)
 
     def matrix_product(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A(Q) v without forming A, shape (..., m); Q and v broadcast and may be complex.
 
         A flux law takes the derivative of F at Q in the one direction v
         (``_terms_product``), a ``matrix_rows`` law sums its rows against v,
-        and a constant-coefficient law sums the rows of its derived A.
+        and a constant-coefficient law takes one product with its derived A.
         """
         q, v = _state_array(q), _state_array(v)
         batch = np.broadcast(q, v).shape[:-1]
         if self.constant_coefficients:
-            return _row_products(self._constant_matrices[0], v, batch)
+            v = np.broadcast_to(v, batch + (self.m,)).reshape(-1, self.m)
+            return (v @ self._constant_matrices[0].T).reshape(batch + (self.m,))
         if self.flux_terms is not None:
             return _terms_product(self.flux_terms, q, v)
         return _row_products(self.matrix_rows(_components(q)), v, batch)
@@ -265,7 +274,7 @@ class SystemDescriptor:
             return _repeat(self._constant_matrices[1], q.shape[:-1])
         if self.source_terms is None:
             return np.zeros(q.shape + (self.m,), dtype=q.dtype)
-        return _terms_product(self.source_terms, q[..., None, :], np.eye(self.m)).swapaxes(-1, -2)
+        return _terms_product(self.source_terms, q[..., None, :], _identity(self.m)).swapaxes(-1, -2)
 
     def max_wave_speed(self, states: np.ndarray) -> float:
         """Largest |eigenvalue| of A(Q) over ``states`` (..., m), NaN for any fault that

@@ -81,11 +81,19 @@ def test_fluctuation_consistency_random_pairs_path_average():
     _check_fluctuation_consistency(noncons_system(), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("make, base", [(linear_system, [1.0, 0.5]), (scalar_advection_reaction, [1.0])])
+def test_fluctuation_consistency_random_pairs_constant_coefficients(make, base):
+    # A constant-coefficient law splits its A once and applies A+- to the
+    # trace-rule average of the jumps: the per-node formed split agrees.
+    _check_fluctuation_consistency(make(), base)
+
+
 def _check_fluctuation_consistency(system, base):
     # D+ - D- is the splitting's dissipation, 2 sum_j w_j mu (Atilde_j^2 +
-    # lam^2 I) dq_j, for every law. D+ + D- is the time-integrated jump, as
-    # the +- dissipation parts cancel: the flux jump for a law taken in flux
-    # form (Euler), the path average times qR - qL otherwise.
+    # lam^2 I) dq_j, for every law, checked against the split formed at each
+    # trace time. D+ + D- is the time-integrated jump, as the +- dissipation
+    # parts cancel: the flux jump for a law taken in flux form (Euler), the
+    # path average times qR - qL otherwise.
     rules = space_time_rules(3)
     weights = rules.trace_rule.weights
     rng = np.random.default_rng(42)
@@ -113,6 +121,18 @@ def _check_fluctuation_consistency(system, base):
         atol = 1e-13 * (1.0 + np.abs(diss).max())
         np.testing.assert_allclose(fl.dplus[0] + fl.dminus[0], total, rtol=0, atol=atol)
         np.testing.assert_allclose(fl.dplus[0] - fl.dminus[0], diss, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("make", [euler_ideal_gas, linear_system, noncons_system])
+@pytest.mark.parametrize("alpha, dt", [(0.0, 0.01), (-1.0, 0.01), (2.0, 0.0), (2.0, -0.01)])
+def test_fluctuations_validate_arguments(make, alpha, dt):
+    # Each route (flux form, constant coefficients, path average) rejects a
+    # splitting without dissipation scale.
+    system = make()
+    rules = space_time_rules(3)
+    q = np.ones((4, rules.trace_rule.n, system.m))
+    with pytest.raises(ValueError, match="alpha > 0 and dt > 0"):
+        interface_fluctuations(system, q, q, rules.trace_rule.weights, alpha, dt, 0.1)
 
 
 def test_fluctuation_scalar_hand_formula():
@@ -279,10 +299,12 @@ def test_flux_form_volume_term_is_the_trace_flux_jump(order, monkeypatch):
 @pytest.mark.parametrize("refresh", [False, True])
 def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypatch):
     # The derivative chain and the volume term only apply A(Q) to vectors
-    # (``matrix_product``), or take Euler's flux at the traces; A is formed
-    # only for the interface splitting and the CFL speed. Failing node jets
-    # make every point take the total derivative on its first sweep, so the
-    # chain also runs under the complex step.
+    # (``matrix_product``), or take Euler's flux at the traces, and so do
+    # Euler's interface fluctuations; A is formed only for the CFL speed and
+    # for the path average of a law taken neither in flux form nor with
+    # constant coefficients. Failing node jets make every point take the
+    # total derivative on its first sweep, so the chain also runs under the
+    # complex step.
     system = make()
     args, table = _first_step_tables(system, 5, monkeypatch)
     rules = space_time_rules(5)
@@ -309,3 +331,8 @@ def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypa
     for name in ("values", "trace_left", "trace_right"):
         np.testing.assert_allclose(getattr(again, name), getattr(table, name), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(noncons_average(system, table, rules), want)
+    if system.flux_form:
+        interface_fluctuations(
+            system, table.trace_right[:-1], table.trace_left[1:],
+            rules.trace_rule.weights, args[4].alpha, args[2], args[3],
+        )
