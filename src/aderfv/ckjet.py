@@ -75,6 +75,7 @@ def _factorials(order: int) -> np.ndarray:  # j!, j = 1..order, shape (order, 1)
     return np.array([math.factorial(j) for j in range(1, order + 1)])[:, None]
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np.ndarray:
     """Time derivatives d_t^k Q, k = 1..order, from the spatial stack.
 
@@ -91,7 +92,7 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
     points are independent, so every other point is as in a clean call.
     """
     if isinstance(derivatives, tuple):
-        d0, rest = (np.asarray(d) for d in derivatives)
+        d0, rest = map(np.asarray, derivatives)
     else:
         derivatives = np.asarray(derivatives)
         d0, rest = derivatives[..., 0, :], derivatives[..., 1:, :]
@@ -113,10 +114,7 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
     # The law's callables identify it: the key holds them, so their ids are
     # not reused while its tape is kept.
     key = (system.flux_terms, system.matrix_rows, system.source_terms, m, order, dtype)
-    nan = complex(np.nan, np.nan) if np.iscomplexobj(out) else np.nan
-    with borrowed_workspace() as workspace, np.errstate(
-        invalid="ignore", over="ignore", divide="ignore"
-    ):
+    with borrowed_workspace() as workspace:
         tape, _ = workspace.tape(key, record)
         for start in range(0, len(d0), BLOCK):
             stop = min(start + BLOCK, len(d0))
@@ -128,19 +126,18 @@ def ck_time_derivatives(system: SystemDescriptor, derivatives, order: int) -> np
             for i, leaf in enumerate(leaves):
                 np.divide(d0[start:stop, i], 1, out=leaf[0, 0, :count])
                 np.divide(rest[start:stop, :, i].T, scale, out=leaf[1:, 0, :count])
-                if count < leaf.shape[-1]:
-                    np.copyto(leaf[:, 0, count:], leaf[:, 0, :1])
+                leaf[:, 0, count:] = leaf[:, 0, :1]
             for f, args in program:
                 f(*args)
             for i, leaf in enumerate(leaves):
                 np.multiply(scale, leaf[0, 1:, :count], out=out[start:stop, :, i].T)
             # One scan of the whole block; the points are told apart only
             # when it finds a non-finite coefficient.
-            if not all(np.isfinite(leaf).all() for leaf in leaves):
+            if not all([np.isfinite(leaf).all() for leaf in leaves]):
                 failed = np.zeros(count, dtype=bool)
                 for leaf in leaves:
                     failed |= ~np.isfinite(leaf[..., :count]).all(axis=(0, 1))
-                out[start:stop][failed] = nan
+                out[start:stop][failed] = complex(np.nan, np.nan) if dtype.kind == "c" else np.nan
     return out.reshape(batch + (order, m))
 
 

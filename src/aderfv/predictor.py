@@ -66,7 +66,6 @@ piece; the stability analyzer hands the same operators the model's table.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,7 +73,7 @@ import numpy as np
 
 from . import ckjet, weno
 from .grid import QuadratureRule, RunConfig, gauss_legendre, gauss_lobatto
-from .systems import SystemDescriptor, complex_step_jacobian
+from .systems import SystemDescriptor, _identity, complex_step_jacobian
 
 __all__ = [
     "PredictorError",
@@ -239,6 +238,7 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _lu_solve(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """x with a x = b at every point, for the factors of a (``_lu_factor``).
 
@@ -247,20 +247,19 @@ def _lu_solve(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarr
     for bit.
     """
     lu, piv = factors
-    m = len(lu)
+    m = b.shape[-1]
     y = [b[..., i] for i in range(m)]
     x = np.empty(np.broadcast(y[0], lu[0, 0]).shape + (m,), dtype=np.result_type(lu, b))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k, p in enumerate(piv):
-            if p.any():
-                _swap_rows(y, k, p)
-        for i in range(1, m):
-            for j in range(i):
-                y[i] = y[i] - lu[i, j] * y[j]
-        for i in range(m - 1, -1, -1):
-            for j in range(i + 1, m):
-                y[i] = y[i] - lu[i, j] * x[..., j]
-            np.divide(y[i], lu[i, i], out=x[..., i])
+    for k, p in enumerate(piv):
+        if p.any():
+            _swap_rows(y, k, p)
+    for i in range(1, m):
+        for j in range(i):
+            y[i] = y[i] - lu[i, j] * y[j]
+    for i in range(m - 1, -1, -1):
+        for j in range(i + 1, m):
+            y[i] = y[i] - lu[i, j] * x[..., j]
+        np.divide(y[i], lu[i, i], out=x[..., i])
     return x
 
 
@@ -294,7 +293,7 @@ def _taylor_coefficients(tau: np.ndarray, order: int) -> np.ndarray:
     """Coefficients (-tau)^k / k! for k = 1..order, shape tau.shape + (order,)."""
     tau = np.asarray(tau, dtype=float)
     out = np.empty(tau.shape + (order,))
-    term = np.ones_like(tau)
+    term = 1.0
     for k in range(1, order + 1):
         term = term * (-tau) / k
         out[..., k - 1] = term
@@ -374,10 +373,13 @@ def residual_and_jacobian(
         if batch is None:
             return _state_residual(system, d0c, rest, taylor, w0)
         n, stepped = len(batch[0]), d0c.shape[:-1]
+        lanes_n = n + d0c.size // d0c.shape[-1]
 
         def joined(b, x):  # the batch's lanes, then the stepped copies'
-            trail = b.shape[1:]
-            return np.concatenate([b, np.broadcast_to(x, stepped + trail).reshape((-1,) + trail)])
+            out = np.empty((lanes_n,) + b.shape[1:], dtype=np.result_type(b, x))
+            out[:n] = b
+            out[n:].reshape(stepped + b.shape[1:])[...] = x
+            return out
 
         h = _state_residual(system, *map(joined, batch, (d0c, rest, taylor, w0)))
         lanes.append(h[:n].real.copy())
@@ -388,6 +390,7 @@ def residual_and_jacobian(
     return (h, jac) if batch is None else (h, jac, lanes[0])
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def solve_derivative_chain(
     system: SystemDescriptor,
     d0: np.ndarray,
@@ -410,24 +413,17 @@ def solve_derivative_chain(
     w_rest = np.asarray(w_rest, dtype=float)
     tau = np.asarray(tau, dtype=float)
     m = system.m
-    batch = d0.shape[:-1]
-    out = np.empty(batch + (order, m), dtype=np.result_type(d0, float))
-    if order == 0:
-        return out
-
-    def solve(rhs):
-        # Without source terms I - tau J is the identity.
-        return rhs if factors is None else _lu_solve(factors, rhs)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        factors = None
-        if not system.source_free:
-            factors = _lu_factor(np.eye(m) - tau[..., None, None] * system.source_jacobian(d0))
-        out[..., order - 1, :] = solve(w_rest[..., order - 1, :])
-        for k in range(order - 2, -1, -1):
-            flow = system.matrix_product(d0, out[..., k + 1, :])
-            out[..., k, :] = solve(w_rest[..., k, :] - tau[..., None] * flow)
-    if not np.all(np.isfinite(out)):
+    out = np.empty(d0.shape[:-1] + (order, m), dtype=np.result_type(d0, float))
+    # Without source terms I - tau J is the identity.
+    factors = None
+    if order and not system.source_free:
+        factors = _lu_factor(_identity(m) - tau[..., None, None] * system.source_jacobian(d0))
+    for k in range(order - 1, -1, -1):
+        rhs = w_rest[..., k, :]
+        if k < order - 1:
+            rhs = rhs - tau[..., None] * system.matrix_product(d0, out[..., k + 1, :])
+        out[..., k, :] = rhs if factors is None else _lu_solve(factors, rhs)
+    if not np.isfinite(out).all():
         # A singular point's solution is never finite.
         if factors is not None:
             _check_singular(factors, "derivative chain (I - tau J)", tau, d0)
@@ -444,8 +440,8 @@ def _point_views(blocks: list, points: np.ndarray) -> list[np.ndarray]:
     """
     views, end = [], 0
     for w, taus in blocks:
-        layout = (len(w), taus.size, w.shape[1])
-        begin, end = end, end + math.prod(layout)
+        layout = (w.shape[0], taus.size, w.shape[1])
+        begin, end = end, end + layout[0] * layout[1] * layout[2]
         views.append(points[begin:end].reshape(layout + points.shape[1:]))
     return views
 
@@ -471,20 +467,22 @@ def _explicit_start(
     signs = (-1.0) ** np.arange(1, order + 1)
     terms = np.concatenate([g[..., None] * signs[:, None, None], dg], axis=-1)
     terms = np.ascontiguousarray(terms.transpose(1, 0, 2, 3))
-    nb = sum(len(w) * taus.size * w.shape[1] for w, taus in blocks)
+    nb = sum([w.shape[0] * taus.size * w.shape[1] for w, taus in blocks])
     start, chord, jet = np.empty((nb, m)), np.empty((nb, m, m)), np.empty(nb, dtype=bool)
     end = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for (w, taus), start_b, chord_b, jet_b in zip(
-            blocks, *(_point_views(blocks, a) for a in (start, chord, jet))
+            blocks, _point_views(blocks, start), _point_views(blocks, chord),
+            _point_views(blocks, jet),
         ):
-            begin, end = end, end + len(w) * w.shape[1]
+            cells, nodes = w.shape[:2]
+            begin, end = end, end + cells * nodes
             coef = _taylor_coefficients(taus, order)
             sums = np.einsum("tk,k...->t...", coef, terms[:, begin:end])
-            sums = sums.reshape((taus.size, len(w), w.shape[1], m, m + 1)).swapaxes(0, 1)
+            sums = sums.reshape((taus.size, cells, nodes, m, m + 1)).swapaxes(0, 1)
             np.add(w[:, None, :, 0], sums[..., 0], out=start_b)
-            np.add(np.eye(m), sums[..., 1:], out=chord_b)
-            jet_b[...] = has_jet[begin:end].reshape(len(w), 1, -1)
+            np.add(_identity(m), sums[..., 1:], out=chord_b)
+            jet_b[...] = has_jet[begin:end].reshape(cells, 1, nodes)
     return start, chord, jet
 
 
@@ -503,23 +501,21 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
     counted in turn, and by ``cells``, with ``tau`` and ``states``.
     """
     blocks = [(np.asarray(w, dtype=float), np.asarray(taus, dtype=float)) for w, taus in blocks]
-    nb = sum(len(w) * taus.size * w.shape[1] for w, taus in blocks)
+    nb = sum([w.shape[0] * taus.size * w.shape[1] for w, taus in blocks])
     nderiv, m = blocks[0][0].shape[2:]
     order = nderiv - 1
     tau, cell = np.empty(nb), np.empty(nb, dtype=np.intp)
-    # One block for the layout's stacks and the batch's data: glibc's heap
-    # trim threshold follows the largest block unmapped so far, and with it
-    # how many of a sweep's pages are trimmed and faulted back in. In the
-    # ``euler5-smooth`` benchmark process (Linux, 2-core VM, getrusage):
-    # 360-365 minor faults a step with the block, 637-640 with two arrays.
-    # The count moves with the process's other allocations.
+    # One block for the layout's stacks and the batch's data. Minor faults a
+    # step over seeded benchmark episodes (getrusage, Linux, 2-core VM): 0.14
+    # with the block and 0.35 with two arrays on ``euler5-smooth``, 0.02 with
+    # either on ``leveque-yee3-stiff``; the step times differ by less than noise.
     stacks, w = np.empty((2, nb, nderiv, m))
     for (w_b, taus), stacks_p, tau_p, cell_p in zip(
-        blocks, *(_point_views(blocks, a) for a in (stacks, tau, cell))
+        blocks, _point_views(blocks, stacks), _point_views(blocks, tau), _point_views(blocks, cell)
     ):
         stacks_p[...] = w_b[:, None]
         tau_p[...] = taus[:, None]
-        cell_p[...] = np.arange(len(w_b))[:, None, None]
+        cell_p[...] = np.arange(w_b.shape[0])[:, None, None]
 
     def named(exc, points):
         # A failure raised under indices into ``points`` of the layout.
@@ -530,19 +526,19 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
     # At tau = 0 the state equation reads D = w exactly: those points keep
     # their reconstruction stacks and stay out of the Newton batch.
     moving = tau != 0.0
-    still = np.flatnonzero(~moving)
+    still = (~moving).nonzero()[0]
     bad = ~system.admissible(stacks[still, 0])
     if bad.any():
         message = "inadmissible reconstructed state at tau = 0"
         raise named(_point_error(message, bad, tau[still], stacks[still, 0]), still)
-    point = np.flatnonzero(moving)
+    point = moving.nonzero()[0]
     if not point.size:
         return _point_views(blocks, stacks), 0
 
     # The batch holds the points still iterating by their index in the layout:
     # at first those of the blocks without their tau = 0 times.
     w, tau = w[: point.size], tau[point]
-    np.take(stacks, point, axis=0, out=w)
+    stacks.take(point, axis=0, out=w)
     taylor = _taylor_coefficients(tau, order)
     start, chord, has_jet = _explicit_start(
         system, [(w_b, taus[taus != 0.0]) for w_b, taus in blocks]
@@ -588,11 +584,10 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
         refresh = step > np.sqrt(_NEWTON_TOL) * scale
         # Converged points write their stacks and leave the batch.
         stacks[point[done], 0], stacks[point[done], 1:] = d0_new[done], rest[done]
-        keep = np.flatnonzero(~done)
-        point, w, d0, tau, taylor, refresh = (
-            x.take(keep, axis=0) for x in (point, w, d0_new, tau, taylor, refresh)
-        )
-        factors = tuple(f.take(keep, axis=-1) for f in factors)
+        keep = (~done).nonzero()[0]
+        point, w, d0, tau = point[keep], w[keep], d0_new[keep], tau[keep]
+        taylor, refresh = taylor[keep], refresh[keep]
+        factors = factors[0].take(keep, axis=-1), factors[1].take(keep, axis=-1)
         explicit = np.zeros(point.size, dtype=bool)
 
     return _point_views(blocks, stacks), sweeps
@@ -612,15 +607,14 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     PredictorError under the points' indices in the batch.
     """
     rest = solve_derivative_chain(system, d0, w_rest, tau, taylor.shape[-1])
-    if refresh.any():
+    r = refresh.nonzero()[0]
+    if r.size:
         # Refreshed points take their residual from the jet of their
         # Jacobian, the total derivative through the chain from their data
         # w_1..w_M; the batch's residuals ride in the same jet.
-        r = np.flatnonzero(refresh)
         try:
             h_r, jac, h = residual_and_jacobian(
-                system, *(x.take(r, axis=0) for x in (d0, w_rest, tau, w0, taylor)),
-                batch=(d0, rest, taylor, w0),
+                system, d0[r], w_rest[r], tau[r], w0[r], taylor[r], batch=(d0, rest, taylor, w0)
             )
         except PredictorError as exc:
             exc.details["points"] = r[exc.details["points"]]
@@ -633,7 +627,7 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
 
     delta = _lu_solve(factors, h)
     d0_new = d0 - delta
-    if not np.all(np.isfinite(d0_new)):
+    if not np.isfinite(d0_new).all():
         # A failed CK jet leaves its point a non-finite residual, and a
         # singular point's step is never finite.
         jet_failed = ~np.isfinite(h).all(axis=-1)
@@ -655,11 +649,11 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     scale = 1.0 + _point_norm(d0)
     big = _point_norm(delta) > _DESCENT_GATE * scale
     h_ref = _point_norm(h)
-    trial = np.arange(len(d0))
+    trial = np.arange(d0.shape[0])
     for halvings in range(_BACKTRACK_LIMIT + 1):
         if not trial.size:
             break
-        halve = ~system.admissible(d0_new.take(trial, axis=0))
+        halve = ~system.admissible(d0_new[trial])
         if halvings == _BACKTRACK_LIMIT:
             if halve.any():
                 bad = np.zeros(len(d0), dtype=bool)
@@ -669,9 +663,9 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
                 )
             break
         descend = big[trial] & ~halve
-        if descend.any():
-            p = trial[descend]
-            args = (x.take(p, axis=0) for x in (d0_new, rest, tau, w0, taylor))
+        p = trial[descend]
+        if p.size:
+            args = d0_new[p], rest[p], tau[p], w0[p], taylor[p]
             h_try = _point_norm(predictor_residual(system, *args))
             halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
         trial = trial[halve]
@@ -742,7 +736,10 @@ def _step_operators(system: SystemDescriptor, order: int, taus: tuple) -> np.nda
 
 def _node_derivatives(coeffs: np.ndarray, basis: np.ndarray, dx: float) -> np.ndarray:
     """Reconstruction derivatives at basis nodes: (C, n_nodes, M+1, m), physical."""
-    w = np.tensordot(coeffs, basis, axes=(2, 2)).transpose(0, 3, 2, 1)
+    # np.tensordot(coeffs, basis, axes=(2, 2)), the same product without its glue.
+    k = basis.shape[-1]
+    w = np.dot(coeffs.reshape(-1, k), basis.transpose(2, 0, 1).reshape(k, -1))
+    w = w.reshape(coeffs.shape[:2] + basis.shape[:2]).transpose(0, 3, 2, 1)
     scale = dx ** -np.arange(basis.shape[0])
     return w * scale[:, None]
 

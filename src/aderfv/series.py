@@ -22,7 +22,7 @@ evaluation that runs again is neither recorded nor sliced anew.
 """
 from __future__ import annotations
 
-import contextlib
+import functools
 import itertools
 import math
 import numbers
@@ -172,9 +172,11 @@ class TruncatedSeries:
 # Each fill generates the instructions that compute rows 0..rows-1 of
 # t-column k of ``c`` from columns 0..k of its operands ``args``, with
 # ``term`` (rows, batch) as scratch: one (function, arguments) pair per numpy
-# call, the output last. A coefficient block is then summed term by term in
-# (p, q) order however its columns are scheduled and however many points the
-# batch holds. A fill only indexes its arrays, so it compiles as well as runs.
+# call, the output last; every function is a ufunc (a copy is ``np.positive``),
+# so a program runs no Python-level numpy code. A coefficient block is then
+# summed term by term in (p, q) order however its columns are scheduled and
+# however many points the batch holds. A fill only indexes its arrays, so it
+# compiles as well as runs.
 
 
 def _elementwise(ufunc, shift: bool = False):
@@ -220,7 +222,7 @@ def _div_column(c, args, k, rows, term):
     # the (p, 0) terms of a row read the rows below it in this column.
     a, b = args
     for j in range(rows):
-        yield np.copyto, (c[j, k, ...], a[j, k])
+        yield np.positive, (a[j, k], c[j, k, ...])
         for p in range(j + 1):
             for q in range(k + 1):
                 if p or q:
@@ -233,14 +235,14 @@ def _x_derivative_column(c, args, k, rows, term):
     a, scale = args
     degrees = scale * np.arange(1.0, rows).reshape((-1,) + (1,) * (a.ndim - 2))
     yield np.multiply, (a[1:rows, k], degrees, c[: rows - 1, k])
-    yield np.copyto, (c[rows - 1, k, ...], 0)
+    yield np.positive, (0.0, c[rows - 1, k, ...])
 
 
 def _t_integral_column(c, args, k, rows, term):
     # Column k + 1 of the series whose t-derivative is args[0], on the rows
     # j <= rows - 2 that stay inside the triangle; the rows above are zero.
     yield np.divide, (args[0][: rows - 1, k], k + 1, c[: rows - 1, k + 1])
-    yield np.copyto, (c[rows - 1 :, k + 1], 0)
+    yield np.positive, (0.0, c[rows - 1 :, k + 1])
 
 
 # -- tapes ----------------------------------------------------------------------
@@ -331,18 +333,20 @@ _idle_workspaces: list[Workspace] = []
 _pool_lock = threading.Lock()
 
 
-@contextlib.contextmanager
-def borrowed_workspace():
-    """A workspace from the pool, returned to it on exit."""
-    with _pool_lock:
-        workspace = _idle_workspaces.pop() if _idle_workspaces else Workspace()
-    try:
-        yield workspace
-    finally:
+class borrowed_workspace:  # noqa: N801 - a context manager named as a function, as contextlib's
+    """A workspace from the pool, returned to it on exit (a class: cheaper than a generator)."""
+
+    def __enter__(self) -> Workspace:
         with _pool_lock:
-            _idle_workspaces.append(workspace)
+            self.workspace = _idle_workspaces.pop() if _idle_workspaces else Workspace()
+        return self.workspace
+
+    def __exit__(self, *exc) -> None:
+        with _pool_lock:
+            _idle_workspaces.append(self.workspace)
 
 
+@functools.cache
 def lane_width(points: int) -> int:
     """Lanes for a block of ``points``, so a few bound programs serve every count: a
     multiple of 8, or of 2^(b - 5) for b bits, at most 1/16 more past 128 points."""

@@ -114,17 +114,19 @@ def _terms_product(terms: Callable[[Sequence], list], q: np.ndarray, v: np.ndarr
     direction j in axis -2 (Griewank & Walther, Evaluating Derivatives, 2008,
     ch. 3).
     """
-    m, shape = q.shape[-1], np.broadcast(q, v).shape
-    if not (np.iscomplexobj(q) or np.iscomplexobj(v)):
+    m, shape, dtype = q.shape[-1], np.broadcast(q, v).shape, np.result_type(q, v)
+    if dtype.kind != "c":
         qc = np.empty(shape, dtype=complex)
         qc.real = q
         np.multiply(v, _COMPLEX_STEP, out=qc.imag)
         out = np.empty(shape)
         for i, term in enumerate(terms([qc[..., i] for i in range(m)])):
-            np.divide(np.imag(term), _COMPLEX_STEP, out=out[..., i])
+            np.divide(term.imag, _COMPLEX_STEP, out=out[..., i])
         return out
-    dtype = np.result_type(q, v)
-    q, v = (np.broadcast_to(x, shape).reshape(-1, m) for x in (q, v))
+    # q and v at every point, (2, points, m).
+    qv = np.empty((2,) + shape, dtype=dtype)
+    qv[0], qv[1] = q, v
+    q, v = qv.reshape(2, -1, m)
     out = np.zeros(q.shape, dtype=dtype)
 
     def record(tape: SeriesTape) -> list:
@@ -168,13 +170,13 @@ def _row_products(rows: Sequence, v: np.ndarray, batch: tuple) -> np.ndarray:
 
 def _admit_all(q: np.ndarray) -> np.ndarray:
     """The admissibility test of a law that accepts every state: all True."""
-    return np.ones(np.shape(q)[:-1], dtype=bool)
+    return ~np.zeros(np.shape(q)[:-1], dtype=bool)
 
 
 def _state_array(q) -> np.ndarray:
     """States as a float array, or as a complex one if they are complex."""
     q = np.asarray(q)
-    return q.astype(np.result_type(q, float), copy=False)
+    return q if q.dtype.char in "dD" else q.astype(np.result_type(q, float), copy=False)
 
 
 @dataclass(frozen=True)

@@ -479,6 +479,32 @@ def test_batched_lu_nan_entry_is_non_finite_not_singular(m):
     np.testing.assert_array_equal(x[~bad], clean[~bad])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_lu_solve_broadcasts_against_the_factors_batch(m):
+    # The right sides broadcast against the factors' batch either way: the
+    # (T, K, m) sides of ``predictor_operators`` against factors of batch
+    # (T, 1), sides (T, 1, m) against factors of batch (T, K), and sides of
+    # the factors' own batch. Every point solves bit for bit as on its own.
+    rng = np.random.default_rng(70 + m)
+    t, k = 4, 3
+    a, _ = _factor_batch(m, rng, n=t * k)
+    a = a.reshape(t, k, m, m)
+    b = rng.normal(size=(t, k, m))
+
+    def alone(a_point, b_point):
+        return _factor_solve(a_point[None], b_point[None])[0][0]
+
+    cases = [(a[:, :1], b), (a, b[:, :1]), (a, b)]
+    for a_case, b_case in cases:
+        x, _ = _factor_solve(a_case, b_case)
+        assert x.shape == (t, k, m)
+        for i in range(t):
+            for j in range(k):
+                a_ij = a_case[i, min(j, a_case.shape[1] - 1)]
+                b_ij = b_case[i, min(j, b_case.shape[1] - 1)]
+                assert x[i, j].tobytes() == alone(a_ij, b_ij).tobytes()
+
+
 def test_batch_table_matches_single_cell():
     system = scalar_advection_reaction(lam=1.0, beta=-2.0)
     cfg = RunConfig(order=3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aderfv.grid import CellField, Grid, RunConfig, error_norms, exact_cell_averages
-from aderfv import ckjet, predictor, solver
+from aderfv import ckjet, predictor, solver, systems
 from aderfv.solver import (
     StepError,
     compute_dt,
@@ -324,15 +324,25 @@ def test_stiff_reference_run_takes_one_jet_per_sweep(monkeypatch):
     # A step takes one jet over its node stacks for the explicit starts, and
     # each Newton sweep one CK jet: a sweep that refreshes Jacobians carries
     # its batch's residuals in the refreshed points' complex-step jet. No
-    # descent check fires in this run, so there is no other jet.
-    jets, sweeps = [], []
+    # descent check fires in this run, so there is no other jet. The
+    # derivative chains and the law-derivative evaluations are counted too,
+    # so a change that adds either shows here.
+    jets, sweeps, chains, derivatives = [], [], [], []
     exact_jet, exact_sweep = ckjet.ck_time_derivatives, predictor._sweep
+    exact_chain, exact_derivative = predictor.solve_derivative_chain, systems._terms_product
     monkeypatch.setattr(ckjet, "ck_time_derivatives", lambda *a: jets.append(1) or exact_jet(*a))
     monkeypatch.setattr(predictor, "_sweep", lambda *a: sweeps.append(1) or exact_sweep(*a))
+    monkeypatch.setattr(
+        predictor, "solve_derivative_chain", lambda *a: chains.append(1) or exact_chain(*a)
+    )
+    monkeypatch.setattr(
+        systems, "_terms_product", lambda *a: derivatives.append(1) or exact_derivative(*a)
+    )
     make, n_cells, cfg = REFERENCE_RUNS["leveque-yee3x100"][:3]
     rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
     assert (rep.n_steps, len(sweeps)) == (300, 1221)
     assert len(jets) == rep.n_steps + len(sweeps) == 1521
+    assert (len(chains), len(derivatives)) == (1819, 4538)
 
 
 @pytest.mark.parametrize("name", list(_SMOOTH_RUNS))
