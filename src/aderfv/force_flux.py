@@ -36,7 +36,7 @@ import numpy as np
 
 from .grid import QuadratureRule, gauss_legendre
 from .predictor import PredictorTable, SpaceTimeRules
-from .systems import SystemDescriptor
+from .systems import SystemDescriptor, _identity
 
 __all__ = [
     "FluctuationPair",
@@ -93,7 +93,7 @@ def force_alpha_split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a path-averaged matrix into its A+ / A- parts."""
     mu, lam = _splitting_scales(alpha, dt, dx)
-    diss = mu * (atilde @ atilde + lam**2 * np.eye(atilde.shape[-1]))
+    diss = mu * (atilde @ atilde + lam**2 * _identity(atilde.shape[-1]))
     half = 0.5 * atilde
     return half + diss, half - diss
 

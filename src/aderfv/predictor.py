@@ -19,11 +19,16 @@ step's quadrature times. They come in node blocks, the interior nodes at the
 tau-rule times and the two trace ends at the trace-rule times, and a block's
 points are laid out (cells, T, nodes) as the tables are. The update of a
 flux law without a source reads the traces alone (``force_flux``), so its
-interior block has no nodes, on either route below. The points at
-tau > 0 form one Newton batch of the points still iterating: a converged
-point writes its stacks into the layout and leaves it. A sweep acts on each
-point alone, so cells solved apart differ from one batch only through the
-BLAS product that takes them to their nodes, in the last bit.
+interior block has no nodes, on either route below. Where each point sits
+(its cell, node and time, and which points are at tau = 0) is a plan kept
+per block shape, so a step of a run only gathers by it. The points at
+tau > 0 form one Newton batch of the points still iterating, one packed
+record of 8-byte words per point (its tau, stored factors, time index, node
+and layout index) beside their iterates: after a sweep the converged points
+write their stacks into the layout and leave the batch by one take of the
+record. A sweep acts on each point alone, so cells solved apart differ from
+one batch only through the BLAS product that takes them to their nodes, in
+the last bit.
 
 The points of one spatial node share its reconstruction stack w, so one
 complex-step CK jet at w, taken in one call over the nodes of every block,
@@ -56,7 +61,8 @@ fails its sweep. A failure names its points, their cells, times and states.
 The state equation is written once, here: ``predictor_residual`` and
 ``residual_and_jacobian`` contract the CK jets of ``ckjet`` with the Taylor
 coefficients (-tau)^k / k! that also give the starts and chords. A solve
-takes each point's coefficients once and hands them to every residual.
+takes them once, at the step's times, and a sweep gathers each point's row
+by its time index.
 
 A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
@@ -66,6 +72,7 @@ piece; the stability analyzer hands the same operators the model's table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -182,6 +189,7 @@ class PredictorTable:
     trace_right: np.ndarray  # Q(xi=1, tau), shape (..., n_trace, m)
     dx: float
     iterations: int = 0
+    batch_sizes: tuple = ()  # points entering each of the ``iterations`` Newton sweeps
 
 
 def _point_error(message: str, bad: np.ndarray, tau, states: np.ndarray) -> PredictorError:
@@ -197,13 +205,16 @@ def _point_error(message: str, bad: np.ndarray, tau, states: np.ndarray) -> Pred
     )
 
 
-def _swap_rows(rows, k: int, p: np.ndarray) -> None:
-    """Swap rows k and k + p of the sequence ``rows``, point by point."""
-    for i in range(1, len(rows) - k):
-        swap = p == i
-        if swap.any():
-            top, row = rows[k], rows[k + i]
-            rows[k], rows[k + i] = np.where(swap, row, top), np.where(swap, top, row)
+def _swapped(rows, p: np.ndarray) -> np.ndarray:
+    """``rows`` (r, ...) with rows 0 and p swapped point by point: one gather.
+
+    ``p`` broadcasts against one row; the rows may be a sequence of arrays
+    that broadcast together.
+    """
+    i = np.arange(len(rows)).reshape((-1,) + (1,) * p.ndim)
+    order = np.where(i == p, 0, i)
+    order[0] = p
+    return np.choose(order, rows)
 
 
 def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,24 +225,20 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``lu``, shape (m, m) + batch, holds U on and above the diagonal and the
     multipliers of L below its unit diagonal, and ``piv``, (m - 1,) + batch,
     the row that column k swapped into row k, counted from k. The pivot is
-    the entry of largest real part in magnitude, so a complex step in ``a``
-    keeps the pivots of its real part. A singular matrix has an exact zero
-    pivot (``_zero_pivots``); its elimination goes on, and solves with it
-    come out non-finite. At m = 1 the factor is the matrix itself.
+    the first entry of largest real part in magnitude, a NaN counting as the
+    largest (``np.argmax``), so a complex step in ``a`` keeps the pivots of
+    its real part. A singular matrix has an exact zero pivot
+    (``_zero_pivots``); its elimination goes on, and solves with it come out
+    non-finite. At m = 1 the factor is the matrix itself.
     """
     nb = a.ndim - 2
     lu = a.transpose((nb, nb + 1) + tuple(range(nb))).copy()
     m = len(lu)
     piv = np.empty((m - 1,) + lu.shape[2:], dtype=np.intp)
     for k in range(m - 1):
-        col = np.abs(lu[k:, k].real)
-        piv[k], best = 0, col[0]
-        for i in range(1, m - k):
-            # A NaN entry counts as the largest, as in np.argmax.
-            take = (col[i] > best) | np.isnan(col[i])
-            piv[k][take] = i
-            best = np.where(take, col[i], best)
-        _swap_rows(lu, k, piv[k])
+        p = np.argmax(np.abs(lu[k:, k].real), axis=0, out=piv[k])
+        if p.any():
+            lu[k:] = _swapped(lu[k:], p[None])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lu[k + 1 :, k] /= lu[k, k]
             lu[k + 1 :, k + 1 :] -= lu[k + 1 :, k, None] * lu[k, None, k + 1 :]
@@ -249,14 +256,16 @@ def _lu_solve(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarr
     lu, piv = factors
     m = b.shape[-1]
     y = [b[..., i] for i in range(m)]
-    x = np.empty(np.broadcast(y[0], lu[0, 0]).shape + (m,), dtype=np.result_type(lu, b))
     for k, p in enumerate(piv):
         if p.any():
-            _swap_rows(y, k, p)
+            y[k:] = _swapped(y[k:], p)
     for i in range(1, m):
         for j in range(i):
             y[i] = y[i] - lu[i, j] * y[j]
-    for i in range(m - 1, -1, -1):
+    last = np.divide(y[-1], lu[-1, -1])  # sets the solution's shape and type
+    x = np.empty(last.shape + (m,), dtype=last.dtype)
+    x[..., -1] = last
+    for i in range(m - 2, -1, -1):
         for j in range(i + 1, m):
             y[i] = y[i] - lu[i, j] * x[..., j]
         np.divide(y[i], lu[i, i], out=x[..., i])
@@ -446,47 +455,94 @@ def _point_views(blocks: list, points: np.ndarray) -> list[np.ndarray]:
     return views
 
 
+@dataclass(frozen=True)
+class _PointPlan:
+    """Where the points of node blocks sit, for blocks of one shape.
+
+    The blocks' points are counted in turn, each block's laid out (cells, T,
+    nodes) as in ``solve_predictor_points``; so are their nodes, each
+    block's (cells, nodes), and their times. The arrays are read-only.
+    """
+
+    cell: np.ndarray    # each point's cell in its block
+    node: np.ndarray    # its node among the blocks' nodes
+    time: np.ndarray    # its time among the blocks' times
+    row: np.ndarray     # its (time, node) pair among each block's pairs (T, nodes), in turn
+    spans: tuple        # each block's slices of the times and of the nodes
+    still: np.ndarray   # the points at tau = 0
+    moving: np.ndarray  # the others
+    kept: np.ndarray    # the times other than 0
+    inner: "_PointPlan | None"  # the plan of the blocks at those times, if any time is 0
+
+
+@lru_cache(maxsize=16)
+def _point_plan(shapes: tuple, zero: bytes) -> _PointPlan:
+    """The plan of node blocks of (cells, nodes, T) ``shapes``, whose times,
+    counted in turn, are 0 where the bools in ``zero`` hold.
+
+    A step's blocks have the same shape and the same zero times at every
+    step of a run, so the plan is kept for them, as ``_step_operators`` are.
+    """
+    parts, spans, nodes, times, rows = [], [], 0, 0, 0
+    for cells, n, t in shapes:
+        c, s, j = np.ix_(np.arange(cells), np.arange(t), np.arange(n))
+        parts.append(np.broadcast_arrays(c, nodes + c * n + j, times + s, rows + (s * cells + c) * n + j))
+        spans.append((slice(times, times + t), slice(nodes, nodes + cells * n)))
+        nodes, times, rows = nodes + cells * n, times + t, rows + t * cells * n
+    cell, node, time, row = [np.concatenate([p[i].ravel() for p in parts]) for i in range(4)]
+    zero = np.frombuffer(zero, dtype=bool)
+    inner = None
+    if zero.any():
+        kept = [int(np.count_nonzero(~zero[t])) for t, _ in spans]
+        inner = _point_plan(tuple([shape[:2] + (k,) for shape, k in zip(shapes, kept)]), bytes(sum(kept)))
+    arrays = cell, node, time, row, zero[time].nonzero()[0], (~zero[time]).nonzero()[0], (~zero).nonzero()[0]
+    for a in arrays:
+        a.flags.writeable = False
+    return _PointPlan(*arrays[:4], tuple(spans), *arrays[4:], inner)
+
+
 def _explicit_start(
-    system: SystemDescriptor, blocks: list
+    system: SystemDescriptor, blocks: list, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit-Taylor starts and first-sweep chords of the points of node blocks.
 
     One jet over the node stacks w of every block (``ckjet.ck_state_jacobian``)
     gives G_k(w) and dG_k/dD_0(w), k = 1..M; a point at tau gets the start
     w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k.
-    Returns the starts (B, m), the chords (B, m, m) and whether each point's
-    node has a finite jet, points as in ``solve_predictor_points``.
+    ``rows`` may hold the Taylor rows (-tau)^k / k! of the blocks' times in
+    turn, (T, M). Returns the starts (B, m), the chords (B, m, m) and whether
+    each point's node has a finite jet, points as in ``solve_predictor_points``.
     """
     w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
     order, m = w_nodes.shape[1] - 1, w_nodes.shape[2]
+    if rows is None:
+        rows = _taylor_coefficients(np.concatenate([taus for _, taus in blocks]), order)
+    plan = _point_plan(tuple([w.shape[:2] + taus.shape for w, taus in blocks]), bytes(len(rows)))
     g, dg = ckjet.ck_state_jacobian(system, w_nodes)
-    has_jet = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dg).all(axis=(1, 2, 3))
 
     # k leading, and G_k signed (-1)^k: one product of a block's node terms
-    # with its (T, M) coefficients (-tau)^k / k! then gives both sums.
-    signs = (-1.0) ** np.arange(1, order + 1)
-    terms = np.concatenate([g[..., None] * signs[:, None, None], dg], axis=-1)
-    terms = np.ascontiguousarray(terms.transpose(1, 0, 2, 3))
-    nb = sum([w.shape[0] * taus.size * w.shape[1] for w, taus in blocks])
-    start, chord, jet = np.empty((nb, m)), np.empty((nb, m, m)), np.empty(nb, dtype=bool)
-    end = 0
+    # with its (T, M) rows then gives both sums at every time and node of the
+    # block, and each point takes its own.
+    terms = np.empty((order, len(w_nodes), m, m + 1))
+    np.multiply(g.transpose(1, 0, 2), ((-1.0) ** np.arange(1, order + 1))[:, None, None], out=terms[..., 0])
+    terms[..., 1:] = dg.transpose(1, 0, 2, 3)
+    # A node's jet is finite where all its terms are: one reduction over the
+    # leading axis of their (terms, nodes) transpose.
+    finite = np.isfinite(terms.reshape(order, len(w_nodes), m * (m + 1))).transpose(0, 2, 1)
+    has_jet = finite.reshape(-1, len(w_nodes)).all(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for (w, taus), start_b, chord_b, jet_b in zip(
-            blocks, _point_views(blocks, start), _point_views(blocks, chord),
-            _point_views(blocks, jet),
-        ):
-            cells, nodes = w.shape[:2]
-            begin, end = end, end + cells * nodes
-            coef = _taylor_coefficients(taus, order)
-            sums = np.einsum("tk,k...->t...", coef, terms[:, begin:end])
-            sums = sums.reshape((taus.size, cells, nodes, m, m + 1)).swapaxes(0, 1)
-            np.add(w[:, None, :, 0], sums[..., 0], out=start_b)
-            np.add(_identity(m), sums[..., 1:], out=chord_b)
-            jet_b[...] = has_jet[begin:end].reshape(cells, 1, nodes)
-    return start, chord, jet
+        sums = np.concatenate([
+            np.einsum("tk,k...->t...", rows[t], terms[:, n]).reshape(-1, m, m + 1)
+            for t, n in plan.spans
+        ]).take(plan.row, axis=0)
+        start = np.add(w_nodes[:, 0].take(plan.node, axis=0), sums[..., 0])
+        chord = np.add(_identity(m), sums[..., 1:])
+    return start, chord, has_jet.take(plan.node)
 
 
-def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.ndarray], int]:
+def solve_predictor_points(
+    system: SystemDescriptor, blocks, batch_sizes: list | None = None
+) -> tuple[list[np.ndarray], int]:
     """Newton on the reduced state equation at the space-time points of node blocks.
 
     Each block is a pair (w, taus): w, shape (cells, nodes, M+1, m), holds
@@ -494,86 +550,82 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
     taus, shape (T,), the block's elapsed physical times. Its points are the
     product, laid out (cells, T, nodes) as in a ``PredictorTable``. Returns
     the derivative stacks of every block, shape (cells, T, nodes, M+1, m),
-    and the largest sweep count used by any point. Points at tau = 0 return
-    their (admissible) reconstruction stacks without a sweep; the others
-    start and iterate as the module describes. A PredictorError names the
-    failing points by ``points``, their index when the blocks' points are
-    counted in turn, and by ``cells``, with ``tau`` and ``states``.
+    and the largest sweep count used by any point; ``batch_sizes``, a list,
+    gets the number of points entering each of those sweeps. Points at
+    tau = 0 return their (admissible) reconstruction stacks without a sweep;
+    the others start and iterate as the module describes. A PredictorError
+    names the failing points by ``points``, their index when the blocks'
+    points are counted in turn, and by ``cells``, with ``tau`` and ``states``.
     """
     blocks = [(np.asarray(w, dtype=float), np.asarray(taus, dtype=float)) for w, taus in blocks]
-    nb = sum([w.shape[0] * taus.size * w.shape[1] for w, taus in blocks])
-    nderiv, m = blocks[0][0].shape[2:]
-    order = nderiv - 1
-    tau, cell = np.empty(nb), np.empty(nb, dtype=np.intp)
-    # One block for the layout's stacks and the batch's data. Minor faults a
-    # step over seeded benchmark episodes (getrusage, Linux, 2-core VM): 0.14
-    # with the block and 0.35 with two arrays on ``euler5-smooth``, 0.02 with
-    # either on ``leveque-yee3-stiff``; the step times differ by less than noise.
-    stacks, w = np.empty((2, nb, nderiv, m))
-    for (w_b, taus), stacks_p, tau_p, cell_p in zip(
-        blocks, _point_views(blocks, stacks), _point_views(blocks, tau), _point_views(blocks, cell)
-    ):
-        stacks_p[...] = w_b[:, None]
-        tau_p[...] = taus[:, None]
-        cell_p[...] = np.arange(w_b.shape[0])[:, None, None]
+    times = np.concatenate([taus for _, taus in blocks])
+    plan = _point_plan(tuple([w.shape[:2] + taus.shape for w, taus in blocks]), (times == 0.0).tobytes())
+    w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
+    nderiv, m = w_nodes.shape[1:]
+    # Each point's stack: its node's data, until the point converges.
+    stacks = w_nodes.take(plan.node, axis=0)
 
     def named(exc, points):
         # A failure raised under indices into ``points`` of the layout.
         points = points[exc.details["points"]]
-        exc.details.update(points=points, cells=cell[points])
+        exc.details.update(points=points, cells=plan.cell[points])
         return exc
 
     # At tau = 0 the state equation reads D = w exactly: those points keep
     # their reconstruction stacks and stay out of the Newton batch.
-    moving = tau != 0.0
-    still = (~moving).nonzero()[0]
+    still = plan.still
     bad = ~system.admissible(stacks[still, 0])
     if bad.any():
         message = "inadmissible reconstructed state at tau = 0"
-        raise named(_point_error(message, bad, tau[still], stacks[still, 0]), still)
-    point = moving.nonzero()[0]
-    if not point.size:
+        raise named(_point_error(message, bad, times[plan.time[still]], stacks[still, 0]), still)
+    if not plan.moving.size:
         return _point_views(blocks, stacks), 0
 
-    # The batch holds the points still iterating by their index in the layout:
-    # at first those of the blocks without their tau = 0 times.
-    w, tau = w[: point.size], tau[point]
-    stacks.take(point, axis=0, out=w)
-    taylor = _taylor_coefficients(tau, order)
-    start, chord, has_jet = _explicit_start(
-        system, [(w_b, taus[taus != 0.0]) for w_b, taus in blocks]
-    )
-    # Each point's stored Jacobian, factored: the chord, until a refresh.
-    factors = _lu_factor(chord)
-    # Points that start from the explicit Taylor value rather than from w_0.
+    # The batch of the points still iterating is one record of 8-byte words,
+    # (rows, points), with their iterates and refresh flags beside it: at
+    # first the points of the blocks at their times other than 0. Its rows
+    # hold tau and the stored LU factors, then, read as integers, the
+    # pivots, time index, node and index in the layout. The Taylor rows are
+    # taken once, at the step's times.
+    TAU, LU, PIV, TIME = 0, slice(1, 1 + m * m), slice(1 + m * m, m * m + m), m * m + m
+    NODE, POINT, inner = TIME + 1, TIME + 2, plan.inner or plan
+    times = times.take(plan.kept)
+    taylor = _taylor_coefficients(times, nderiv - 1)
+    moving = [(w, times[t]) for (w, _), (t, _) in zip(blocks, inner.spans)]
+    start, chord, has_jet = _explicit_start(system, moving, taylor)
+    batch = np.empty((POINT + 1, len(start)))
+    ints = batch.view(np.int64)
+    batch[TAU], ints[TIME], ints[NODE], ints[POINT] = times.take(inner.time), inner.time, inner.node, plan.moving
+    # Each point's stored Jacobian is the chord until a refresh; the points
+    # that start from the explicit Taylor value rather than from w_0 (until
+    # the first sweep succeeds), and those that refresh on their next sweep.
+    lu, ints[PIV] = _lu_factor(chord)
+    batch[LU] = lu.reshape(m * m, -1)
     explicit = has_jet & np.isfinite(_point_norm(start))
     explicit[explicit] = system.admissible(start[explicit])
-    d0 = np.where(explicit[:, None], start, w[:, 0])
-    # Points that take the total derivative on their next sweep.
-    refresh = ~has_jet
-    sweeps = 0
+    d0 = np.where(explicit[:, None], start, w_nodes[:, 0].take(inner.node, axis=0))
+    refresh, sweeps = ~has_jet, 0
 
-    while point.size:
-        sweeps += 1
+    while len(d0):
+        sweeps, n = sweeps + 1, len(d0)
+        w, tau = w_nodes.take(ints[NODE], axis=0), batch[TAU]
         try:
             if sweeps > _SWEEP_LIMIT:
-                raise _point_error(
-                    "predictor fixed point did not converge",
-                    np.ones(point.size, dtype=bool), tau, d0,
-                )
+                bad = np.ones(n, dtype=bool)
+                raise _point_error("predictor fixed point did not converge", bad, tau, d0)
             d0_new, rest, step = _sweep(
-                system, d0, w[:, 0], w[:, 1:], tau, taylor, factors, refresh
+                system, d0, w[:, 0], w[:, 1:], tau, taylor.take(ints[TIME], axis=0),
+                (batch[LU].reshape(m, m, n), ints[PIV]), refresh,
             )
         except PredictorError as exc:
             failed = exc.details["points"]
-            named(exc, point)
+            named(exc, ints[POINT])
             # The first sweep of an explicit start can fail where w_0 would
             # not: those points start again from w_0.
-            retry = failed[explicit[failed]]
+            retry = failed[explicit[failed]] if sweeps == 1 else failed[:0]
             if not retry.size:
                 raise
-            d0[retry] = w[retry, 0]
-            explicit[retry] = False
+            d0[retry], explicit[retry] = w[retry, 0], False
             sweeps -= 1
             continue
 
@@ -581,14 +633,17 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
         done = step <= _NEWTON_TOL * scale
         # A step that large means the point was outside the quadratic range
         # of its Jacobian, which then no longer serves as a chord.
-        refresh = step > np.sqrt(_NEWTON_TOL) * scale
-        # Converged points write their stacks and leave the batch.
-        stacks[point[done], 0], stacks[point[done], 1:] = d0_new[done], rest[done]
+        refresh = step > math.sqrt(_NEWTON_TOL) * scale
+        # Converged points write their stacks into the layout, and leave the
+        # batch by one take of the record.
+        conv = done.nonzero()[0]
+        at = ints[POINT].take(conv)
+        stacks[at, 0], stacks[at, 1:] = d0_new.take(conv, axis=0), rest.take(conv, axis=0)
+        if batch_sizes is not None:
+            batch_sizes.append(n)
         keep = (~done).nonzero()[0]
-        point, w, d0, tau = point[keep], w[keep], d0_new[keep], tau[keep]
-        taylor, refresh = taylor[keep], refresh[keep]
-        factors = factors[0].take(keep, axis=-1), factors[1].take(keep, axis=-1)
-        explicit = np.zeros(point.size, dtype=bool)
+        batch, d0, refresh = batch.take(keep, axis=1), d0_new.take(keep, axis=0), refresh.take(keep)
+        ints = batch.view(np.int64)
 
     return _point_views(blocks, stacks), sweeps
 
@@ -645,11 +700,10 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     # whose state sits near an unstable equilibrium); small steps are in the
     # locally convergent regime and skip that residual. No residual is taken
     # at an inadmissible state, and a step still inadmissible after the last
-    # halving fails.
-    scale = 1.0 + _point_norm(d0)
-    big = _point_norm(delta) > _DESCENT_GATE * scale
-    h_ref = _point_norm(h)
-    trial = np.arange(d0.shape[0])
+    # halving fails. A sweep whose steps are all small and admissible is
+    # done at once.
+    big = _point_norm(delta) > _DESCENT_GATE * (1.0 + _point_norm(d0))
+    trial = (big | ~system.admissible(d0_new)).nonzero()[0]
     for halvings in range(_BACKTRACK_LIMIT + 1):
         if not trial.size:
             break
@@ -667,12 +721,21 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
         if p.size:
             args = d0_new[p], rest[p], tau[p], w0[p], taylor[p]
             h_try = _point_norm(predictor_residual(system, *args))
-            halve[descend] = ~np.isfinite(h_try) | (h_try > h_ref[p])
+            halve[descend] = ~np.isfinite(h_try) | (h_try > _point_norm(h[p]))
         trial = trial[halve]
         delta[trial] *= 0.5
         d0_new[trial] = d0[trial] - delta[trial]
 
     return d0_new, rest, _point_norm(d0_new - d0)
+
+
+@lru_cache(maxsize=None)
+def _unit_blocks(blocks: int, m: int) -> np.ndarray:
+    """The read-only block selectors E_j of a stack of ``blocks`` m-vectors,
+    transposed: shape (blocks, blocks m, m), E_j^T = rows j m..(j+1) m - 1 of I."""
+    units = np.eye(blocks * m).reshape(blocks, m, -1).swapaxes(1, 2)
+    units.flags.writeable = False
+    return units
 
 
 def predictor_operators(ck: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -696,16 +759,16 @@ def predictor_operators(ck: np.ndarray, tau: np.ndarray) -> np.ndarray:
     degree, m = ck.shape[0], ck.shape[-1]
     # R_j is held transposed, (T, (M+1) m, m), so that all the columns of a
     # right-hand side solve together against factors of batch shape (T, 1).
-    units = np.eye((degree + 1) * m).reshape(degree + 1, m, -1).swapaxes(1, 2)
+    units = _unit_blocks(degree + 1, m)
     t = tau.reshape(-1, 1, 1)
     coef = _taylor_coefficients(tau.ravel(), degree)    # (T, M)
     # sum_k c_k C[k-1, j] for every j, shape (M+1, T, m, m).
     weighted = np.tensordot(coef, ck, axes=(1, 0)).swapaxes(0, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lhs = _lu_factor((np.eye(m) + weighted[0])[:, None])
+        lhs = _lu_factor((_identity(m) + weighted[0])[:, None])
         singular = _zero_pivots(lhs).any()
         if degree:
-            chain = _lu_factor((np.eye(m) - t * ck[0, 0])[:, None])
+            chain = _lu_factor((_identity(m) - t * ck[0, 0])[:, None])
             singular |= _zero_pivots(chain).any()
         if singular:
             raise PredictorError("singular linear predictor: Singular matrix")
@@ -761,6 +824,7 @@ def build_predictor_tables(
     n_xi = 0 if system.flux_form else rules.xi_rule.n
     w_int = _node_derivatives(coeffs, rules.basis_interior[:, :n_xi], dx)
     w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)
+    sizes = []
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node block,
         # the operators at both blocks' times solved together.
@@ -776,7 +840,7 @@ def build_predictor_tables(
         # Node blocks: the interior nodes at the tau-rule times, the trace
         # ends at the trace-rule times.
         blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes * dt)]
-        (values, traces), sweeps = solve_predictor_points(system, blocks)
+        (values, traces), sweeps = solve_predictor_points(system, blocks, sizes)
         values, traces = values[..., 0, :], traces[..., 0, :]
     x_deriv = rules.diff_matrix[:n_xi, :n_xi] @ values / dx
 
@@ -787,4 +851,5 @@ def build_predictor_tables(
         trace_right=traces[:, :, 1, :],
         dx=dx,
         iterations=sweeps,
+        batch_sizes=tuple(sizes),
     )

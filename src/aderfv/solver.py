@@ -69,6 +69,8 @@ class StepReport:
     predictor_sweeps: int
     wall_seconds: float
     mass_change: np.ndarray | None = None  # set for source-free systems
+    # Points entering each of the predictor's Newton sweeps (``PredictorTable``).
+    batch_sizes: tuple = ()
 
 
 @dataclass
@@ -188,7 +190,7 @@ def step(
 
     mass = dx * np.sum(new - fld.interior, axis=0) if system.source_free else None
     fld.interior[:] = new
-    return StepReport(dt, tables.iterations, time.perf_counter() - t0, mass)
+    return StepReport(dt, tables.iterations, time.perf_counter() - t0, mass, tables.batch_sizes)
 
 
 def run(system: SystemDescriptor, grid: Grid, config: RunConfig) -> RunReport:

@@ -217,8 +217,8 @@ def test_newton_failure_names_its_trace_end(monkeypatch):
     point = 6 * rules.tau_rule.n * rules.xi_rule.n + (4 * n_tr + n_tr - 1) * 2 + 1
     exact = predictor._explicit_start
 
-    def patched(system, blocks):
-        start, chord, has_jet = exact(system, blocks)
+    def patched(system, blocks, *rows):
+        start, chord, has_jet = exact(system, blocks, *rows)
         predictor._point_views(blocks, chord)[1][4, -1, 1] = 0.0
         return start, chord, has_jet
 
@@ -503,6 +503,82 @@ def test_batched_lu_solve_broadcasts_against_the_factors_batch(m):
                 a_ij = a_case[i, min(j, a_case.shape[1] - 1)]
                 b_ij = b_case[i, min(j, b_case.shape[1] - 1)]
                 assert x[i, j].tobytes() == alone(a_ij, b_ij).tobytes()
+
+
+def _reference_elimination(a, b):
+    """LU with partial pivoting and one solve for one matrix a (m, m), b (m,).
+
+    The pivot of column k is the first entry of largest |Re| from row k on.
+    Every entry is a shape-(1,) array, and each step is the numpy operation
+    that the batched factors take, so complex products round as theirs do.
+    Returns U and the multipliers of L (rows of entries), the pivots counted
+    from k, and x.
+    """
+    m = len(a)
+    lu = [[a[i, j : j + 1].copy() for j in range(m)] for i in range(m)]
+    y = [b[i : i + 1].copy() for i in range(m)]
+    piv = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(m - 1):
+            col = [abs(lu[i][k].real[0]) for i in range(k, m)]
+            p = col.index(max(col))
+            piv.append(p)
+            lu[k], lu[k + p] = lu[k + p], lu[k]
+            y[k], y[k + p] = y[k + p], y[k]
+            for i in range(k + 1, m):
+                lu[i][k] = lu[i][k] / lu[k][k]
+                for j in range(k + 1, m):
+                    lu[i][j] = lu[i][j] - lu[i][k] * lu[k][j]
+        for i in range(1, m):
+            for j in range(i):
+                y[i] = y[i] - lu[i][j] * y[j]
+        x = [None] * m
+        for i in range(m - 1, -1, -1):
+            for j in range(i + 1, m):
+                y[i] = y[i] - lu[i][j] * x[j]
+            x[i] = y[i] / lu[i][i]
+    return lu, piv, x
+
+
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_lu_matches_a_reference_elimination_bit_for_bit(m, complex_step):
+    # Each pivot is one argmax over its column and each row swap one gather:
+    # the factors, pivots and solutions of every point equal those of the
+    # elimination of its matrix alone, bit for bit. Small integer entries
+    # make tied pivots (the first is taken) and exactly singular matrices,
+    # whose exact zero pivot ``_zero_pivots`` names; a complex step keeps the
+    # pivots of the real part.
+    rng = np.random.default_rng(80 + m)
+    n = 200
+    a = rng.integers(-2, 3, size=(n, m, m)).astype(float)
+    a[n // 2 :] += 0.25 * rng.normal(size=(n - n // 2, m, m))
+    b = rng.normal(size=(n, m))
+    if complex_step:
+        # The integer matrices keep a zero imaginary part, so that some stay
+        # exactly singular.
+        a = a.astype(complex)
+        a[n // 2 :] += 1j * 1e-3 * rng.normal(size=(n - n // 2, m, m))
+        b = b + 1j * 1e-3 * rng.normal(size=(n, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lu, piv = factors = predictor._lu_factor(a)
+        x = predictor._lu_solve(factors, b)
+        singular = predictor._zero_pivots(factors)
+    ties = swaps = 0
+    for i in range(n):
+        ref_lu, ref_piv, ref_x = _reference_elimination(a[i], b[i])
+        for r in range(m):
+            for c in range(m):
+                assert lu[r, c, i].tobytes() == ref_lu[r][c].tobytes()
+            assert x[i, r].tobytes() == ref_x[r].tobytes()
+        assert piv[:, i].tolist() == ref_piv
+        assert singular[i] == any(ref_lu[k][k][0] == 0 for k in range(m))
+        col = np.abs(a[i, :, 0].real)
+        ties += int(np.sum(col == col.max()) > 1)
+        swaps += any(ref_piv)
+    if m > 1:
+        assert ties and swaps and singular.any() and not singular.all()
 
 
 def test_batch_table_matches_single_cell():

@@ -345,6 +345,23 @@ def test_stiff_reference_run_takes_one_jet_per_sweep(monkeypatch):
     assert (len(chains), len(derivatives)) == (1819, 4538)
 
 
+def test_stiff_reference_run_reports_its_newton_batch_sizes(monkeypatch):
+    # Each step reports the points entering each Newton sweep it counts: the
+    # first is its Newton point count, 102 tables of 3 x 3 interior points
+    # and 2 x 2 trace points off tau = 0, and the batch never grows. Over
+    # the run they add up to the batches that ``_sweep`` is handed.
+    seen = []
+    exact_sweep = predictor._sweep
+    monkeypatch.setattr(predictor, "_sweep", lambda *a: seen.append(len(a[1])) or exact_sweep(*a))
+    make, n_cells, cfg = REFERENCE_RUNS["leveque-yee3x100"][:3]
+    rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
+    for s in rep.steps:
+        assert len(s.batch_sizes) == s.predictor_sweeps >= 1
+        assert s.batch_sizes[0] == 1326
+        assert all(later <= earlier for earlier, later in zip(s.batch_sizes, s.batch_sizes[1:]))
+    assert sum(sum(s.batch_sizes) for s in rep.steps) == sum(seen)
+
+
 @pytest.mark.parametrize("name", list(_SMOOTH_RUNS))
 def test_smooth_reference_runs_take_no_total_derivative(name, monkeypatch):
     # Every Newton step of a smooth run stays far inside the node chord's
