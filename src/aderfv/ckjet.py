@@ -24,11 +24,12 @@ width, so a later call on the same law only seeds the leaves and runs it.
 Every coefficient block is summed in the same order as by a whole-law
 evaluation per level.
 
-This series jet is the one CK route, for every law, linear ones included.
-It never casts the stack to float, so ``ck_state_jacobian`` takes the
-derivatives in D_0 by one complex step through it, exact to rounding. The
-engine knows no time step: the implicit Taylor state equation built on these
-derivatives is the predictor's.
+This series jet is the CK route of the Newton predictor; the solver's tables
+of a constant-coefficient law come from its closed CK table
+(``SystemDescriptor.closed_ck``) instead. The jet never casts the stack to
+float, so ``ck_state_jacobian`` takes the derivatives in D_0 by one complex
+step through it, exact to rounding. The engine knows no time step: the
+implicit Taylor state equation built on these derivatives is the predictor's.
 """
 from __future__ import annotations
 

@@ -23,9 +23,9 @@ The fluctuations take one of three routes, by the law's form:
   telescopes, so such a law keeps its totals to round-off (Pares, SIAM J.
   Numer. Anal. 44, 2006: a path-conservative scheme conserves when its path
   integral of A is F(qR) - F(qL));
-- a law with ``constant_coefficients`` has Atilde = A at every state: A+- are
-  formed once per call and applied once to the trace-rule average of the
-  jumps;
+- a law with ``constant_coefficients``, derived from its forms, has Atilde = A
+  at every state: A+- are split from its cached A once per call and applied
+  once to the trace-rule average of the jumps;
 - any other law forms Atilde at every trace time and applies its A+-.
 """
 from __future__ import annotations
@@ -118,8 +118,8 @@ def interface_fluctuations(
       F(qL_j)), so D+ + D- is the flux jump, and the dissipation
       mu sum_j w_j (Atilde_j (Atilde_j dq_j) + lam^2 dq_j) comes from two
       ``matrix_product`` passes over the path nodes, without forming Atilde;
-    - a law with ``constant_coefficients``: A+- are formed once, from the
-      law's A, and applied to sum_j w_j dq_j;
+    - a law with ``constant_coefficients``: A+- are split once, from the
+      law's cached A, and applied to sum_j w_j dq_j;
     - any other law: A+-_j are formed from the path average at every trace
       time and applied to w_j dq_j.
     """
@@ -139,7 +139,7 @@ def interface_fluctuations(
         half = 0.5 * (weights @ (system.flux(trace_right) - system.flux(trace_left)))
         return FluctuationPair(half + diss, half - diss)
     if system.constant_coefficients:
-        aplus, aminus = force_alpha_split(system.matrix(np.zeros(system.m)), alpha, dt, dx)
+        aplus, aminus = force_alpha_split(system._constant_matrices[0], alpha, dt, dx)
         wdq = weights @ dq
         return FluctuationPair(wdq @ aplus.T, wdq @ aminus.T)
     atilde = path_average_matrix(system, trace_left, trace_right)
@@ -178,12 +178,17 @@ def noncons_average(
 
     A(Q) dQ/dx is taken at each interior node by
     ``SystemDescriptor.matrix_product``, one directional derivative of the
-    law, without forming A. A ``flux_form`` law has no interior nodes: its
+    law, without forming A; a constant-coefficient law takes one product with
+    its cached A. A ``flux_form`` law has no interior nodes: its
     term is the exact x-integral of dF/dx, the trace-rule average of
     (F(Q(1, tau)) - F(Q(0, tau))) / dx over the cell's own traces.
     """
     if system.flux_form:
         jump = system.flux(table.trace_right) - system.flux(table.trace_left)
         return rules.trace_rule.weights @ jump / table.dx
-    integrand = system.matrix_product(table.values, table.x_derivative)
+    if system.constant_coefficients:
+        v = table.x_derivative
+        integrand = (v.reshape(-1, system.m) @ system._constant_matrices[0].T).reshape(v.shape)
+    else:
+        integrand = system.matrix_product(table.values, table.x_derivative)
     return _volume_average(integrand, rules)

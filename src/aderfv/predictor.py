@@ -601,9 +601,9 @@ def solve_predictor_points(
     # the first sweep succeeds), and those that refresh on their next sweep.
     lu, ints[PIV] = _lu_factor(chord)
     batch[LU] = lu.reshape(m * m, -1)
-    explicit = has_jet & np.isfinite(_point_norm(start))
-    explicit[explicit] = system.admissible(start[explicit])
-    d0 = np.where(explicit[:, None], start, w_nodes[:, 0].take(inner.node, axis=0))
+    explicit, w0 = has_jet & np.isfinite(_point_norm(start)), w_nodes[:, 0].take(inner.node, axis=0)
+    explicit &= system.admissible(np.where(explicit[:, None], start, w0))
+    d0 = np.where(explicit[:, None], start, w0)
     refresh, sweeps = ~has_jet, 0
 
     while len(d0):

@@ -385,6 +385,14 @@ class SeriesTape:
         series.c = np.empty(degrees + (0,), dtype=dtype)
         self.series.append(series)
 
+    @property
+    def affine(self) -> bool:
+        """No node multiplies two tape series or divides by one, so every series is
+        affine in the leaves; q * q - q * q, linear only after cancellation, is not."""
+        on = {id(s) for s in self.series}
+        return not any(s._fill is _mul_column and {id(a) for a in s._args} <= on
+                       or s._fill is _div_column and id(s._args[1]) in on for s in self.series)
+
     def integrate(self, leaf: TruncatedSeries, rate: TruncatedSeries) -> None:
         """Makes ``rate`` the t-derivative of ``leaf``."""
         self.integrals.append((leaf, _t_integral_column, (rate,)))

@@ -6,29 +6,29 @@ form that uses only ring operations: a conservative law gives its flux F(Q)
 add algebraic source terms S(Q). The Cauchy-Kowalewskaya engine evaluates
 these forms over truncated power series; the vectorised matrix, its product
 with a vector, flux, source and source Jacobian used by the predictor and the
-fluxes are derived from the same forms on ndarray components. One routine takes
-every derivative of the forms, along a direction v: by complex-step
+fluxes are derived from the same forms on ndarray components. One routine
+takes every derivative of the forms, along a direction v: by complex-step
 differentiation at a real state, and at a complex one by a program of
 first-order truncated series, recorded and compiled once per form and dtype
 as the CK jets are, so ``matrix``, ``matrix_product`` and ``source_jacobian``
-are analytic in Q and a complex step can pass through them.
-``matrix_product`` takes A(Q) v as one directional derivative, without
-forming A; a Jacobian is the derivative along the m unit vectors. A system that declares
-``constant_coefficients`` also gets its closed-form CK table from the same
-forms, from which the predictor's linear operators are built. The CFL wave
-speed is the spectral radius of the derived A(Q). Initial data, admissibility
-and the exact solutions of the manufactured tests are given per system.
+are analytic in Q and a complex step can pass through them. ``matrix_product``
+takes A(Q) v as one directional derivative, without forming A; ``matrix`` is
+that product along the m unit vectors. A law whose recorded forms show it
+linear gets its closed-form CK table from the same forms, from which the
+predictor's linear operators are built. The CFL wave speed is the spectral
+radius of the derived A(Q). Initial data, admissibility and the exact
+solutions of the manufactured tests are given per system.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .series import BLOCK, SeriesTape, TruncatedSeries, borrowed_workspace, lane_width
+from .series import BLOCK, SeriesTape, TruncatedSeries, Workspace, borrowed_workspace, lane_width
 
 __all__ = [
     "SystemDescriptor",
@@ -97,11 +97,6 @@ def complex_step_jacobian(
     return value.real[0], value.imag.transpose(last) / _COMPLEX_STEP
 
 
-def _repeat(mat: np.ndarray, batch: tuple) -> np.ndarray:
-    """A writable copy of ``mat`` at every index of ``batch``."""
-    return np.broadcast_to(mat, batch + mat.shape).copy()
-
-
 def _terms_product(terms: Callable[[Sequence], list], q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Derivative of generic ``terms`` at states q in direction v, (..., m).
 
@@ -161,16 +156,11 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
-def _row_products(rows: Sequence, v: np.ndarray, batch: tuple) -> np.ndarray:
-    """sum_j rows[i][j] v_j for each row i, shape batch + (len(rows),)."""
-    return _stack_terms(
-        [sum(a * v[..., j] for j, a in enumerate(row)) for row in rows], batch
-    )
-
-
 def _admit_all(q: np.ndarray) -> np.ndarray:
-    """The admissibility test of a law that accepts every state: all True."""
-    return ~np.zeros(np.shape(q)[:-1], dtype=bool)
+    """The admissibility test of a law that accepts every state: all True, allocated once."""
+    mask = np.empty(np.shape(q)[:-1], dtype=bool)
+    mask.fill(True)
+    return mask
 
 
 def _state_array(q) -> np.ndarray:
@@ -189,18 +179,17 @@ class SystemDescriptor:
     components (floats, arrays or truncated series) and return lists of
     scalar-likes. The vectorised ``flux``, ``matrix``, ``matrix_product``,
     ``source`` and ``source_jacobian`` map state arrays (..., m) and are
-    derived from them; every derivative among them (a flux law's ``matrix`` and
-    ``matrix_product``, ``source_jacobian``) is the one directional
+    derived from them; every derivative among them (a flux law's ``matrix``
+    and ``matrix_product``, ``source_jacobian``) is the one directional
     derivative ``_terms_product``, and at complex states all but ``source``
-    are analytic. ``matrix_product(q, v)`` is
-    A(Q) v without forming A, for callers that only apply A to vectors (the
-    predictor's derivative chain, the volume term); ``matrix`` is for those
-    that need A itself. ``max_wave_speed`` is the spectral radius of
-    ``matrix``. ``constant_coefficients`` declares A and dS/dQ independent of
-    Q (a linear law): ``matrix``, ``matrix_product``, ``source_jacobian`` and
-    ``max_wave_speed`` then use their values at Q = 0, derived once, and
-    ``closed_ck`` gives its closed CK table. ``admissible`` maps states (..., m)
-    to a mask (...,) of the states the law accepts, by default every state.
+    are analytic. ``matrix_product(q, v)`` is A(Q) v without forming A, for
+    callers that only apply A to vectors (the predictor's derivative chain,
+    the volume term); ``matrix`` is that product along the unit vectors.
+    ``max_wave_speed`` is the spectral radius of ``matrix``. Linearity is
+    derived from the forms, not declared: a law with ``constant_coefficients``
+    takes its wave speed once, at Q = 0, and its closed CK table from
+    ``closed_ck``. ``admissible`` maps states (..., m) to a mask (...,) of
+    the states the law accepts, by default every state.
     """
 
     name: str
@@ -211,13 +200,14 @@ class SystemDescriptor:
     source_terms: Callable[[Sequence], list] | None = None
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
     admissible: Callable[[np.ndarray], np.ndarray] = _admit_all
-    constant_coefficients: bool = False
 
     def __post_init__(self) -> None:
         if (self.flux_terms is None) == (self.matrix_rows is None):
             raise ValueError(
                 f"system {self.name!r} needs exactly one of flux_terms and matrix_rows"
             )
+        # Linearity is derived as the law is built, so no step records its forms.
+        self.constant_coefficients  # noqa: B018
 
     @property
     def source_free(self) -> bool:
@@ -229,6 +219,19 @@ class SystemDescriptor:
         the predictor traces alone."""
         return self.flux_terms is not None and self.source_free
 
+    @cached_property
+    def constant_coefficients(self) -> bool:
+        """A linear law: A and dS/dQ independent of Q and S(0) = 0. Derived once from
+        the forms recorded on a series tape at first order: every node affine
+        (``SeriesTape.affine``), no ``matrix_rows`` entry a series, S(0) exactly 0."""
+        tape = SeriesTape(Workspace())
+        q = [tape.leaf(2, 1, float) for _ in range(self.m)]
+        for terms in filter(None, (self.flux_terms, self.source_terms)):
+            terms(q)
+        rows = [a for row in self.matrix_rows(q) for a in row] if self.matrix_rows else []
+        return (tape.affine and not any(isinstance(a, TruncatedSeries) for a in rows)
+                and not self.source(np.zeros(self.m)).any())
+
     def flux(self, q: np.ndarray) -> np.ndarray:
         """Flux F(Q), shape (..., m), of a law given by ``flux_terms``."""
         if self.flux_terms is None:
@@ -237,30 +240,20 @@ class SystemDescriptor:
         return _stack_terms(self.flux_terms(_components(q)), q.shape[:-1])
 
     def matrix(self, q: np.ndarray) -> np.ndarray:
-        """Quasi-linear matrix A(Q), shape (..., m, m); Q may be complex."""
-        q = _state_array(q)
-        if self.constant_coefficients:
-            return _repeat(self._constant_matrices[0], q.shape[:-1])
-        if self.flux_terms is None:
-            rows = self.matrix_rows(_components(q))
-            return np.stack([_stack_terms(row, q.shape[:-1]) for row in rows], axis=-2)
-        return _terms_product(self.flux_terms, q[..., None, :], _identity(self.m)).swapaxes(-1, -2)
+        """A(Q), shape (..., m, m): ``matrix_product`` along the unit vectors; Q may be complex."""
+        return self.matrix_product(np.asarray(q)[..., None, :], _identity(self.m)).swapaxes(-1, -2)
 
     def matrix_product(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A(Q) v without forming A, shape (..., m); Q and v broadcast and may be complex.
 
         A flux law takes the derivative of F at Q in the one direction v
-        (``_terms_product``), a ``matrix_rows`` law sums its rows against v,
-        and a constant-coefficient law takes one product with its derived A.
+        (``_terms_product``), and a ``matrix_rows`` law sums its rows against v.
         """
         q, v = _state_array(q), _state_array(v)
-        batch = np.broadcast(q, v).shape[:-1]
-        if self.constant_coefficients:
-            v = np.broadcast_to(v, batch + (self.m,)).reshape(-1, self.m)
-            return (v @ self._constant_matrices[0].T).reshape(batch + (self.m,))
         if self.flux_terms is not None:
             return _terms_product(self.flux_terms, q, v)
-        return _row_products(self.matrix_rows(_components(q)), v, batch)
+        rows, batch = self.matrix_rows(_components(q)), np.broadcast(q, v).shape[:-1]
+        return _stack_terms([sum(a * v[..., j] for j, a in enumerate(row)) for row in rows], batch)
 
     def source(self, q: np.ndarray) -> np.ndarray:
         """Algebraic source S(Q), shape (..., m)."""
@@ -272,8 +265,6 @@ class SystemDescriptor:
     def source_jacobian(self, q: np.ndarray) -> np.ndarray:
         """Source Jacobian dS/dQ, shape (..., m, m); Q may be complex."""
         q = _state_array(q)
-        if self.constant_coefficients:
-            return _repeat(self._constant_matrices[1], q.shape[:-1])
         if self.source_terms is None:
             return np.zeros(q.shape + (self.m,), dtype=q.dtype)
         return _terms_product(self.source_terms, q[..., None, :], _identity(self.m)).swapaxes(-1, -2)
@@ -293,14 +284,10 @@ class SystemDescriptor:
 
     @cached_property
     def _constant_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """A and dS/dQ of a constant-coefficient law, derived once at Q = 0.
-
-        They are taken as for a law without constant coefficients. The
-        complex step of a linear form does not depend on the state, so these
-        are the derived values at every state, bit for bit.
-        """
-        law, zero = replace(self, constant_coefficients=False), np.zeros(self.m)
-        mats = law.matrix(zero), law.source_jacobian(zero)
+        """A and dS/dQ at Q = 0, derived once and read-only. The complex step of a linear
+        form does not depend on the state, so for a constant-coefficient law these
+        are the derived values at every state, bit for bit."""
+        mats = self.matrix(np.zeros(self.m)), self.source_jacobian(np.zeros(self.m))
         for mat in mats:
             mat.flags.writeable = False
         return mats
@@ -379,7 +366,6 @@ def scalar_advection_reaction(lam: float = 1.0, beta: float = -1.0) -> SystemDes
         flux_terms=lambda q: [lam * q[0]],
         source_terms=lambda q: [beta * q[0]],
         exact_solution=exact_solution,
-        constant_coefficients=True,
     )
 
 
@@ -433,7 +419,6 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> SystemDescriptor:
         flux_terms=lambda q: [lam * q[1], lam * q[0]],
         source_terms=lambda q: [beta * q[0], beta * q[1]],
         exact_solution=exact_solution,
-        constant_coefficients=True,
     )
 
 

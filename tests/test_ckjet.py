@@ -397,7 +397,7 @@ def test_compiled_derivatives_at_complex_states_match_node_by_node_series(make, 
     # A v and dS/dQ, at real and complex directions and across block sizes.
     # A second pass records and compiles no tape.
     monkeypatch.setattr(series, "_idle_workspaces", [])
-    system = dataclasses.replace(make(), constant_coefficients=False)
+    system = make()
     m, eye = system.m, np.eye(system.m)
     rng = np.random.default_rng(78)
     cases = []

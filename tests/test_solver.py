@@ -245,6 +245,30 @@ def test_convergence_study_reports_orders():
     assert "l1" in table.lower() and "32" in table
 
 
+@pytest.mark.parametrize("order", [3, 5])
+def test_affine_source_with_an_offset_converges_on_newton(order):
+    # u_t + u_x = 1 - u, exact u = 1 + exp(-t) sin 2 pi (x - t): its forms
+    # are affine, but S(0) = 1, so the law is not constant-coefficient and
+    # its tables take Newton sweeps. The L1 order reaches M + 1 - 1/2.
+    two_pi = 2.0 * np.pi
+    system = systems.SystemDescriptor(
+        name="relaxing-wave",
+        m=1,
+        initial_condition=lambda x: (1.0 + np.sin(two_pi * np.asarray(x)))[..., None],
+        flux_terms=lambda q: [q[0]],
+        source_terms=lambda q: [1.0 - q[0]],
+        exact_solution=lambda x, t: (1.0 + np.exp(-t) * np.sin(two_pi * (np.asarray(x) - t)))[..., None],
+    )
+    assert not system.constant_coefficients
+    cfg = RunConfig(order=order, cfl=0.1, alpha=2.0, t_out=0.25, boundary="periodic")
+    errors = []
+    for n_cells in (16, 32, 64):
+        rep = run(system, Grid(0.0, 1.0, n_cells), cfg)
+        assert rep.max_sweeps >= 1
+        errors.append(error_norms(rep.field, system.exact_solution, rep.t_final)[1][0])
+    assert np.log2(errors[1] / errors[2]) >= order - 0.5
+
+
 def test_convergence_study_requires_exact_solution():
     system = leveque_yee()
     with pytest.raises(ValueError):

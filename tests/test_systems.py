@@ -365,6 +365,48 @@ def test_closed_ck_derived_from_the_law(system, a, b):
         noncons_system().closed_ck(1)
 
 
+def _scalar_law(**forms):
+    return systems.SystemDescriptor(
+        name="scalar", m=1, initial_condition=lambda x: np.sin(x)[..., None], **forms
+    )
+
+
+def test_linearity_is_read_off_the_forms():
+    # A law is linear with constant coefficients when its recorded forms are
+    # affine in Q, its matrix rows hold no state and S(0) = 0; it is never
+    # declared.
+    assert linear_system().constant_coefficients
+    assert scalar_advection_reaction().constant_coefficients
+    for law in (leveque_yee(), noncons_system(), euler_ideal_gas()):
+        assert not law.constant_coefficients
+    a, beta = [[0.0, 1.3], [1.3, 0.0]], -0.7
+    rows = systems.SystemDescriptor(
+        name="rows", m=2, initial_condition=linear_system().initial_condition,
+        matrix_rows=lambda q: a, source_terms=lambda q: [beta * q[0], beta * q[1]],
+    )
+    assert rows.constant_coefficients
+    np.testing.assert_array_equal(rows.closed_ck(3), linear_ck_matrices(np.array(a), beta * np.eye(2), 3))
+    # A row holding the state, even affinely, makes A depend on Q.
+    assert not dataclasses.replace(rows, matrix_rows=lambda q: [[0.0, q[0]], [1.3, 0.0]]).constant_coefficients
+    # An affine source with S(0) != 0 is not: the closed CK table has no offset.
+    assert not _scalar_law(flux_terms=lambda q: [q[0]], source_terms=lambda q: [1.0 - q[0]]).constant_coefficients
+    with pytest.raises(TypeError):
+        _scalar_law(flux_terms=lambda q: [q[0]], constant_coefficients=True)
+
+
+def test_linear_after_cancellation_counts_as_nonlinear():
+    # q q - q q is linear only after cancellation: the law takes the Newton
+    # predictor, conservatively, and is still solved as the advection law.
+    advection = _scalar_law(flux_terms=lambda q: [q[0]], source_terms=lambda q: [-q[0]])
+    cancel = _scalar_law(flux_terms=lambda q: [q[0] + (q[0] * q[0] - q[0] * q[0])],
+                         source_terms=lambda q: [-q[0]])
+    assert advection.constant_coefficients and not cancel.constant_coefficients
+    cfg = RunConfig(order=3, t_out=0.05, boundary="periodic")
+    want, got = (run(law, Grid(0.0, 1.0, 16), cfg) for law in (advection, cancel))
+    assert want.max_sweeps == 0 and got.max_sweeps >= 1
+    np.testing.assert_allclose(got.field.interior, want.field.interior, rtol=0, atol=1e-13)
+
+
 def test_closed_ck_derived_once_per_run(monkeypatch):
     calls = []
     original = systems.linear_ck_matrices
@@ -381,22 +423,22 @@ def test_closed_ck_derived_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("factory", [scalar_advection_reaction, linear_system])
 def test_constant_coefficient_matrices_derived_once(factory, monkeypatch):
-    # A constant-coefficient law returns A and dS/dQ at Q = 0, derived once:
-    # the same values, bit for bit, that a complex step gives at any state.
+    # A constant-coefficient law's A and dS/dQ are derived once, at Q = 0,
+    # and read-only: the same values, bit for bit, that the complex step of
+    # ``matrix`` and ``source_jacobian`` gives at any state.
     system = factory(beta=-3.0)
-    derived = dataclasses.replace(system, constant_coefficients=False)
     states = _random_states(system, np.random.default_rng(10), 30).reshape(5, 6, -1)
-    want = derived.matrix(states), derived.source_jacobian(states)
     calls = []
     original = systems._terms_product
     monkeypatch.setattr(systems, "_terms_product", lambda *a: calls.append(1) or original(*a))
     for _ in range(3):
-        mats, jac = system.matrix(states), system.source_jacobian(states)
-        np.testing.assert_array_equal(mats, want[0])
-        np.testing.assert_array_equal(jac, want[1])
-        assert mats.flags.writeable and jac.flags.writeable
-        mats[...] = jac[...] = 0.0
+        a, b = system._constant_matrices
+        assert not a.flags.writeable and not b.flags.writeable
     assert len(calls) == 2  # A and dS/dQ, once each
+    want = system.matrix(states), system.source_jacobian(states)
+    for got, ref in zip((a, b), want):
+        np.testing.assert_array_equal(np.broadcast_to(got, ref.shape), ref)
+        assert ref.flags.writeable
 
 
 def _complex_step_terms(terms, q):
@@ -412,7 +454,7 @@ def _complex_step_terms(terms, q):
 def test_real_state_jacobians_are_the_complex_step(factory):
     # At real states A (of a conservative law) and dS/dQ are one complex step
     # of the law's terms, bit for bit; the analytic path is for complex states.
-    system = dataclasses.replace(factory(), constant_coefficients=False)
+    system = factory()
     states = _random_states(system, np.random.default_rng(11), 40)[:30].reshape(5, 6, -1)
     if system.flux_terms is not None:
         np.testing.assert_array_equal(
@@ -429,7 +471,7 @@ def test_jacobians_are_analytic_at_complex_states(factory):
     # At Q + i h e_j the real parts are A(Q) and dS/dQ(Q), and the imaginary
     # parts over h are their derivatives in Q_j: central differences of the
     # real Jacobians agree.
-    system = dataclasses.replace(factory(), constant_coefficients=False)
+    system = factory()
     states = _random_states(system, np.random.default_rng(12), 20)[:12]
     h, delta = 1e-20, 1e-6
     for form in (system.matrix, system.source_jacobian):
