@@ -1,7 +1,7 @@
 """Centred path-conservative flux splitting and the update's volume terms.
 
 Interfaces are handled with a two-point splitting built from the segment-path
-average of the system matrix,
+average Atilde of the system matrix,
 
   A+-(qL, qR) = 1/2 Atilde +- (alpha dt / 4 dx) (Atilde^2 + (dx / alpha dt)^2 I),
 
@@ -11,22 +11,24 @@ range. The interface fluctuation is the trace-rule time average of
 A+-(qL(tau), qR(tau)) (qR - qL), and the volume terms are tensor quadrature
 averages over the predictor tables.
 
-The fluctuations take one of three routes, by the law's form:
+The fluctuations apply Atilde to vectors and never form it or A+-. They take
+one of two routes, by the law:
 
-- a flux law without a source (``SystemDescriptor.flux_form``) is taken in
-  flux form, from the traces alone. The centred half of each fluctuation is
-  the trace-rule average of 1/2 (F(qR) - F(qL)). The dissipation applies
-  Atilde to vectors and never forms it: two ``matrix_product`` passes over
-  the path nodes give Atilde dq, then Atilde (Atilde dq). The volume term is
-  the trace-rule average of (F(Q(1, tau)) - F(Q(0, tau))) / dx, the exact
-  x-average of dF/dx, and the source average is zero. The update then
+- a law with ``constant_coefficients``, derived from its forms, has Atilde = A
+  at every state: its cached A is applied twice to the trace-rule average of
+  the jumps;
+- any other law applies Atilde by two ``matrix_product`` passes over the path
+  nodes, Atilde dq and then Atilde (Atilde dq). A flux law without a source
+  (``SystemDescriptor.flux_form``) takes the centred half in flux form, as
+  the trace-rule average of 1/2 (F(qR) - F(qL)), and its volume term as the
+  trace-rule average of (F(Q(1, tau)) - F(Q(0, tau))) / dx, the exact
+  x-average of dF/dx, with a zero source average. The update then
   telescopes, so such a law keeps its totals to round-off (Pares, SIAM J.
   Numer. Anal. 44, 2006: a path-conservative scheme conserves when its path
-  integral of A is F(qR) - F(qL));
-- a law with ``constant_coefficients``, derived from its forms, has Atilde = A
-  at every state: A+- are split from its cached A once per call and applied
-  once to the trace-rule average of the jumps;
-- any other law forms Atilde at every trace time and applies its A+-.
+  integral of A is F(qR) - F(qL)).
+
+Apart from a constant-coefficient law's cached A, ``SystemDescriptor.matrix``
+is formed only for the CFL speed.
 """
 from __future__ import annotations
 
@@ -34,21 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import QuadratureRule, gauss_legendre
+from .grid import gauss_legendre
 from .predictor import PredictorTable, SpaceTimeRules
-from .systems import SystemDescriptor, _identity
+from .systems import SystemDescriptor
 
 __all__ = [
     "FluctuationPair",
-    "path_average_matrix",
-    "force_alpha_split",
     "interface_fluctuations",
     "source_average",
     "noncons_average",
 ]
 
-# Segment-path rule of the two-state matrix average, built once: a
-# gauss_legendre call takes tens of microseconds.
+# Segment-path rule of Atilde, applied at its nodes by matrix_product; built
+# once, as a gauss_legendre call takes tens of microseconds.
 _PATH_RULE = gauss_legendre(3)
 
 
@@ -66,38 +66,6 @@ class FluctuationPair:
     dminus: np.ndarray
 
 
-def path_average_matrix(
-    system: SystemDescriptor,
-    q_left: np.ndarray,
-    q_right: np.ndarray,
-    rule: QuadratureRule = _PATH_RULE,
-) -> np.ndarray:
-    """Average of A along the straight segment joining two states."""
-    q_left = np.asarray(q_left, dtype=float)
-    q_right = np.asarray(q_right, dtype=float)
-    delta = q_right - q_left
-    states = q_left[..., None, :] + rule.nodes[:, None] * delta[..., None, :]
-    # einsum measured faster here than tensordot or @ on the strided matrix.
-    return np.einsum("g,...gab->...ab", rule.weights, system.matrix(states))
-
-
-def _splitting_scales(alpha: float, dt: float, dx: float) -> tuple[float, float]:
-    """mu = alpha dt / 4 dx and lam = dx / alpha dt of the splitting's dissipation."""
-    if alpha <= 0.0 or dt <= 0.0:
-        raise ValueError("the alpha splitting needs alpha > 0 and dt > 0")
-    return alpha * dt / (4.0 * dx), dx / (alpha * dt)
-
-
-def force_alpha_split(
-    atilde: np.ndarray, alpha: float, dt: float, dx: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a path-averaged matrix into its A+ / A- parts."""
-    mu, lam = _splitting_scales(alpha, dt, dx)
-    diss = mu * (atilde @ atilde + lam**2 * _identity(atilde.shape[-1]))
-    half = 0.5 * atilde
-    return half + diss, half - diss
-
-
 def interface_fluctuations(
     system: SystemDescriptor,
     trace_left: np.ndarray,
@@ -112,46 +80,45 @@ def interface_fluctuations(
     ``trace_left`` / ``trace_right`` are the predictor traces taken from the
     cells left and right of the interface, shape (..., n_trace, m), sampled at
     the times whose unit-interval quadrature ``weights`` are given. The
-    fluctuations are sum_j w_j A+-_j dq_j, taken by one of three routes:
+    fluctuations are sum_j w_j A+-_j dq_j, with A+-_j split from the path
+    average Atilde_j at trace time j, and Atilde is never formed:
 
-    - a ``flux_form`` law: the centred half is 1/2 sum_j w_j (F(qR_j) -
-      F(qL_j)), so D+ + D- is the flux jump, and the dissipation
-      mu sum_j w_j (Atilde_j (Atilde_j dq_j) + lam^2 dq_j) comes from two
-      ``matrix_product`` passes over the path nodes, without forming Atilde;
-    - a law with ``constant_coefficients``: A+- are split once, from the
-      law's cached A, and applied to sum_j w_j dq_j;
-    - any other law: A+-_j are formed from the path average at every trace
-      time and applied to w_j dq_j.
+    - a law with ``constant_coefficients`` has Atilde_j = A, its cached
+      matrix: with wdq = sum_j w_j dq_j and adq = A wdq, the fluctuations are
+      1/2 adq +- mu (A adq + lam^2 wdq);
+    - any other law applies Atilde_j to vectors by two ``matrix_product``
+      passes over the path nodes, Atilde_j dq_j and then Atilde_j (Atilde_j
+      dq_j), for the dissipation mu sum_j w_j (Atilde_j^2 dq_j + lam^2 dq_j).
+      The centred half is 1/2 sum_j w_j (F(qR_j) - F(qL_j)) for a
+      ``flux_form`` law, so D+ + D- is the flux jump, and 1/2 sum_j w_j
+      Atilde_j dq_j, the first pass, otherwise.
     """
+    if alpha <= 0.0 or dt <= 0.0:
+        raise ValueError("the alpha splitting needs alpha > 0 and dt > 0")
+    mu, lam = alpha * dt / (4.0 * dx), dx / (alpha * dt)
     trace_left = np.asarray(trace_left, dtype=float)
     trace_right = np.asarray(trace_right, dtype=float)
     dq = trace_right - trace_left
-    if system.flux_form:
-        mu, lam = _splitting_scales(alpha, dt, dx)
-        # The path nodes of every trace time, (..., n_trace, n_path, m).
-        states = trace_left[..., None, :] + _PATH_RULE.nodes[:, None] * dq[..., None, :]
-
-        def path_average(v: np.ndarray) -> np.ndarray:
-            """Atilde_j v_j = sum_g w_g A(q_g) v_j, without forming A."""
-            return _PATH_RULE.weights @ system.matrix_product(states, v[..., None, :])
-
-        diss = mu * (weights @ (path_average(path_average(dq)) + lam**2 * dq))
-        half = 0.5 * (weights @ (system.flux(trace_right) - system.flux(trace_left)))
-        return FluctuationPair(half + diss, half - diss)
     if system.constant_coefficients:
-        aplus, aminus = force_alpha_split(system._constant_matrices[0], alpha, dt, dx)
+        a = system._constant_matrices[0]
         wdq = weights @ dq
-        return FluctuationPair(wdq @ aplus.T, wdq @ aminus.T)
-    atilde = path_average_matrix(system, trace_left, trace_right)
-    aplus, aminus = force_alpha_split(atilde, alpha, dt, dx)
-    # sum_j w_j A(tau_j) dq(tau_j) as one product over the flattened (j, b) axes.
-    batch, m = dq.shape[:-2], dq.shape[-1]
-    wdq = (weights[:, None] * dq).reshape(batch + (-1, 1))
+        adq = wdq @ a.T
+        half, diss = 0.5 * adq, mu * (adq @ a.T + lam**2 * wdq)
+        return FluctuationPair(half + diss, half - diss)
+    # The path nodes of every trace time, (..., n_trace, n_path, m).
+    states = trace_left[..., None, :] + _PATH_RULE.nodes[:, None] * dq[..., None, :]
 
-    def apply(mat: np.ndarray) -> np.ndarray:
-        return (mat.swapaxes(-3, -2).reshape(batch + (m, -1)) @ wdq)[..., 0]
+    def path_average(v: np.ndarray) -> np.ndarray:
+        """Atilde_j v_j = sum_g w_g A(q_g) v_j, without forming A."""
+        return _PATH_RULE.weights @ system.matrix_product(states, v[..., None, :])
 
-    return FluctuationPair(apply(aplus), apply(aminus))
+    adq = path_average(dq)
+    diss = mu * (weights @ (path_average(adq) + lam**2 * dq))
+    if system.flux_form:
+        half = 0.5 * (weights @ (system.flux(trace_right) - system.flux(trace_left)))
+    else:
+        half = 0.5 * (weights @ adq)
+    return FluctuationPair(half + diss, half - diss)
 
 
 def _volume_average(integrand: np.ndarray, rules: SpaceTimeRules) -> np.ndarray:

@@ -120,13 +120,6 @@ class CellField:
         self.interior = interior
 
     @classmethod
-    def from_cell_averages(cls, grid: Grid, values: np.ndarray) -> "CellField":
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] == 1 and grid.n_cells != 1:
-            values = values.T
-        return cls(grid, values)
-
-    @classmethod
     def from_function(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "CellField":
         """Initialize with per-cell averages of ``fn`` (5-point Gauss-Legendre)."""
         return cls(grid, exact_cell_averages(grid, lambda x, t: fn(x), 0.0))

@@ -188,8 +188,12 @@ class PredictorTable:
     trace_left: np.ndarray   # Q(xi=0, tau), shape (..., n_trace, m)
     trace_right: np.ndarray  # Q(xi=1, tau), shape (..., n_trace, m)
     dx: float
-    iterations: int = 0
-    batch_sizes: tuple = ()  # points entering each of the ``iterations`` Newton sweeps
+    batch_sizes: tuple = ()  # points entering each Newton sweep
+
+    @property
+    def iterations(self) -> int:
+        """The Newton sweeps taken: the largest sweep count of any point."""
+        return len(self.batch_sizes)
 
 
 def _point_error(message: str, bad: np.ndarray, tau, states: np.ndarray) -> PredictorError:
@@ -540,9 +544,7 @@ def _explicit_start(
     return start, chord, has_jet.take(plan.node)
 
 
-def solve_predictor_points(
-    system: SystemDescriptor, blocks, batch_sizes: list | None = None
-) -> tuple[list[np.ndarray], int]:
+def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.ndarray], tuple]:
     """Newton on the reduced state equation at the space-time points of node blocks.
 
     Each block is a pair (w, taus): w, shape (cells, nodes, M+1, m), holds
@@ -550,8 +552,8 @@ def solve_predictor_points(
     taus, shape (T,), the block's elapsed physical times. Its points are the
     product, laid out (cells, T, nodes) as in a ``PredictorTable``. Returns
     the derivative stacks of every block, shape (cells, T, nodes, M+1, m),
-    and the largest sweep count used by any point; ``batch_sizes``, a list,
-    gets the number of points entering each of those sweeps. Points at
+    and the tuple of the points entering each Newton sweep, whose length is
+    the largest sweep count of any point. Points at
     tau = 0 return their (admissible) reconstruction stacks without a sweep;
     the others start and iterate as the module describes. A PredictorError
     names the failing points by ``points``, their index when the blocks'
@@ -579,7 +581,7 @@ def solve_predictor_points(
         message = "inadmissible reconstructed state at tau = 0"
         raise named(_point_error(message, bad, times[plan.time[still]], stacks[still, 0]), still)
     if not plan.moving.size:
-        return _point_views(blocks, stacks), 0
+        return _point_views(blocks, stacks), ()
 
     # The batch of the points still iterating is one record of 8-byte words,
     # (rows, points), with their iterates and refresh flags beside it: at
@@ -604,10 +606,10 @@ def solve_predictor_points(
     explicit, w0 = has_jet & np.isfinite(_point_norm(start)), w_nodes[:, 0].take(inner.node, axis=0)
     explicit &= system.admissible(np.where(explicit[:, None], start, w0))
     d0 = np.where(explicit[:, None], start, w0)
-    refresh, sweeps = ~has_jet, 0
+    refresh, sizes = ~has_jet, []
 
     while len(d0):
-        sweeps, n = sweeps + 1, len(d0)
+        sweeps, n = len(sizes) + 1, len(d0)
         w, tau = w_nodes.take(ints[NODE], axis=0), batch[TAU]
         try:
             if sweeps > _SWEEP_LIMIT:
@@ -621,12 +623,12 @@ def solve_predictor_points(
             failed = exc.details["points"]
             named(exc, ints[POINT])
             # The first sweep of an explicit start can fail where w_0 would
-            # not: those points start again from w_0.
+            # not: those points start again from w_0, and as the failed sweep
+            # recorded no batch size, the retry is sweep 1 again.
             retry = failed[explicit[failed]] if sweeps == 1 else failed[:0]
             if not retry.size:
                 raise
             d0[retry], explicit[retry] = w[retry, 0], False
-            sweeps -= 1
             continue
 
         scale = 1.0 + _point_norm(d0_new)
@@ -639,13 +641,12 @@ def solve_predictor_points(
         conv = done.nonzero()[0]
         at = ints[POINT].take(conv)
         stacks[at, 0], stacks[at, 1:] = d0_new.take(conv, axis=0), rest.take(conv, axis=0)
-        if batch_sizes is not None:
-            batch_sizes.append(n)
+        sizes.append(n)
         keep = (~done).nonzero()[0]
         batch, d0, refresh = batch.take(keep, axis=1), d0_new.take(keep, axis=0), refresh.take(keep)
         ints = batch.view(np.int64)
 
-    return _point_views(blocks, stacks), sweeps
+    return _point_views(blocks, stacks), tuple(sizes)
 
 
 def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
@@ -824,7 +825,7 @@ def build_predictor_tables(
     n_xi = 0 if system.flux_form else rules.xi_rule.n
     w_int = _node_derivatives(coeffs, rules.basis_interior[:, :n_xi], dx)
     w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)
-    sizes = []
+    sizes = ()
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node block,
         # the operators at both blocks' times solved together.
@@ -835,12 +836,11 @@ def build_predictor_tables(
             (w.reshape(-1, k) @ p.reshape(-1, k).T).reshape(w.shape[:2] + p.shape[:2]).swapaxes(1, 2)
             for w, p in ((w_int, ops[:split]), (w_tr, ops[split:]))
         )
-        sweeps = 0
     else:
         # Node blocks: the interior nodes at the tau-rule times, the trace
         # ends at the trace-rule times.
         blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes * dt)]
-        (values, traces), sweeps = solve_predictor_points(system, blocks, sizes)
+        (values, traces), sizes = solve_predictor_points(system, blocks)
         values, traces = values[..., 0, :], traces[..., 0, :]
     x_deriv = rules.diff_matrix[:n_xi, :n_xi] @ values / dx
 
@@ -850,6 +850,5 @@ def build_predictor_tables(
         trace_left=traces[:, :, 0, :],
         trace_right=traces[:, :, 1, :],
         dx=dx,
-        iterations=sweeps,
-        batch_sizes=tuple(sizes),
+        batch_sizes=sizes,
     )

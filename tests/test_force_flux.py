@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from aderfv import ckjet, force_flux, predictor, solver
-from aderfv.force_flux import (
-    force_alpha_split,
-    interface_fluctuations,
-    noncons_average,
-    path_average_matrix,
-    source_average,
-)
+from aderfv.force_flux import interface_fluctuations, noncons_average, source_average
 from aderfv.grid import Grid, RunConfig, gauss_legendre
 from aderfv.predictor import PredictorTable, space_time_rules
 from aderfv.solver import compute_dt, initial_field, step
@@ -26,49 +20,84 @@ from aderfv.systems import (
 )
 
 
+def _formed_path_average(system, ql, qr, points=3):
+    """Atilde formed: A at the Gauss points of the segment qL -> qR, averaged."""
+    rule = gauss_legendre(points)
+    return sum(w * system.matrix(ql + s * (qr - ql)) for s, w in zip(rule.nodes, rule.weights))
+
+
+def _constant_trace_fluctuations(system, ql, qr, alpha, dt, dx):
+    """D+- of one interface whose traces hold ql and qr at every trace time."""
+    rules = space_time_rules(3)
+    n = rules.trace_rule.n
+    fl = interface_fluctuations(
+        system, np.tile(ql, (1, n, 1)), np.tile(qr, (1, n, 1)),
+        rules.trace_rule.weights, alpha, dt, dx,
+    )
+    return fl.dplus[0], fl.dminus[0]
+
+
 def test_path_average_constant_matrix():
-    system = linear_system(lam=2.0)
-    ql = np.array([0.3, -0.1])
-    qr = np.array([1.2, 0.8])
-    avg = path_average_matrix(system, ql, qr)
-    np.testing.assert_allclose(avg, [[0.0, 2.0], [2.0, 0.0]], atol=1e-14)
+    # Atilde = A = [[0, 2], [2, 0]] at every state, so D+ + D- = A (qR - qL).
+    ql, qr = np.array([0.3, -0.1]), np.array([1.2, 0.8])
+    dplus, dminus = _constant_trace_fluctuations(linear_system(lam=2.0), ql, qr, 2.0, 0.01, 0.1)
+    np.testing.assert_allclose(dplus + dminus, [2.0 * 0.9, 2.0 * 0.9], rtol=0, atol=1e-14)
 
 
 def test_path_average_linear_entry():
-    # A(q)[0, 1] = u for the non-conservative model; along the segment the
-    # three-point rule integrates the linear entry exactly: (uL + uR) / 2.
-    system = noncons_system()
-    ql = np.array([0.7, 1.0])
-    qr = np.array([1.9, 1.0])
-    avg = path_average_matrix(system, ql, qr)
-    assert avg[0, 1] == pytest.approx(0.5 * (0.7 + 1.9), abs=1e-14)
+    # A(q)[0, 1] = u for the non-conservative model (here with lam = 0, so
+    # A = [[0, u], [1, 0]]); along the segment the three-point rule
+    # integrates the linear entry exactly: Atilde[0, 1] = (uL + uR) / 2, which
+    # the first component of D+ + D- reads off a unit jump in v.
+    ql, qr = np.array([0.7, 1.0]), np.array([1.9, 2.0])
+    dplus, dminus = _constant_trace_fluctuations(noncons_system(lam=0.0), ql, qr, 2.0, 0.01, 0.1)
+    assert (dplus + dminus)[0] == pytest.approx(0.5 * (0.7 + 1.9), abs=1e-14)
+    assert (dplus + dminus)[1] == pytest.approx(1.9 - 0.7, abs=1e-14)
 
 
 def test_split_reassembles_path_average():
+    # D+ + D- = Atilde (qR - qL) for any alpha: the dissipation cancels.
     rng = np.random.default_rng(1)
     dt, dx = 0.01, 0.1
+    system = noncons_system()
     for _ in range(50):
-        atilde = rng.standard_normal((3, 3))
+        ql, qr = rng.uniform(0.5, 1.5, (2, 2))
         alpha = rng.uniform(0.5, 3.0)
-        ap, am = force_alpha_split(atilde, alpha, dt, dx)
-        np.testing.assert_allclose(ap + am, atilde, atol=1e-13)
+        dplus, dminus = _constant_trace_fluctuations(system, ql, qr, alpha, dt, dx)
+        want = _formed_path_average(system, ql, qr) @ (qr - ql)
+        np.testing.assert_allclose(dplus + dminus, want, rtol=0, atol=1e-13)
 
 
 def test_split_upwind_limit_scalar():
     # alpha dt / dx = 1 / lam makes the scheme exactly upwind for scalar
-    # advection: the left-going part vanishes.
-    lam, dt, dx = 2.0, 0.05, 0.2
-    alpha = dx / (lam * dt)
-    ap, am = force_alpha_split(np.array([[lam]]), alpha, dt, dx)
-    assert am[0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert ap[0, 0] == pytest.approx(lam, abs=1e-14)
+    # advection: the left-going part vanishes, on the constant-coefficient
+    # route (lam = 2) and on the path-average one (LeVeque-Yee, lam = 1).
+    dt, dx = 0.05, 0.2
+    for system, lam in [(scalar_advection_reaction(lam=2.0, beta=0.0), 2.0), (leveque_yee(), 1.0)]:
+        alpha = dx / (lam * dt)
+        dplus, dminus = _constant_trace_fluctuations(system, [0.2], [0.9], alpha, dt, dx)
+        assert dminus[0] == pytest.approx(0.0, abs=1e-14)
+        assert dplus[0] == pytest.approx(lam * 0.7, abs=1e-14)
 
 
-def test_split_validates_arguments():
-    with pytest.raises(ValueError):
-        force_alpha_split(np.eye(2), 0.0, 0.01, 0.1)
-    with pytest.raises(ValueError):
-        force_alpha_split(np.eye(2), 1.0, -0.01, 0.1)
+def test_path_rule_default_is_three_point():
+    # Euler's A is not polynomial along the segment, so the path rule shows in
+    # the dissipation D+ - D- = 2 mu (Atilde^2 + lam^2 I) dq: it is the
+    # three-point Gauss average's, and not the two- or four-point one's.
+    system = euler_ideal_gas()
+    ql, qr = np.array([1.0, 0.5, 2.0]), np.array([0.4, -0.3, 0.9])
+    alpha, dt, dx = 2.0, 0.004, 0.05
+    dplus, dminus = _constant_trace_fluctuations(system, ql, qr, alpha, dt, dx)
+    mu, lam = alpha * dt / (4 * dx), dx / (alpha * dt)
+
+    def dissipation(points):
+        atilde = _formed_path_average(system, ql, qr, points)
+        return 2 * mu * (atilde @ atilde + lam**2 * np.eye(3)) @ (qr - ql)
+
+    scale = np.abs(dissipation(3)).max()
+    np.testing.assert_allclose(dplus - dminus, dissipation(3), rtol=0, atol=1e-13 * scale)
+    for points in (2, 4):
+        assert np.abs(dplus - dminus - dissipation(points)).max() > 1e-6 * scale
 
 
 def test_fluctuation_consistency_random_pairs():
@@ -83,21 +112,22 @@ def test_fluctuation_consistency_random_pairs_path_average():
 
 @pytest.mark.parametrize("make, base", [(linear_system, [1.0, 0.5]), (scalar_advection_reaction, [1.0])])
 def test_fluctuation_consistency_random_pairs_constant_coefficients(make, base):
-    # A constant-coefficient law splits its A once and applies A+- to the
-    # trace-rule average of the jumps: the per-node formed split agrees.
+    # A constant-coefficient law applies its cached A twice to the trace-rule
+    # average of the jumps: the per-node formed path average agrees.
     _check_fluctuation_consistency(make(), base)
 
 
 def _check_fluctuation_consistency(system, base):
     # D+ - D- is the splitting's dissipation, 2 sum_j w_j mu (Atilde_j^2 +
-    # lam^2 I) dq_j, for every law, checked against the split formed at each
-    # trace time. D+ + D- is the time-integrated jump, as the +- dissipation
-    # parts cancel: the flux jump for a law taken in flux form (Euler), the
-    # path average times qR - qL otherwise.
+    # lam^2 I) dq_j, for every law, checked against the path average formed
+    # at each trace time. D+ + D- is the time-integrated jump, as the +-
+    # dissipation parts cancel: the flux jump for a law taken in flux form
+    # (Euler), the path average times qR - qL otherwise.
     rules = space_time_rules(3)
     weights = rules.trace_rule.weights
     rng = np.random.default_rng(42)
     dt, dx, alpha = 0.004, 0.05, 2.0
+    mu, lam = alpha * dt / (4 * dx), dx / (alpha * dt)
     base = np.array(base)
     n_nodes = rules.trace_rule.n
     for _ in range(1000):
@@ -108,14 +138,12 @@ def _check_fluctuation_consistency(system, base):
         )
         total, diss = np.zeros(system.m), np.zeros(system.m)
         for j in range(n_nodes):
-            aplus, aminus = force_alpha_split(
-                path_average_matrix(system, ql[j], qr[j]), alpha, dt, dx
-            )
-            diss += weights[j] * ((aplus - aminus) @ (qr[j] - ql[j]))
+            atilde, dq = _formed_path_average(system, ql[j], qr[j]), qr[j] - ql[j]
+            diss += weights[j] * 2 * mu * ((atilde @ atilde + lam**2 * np.eye(system.m)) @ dq)
             if system.flux_form:
                 jump = np.subtract(system.flux_terms(qr[j]), system.flux_terms(ql[j]))
             else:
-                jump = (aplus + aminus) @ (qr[j] - ql[j])
+                jump = atilde @ dq
             total += weights[j] * jump
         # D+ and D- each carry the dissipation, so their sum rounds at its scale.
         atol = 1e-13 * (1.0 + np.abs(diss).max())
@@ -126,8 +154,8 @@ def _check_fluctuation_consistency(system, base):
 @pytest.mark.parametrize("make", [euler_ideal_gas, linear_system, noncons_system])
 @pytest.mark.parametrize("alpha, dt", [(0.0, 0.01), (-1.0, 0.01), (2.0, 0.0), (2.0, -0.01)])
 def test_fluctuations_validate_arguments(make, alpha, dt):
-    # Each route (flux form, constant coefficients, path average) rejects a
-    # splitting without dissipation scale.
+    # Each route (constant coefficients, path average with the centred half
+    # in flux form or not) rejects a splitting without dissipation scale.
     system = make()
     rules = space_time_rules(3)
     q = np.ones((4, rules.trace_rule.n, system.m))
@@ -176,7 +204,6 @@ def _table_from_function(fn, order, dx):
         trace_left=trace_left,
         trace_right=trace_right,
         dx=dx,
-        iterations=1,
     )
 
 
@@ -220,16 +247,6 @@ def test_noncons_average_constant_matrix():
     # d/dx in physical units: (0.7 + 0.2 x t)/dx averaged over the square
     exact = lam * (0.7 + 0.2 * 0.5 * 0.5) / dx
     assert got[0, 0] == pytest.approx(exact, rel=1e-12)
-
-
-def test_path_rule_default_is_three_point():
-    rule = gauss_legendre(3)
-    system = noncons_system()
-    ql = np.array([0.5, 1.0])
-    qr = np.array([1.5, 1.0])
-    a_default = path_average_matrix(system, ql, qr)
-    a_explicit = path_average_matrix(system, ql, qr, rule=rule)
-    np.testing.assert_allclose(a_default, a_explicit, atol=1e-15)
 
 
 def _first_step_tables(system, order, monkeypatch):
@@ -295,20 +312,25 @@ def test_flux_form_volume_term_is_the_trace_flux_jump(order, monkeypatch):
     np.testing.assert_array_equal(source_average(system, table, rules), 0.0)
 
 
-@pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system])
+@pytest.mark.parametrize("make", [euler_ideal_gas, noncons_system, leveque_yee])
 @pytest.mark.parametrize("refresh", [False, True])
 def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypatch):
-    # The derivative chain and the volume term only apply A(Q) to vectors
-    # (``matrix_product``), or take Euler's flux at the traces, and so do
-    # Euler's interface fluctuations; A is formed only for the CFL speed and
-    # for the path average of a law taken neither in flux form nor with
-    # constant coefficients. Failing node jets make every point take the
-    # total derivative on its first sweep, so the chain also runs under the
-    # complex step.
+    # The derivative chain, the volume term and the interface fluctuations
+    # only apply A(Q) to vectors (``matrix_product``), or take Euler's flux at
+    # the traces: for a law without constant coefficients, A is formed only
+    # for the CFL speed. Failing node jets make every point take the total
+    # derivative on its first sweep, so the chain also runs under the
+    # complex step. LeVeque-Yee runs at order 3, the others at order 5.
     system = make()
-    args, table = _first_step_tables(system, 5, monkeypatch)
-    rules = space_time_rules(5)
+    order = 3 if make is leveque_yee else 5
+    args, table = _first_step_tables(system, order, monkeypatch)
+    rules = space_time_rules(order)
     want = noncons_average(system, table, rules)
+    interface = (
+        system, table.trace_right[:-1], table.trace_left[1:],
+        rules.trace_rule.weights, args[4].alpha, args[2], args[3],
+    )
+    want_fl = interface_fluctuations(*interface)
     refreshed = []
     if refresh:
         exact_jet, exact_total = ckjet.ck_state_jacobian, predictor.residual_and_jacobian
@@ -331,8 +353,6 @@ def test_predictor_and_volume_term_never_form_the_matrix(make, refresh, monkeypa
     for name in ("values", "trace_left", "trace_right"):
         np.testing.assert_allclose(getattr(again, name), getattr(table, name), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(noncons_average(system, table, rules), want)
-    if system.flux_form:
-        interface_fluctuations(
-            system, table.trace_right[:-1], table.trace_left[1:],
-            rules.trace_rule.weights, args[4].alpha, args[2], args[3],
-        )
+    fl = interface_fluctuations(*interface)
+    np.testing.assert_array_equal(fl.dplus, want_fl.dplus)
+    np.testing.assert_array_equal(fl.dminus, want_fl.dminus)

@@ -114,7 +114,7 @@ def _step_windows(monkeypatch, n, order, boundary):
 
     monkeypatch.setattr(solver, "reconstruct_batch", capture)
     values = np.arange(1.0, 2 * n + 1).reshape(n, 2) ** 1.5
-    fld = CellField.from_cell_averages(Grid(0.0, 1.0, n), values)
+    fld = CellField(Grid(0.0, 1.0, n), values)
     with pytest.raises(_Windows) as caught:
         solver.step(linear_system(), fld, RunConfig(order=order, boundary=boundary), 1e-3)
     return values, caught.value.args[0]
@@ -145,7 +145,7 @@ def test_error_norms_constructed_defect():
     g = Grid(0.0, 1.0, 10)
     exact = lambda x, t: np.zeros(x.shape + (1,))
     delta = np.linspace(-0.3, 0.5, 10)[:, None]
-    fld = CellField.from_cell_averages(g, delta)
+    fld = CellField(g, delta)
     linf, l1, l2 = error_norms(fld, exact, t=0.0)
     assert linf[0] == pytest.approx(np.max(np.abs(delta)))
     assert l1[0] == pytest.approx(np.sum(np.abs(delta)) * g.dx)

@@ -42,10 +42,10 @@ def _poly_derivatives(coeffs, xi, dx, n):
 
 def _solve_point(system, w, tau):
     """Derivative stack (M+1, m) and sweep count of one predictor point."""
-    (stacks,), sweeps = solve_predictor_points(
+    (stacks,), sizes = solve_predictor_points(
         system, [(np.asarray(w, dtype=float)[None, None], np.array([float(tau)]))]
     )
-    return stacks[0, 0, 0], sweeps
+    return stacks[0, 0, 0], len(sizes)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -652,8 +652,8 @@ def test_flux_form_tables_solve_only_the_traces(order):
         (predictor._node_derivatives(coeffs, rules.basis_interior, dx), rules.tau_rule.nodes * dt),
         (predictor._node_derivatives(coeffs, rules.basis_trace, dx), rules.trace_rule.nodes * dt),
     ]
-    (values, traces), sweeps = solve_predictor_points(system, blocks)
-    assert values.shape[2] == rules.xi_rule.n and table.iterations == sweeps >= 1
+    (values, traces), sizes = solve_predictor_points(system, blocks)
+    assert values.shape[2] == rules.xi_rule.n and table.iterations == len(sizes) >= 1
     for end, got in enumerate((table.trace_left, table.trace_right)):
         np.testing.assert_allclose(got, traces[:, :, end, 0], rtol=0, atol=1e-14)
 
@@ -676,7 +676,7 @@ def test_constant_coefficient_tables_match_newton(make, order):
         (predictor._node_derivatives(coeffs, rules.basis_interior, dx), rules.tau_rule.nodes * dt),
         (predictor._node_derivatives(coeffs, rules.basis_trace, dx), rules.trace_rule.nodes * dt),
     ]
-    (values, traces), sweeps = solve_predictor_points(system, blocks)
+    (values, traces), sizes = solve_predictor_points(system, blocks)
     values = values[..., 0, :]
     ref = {"values": values, "trace_left": traces[:, :, 0, 0], "trace_right": traces[:, :, 1, 0]}
     for name, want in ref.items():
@@ -685,7 +685,7 @@ def test_constant_coefficient_tables_match_newton(make, order):
         dx * got.x_derivative, rules.diff_matrix @ values, rtol=0, atol=1e-13
     )
     # The operators are solved for directly: no Newton sweep.
-    assert got.iterations == 0 and sweeps >= 1
+    assert got.iterations == 0 and got.batch_sizes == () and len(sizes) >= 1
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])
@@ -886,7 +886,7 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
     # One block per node, each at its own times.
     taus = [[1e-3], [1e-3, 2e-3, 5e-4], [2e-3, 1e-3], [5e-4]]
     blocks = [(w[None, None], np.array(t)) for w, t in zip(w_nodes, taus)]
-    ref, ref_sweeps = solve_predictor_points(system, blocks)
+    ref, ref_sizes = solve_predictor_points(system, blocks)
 
     exact_jet = ckjet.ck_state_jacobian
 
@@ -907,11 +907,11 @@ def test_points_of_a_failed_node_jet_start_from_data(monkeypatch):
 
     monkeypatch.setattr(ckjet, "ck_state_jacobian", failing_jet)
     monkeypatch.setattr(predictor, "residual_and_jacobian", recorded)
-    got, sweeps = solve_predictor_points(system, blocks)
+    got, sizes = solve_predictor_points(system, blocks)
     np.testing.assert_array_equal(fresh[0], [[0.75]] * 3)
     for got_b, ref_b in zip(got, ref):
         np.testing.assert_allclose(got_b, ref_b, rtol=0, atol=1e-12)
-    assert (ref_sweeps, sweeps) == (4, 6)
+    assert (len(ref_sizes), len(sizes)) == (4, 6)
 
 
 @pytest.mark.parametrize("taus, cap", [([0.01], 20), ([0.01, 0.02, 0.03, 0.05], 60)])
@@ -925,9 +925,9 @@ def test_newton_guards_converge_a_front_state(taus, cap, monkeypatch):
     w = np.array([[[0.75], [0.1], [0.0]]])
     tau = np.array(taus)
     monkeypatch.setattr(predictor, "_SWEEP_LIMIT", cap)
-    (stacks,), sweeps = solve_predictor_points(system, [(w[None], tau)])
+    (stacks,), sizes = solve_predictor_points(system, [(w[None], tau)])
     stacks = stacks[0, :, 0]  # the node's points, along the time axis
-    assert sweeps <= cap
+    assert len(sizes) <= cap
     assert stacks[0, 0, 0] == pytest.approx(0.98492774, abs=1e-8)
     roots = {0.01: 0.984928, 0.02: 0.995727, 0.03: 0.997998, 0.05: 0.999242}
     np.testing.assert_allclose(stacks[:, 0, 0], [roots[t] for t in taus], rtol=0, atol=1e-6)
@@ -943,7 +943,7 @@ def test_failed_jet_at_a_trial_state_halves_the_step(monkeypatch):
     # failed, the point would have started again from w_0, on another path.
     system = leveque_yee()
     blocks = [(np.array([[[[0.75], [0.1], [0.0]]]]), np.array([0.01]))]
-    (ref,), ref_sweeps = solve_predictor_points(system, blocks)
+    (ref,), ref_sizes = solve_predictor_points(system, blocks)
     exact_jet = ckjet.ck_time_derivatives
     failed = []
 
@@ -954,10 +954,10 @@ def test_failed_jet_at_a_trial_state_halves_the_step(monkeypatch):
         return exact_jet(sys_, (np.where(beyond, np.inf, d0), rest), order)
 
     monkeypatch.setattr(ckjet, "ck_time_derivatives", jet)
-    (got,), sweeps = solve_predictor_points(system, blocks)
+    (got,), sizes = solve_predictor_points(system, blocks)
     assert failed and min(failed) > 17.0
     np.testing.assert_array_equal(got, ref)
-    assert sweeps == ref_sweeps == 12
+    assert len(sizes) == len(ref_sizes) == 12
 
 
 def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
@@ -983,7 +983,7 @@ def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
 
     for name in ("predictor_residual", "residual_and_jacobian"):
         monkeypatch.setattr(predictor, name, watched(getattr(predictor, name)))
-    (stacks,), sweeps = solve_predictor_points(system, blocks)
+    (stacks,), _ = solve_predictor_points(system, blocks)
     assert np.all(np.concatenate(seen) < 0.9)
     (ref,), _ = solve_predictor_points(leveque_yee(), blocks)
     np.testing.assert_allclose(stacks, ref, rtol=0, atol=1e-12)

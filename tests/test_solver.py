@@ -112,7 +112,7 @@ def test_first_order_upwind_hand_calculation():
     system = scalar_advection_reaction(lam=1.0, beta=0.0)
     g = Grid(0.0, 1.0, 4)
     cfg = RunConfig(order=1, alpha=2.0)
-    fld = CellField.from_cell_averages(g, np.array([1.0, 2.0, 3.0, 4.0])[:, None])
+    fld = CellField(g, np.array([1.0, 2.0, 3.0, 4.0])[:, None])
     step(system, fld, cfg, dt=0.125)
     np.testing.assert_allclose(fld.interior[:, 0], [2.5, 1.5, 2.5, 3.5], atol=1e-14)
 
@@ -130,7 +130,7 @@ def test_equilibrium_is_preserved(factory, state):
     system = factory()
     g = Grid(0.0, 1.0, 12)
     cfg = RunConfig(order=4, alpha=2.0)
-    fld = CellField.from_cell_averages(g, np.tile(state, (12, 1)))
+    fld = CellField(g, np.tile(state, (12, 1)))
     step(system, fld, cfg, dt=2e-3)
     np.testing.assert_allclose(fld.interior, np.tile(state, (12, 1)), atol=1e-13)
 
@@ -350,7 +350,8 @@ def test_stiff_reference_run_takes_one_jet_per_sweep(monkeypatch):
     # its batch's residuals in the refreshed points' complex-step jet. No
     # descent check fires in this run, so there is no other jet. The
     # derivative chains and the law-derivative evaluations are counted too,
-    # so a change that adds either shows here.
+    # so a change that adds either shows here. Each step's interfaces take
+    # two of the latter, the path average applied twice without forming it.
     jets, sweeps, chains, derivatives = [], [], [], []
     exact_jet, exact_sweep = ckjet.ck_time_derivatives, predictor._sweep
     exact_chain, exact_derivative = predictor.solve_derivative_chain, systems._terms_product
@@ -366,7 +367,7 @@ def test_stiff_reference_run_takes_one_jet_per_sweep(monkeypatch):
     rep = run(make(), Grid(0.0, 1.0, n_cells), cfg)
     assert (rep.n_steps, len(sweeps)) == (300, 1221)
     assert len(jets) == rep.n_steps + len(sweeps) == 1521
-    assert (len(chains), len(derivatives)) == (1819, 4538)
+    assert (len(chains), len(derivatives)) == (1819, 4838)
 
 
 def test_stiff_reference_run_reports_its_newton_batch_sizes(monkeypatch):

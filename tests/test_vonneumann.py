@@ -303,7 +303,7 @@ def _solver_step_mismatch(order, c, r, alpha, reconstruction, monkeypatch):
     for k in modes:
         theta = 2.0 * np.pi * k / n
         q0 = background + size * np.cos(theta * np.arange(n))
-        fld = CellField.from_cell_averages(Grid(0.0, 1.0, n), q0[:, None])
+        fld = CellField(Grid(0.0, 1.0, n), q0[:, None])
         solver.step(system, fld, config, dt)
         ratio = np.fft.fft(fld.interior[:, 0])[k] / np.fft.fft(q0)[k]
         mismatch = max(mismatch, abs(ratio - amplitude(np.array([theta]), c, r, query)[0]))
