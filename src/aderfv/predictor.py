@@ -14,21 +14,23 @@ factored once per chain), so the system reduces to the state equation
 H(D_0, R(D_0)) = 0 in D_0 alone. Each outer sweep solves the chain at the
 current D_0 and takes one Newton step on the reduced equation.
 
-The points of a step are a product of each cell's spatial nodes and the
+At tau = 0 the state equation reads D = w: the traces there, at the first
+trace-rule time (0.0 at every Lobatto size), are the reconstructed end
+states, checked admissible and taken as they are on either route below. The
+other points of a step are a product of each cell's spatial nodes and the
 step's quadrature times. They come in node blocks, the interior nodes at the
-tau-rule times and the two trace ends at the trace-rule times, and a block's
-points are laid out (cells, T, nodes) as the tables are. The update of a
-flux law without a source reads the traces alone (``force_flux``), so its
-interior block has no nodes, on either route below. Where each point sits
-(its cell, node and time, and which points are at tau = 0) is a plan kept
-per block shape, so a step of a run only gathers by it. The points at
-tau > 0 form one Newton batch of the points still iterating, one packed
-record of 8-byte words per point (its tau, stored factors, time index, node
-and layout index) beside their iterates: after a sweep the converged points
-write their stacks into the layout and leave the batch by one take of the
-record. A sweep acts on each point alone, so cells solved apart differ from
-one batch only through the BLAS product that takes them to their nodes, in
-the last bit.
+tau-rule times and the two trace ends at the trace-rule times after 0, and a
+block's points are laid out (cells, T, nodes) as the tables are. The update
+of a flux law without a source reads the traces alone (``force_flux``), so
+its interior block has no nodes, on either route below. Where each point
+sits (its cell, node and time) is a plan kept per block shape, so a step of
+a run only gathers by it. The points form one Newton batch of the points
+still iterating, one packed record of 8-byte words per point (its tau,
+stored factors, time index, node and layout index) beside their iterates:
+after a sweep the converged points write their D_0 into the layout and leave
+the batch by one take of the record. A sweep acts on each point alone, so
+cells solved apart differ from one batch only through the BLAS product that
+takes them to their nodes, in the last bit.
 
 The points of one spatial node share its reconstruction stack w, so one
 complex-step CK jet at w, taken in one call over the nodes of every block,
@@ -473,19 +475,14 @@ class _PointPlan:
     time: np.ndarray    # its time among the blocks' times
     row: np.ndarray     # its (time, node) pair among each block's pairs (T, nodes), in turn
     spans: tuple        # each block's slices of the times and of the nodes
-    still: np.ndarray   # the points at tau = 0
-    moving: np.ndarray  # the others
-    kept: np.ndarray    # the times other than 0
-    inner: "_PointPlan | None"  # the plan of the blocks at those times, if any time is 0
 
 
 @lru_cache(maxsize=16)
-def _point_plan(shapes: tuple, zero: bytes) -> _PointPlan:
-    """The plan of node blocks of (cells, nodes, T) ``shapes``, whose times,
-    counted in turn, are 0 where the bools in ``zero`` hold.
+def _point_plan(shapes: tuple) -> _PointPlan:
+    """The plan of node blocks of (cells, nodes, T) ``shapes``.
 
-    A step's blocks have the same shape and the same zero times at every
-    step of a run, so the plan is kept for them, as ``_step_operators`` are.
+    A step's blocks have the same shapes at every step of a run, so the plan
+    is kept for them, as ``_step_operators`` are.
     """
     parts, spans, nodes, times, rows = [], [], 0, 0, 0
     for cells, n, t in shapes:
@@ -493,35 +490,27 @@ def _point_plan(shapes: tuple, zero: bytes) -> _PointPlan:
         parts.append(np.broadcast_arrays(c, nodes + c * n + j, times + s, rows + (s * cells + c) * n + j))
         spans.append((slice(times, times + t), slice(nodes, nodes + cells * n)))
         nodes, times, rows = nodes + cells * n, times + t, rows + t * cells * n
-    cell, node, time, row = [np.concatenate([p[i].ravel() for p in parts]) for i in range(4)]
-    zero = np.frombuffer(zero, dtype=bool)
-    inner = None
-    if zero.any():
-        kept = [int(np.count_nonzero(~zero[t])) for t, _ in spans]
-        inner = _point_plan(tuple([shape[:2] + (k,) for shape, k in zip(shapes, kept)]), bytes(sum(kept)))
-    arrays = cell, node, time, row, zero[time].nonzero()[0], (~zero[time]).nonzero()[0], (~zero).nonzero()[0]
+    arrays = [np.concatenate([p[i].ravel() for p in parts]) for i in range(4)]
     for a in arrays:
         a.flags.writeable = False
-    return _PointPlan(*arrays[:4], tuple(spans), *arrays[4:], inner)
+    return _PointPlan(*arrays, tuple(spans))
 
 
 def _explicit_start(
-    system: SystemDescriptor, blocks: list, rows: np.ndarray | None = None
+    system: SystemDescriptor, w_nodes: np.ndarray, plan: _PointPlan, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit-Taylor starts and first-sweep chords of the points of node blocks.
 
-    One jet over the node stacks w of every block (``ckjet.ck_state_jacobian``)
-    gives G_k(w) and dG_k/dD_0(w), k = 1..M; a point at tau gets the start
+    ``w_nodes``, (nodes, M+1, m), holds the stacks of the blocks' nodes in
+    turn, ``plan`` is the blocks' ``_point_plan`` and ``rows`` holds the
+    Taylor rows (-tau)^k / k! of their times in turn, (T, M). One jet over
+    the node stacks (``ckjet.ck_state_jacobian``) gives G_k(w) and
+    dG_k/dD_0(w), k = 1..M; a point at tau gets the start
     w_0 + sum_k tau^k / k! G_k and the chord I + sum_k (-tau)^k / k! dG_k.
-    ``rows`` may hold the Taylor rows (-tau)^k / k! of the blocks' times in
-    turn, (T, M). Returns the starts (B, m), the chords (B, m, m) and whether
-    each point's node has a finite jet, points as in ``solve_predictor_points``.
+    Returns the starts (B, m), the chords (B, m, m) and whether each point's
+    node has a finite jet, points as in ``solve_predictor_points``.
     """
-    w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
     order, m = w_nodes.shape[1] - 1, w_nodes.shape[2]
-    if rows is None:
-        rows = _taylor_coefficients(np.concatenate([taus for _, taus in blocks]), order)
-    plan = _point_plan(tuple([w.shape[:2] + taus.shape for w, taus in blocks]), bytes(len(rows)))
     g, dg = ckjet.ck_state_jacobian(system, w_nodes)
 
     # k leading, and G_k signed (-1)^k: one product of a block's node terms
@@ -533,7 +522,7 @@ def _explicit_start(
     # A node's jet is finite where all its terms are: one reduction over the
     # leading axis of their (terms, nodes) transpose.
     finite = np.isfinite(terms.reshape(order, len(w_nodes), m * (m + 1))).transpose(0, 2, 1)
-    has_jet = finite.reshape(-1, len(w_nodes)).all(axis=0)
+    has_jet = finite.reshape(order * m * (m + 1), len(w_nodes)).all(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.concatenate([
             np.einsum("tk,k...->t...", rows[t], terms[:, n]).reshape(-1, m, m + 1)
@@ -551,59 +540,41 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
     the reconstruction derivatives at the spatial nodes of every cell, and
     taus, shape (T,), the block's elapsed physical times. Its points are the
     product, laid out (cells, T, nodes) as in a ``PredictorTable``. Returns
-    the derivative stacks of every block, shape (cells, T, nodes, M+1, m),
-    and the tuple of the points entering each Newton sweep, whose length is
-    the largest sweep count of any point. Points at
-    tau = 0 return their (admissible) reconstruction stacks without a sweep;
-    the others start and iterate as the module describes. A PredictorError
-    names the failing points by ``points``, their index when the blocks'
-    points are counted in turn, and by ``cells``, with ``tau`` and ``states``.
+    the states D_0 of every block, shape (cells, T, nodes, m), and the tuple
+    of the points entering each Newton sweep, whose length is the largest
+    sweep count of any point. Every point starts and iterates as the module
+    describes; one at tau = 0 has zero Taylor rows, so it starts at w_0 with
+    the chord I, takes a zero step and converges on its first sweep. A
+    PredictorError names the failing points by ``points``, their index when
+    the blocks' points are counted in turn, and by ``cells``, with ``tau``
+    and ``states``.
     """
     blocks = [(np.asarray(w, dtype=float), np.asarray(taus, dtype=float)) for w, taus in blocks]
-    times = np.concatenate([taus for _, taus in blocks])
-    plan = _point_plan(tuple([w.shape[:2] + taus.shape for w, taus in blocks]), (times == 0.0).tobytes())
+    plan = _point_plan(tuple([w.shape[:2] + taus.shape for w, taus in blocks]))
     w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
+    times = np.concatenate([taus for _, taus in blocks])
     nderiv, m = w_nodes.shape[1:]
-    # Each point's stack: its node's data, until the point converges.
-    stacks = w_nodes.take(plan.node, axis=0)
-
-    def named(exc, points):
-        # A failure raised under indices into ``points`` of the layout.
-        points = points[exc.details["points"]]
-        exc.details.update(points=points, cells=plan.cell[points])
-        return exc
-
-    # At tau = 0 the state equation reads D = w exactly: those points keep
-    # their reconstruction stacks and stay out of the Newton batch.
-    still = plan.still
-    bad = ~system.admissible(stacks[still, 0])
-    if bad.any():
-        message = "inadmissible reconstructed state at tau = 0"
-        raise named(_point_error(message, bad, times[plan.time[still]], stacks[still, 0]), still)
-    if not plan.moving.size:
-        return _point_views(blocks, stacks), ()
+    out = np.empty((len(plan.node), m))
 
     # The batch of the points still iterating is one record of 8-byte words,
-    # (rows, points), with their iterates and refresh flags beside it: at
-    # first the points of the blocks at their times other than 0. Its rows
-    # hold tau and the stored LU factors, then, read as integers, the
+    # (rows, points), with their iterates and refresh flags beside it. Its
+    # rows hold tau and the stored LU factors, then, read as integers, the
     # pivots, time index, node and index in the layout. The Taylor rows are
     # taken once, at the step's times.
     TAU, LU, PIV, TIME = 0, slice(1, 1 + m * m), slice(1 + m * m, m * m + m), m * m + m
-    NODE, POINT, inner = TIME + 1, TIME + 2, plan.inner or plan
-    times = times.take(plan.kept)
+    NODE, POINT = TIME + 1, TIME + 2
     taylor = _taylor_coefficients(times, nderiv - 1)
-    moving = [(w, times[t]) for (w, _), (t, _) in zip(blocks, inner.spans)]
-    start, chord, has_jet = _explicit_start(system, moving, taylor)
+    start, chord, has_jet = _explicit_start(system, w_nodes, plan, taylor)
     batch = np.empty((POINT + 1, len(start)))
     ints = batch.view(np.int64)
-    batch[TAU], ints[TIME], ints[NODE], ints[POINT] = times.take(inner.time), inner.time, inner.node, plan.moving
+    batch[TAU], ints[TIME], ints[NODE] = times.take(plan.time), plan.time, plan.node
+    ints[POINT] = np.arange(len(start))
     # Each point's stored Jacobian is the chord until a refresh; the points
     # that start from the explicit Taylor value rather than from w_0 (until
     # the first sweep succeeds), and those that refresh on their next sweep.
     lu, ints[PIV] = _lu_factor(chord)
     batch[LU] = lu.reshape(m * m, -1)
-    explicit, w0 = has_jet & np.isfinite(_point_norm(start)), w_nodes[:, 0].take(inner.node, axis=0)
+    explicit, w0 = has_jet & np.isfinite(_point_norm(start)), w_nodes[:, 0].take(plan.node, axis=0)
     explicit &= system.admissible(np.where(explicit[:, None], start, w0))
     d0 = np.where(explicit[:, None], start, w0)
     refresh, sizes = ~has_jet, []
@@ -615,13 +586,15 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
             if sweeps > _SWEEP_LIMIT:
                 bad = np.ones(n, dtype=bool)
                 raise _point_error("predictor fixed point did not converge", bad, tau, d0)
-            d0_new, rest, step = _sweep(
+            d0_new, step = _sweep(
                 system, d0, w[:, 0], w[:, 1:], tau, taylor.take(ints[TIME], axis=0),
                 (batch[LU].reshape(m, m, n), ints[PIV]), refresh,
             )
         except PredictorError as exc:
             failed = exc.details["points"]
-            named(exc, ints[POINT])
+            # Name the failure by the points' places in the layout.
+            points = ints[POINT][failed]
+            exc.details.update(points=points, cells=plan.cell[points])
             # The first sweep of an explicit start can fail where w_0 would
             # not: those points start again from w_0, and as the failed sweep
             # recorded no batch size, the retry is sweep 1 again.
@@ -636,17 +609,16 @@ def solve_predictor_points(system: SystemDescriptor, blocks) -> tuple[list[np.nd
         # A step that large means the point was outside the quadratic range
         # of its Jacobian, which then no longer serves as a chord.
         refresh = step > math.sqrt(_NEWTON_TOL) * scale
-        # Converged points write their stacks into the layout, and leave the
+        # Converged points write their D_0 into the layout, and leave the
         # batch by one take of the record.
         conv = done.nonzero()[0]
-        at = ints[POINT].take(conv)
-        stacks[at, 0], stacks[at, 1:] = d0_new.take(conv, axis=0), rest.take(conv, axis=0)
+        out[ints[POINT].take(conv)] = d0_new.take(conv, axis=0)
         sizes.append(n)
         keep = (~done).nonzero()[0]
         batch, d0, refresh = batch.take(keep, axis=1), d0_new.take(keep, axis=0), refresh.take(keep)
         ints = batch.view(np.int64)
 
-    return _point_views(blocks, stacks), tuple(sizes)
+    return _point_views(blocks, out), tuple(sizes)
 
 
 def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
@@ -658,9 +630,9 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
     with the factors stored there. The sweep takes one CK jet: with no
     refresh, ``predictor_residual`` over the batch, and otherwise the jet of
     ``residual_and_jacobian``, which carries the batch's real lanes too.
-    ``taylor`` holds the points' rows (-tau)^k / k!. Returns the new states,
-    the chain solutions and each point's step size; a failure raises a
-    PredictorError under the points' indices in the batch.
+    ``taylor`` holds the points' rows (-tau)^k / k!. Returns the new states
+    and each point's step size; a failure raises a PredictorError under the
+    points' indices in the batch.
     """
     rest = solve_derivative_chain(system, d0, w_rest, tau, taylor.shape[-1])
     r = refresh.nonzero()[0]
@@ -727,7 +699,7 @@ def _sweep(system, d0, w0, w_rest, tau, taylor, factors, refresh):
         delta[trial] *= 0.5
         d0_new[trial] = d0[trial] - delta[trial]
 
-    return d0_new, rest, _point_norm(d0_new - d0)
+    return d0_new, _point_norm(d0_new - d0)
 
 
 @lru_cache(maxsize=None)
@@ -786,14 +758,17 @@ def predictor_operators(ck: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _step_operators(system: SystemDescriptor, order: int, taus: tuple) -> np.ndarray:
-    """Read-only ``predictor_operators`` of the law's closed CK table at a
-    step's node times.
+def _step_operators(system: SystemDescriptor, order: int, dt: float) -> np.ndarray:
+    """Read-only ``predictor_operators`` of the law's closed CK table at the
+    node times of a step of size ``dt``: the tau-rule times, then the
+    trace-rule times after 0.
 
     Every step of a run but the last has the same dt, so the operators are
     kept for the steps that repeat it.
     """
-    ops = predictor_operators(system.closed_ck(order - 1), np.array(taus))
+    rules = space_time_rules(order)
+    taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes[1:]]) * dt
+    ops = predictor_operators(system.closed_ck(order - 1), taus)
     ops.flags.writeable = False
     return ops
 
@@ -825,12 +800,22 @@ def build_predictor_tables(
     n_xi = 0 if system.flux_form else rules.xi_rule.n
     w_int = _node_derivatives(coeffs, rules.basis_interior[:, :n_xi], dx)
     w_tr = _node_derivatives(coeffs, rules.basis_trace, dx)
+    # At tau = 0, the first trace-rule time, the state equation reads D = w:
+    # the traces there are the reconstructed end states, and both routes
+    # solve the trace block at the trace-rule times after 0 alone.
+    ends = w_tr[:, :, 0]
+    admissible = system.admissible(ends)
+    if not admissible.all():
+        cells, end = np.nonzero(~admissible)
+        raise PredictorError(
+            "inadmissible reconstructed state at tau = 0",
+            details={"cells": cells, "tau": np.zeros(cells.size), "states": ends[cells, end]},
+        )
     sizes = ()
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node block,
         # the operators at both blocks' times solved together.
-        taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes]) * dt
-        ops = _step_operators(system, config.order, tuple(taus))
+        ops = _step_operators(system, config.order, float(dt))
         split, k = rules.tau_rule.n, ops.shape[-1]
         values, traces = (
             (w.reshape(-1, k) @ p.reshape(-1, k).T).reshape(w.shape[:2] + p.shape[:2]).swapaxes(1, 2)
@@ -838,10 +823,10 @@ def build_predictor_tables(
         )
     else:
         # Node blocks: the interior nodes at the tau-rule times, the trace
-        # ends at the trace-rule times.
-        blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes * dt)]
+        # ends at the trace-rule times after 0.
+        blocks = [(w_int, rules.tau_rule.nodes * dt), (w_tr, rules.trace_rule.nodes[1:] * dt)]
         (values, traces), sizes = solve_predictor_points(system, blocks)
-        values, traces = values[..., 0, :], traces[..., 0, :]
+    traces = np.concatenate([ends[:, None], traces], axis=1)
     x_deriv = rules.diff_matrix[:n_xi, :n_xi] @ values / dx
 
     return PredictorTable(

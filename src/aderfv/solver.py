@@ -66,11 +66,15 @@ class StepError(RuntimeError):
 @dataclass
 class StepReport:
     dt: float
-    predictor_sweeps: int
     wall_seconds: float
     mass_change: np.ndarray | None = None  # set for source-free systems
     # Points entering each of the predictor's Newton sweeps (``PredictorTable``).
     batch_sizes: tuple = ()
+
+    @property
+    def predictor_sweeps(self) -> int:
+        """The predictor's Newton sweeps in this step."""
+        return len(self.batch_sizes)
 
 
 @dataclass
@@ -135,10 +139,13 @@ def step(
 ) -> StepReport:
     """Advance the cell averages in place by one step of size ``dt``.
 
-    A non-finite reconstruction, or an update whose cell averages are not
-    finite or not admissible, raises a ``StepError`` naming those cells and
-    leaves the field unchanged.
+    A ``dt`` that is not finite and positive raises a ValueError before any
+    work. A non-finite reconstruction, or an update whose cell averages are
+    not finite or not admissible, raises a ``StepError`` naming those cells.
+    Either way the field is left unchanged.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     t0 = time.perf_counter()
     n, deg, dx = fld.grid.n_cells, config.degree, fld.grid.dx
     # Window j is the (2M+1)-cell stencil of cell j-1, for j = 0..n+1: the
@@ -190,7 +197,7 @@ def step(
 
     mass = dx * np.sum(new - fld.interior, axis=0) if system.source_free else None
     fld.interior[:] = new
-    return StepReport(dt, tables.iterations, time.perf_counter() - t0, mass, tables.batch_sizes)
+    return StepReport(dt, time.perf_counter() - t0, mass, tables.batch_sizes)
 
 
 def run(system: SystemDescriptor, grid: Grid, config: RunConfig) -> RunReport:

@@ -41,11 +41,19 @@ def _poly_derivatives(coeffs, xi, dx, n):
 
 
 def _solve_point(system, w, tau):
-    """Derivative stack (M+1, m) and sweep count of one predictor point."""
-    (stacks,), sizes = solve_predictor_points(
+    """State D_0 (m,) and sweep count of one predictor point."""
+    (d0,), sizes = solve_predictor_points(
         system, [(np.asarray(w, dtype=float)[None, None], np.array([float(tau)]))]
     )
-    return stacks[0, 0, 0], len(sizes)
+    return d0[0, 0, 0], len(sizes)
+
+
+def _start(system, blocks):
+    """``_explicit_start`` of node blocks (w, taus), as a solve hands it them."""
+    w_nodes = np.concatenate([w.reshape((-1,) + w.shape[2:]) for w, _ in blocks])
+    plan = predictor._point_plan(tuple([w.shape[:2] + np.shape(taus) for w, taus in blocks]))
+    rows = predictor._taylor_coefficients(np.concatenate([taus for _, taus in blocks]), w_nodes.shape[1] - 1)
+    return predictor._explicit_start(system, w_nodes, plan, rows)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -75,11 +83,21 @@ def test_derivative_chain_hand_check():
 
 
 def test_zero_time_offset_returns_data():
+    # At tau = 0 the Taylor rows vanish: the point starts at w_0 with the
+    # chord I, its residual and step are zero, and it converges at once.
     system = scalar_advection_reaction()
     w = np.random.default_rng(0).normal(size=(4, 1))
-    stack, sweeps = _solve_point(system, w, 0.0)
-    np.testing.assert_allclose(stack, w, atol=1e-14)
-    assert sweeps <= 2
+    d0, sweeps = _solve_point(system, w, 0.0)
+    np.testing.assert_array_equal(d0, w[0])
+    assert sweeps == 1
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_blocks_without_points_take_no_sweep(order):
+    # A block without nodes, as a flux-form law's interior block, alone.
+    w = np.zeros((3, 0, order, 1))
+    (d0,), sizes = solve_predictor_points(leveque_yee(), [(w, np.array([0.1, 0.2]))])
+    assert d0.shape == (3, 2, 0, 1) and sizes == ()
 
 
 @pytest.mark.parametrize("order,degree", [(2, 1), (3, 2), (4, 2), (5, 2)])
@@ -97,9 +115,9 @@ def test_advection_of_low_degree_data_is_exact(order, degree):
     tau = 0.02
     for xi in (0.0, 0.31, 1.0):
         w = _poly_derivatives(coeffs, xi, dx, cfg.degree + 1)
-        stack, _ = _solve_point(system, w, tau)
+        d0, _ = _solve_point(system, w, tau)
         expect = _poly_derivatives(coeffs, xi - lam * tau / dx, dx, 1)[0]
-        np.testing.assert_allclose(stack[0], expect, atol=1e-11)
+        np.testing.assert_allclose(d0, expect, atol=1e-11)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -110,9 +128,9 @@ def test_stiff_linear_reaction_closed_form(order):
     system = scalar_advection_reaction(lam=1.0, beta=beta)
     w = np.zeros((order, 1))
     w[0, 0] = w0
-    stack, sweeps = _solve_point(system, w, tau)
+    d0, sweeps = _solve_point(system, w, tau)
     t_poly = sum((-tau * beta) ** k / math.factorial(k) for k in range(order))
-    assert stack[0, 0] == pytest.approx(w0 / t_poly, rel=1e-10)
+    assert d0[0] == pytest.approx(w0 / t_poly, rel=1e-10)
     assert sweeps <= predictor._SWEEP_LIMIT
 
 
@@ -122,7 +140,7 @@ def test_nonlinear_reaction_against_bisection():
     system = leveque_yee(beta=-1000.0)
     tau, w0 = 1e-3, 0.8
     w = np.array([[w0], [0.0]])
-    stack, _ = _solve_point(system, w, tau)
+    d0, _ = _solve_point(system, w, tau)
 
     def f(q):
         return q - w0 - tau * system.source(np.array([q]))[0]
@@ -134,7 +152,7 @@ def test_nonlinear_reaction_against_bisection():
             hi = mid
         else:
             lo = mid
-    assert stack[0, 0] == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+    assert d0[0] == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
 
 def _phi_derivative(y, j):
@@ -166,9 +184,9 @@ def test_point_consistency_order_in_time(order):
     seeds = _linear_exact_seeds(x, order)
     errs = []
     for tau in (0.04, 0.02):
-        stack, _ = _solve_point(system, seeds, tau)
+        d0, _ = _solve_point(system, seeds, tau)
         exact = system.exact_solution(np.array([x]), tau)[0]
-        errs.append(np.max(np.abs(stack[0] - exact)))
+        errs.append(np.max(np.abs(d0 - exact)))
     observed = np.log2(errs[0] / errs[1])
     assert observed >= min(order, 3) - 0.4
 
@@ -203,7 +221,8 @@ def test_newton_failure_names_its_trace_end(monkeypatch):
     # A singular chord at the right trace end of cell 4, at the last trace
     # time: the point's first sweep fails from its explicit start and again
     # from w_0, after the tau = 0 checks have passed. The failure names the
-    # point by its place in the blocks' layout, its cell, tau and state.
+    # point by its place in the blocks' layout, its cell, tau and state; the
+    # trace block holds the trace-rule times after 0.
     system = leveque_yee()
     cfg = RunConfig(order=3)
     dt, dx = 0.01, 0.1
@@ -212,14 +231,16 @@ def test_newton_failure_names_its_trace_end(monkeypatch):
     coeffs[:, 0, 1] = 0.05
     ref = build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
     rules = space_time_rules(cfg.order)
-    n_tr = rules.trace_rule.n
+    n_tr = rules.trace_rule.n - 1
     # The interior block's points, then the trace block's, laid out (cells, T, 2).
     point = 6 * rules.tau_rule.n * rules.xi_rule.n + (4 * n_tr + n_tr - 1) * 2 + 1
     exact = predictor._explicit_start
 
-    def patched(system, blocks, *rows):
-        start, chord, has_jet = exact(system, blocks, *rows)
-        predictor._point_views(blocks, chord)[1][4, -1, 1] = 0.0
+    def patched(system, w_nodes, plan, rows):
+        start, chord, has_jet = exact(system, w_nodes, plan, rows)
+        # The interior block's 6 x 3 nodes come first, then (cells, 2) ends.
+        right_end = 6 * rules.xi_rule.n + 4 * 2 + 1
+        chord[(plan.node == right_end) & (plan.time == len(rows) - 1)] = 0.0
         return start, chord, has_jet
 
     monkeypatch.setattr(predictor, "_explicit_start", patched)
@@ -236,10 +257,10 @@ def test_newton_failure_names_its_trace_end(monkeypatch):
 
 
 def test_iteration_cap_raises(monkeypatch):
-    # One node in each of three cells, at tau = 0 and 0.05. The two cells at
-    # an equilibrium of the source converge on the first sweep and leave the
-    # batch; the cap then names the middle cell's moving point by its place
-    # in the layout (cells, T, nodes).
+    # One node in each of three cells, at tau = 0 and 0.05. The points at
+    # tau = 0 and the two cells at an equilibrium of the source converge on
+    # the first sweep and leave the batch; the cap then names the middle
+    # cell's point at 0.05 by its place in the layout (cells, T, nodes).
     system = leveque_yee(beta=-1e7)
     monkeypatch.setattr(predictor, "_NEWTON_TOL", 1e-16)
     monkeypatch.setattr(predictor, "_SWEEP_LIMIT", 3)
@@ -330,7 +351,7 @@ def test_failing_complex_chain_names_its_points(monkeypatch):
     def chain(sys_, d0, w_rest, tau, order):
         if np.iscomplexobj(d0):
             bad = np.zeros(d0.shape[:-1], dtype=bool)
-            bad[1, 1] = True  # direction 1 of the second active point
+            bad[1, 2] = True  # direction 1 of the third point
             raise predictor._point_error("non-finite derivative chain solution", bad, tau, d0)
         return exact_chain(sys_, d0, w_rest, tau, order)
 
@@ -600,24 +621,28 @@ def test_batch_table_matches_single_cell():
 
 
 def test_table_trace_layout():
-    # One trace row per Lobatto node, and the tau = 0 rows reproduce the
-    # reconstruction endpoints exactly.
-    system = linear_system()
+    # One trace row per Lobatto node, and the tau = 0 rows are the
+    # reconstructed end states, bit for bit, on the closed-form route and on
+    # the Newton route.
     cfg = RunConfig(order=3)
-    rng = np.random.default_rng(4)
-    windows = rng.normal(size=(1, 5, 2))
-    coeffs = weno.reconstruct_batch(windows, cfg.degree)
-    dt, dx = 0.004, 0.1
-    t = build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
     rules = space_time_rules(3)
-    assert t.trace_left.shape == t.trace_right.shape == (1, rules.trace_rule.n, 2)
     assert rules.trace_rule.nodes[0] == 0.0
-    np.testing.assert_allclose(
-        t.trace_left[0, 0], _poly_derivatives(coeffs[0], 0.0, dx, 1)[0], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        t.trace_right[0, 0], _poly_derivatives(coeffs[0], 1.0, dx, 1)[0], atol=1e-12
-    )
+    dt, dx = 0.004, 0.1
+    # The non-conservative law's admissible states have u > 0.
+    for system, centre, spread in ((linear_system(), 0.0, 1.0), (noncons_system(), 1.0, 0.1)):
+        windows = centre + spread * np.random.default_rng(4).normal(size=(1, 5, 2))
+        coeffs = weno.reconstruct_batch(windows, cfg.degree)
+        t = build_predictor_tables(system, coeffs, dt=dt, dx=dx, config=cfg)
+        assert t.trace_left.shape == t.trace_right.shape == (1, rules.trace_rule.n, 2)
+        np.testing.assert_allclose(
+            t.trace_left[0, 0], _poly_derivatives(coeffs[0], 0.0, dx, 1)[0], atol=1e-12
+        )
+        np.testing.assert_allclose(
+            t.trace_right[0, 0], _poly_derivatives(coeffs[0], 1.0, dx, 1)[0], atol=1e-12
+        )
+        ends = predictor._node_derivatives(coeffs, rules.basis_trace, dx)[:, :, 0]
+        np.testing.assert_array_equal(t.trace_left[:, 0], ends[:, 0])
+        np.testing.assert_array_equal(t.trace_right[:, 0], ends[:, 1])
 
 
 def test_equilibrium_table_is_constant():
@@ -655,7 +680,7 @@ def test_flux_form_tables_solve_only_the_traces(order):
     (values, traces), sizes = solve_predictor_points(system, blocks)
     assert values.shape[2] == rules.xi_rule.n and table.iterations == len(sizes) >= 1
     for end, got in enumerate((table.trace_left, table.trace_right)):
-        np.testing.assert_allclose(got, traces[:, :, end, 0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got, traces[:, :, end], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -677,8 +702,7 @@ def test_constant_coefficient_tables_match_newton(make, order):
         (predictor._node_derivatives(coeffs, rules.basis_trace, dx), rules.trace_rule.nodes * dt),
     ]
     (values, traces), sizes = solve_predictor_points(system, blocks)
-    values = values[..., 0, :]
-    ref = {"values": values, "trace_left": traces[:, :, 0, 0], "trace_right": traces[:, :, 1, 0]}
+    ref = {"values": values, "trace_left": traces[:, :, 0], "trace_right": traces[:, :, 1]}
     for name, want in ref.items():
         np.testing.assert_allclose(getattr(got, name), want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(
@@ -711,8 +735,8 @@ def test_predictor_operators_match_newton_probe(make, order):
         system = make(lam=lam, beta=beta)
         ops = predictor_operators(system.closed_ck(order - 1), taus)
         # One cell whose n nodes hold the unit stacks, at every tau.
-        (stacks,), _ = solve_predictor_points(system, [(units[None], taus)])
-        ref = stacks[0, :, :, 0].swapaxes(-1, -2)
+        (d0,), _ = solve_predictor_points(system, [(units[None], taus)])
+        ref = d0[0].swapaxes(-1, -2)
         assert ops.shape == ref.shape == (taus.size, system.m, n)
         np.testing.assert_allclose(ops, ref, rtol=0, atol=1e-13 * np.abs(ops).max())
 
@@ -775,7 +799,7 @@ def test_node_start_and_chord_come_from_one_jet_per_node(make):
         if system.m == 3:
             w_nodes[..., 0, 2] += 5.0  # positive pressure
         blocks.append((w_nodes, np.array(taus)))
-    start, chord, has_jet = predictor._explicit_start(system, blocks)
+    start, chord, has_jet = _start(system, blocks)
     assert has_jet.all()
 
     # Every point by itself, in the blocks' layout (cells, T, nodes).
@@ -824,8 +848,8 @@ def test_refreshing_sweep_matches_the_two_jet_evaluation(make, order, centre, ta
     # the batch's residuals in the refreshed points' complex-step jet; the
     # two-jet evaluation takes them from ``predictor_residual`` over the
     # batch and the refreshed points' from ``residual_and_jacobian`` alone.
-    # Laws that only add and multiply give the same new states, chain
-    # solutions, step sizes and stored factors bit for bit. Euler's quotients
+    # Laws that only add and multiply give the same new states, step sizes
+    # and stored factors bit for bit. Euler's quotients
     # round otherwise in complex lanes, so its residuals can move in the last
     # bit (by up to 1.4e-17 on 500 random points at order 5); the largest
     # difference of its new states is bounded instead, and reads 0 here.
@@ -925,13 +949,14 @@ def test_newton_guards_converge_a_front_state(taus, cap, monkeypatch):
     w = np.array([[[0.75], [0.1], [0.0]]])
     tau = np.array(taus)
     monkeypatch.setattr(predictor, "_SWEEP_LIMIT", cap)
-    (stacks,), sizes = solve_predictor_points(system, [(w[None], tau)])
-    stacks = stacks[0, :, 0]  # the node's points, along the time axis
+    (d0,), sizes = solve_predictor_points(system, [(w[None], tau)])
+    d0 = d0[0, :, 0]  # the node's points, along the time axis
     assert len(sizes) <= cap
-    assert stacks[0, 0, 0] == pytest.approx(0.98492774, abs=1e-8)
+    assert d0[0, 0] == pytest.approx(0.98492774, abs=1e-8)
     roots = {0.01: 0.984928, 0.02: 0.995727, 0.03: 0.997998, 0.05: 0.999242}
-    np.testing.assert_allclose(stacks[:, 0, 0], [roots[t] for t in taus], rtol=0, atol=1e-6)
-    h = predictor.predictor_residual(system, stacks[:, 0], stacks[:, 1:], tau, w[0, 0])
+    np.testing.assert_allclose(d0[:, 0], [roots[t] for t in taus], rtol=0, atol=1e-6)
+    rest = solve_derivative_chain(system, d0, w[0, 1:], tau, 2)
+    h = predictor.predictor_residual(system, d0, rest, tau, w[0, 0])
     assert np.all(np.abs(h) <= 1e-10)
 
 
@@ -967,7 +992,7 @@ def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
     system = dataclasses.replace(leveque_yee(), admissible=lambda q: q[..., 0] < 0.9)
     w = np.array([[[0.75], [0.1], [0.0]]])
     blocks = [(w[None], np.array([0.003]))]
-    start, _, has_jet = predictor._explicit_start(system, blocks)
+    start, _, has_jet = _start(system, blocks)
     assert has_jet.all() and start[0, 0] > 0.9
     seen = []
 
@@ -983,10 +1008,10 @@ def test_inadmissible_explicit_start_starts_from_data(monkeypatch):
 
     for name in ("predictor_residual", "residual_and_jacobian"):
         monkeypatch.setattr(predictor, name, watched(getattr(predictor, name)))
-    (stacks,), _ = solve_predictor_points(system, blocks)
+    (d0,), _ = solve_predictor_points(system, blocks)
     assert np.all(np.concatenate(seen) < 0.9)
     (ref,), _ = solve_predictor_points(leveque_yee(), blocks)
-    np.testing.assert_allclose(stacks, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d0, ref, rtol=0, atol=1e-12)
 
 
 def test_repeated_step_times_reuse_linear_operators(monkeypatch):

@@ -1,6 +1,7 @@
 """Full update loop: time stepping, equilibria, local order, bookkeeping."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,28 @@ def test_compute_dt_rejects_a_non_finite_cell_average():
     fld.interior[7] = np.nan
     with pytest.raises(ValueError, match="cannot pick a time step"):
         compute_dt(system, fld, cfg, t_remaining=0.5)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -1e-3, 0.0])
+@pytest.mark.parametrize("make", [leveque_yee, euler_ideal_gas, linear_system])
+def test_step_rejects_a_step_size_that_is_not_finite_and_positive(make, dt, monkeypatch):
+    # The Newton route with a source, the flux-form Newton route and the
+    # closed-form route: each names dt before any work, and no warning
+    # escapes. The field is left unchanged.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step with a bad dt did work")
+
+    monkeypatch.setattr(solver, "reconstruct_batch", forbidden)
+    monkeypatch.setattr(solver, "build_predictor_tables", forbidden)
+    system = make()
+    cfg = RunConfig(order=3, cfl=0.1, alpha=2.0, boundary="periodic")
+    fld = initial_field(system, Grid(0.0, 1.0, 16), cfg)
+    before = fld.interior.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            step(system, fld, cfg, dt)
+    np.testing.assert_array_equal(fld.interior, before)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
