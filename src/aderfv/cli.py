@@ -249,13 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_failing_points(details: dict) -> None:
     """Step and time of a failed run, the count of failing points or cells,
-    then cell, tau (for predictor points) and state of the first few."""
+    then cell, tau (for predictor points) and state of the first few; the
+    node times alone for a failure that names no cells."""
     if "step" in details:
         print(f"aderfv: at step {details['step']}, t = {details['t']:.6g}", file=sys.stderr)
     cells = details.get("cells")
-    if cells is None:
-        return
     taus = details.get("tau")
+    if cells is None:
+        if taus is not None:
+            listed = ", ".join(f"{tau:.6g}" for tau in taus)
+            print(f"aderfv: failing node time(s) tau = {listed}", file=sys.stderr)
+        return
     what = "predictor point(s)" if taus is not None else "cell(s)"
     print(f"aderfv: {len(cells)} failing {what}", file=sys.stderr)
     for i, cell in enumerate(itertools.islice(cells, _REPORTED_POINTS)):

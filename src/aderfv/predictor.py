@@ -70,7 +70,9 @@ A law with constant coefficients has a predictor that is linear in the
 reconstruction stack, D_0(tau) = P(tau) w. Its tables solve the same system
 for P directly at the step's quadrature times, from the law's closed CK table
 alone and without a Newton sweep, then contract every cell with them in one
-piece; the stability analyzer hands the same operators the model's table.
+piece. A table that is singular at a node time gives NaN operators there,
+and the step fails naming those times. The stability analyzer hands the same
+operators a stack of the model's tables, one per raster point.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ import numpy as np
 
 from . import ckjet, weno
 from .grid import QuadratureRule, RunConfig, gauss_legendre, gauss_lobatto
-from .systems import SystemDescriptor, _identity, complex_step_jacobian
+from .systems import SystemDescriptor, _admit_all, _identity, complex_step_jacobian
 
 __all__ = [
     "PredictorError",
@@ -251,16 +253,18 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _lu_solve(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+def _substitute(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """x with a x = b at every point, for the factors of a (``_lu_factor``).
 
     b, shape (..., m), broadcasts against the factors' batch. Forward and
-    back substitution over the component rows; at m = 1 this is b / a, bit
-    for bit.
+    back substitution over the component rows; at m = 1 the single division
+    b / a, which is what the substitution computes there. A singular or non-finite system divides by zero or overflows:
+    the caller sets ``np.errstate`` (``_lu_solve`` ignores those warnings).
     """
     lu, piv = factors
     m = b.shape[-1]
+    if m == 1:
+        return np.divide(b, lu[0, 0, ..., None])
     y = [b[..., i] for i in range(m)]
     for k, p in enumerate(piv):
         if p.any():
@@ -276,6 +280,9 @@ def _lu_solve(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarr
             y[i] = y[i] - lu[i, j] * x[..., j]
         np.divide(y[i], lu[i, i], out=x[..., i])
     return x
+
+
+_lu_solve = np.errstate(divide="ignore", over="ignore", invalid="ignore")(_substitute)
 
 
 def _zero_pivots(factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -712,49 +719,55 @@ def _unit_blocks(blocks: int, m: int) -> np.ndarray:
 
 
 def predictor_operators(ck: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """D_0(tau) = P(tau) w for a constant-coefficient law, one per tau.
+    """D_0(tau) = P(tau) w for a constant-coefficient law, one per table and tau.
 
-    ``ck`` is the law's closed CK table C, shape (M, M+1, m, m) (see
-    ``linear_ck_matrices``), for reconstruction degree M. P(tau), shape
-    (m, (M+1) m) with w the (M+1, m) stack flattened, solves the linear
-    implicit Taylor system directly. With J = C[0, 0], A = -C[0, 1] and E_j
-    the block-j selector, the chain operators D_j = R_j w are
-    R_M = (I - tau J)^-1 E_M and R_j = (I - tau J)^-1 (E_j - tau A R_{j+1});
+    ``ck`` is the law's closed CK table C, shape (..., M, M+1, m, m) (see
+    ``linear_ck_matrices``), for reconstruction degree M, with any leading
+    axes over a stack of tables (the stability analyzer's raster points).
+    P(tau), shape (m, (M+1) m) with w the (M+1, m) stack flattened, solves
+    the linear implicit Taylor system directly. With J = C[0, 0],
+    A = -C[0, 1] and E_j the block-j selector, the chain operators D_j = R_j w
+    are R_M = (I - tau J)^-1 E_M and R_j = (I - tau J)^-1 (E_j - tau A R_{j+1});
     then
 
       L P = E_0 - sum_k c_k sum_{j>=1} C[k-1, j] R_j,
       L = I + sum_k c_k C[k-1, 0],   c_k = (-tau)^k / k!.
 
-    At M = 0 there is no chain, and P = I. Returns the operators, shape
-    tau.shape + (m, (M+1) m).
+    At M = 0 there is no chain, and P = I. A table whose L or I - tau J has
+    an exact zero pivot at a tau gets NaN operators there, and only there.
+    Every table's operators are those of its own call, bit for bit: each
+    product runs on one table's matrices at a time. Returns the operators,
+    shape ck.shape[:-4] + tau.shape + (m, (M+1) m).
     """
     tau = np.asarray(tau, dtype=float)
-    degree, m = ck.shape[0], ck.shape[-1]
-    # R_j is held transposed, (T, (M+1) m, m), so that all the columns of a
-    # right-hand side solve together against factors of batch shape (T, 1).
+    batch, (degree, _, _, m) = ck.shape[:-4], ck.shape[-4:]
+    ck = ck.reshape((math.prod(batch),) + ck.shape[-4:])  # (P, M, M+1, m, m)
+    # R_j is held transposed, (P, T, (M+1) m, m), so that all the columns of
+    # a right-hand side solve together against factors of batch shape (P, T, 1).
     units = _unit_blocks(degree + 1, m)
     t = tau.reshape(-1, 1, 1)
     coef = _taylor_coefficients(tau.ravel(), degree)    # (T, M)
-    # sum_k c_k C[k-1, j] for every j, shape (M+1, T, m, m).
-    weighted = np.tensordot(coef, ck, axes=(1, 0)).swapaxes(0, 1)
+    # sum_k c_k C[k-1, j] for every j, shape (M+1, P, T, m, m): one (T, M) x
+    # (M, (M+1) m m) product per table.
+    weighted = coef @ ck.reshape(len(ck), degree, (degree + 1) * m * m)
+    weighted = weighted.reshape(len(ck), t.size, degree + 1, m, m).transpose(2, 0, 1, 3, 4)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lhs = _lu_factor((_identity(m) + weighted[0])[:, None])
-        singular = _zero_pivots(lhs).any()
+        lhs = _lu_factor((_identity(m) + weighted[0])[:, :, None])
+        singular = _zero_pivots(lhs)
         if degree:
-            chain = _lu_factor((_identity(m) - t * ck[0, 0])[:, None])
-            singular |= _zero_pivots(chain).any()
-        if singular:
-            raise PredictorError("singular linear predictor: Singular matrix")
+            chain = _lu_factor((_identity(m) - t * ck[:, None, 0, 0])[:, :, None])
+            singular |= _zero_pivots(chain)
+            # tau C[0, 1] = -tau A, transposed, as R_{j+1} is.
+            advect = ck[:, None, 0, 1].swapaxes(-1, -2)
         rhs = units[0]
         for j in range(degree, 0, -1):
-            # -tau A R_{j+1} = tau C[0, 1] R_{j+1}
-            b = units[j] if j == degree else units[j] + t * (r @ ck[0, 1].T)
-            r = _lu_solve(chain, b)
+            b = units[j] if j == degree else units[j] + t * (r @ advect)
+            r = _substitute(chain, b)
             rhs = rhs - r @ weighted[j].swapaxes(-1, -2)
-        ops = _lu_solve(lhs, rhs).swapaxes(-1, -2)
-    if not np.all(np.isfinite(ops)):
-        raise PredictorError("non-finite linear predictor operator")
-    return ops.reshape(tau.shape + ops.shape[1:])
+        ops = _substitute(lhs, rhs).swapaxes(-1, -2)
+    if singular.any():
+        ops[singular[..., 0]] = np.nan
+    return ops.reshape(batch + tau.shape + ops.shape[-2:])
 
 
 @lru_cache(maxsize=8)
@@ -764,11 +777,19 @@ def _step_operators(system: SystemDescriptor, order: int, dt: float) -> np.ndarr
     trace-rule times after 0.
 
     Every step of a run but the last has the same dt, so the operators are
-    kept for the steps that repeat it.
+    kept for the steps that repeat it. Operators that are not finite (a
+    singular system, e.g. tau beta = 1) raise a ``PredictorError`` naming
+    their node times under ``details["tau"]``.
     """
     rules = space_time_rules(order)
     taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes[1:]]) * dt
     ops = predictor_operators(system.closed_ck(order - 1), taus)
+    bad = ~np.isfinite(ops).all(axis=(-2, -1))
+    if bad.any():
+        raise PredictorError(
+            f"singular linear predictor: no finite operator at tau = {taus[bad]}",
+            details={"tau": taus[bad]},
+        )
     ops.flags.writeable = False
     return ops
 
@@ -804,13 +825,14 @@ def build_predictor_tables(
     # the traces there are the reconstructed end states, and both routes
     # solve the trace block at the trace-rule times after 0 alone.
     ends = w_tr[:, :, 0]
-    admissible = system.admissible(ends)
-    if not admissible.all():
-        cells, end = np.nonzero(~admissible)
-        raise PredictorError(
-            "inadmissible reconstructed state at tau = 0",
-            details={"cells": cells, "tau": np.zeros(cells.size), "states": ends[cells, end]},
-        )
+    if system.admissible is not _admit_all:
+        admissible = system.admissible(ends)
+        if not admissible.all():
+            cells, end = np.nonzero(~admissible)
+            raise PredictorError(
+                "inadmissible reconstructed state at tau = 0",
+                details={"cells": cells, "tau": np.zeros(cells.size), "states": ends[cells, end]},
+            )
     sizes = ()
     if system.constant_coefficients:
         # D_0(tau) = P(tau) w at every node: one contraction per node block,

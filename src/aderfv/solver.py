@@ -30,7 +30,7 @@ from .grid import (
     observed_order,
 )
 from .predictor import PredictorError, build_predictor_tables, space_time_rules
-from .systems import SystemDescriptor
+from .systems import SystemDescriptor, _admit_all
 from .weno import reconstruct_batch
 
 __all__ = [
@@ -187,7 +187,8 @@ def step(
 
     new = fld.interior + (-dt / dx * (fl.dplus[:-1] + fl.dminus[1:]) + dt * (src - anc))
     bad = ~np.isfinite(new).all(axis=-1)
-    bad[~bad] = ~system.admissible(new[~bad])
+    if system.admissible is not _admit_all:
+        bad[~bad] = ~system.admissible(new[~bad])
     if np.any(bad):
         cells = np.flatnonzero(bad)
         raise StepError(

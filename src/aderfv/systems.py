@@ -327,20 +327,21 @@ def linear_ck_matrices(a: np.typing.ArrayLike, b: np.typing.ArrayLike, order: in
 
     Valid for constant-coefficient linear systems dQ/dt = B Q - A dQ/dx: apply
     the operator (B - A d_x) repeatedly, so C'_{k+1,j} = C'_{k,j} B - C'_{k,j-1} A
-    with C'_{0,0} = I. Rows are returned for k = 1..order, shape
-    (order, order + 1, m, m), so C[0, 0] = B and C[0, 1] = -A.
+    with C'_{0,0} = I. A and B have shape (..., m, m), any leading axes
+    running over a stack of laws, each of whose tables is that of its own
+    call, bit for bit. Rows are returned for k = 1..order, shape
+    (..., order, order + 1, m, m), so C[0, 0] = B and C[0, 1] = -A.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    m = a.shape[0]
-    prev = np.zeros((order + 1, m, m))
-    prev[0] = np.eye(m)
-    rows = []
-    for _ in range(order):
+    a, b = np.asarray(a, dtype=float)[..., None, :, :], np.asarray(b, dtype=float)[..., None, :, :]
+    m = a.shape[-1]
+    out = np.empty(a.shape[:-3] + (order, order + 1, m, m))
+    prev = np.zeros(a.shape[:-3] + (order + 1, m, m))
+    prev[..., 0, :, :] = _identity(m)
+    for k in range(order):
         nxt = prev @ b
-        nxt[1:] -= prev[:-1] @ a
-        rows.append(nxt)
-        prev = nxt
-    return np.array(rows).reshape(order, order + 1, m, m)
+        nxt[..., 1:, :, :] -= prev[..., :-1, :, :] @ a
+        out[..., k, :, :, :] = prev = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------

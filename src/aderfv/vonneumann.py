@@ -41,6 +41,19 @@ judged over an ensemble of random weight scenarios; the reported number is
 the fraction of scenarios whose amplification stays below one for every
 sampled angle.
 
+A raster is evaluated in one batched pass per block of up to ``_BLOCK``
+points. Each point draws its scenarios from its own seed substream, the
+closed CK tables of the block come from one ``linear_ck_matrices`` call over
+a leading point axis, ``predictor_operators`` solves the whole stack, and
+the functionals, kernels, products and largest moduli are taken for the
+block at once. What depends only on the order and the angle count (the
+angle grid, e^{+-i theta}, the window phases, the node times and the
+x-weights) is built once and kept read-only. Every product still runs on
+one point's operands, in the order and with the shapes a point alone gives
+it, so a point's amplitudes, and its fraction, are those of its own call
+bit for bit: ``stability_fraction`` and a scalar ``amplitude`` are the same
+pass at one point.
+
 Two scenario models are available. The default ("weno-law") feeds randomized
 order-one smoothness indicators through the reconstruction's own weight
 formula, which is the weight spread the blended scheme actually produces on
@@ -59,11 +72,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import check_count
-from .predictor import PredictorError, predictor_operators, space_time_rules
+from .predictor import predictor_operators, space_time_rules
 from .systems import linear_ck_matrices
 from .weno import _candidate_stack, nonlinear_weights, window_candidate_matrix
 
@@ -84,6 +98,9 @@ DEFAULT_C_GRID = np.round(np.arange(1, 121) * 0.01, 10)        # 0.01 .. 1.20
 DEFAULT_R_GRID = np.round(np.linspace(-10.0, 0.0, 101), 10)    # -10.0 .. 0.0
 # A scenario is stable where every sampled amplitude is at most 1 + this.
 _STABLE_TOL = 1e-12
+# Raster points evaluated in one batched pass of ``stability_map``: about
+# 0.4 MB of temporaries a point at the default sampling.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -111,9 +128,15 @@ class StabilityQuery:
             raise ValueError(f"unknown weight model {self.weight_model!r}")
 
 
+@lru_cache(maxsize=None)
 def theta_grid(n: int) -> np.ndarray:
-    """Equispaced phase angles covering [0, 2 pi), including pi for even n."""
-    return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    """Equispaced phase angles covering [0, 2 pi), including pi for even n.
+
+    Read-only, built once per n.
+    """
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    theta.flags.writeable = False
+    return theta
 
 
 def blend_matrix(degree: int, weights) -> np.ndarray:
@@ -125,90 +148,180 @@ def blend_matrix(degree: int, weights) -> np.ndarray:
     return np.einsum("...s,slw->...lw", w, _candidate_stack(degree))
 
 
-def amplitude(
-    theta: np.ndarray, c: float, r: float, query: StabilityQuery, blends: np.ndarray | None = None
-) -> np.ndarray:
-    """Amplification factor of one step for each angle and weight scenario.
+@dataclass(frozen=True)
+class _NodeTables:
+    """What a point's functionals need of its order alone, read-only."""
 
-    ``blends`` holds reconstruction operators of shape (S, M+1, 2M+1); by
-    default the single central-stencil operator is used. Returns a complex
-    array of shape (S, n_theta) (squeezed to (n_theta,) when blends is None).
+    taus: np.ndarray           # tau-rule then trace-rule times, (T,)
+    growth: np.ndarray         # tau^k / k!, k = 1..M, at every time: (T, M)
+    tau_weights: np.ndarray    # (n_tau,)
+    trace_weights: np.ndarray  # (T - n_tau,)
+    x_weights: np.ndarray      # xi weights and the x-derivative's, (n_xi, 2)
+    basis_interior: np.ndarray  # (M+1, n_xi, 1, M+1)
+    basis_trace: np.ndarray     # (M+1, 2, M+1)
+
+
+@lru_cache(maxsize=None)
+def _node_tables(order: int) -> _NodeTables:
+    rules = space_time_rules(order)
+    taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes])
+    xi_weights = rules.xi_rule.weights
+    tables = _NodeTables(
+        taus=taus,
+        growth=np.cumprod(taus[:, None] / np.arange(1, order), axis=1),
+        tau_weights=rules.tau_rule.weights,
+        trace_weights=rules.trace_rule.weights,
+        x_weights=np.stack([xi_weights, xi_weights @ rules.diff_matrix], axis=1),
+        basis_interior=rules.basis_interior[:, :, None],
+        basis_trace=rules.basis_trace,
+    )
+    for value in vars(tables).values():
+        value.flags.writeable = False
+    return tables
+
+
+def _phase_tables(degree: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{i theta} - 1, 1 - e^{-i theta} and the window phases e^{i k theta},
+    k = -M..M, shape (2M+1, n_theta)."""
+    ph = np.exp(1j * theta)
+    phases = np.exp(1j * np.outer(np.arange(-degree, degree + 1), theta))
+    return ph - 1.0, 1.0 - 1.0 / ph, phases
+
+
+@lru_cache(maxsize=None)
+def _grid_phase_tables(degree: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_phase_tables`` of ``theta_grid(n)``, read-only, built once per (M, n)."""
+    tables = _phase_tables(degree, theta_grid(n))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _functionals(c: np.ndarray, r: np.ndarray, query: StabilityQuery) -> np.ndarray:
+    """(s_hat, a_hat, q_left, q_right) as rows over the coefficients, (P, 4, M+1).
+
+    The time-averaged predictor rows of each point go through the interior
+    basis, under the xi weights and the volume term's x-derivative weights,
+    and through the traces. Each sum adds its terms (rows_j x_vx) B_jxl, or
+    rows_j B_jel, to 0 one at a time, j outer and x inner: the order in
+    which ``np.einsum`` sums one point's terms, which keeps the recorded
+    rasters, and one that the points beside it do not change.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     degree = query.order - 1
-    squeeze = blends is None
-    if blends is None:
-        blends = window_candidate_matrix(degree, "central")[None]
-    blends = np.asarray(blends, dtype=float)
-
-    rules = space_time_rules(query.order)
+    nodes = _node_tables(query.order)
     # The solver's predictor on q_t + c q_x = r q at dx = dt = 1, as rows
     # q(tau) = P(tau) w, from the model law's closed CK table, with
     # C[k-1, j] = d(d_t^k q)/d(d_x^j q). Explicit rows are
     # e_0 + sum_k tau^k / k! C[k-1].
-    ck = linear_ck_matrices([[c]], [[r]], degree)              # (M, M+1, 1, 1)
-    taus = np.concatenate([rules.tau_rule.nodes, rules.trace_rule.nodes])
+    ck = linear_ck_matrices(c[:, None, None], r[:, None, None], degree)  # (P, M, M+1, 1, 1)
     if query.predictor == "explicit":
-        growth = np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1)
-        rows = np.eye(degree + 1)[0] + growth @ ck[:, :, 0, 0]
+        rows = nodes.growth @ ck[..., 0, 0]
+        rows[..., 0] += 1.0
     else:
-        try:
-            rows = predictor_operators(ck, taus)[:, 0]
-        except PredictorError:  # a singular predictor (e.g. tau r = 1) is unstable
-            rows = np.full((taus.size, degree + 1), np.nan)
+        rows = predictor_operators(ck, nodes.taus)[:, :, 0]
+    n_tau = nodes.tau_weights.size
+    rows_int = nodes.tau_weights @ rows[:, :n_tau]                      # (P, M+1)
+    rows_tr = nodes.trace_weights @ rows[:, n_tau:]
+    interior = (rows_int[:, :, None, None] * nodes.x_weights)[..., None] * nodes.basis_interior
+    traces = rows_tr[:, :, None, None] * nodes.basis_trace
+    out = np.empty((c.size, 4, degree + 1))
+    np.add.reduce(interior.reshape(c.size, -1, 2, degree + 1), axis=1, out=out[:, :2], initial=0.0)
+    np.add.reduce(traces, axis=1, out=out[:, 2:], initial=0.0)
+    return out
 
-    # (s_hat, a_hat, q_left, q_right) as rows over the coefficients: the
-    # time-averaged predictor rows through the interior basis, under the xi
-    # weights and the volume term's x-derivative weights, and through the traces.
-    n_tau = rules.tau_rule.n
-    rows_int = rules.tau_rule.weights @ rows[:n_tau]
-    rows_tr = rules.trace_rule.weights @ rows[n_tau:]
-    x_weights = np.stack([rules.xi_rule.weights, rules.xi_rule.weights @ rules.diff_matrix])
-    functionals = np.concatenate([
-        np.einsum("j,vx,jxl->vl", rows_int, x_weights, rules.basis_interior),
-        np.einsum("j,jel->el", rows_tr, rules.basis_trace),
-    ])                                                        # (4, M+1)
+
+def amplitude(
+    theta: np.ndarray,
+    c,
+    r,
+    query: StabilityQuery,
+    blends: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Amplification factor of one step for each angle and weight scenario.
+
+    ``c`` and ``r`` are one (c, r) point as scalars, or P points as 1-D
+    arrays. ``blends`` holds reconstruction operators of shape
+    (P S, M+1, 2M+1), the S scenarios of each point in turn; by default the
+    single central-stencil operator at every point. Returns a complex array
+    of shape (P, S, n_theta), without the P axis for scalar c and r and
+    without the S axis when blends is None; it is written into ``out``, a
+    contiguous complex (P, S, n_theta) array, if one is given. Each point's
+    amplitudes are those of its own call, bit for bit: every product runs on
+    one point at a time.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    c, r = np.asarray(c, dtype=float), np.asarray(r, dtype=float)
+    shape = c.shape
+    c, r = c.reshape(-1), r.reshape(-1)
+    degree = query.order - 1
+    squeeze = blends is None
+    if blends is None:
+        central = window_candidate_matrix(degree, "central")
+        blends = np.broadcast_to(central, (c.size,) + central.shape)
+    blends = np.asarray(blends, dtype=float).reshape(c.size, -1, degree + 1, 2 * degree + 1)
+
     # The four functionals' weights, from the flux difference, source and volume
-    # term, times the phases: the (4, 2M+1, n_theta) kernel, read as real pairs.
-    ph = np.exp(1j * theta)
+    # term, times the phases: the (4, 2M+1, n_theta) kernel of each point,
+    # read as real pairs.
+    # The sampling grid's tables are built once; other angles build theirs.
+    if theta is theta_grid(theta.size):
+        ph_less_1, one_less_conj, phases = _grid_phase_tables(degree, theta.size)
+    else:
+        ph_less_1, one_less_conj, phases = _phase_tables(degree, theta)
     d = 0.25 * (query.alpha * c * c + 1.0 / query.alpha)
-    weights = np.empty((4, theta.size), dtype=complex)      # of shat, ahat, qL, qR
-    weights[0], weights[1] = r, -c
-    weights[2] = (d - 0.5 * c) * (ph - 1.0) - c
-    weights[3] = c - (0.5 * c + d) * (1.0 - 1.0 / ph)
-    kernel = weights[:, None] * np.exp(1j * np.outer(np.arange(-degree, degree + 1), theta))
-    modes = (functionals @ blends).reshape(len(blends), -1)           # (S, 4 (2M+1))
-    amp = (modes @ kernel.view(float).reshape(modes.shape[1], 2 * theta.size)).view(complex)
+    weights = np.empty((c.size, 4, theta.size), dtype=complex)  # of shat, ahat, qL, qR
+    weights[:, 0], weights[:, 1] = r[:, None], -c[:, None]
+    weights[:, 2] = (d - 0.5 * c)[:, None] * ph_less_1 - c[:, None]
+    weights[:, 3] = c[:, None] - (0.5 * c + d)[:, None] * one_less_conj
+    kernel = (weights[:, :, None] * phases).view(float).reshape(c.size, -1, 2 * theta.size)
+    modes = _functionals(c, r, query)[:, None] @ blends                # (P, S, 4, 2M+1)
+    product = np.matmul(modes.reshape(modes.shape[:2] + (-1,)), kernel,
+                        out=None if out is None else out.view(float))
+    amp = product.view(complex)
     amp += 1.0
-    return amp[0] if squeeze else amp
+    amp = amp.reshape(shape + amp.shape[1:])
+    return amp[..., 0, :] if squeeze else amp
 
 
 def max_amplitude(
-    c: float, r: float, query: StabilityQuery, blends: np.ndarray | None = None
+    c, r, query: StabilityQuery, blends: np.ndarray | None = None, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Largest |A| over the angle grid; non-finite amplitudes count as inf."""
-    parts = amplitude(theta_grid(query.n_theta), c, r, query, blends).view(float)
+    """Largest |A| over the angle grid; non-finite amplitudes count as inf.
+
+    ``c``, ``r``, ``blends`` and the workspace ``out`` are those of
+    ``amplitude``; the angle axis is reduced.
+    """
+    parts = amplitude(theta_grid(query.n_theta), c, r, query, blends, out=out).view(float)
     with np.errstate(over="ignore"):  # |A|^2 is NaN or inf if A is, inf past |A| ~ 1e154
         parts *= parts
         largest = (parts[..., ::2] + parts[..., 1::2]).max(axis=-1)
     return np.where(np.isnan(largest), np.inf, np.sqrt(largest))
 
 
-def _scenario_blends(query: StabilityQuery, rng: np.random.Generator) -> np.ndarray:
-    """Window-to-coefficient operators for ``n_scenarios`` random weight draws.
+def _scenario_blends(query: StabilityQuery, *rngs: np.random.Generator) -> np.ndarray:
+    """Window-to-coefficient operators for ``n_scenarios`` random weight draws
+    from each generator in turn, shape (len(rngs) n_scenarios, M+1, 2M+1).
 
     "weno-law" evaluates the production weight formula on smoothness
     indicators drawn from [1, 2) - mutually comparable, as they are for any
     mode the grid resolves - so the central preference of the weight law is
     retained. "uniform" normalizes unconstrained draws from [0, 1)^3 instead.
+    Both act on each draw alone, so a generator's operators do not depend on
+    the others.
     """
-    degree = query.order - 1
-    draws = rng.random((query.n_scenarios, 3))
+    draws = np.concatenate([rng.random((query.n_scenarios, 3)) for rng in rngs])
     if query.weight_model == "weno-law":
         weights = nonlinear_weights(1.0 + draws)
     else:
         weights = draws / draws.sum(axis=1, keepdims=True)
-    return blend_matrix(degree, weights)
+    return blend_matrix(query.order - 1, weights)
+
+
+def _stable_share(amps: np.ndarray) -> np.ndarray:
+    """Share of scenarios, over the last axis of ``max_amplitude``'s result, that are stable."""
+    return (amps <= 1.0 + _STABLE_TOL).sum(axis=-1) / amps.shape[-1]
 
 
 def stability_fraction(
@@ -217,9 +330,7 @@ def stability_fraction(
     """Fraction of random weight scenarios stable at this (c, r) point."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([query.seed]))
-    blends = _scenario_blends(query, rng)
-    amps = max_amplitude(c, r, query, blends)
-    return float(np.mean(amps <= 1.0 + _STABLE_TOL))
+    return float(_stable_share(max_amplitude(c, r, query, _scenario_blends(query, rng))))
 
 
 def stability_map(
@@ -230,15 +341,26 @@ def stability_map(
     """Stable-scenario fraction on a (c, r) raster, shape (len(c), len(r)).
 
     Every raster point draws its scenarios from its own seed substream, so the
-    map is reproducible point by point regardless of evaluation order.
+    map is reproducible point by point regardless of evaluation order. The
+    points are taken ``_BLOCK`` at a time, row by row, in one batched pass
+    each; a point's fraction is the one ``stability_fraction`` gives it alone.
+    The blocks share one amplitude workspace: a fresh array that large is
+    mapped and faulted in page by page, once a block.
     """
     c_values = DEFAULT_C_GRID if c_values is None else np.asarray(c_values, dtype=float)
     r_values = DEFAULT_R_GRID if r_values is None else np.asarray(r_values, dtype=float)
     out = np.empty((c_values.size, r_values.size))
-    for i, c in enumerate(c_values):
-        for j, r in enumerate(r_values):
-            rng = np.random.default_rng(np.random.SeedSequence([query.seed, i, j]))
-            out[i, j] = stability_fraction(float(c), float(r), query, rng)
+    flat = out.reshape(-1)
+    workspace = np.empty((min(_BLOCK, flat.size), query.n_scenarios, query.n_theta), dtype=complex)
+    for start in range(0, flat.size, _BLOCK):
+        points = range(start, min(start + _BLOCK, flat.size))
+        blends = _scenario_blends(query, *(
+            np.random.default_rng(np.random.SeedSequence([query.seed, *divmod(k, r_values.size)]))
+            for k in points
+        ))
+        i, j = np.divmod(np.arange(start, points.stop), r_values.size)
+        amps = max_amplitude(c_values[i], r_values[j], query, blends, out=workspace[: len(points)])
+        flat[start : points.stop] = _stable_share(amps)
     return out
 
 

@@ -318,6 +318,22 @@ def test_predictor_failure_prints_details(monkeypatch, capsys):
     assert "cell 13" not in err  # only the first few points are listed
 
 
+def test_singular_linear_predictor_prints_its_node_times(monkeypatch, capsys):
+    # A failure that names node times but no cells prints the times.
+    def boom(*args, **kwargs):
+        raise PredictorError("singular linear predictor: no finite operator at tau = [0.1]",
+                             details={"tau": np.array([0.05, 0.1]), "step": 3, "t": 0.2})
+
+    monkeypatch.setattr("aderfv.cli.run", boom)
+    rc = main(["solve", "--preset", "linear-system", "--cells", "8", "--t-out", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "predictor failure: singular linear predictor" in err
+    assert "at step 3, t = 0.2" in err
+    assert "failing node time(s) tau = 0.05, 0.1" in err
+    assert "failing predictor point(s)" not in err
+
+
 def test_jet_failure_in_a_run_names_its_cells(monkeypatch, capsys):
     # At beta = -1e200 the CK jets overflow where the stencils see the front
     # between cells 5 and 6; the run stops with those cells named, not with a

@@ -21,6 +21,7 @@ from aderfv.predictor import (
 from aderfv.systems import (
     euler_ideal_gas,
     leveque_yee,
+    linear_ck_matrices,
     linear_system,
     noncons_system,
     scalar_advection_reaction,
@@ -742,13 +743,41 @@ def test_predictor_operators_match_newton_probe(make, order):
 
 
 def test_predictor_operators_singular_chain_raises():
-    # Order 2 at tau * r = 1: I - tau J vanishes.
+    # Order 2 at tau * r = 1: I - tau J vanishes at tau = 1 alone. The
+    # operators are NaN there and those of a call without it elsewhere; the
+    # solver's closed-form route raises, naming that node time.
     system = scalar_advection_reaction(lam=0.5, beta=1.0)
-    with pytest.raises(PredictorError, match="singular"):
-        predictor_operators(system.closed_ck(1), np.array([0.5, 1.0]))
+    ops = predictor_operators(system.closed_ck(1), np.array([0.5, 1.0]))
+    assert np.isnan(ops[1]).all()
+    alone = predictor_operators(system.closed_ck(1), np.array([0.5]))
+    np.testing.assert_array_equal(ops[:1], alone)
+    with pytest.raises(PredictorError, match="^singular linear predictor: ") as err:
+        predictor._step_operators(system, 2, 1.0)  # times 0.211, 0.789 and 1
+    np.testing.assert_array_equal(err.value.details["tau"], [1.0])
     # Order 1 has no chain: its operator there is the identity.
     ops = predictor_operators(system.closed_ck(0), np.array([1.0]))
     np.testing.assert_array_equal(ops, [[[1.0]]])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_predictor_operators_of_a_stack_are_each_tables_own(order):
+    # A (P, M, M+1, 1, 1) stack of the stability analyzer's tables, with a
+    # singular one (tau r = 1 at tau = 1) among them: every table's operators
+    # equal its own call, bit for bit, NaN where it is singular.
+    degree = order - 1
+    c = np.array([0.05, 0.4, 0.9, 1.2, 0.5, 0.7])
+    r = np.array([0.0, -0.7, -6.0, 0.3, 1.0, -10.0])
+    stack = linear_ck_matrices(c[:, None, None], r[:, None, None], degree)
+    assert stack.shape == (6, degree, order, 1, 1)
+    taus = np.array([0.0, 0.12, 0.5, 0.88, 1.0])
+    ops = predictor_operators(stack, taus)
+    assert ops.shape == (6, taus.size, 1, order)
+    for p in range(6):
+        own = predictor_operators(linear_ck_matrices([[c[p]]], [[r[p]]], degree), taus)
+        np.testing.assert_array_equal(ops[p], own)
+        assert ops[p].tobytes() == own.tobytes()
+    assert np.isnan(ops[4, -1]).all() == (order > 1)
+    assert np.isfinite(np.delete(ops, 4, axis=0)).all()
 
 
 def test_linear_tables_and_amplitude_run_no_newton_or_jet(monkeypatch):

@@ -510,3 +510,18 @@ def test_blown_up_field_stops_at_its_reconstruction():
     assert details["step"] == 2 and details["t"] > 0.0
     np.testing.assert_array_equal(details["cells"], [6, 7])
     assert np.all(np.abs(details["states"]) > 1e30)
+
+
+def test_singular_linear_predictor_names_its_node_times():
+    # At beta = 10 and dt = 0.1, 1 - tau beta vanishes at the last trace
+    # time tau = dt: the closed-form route raises there, naming that time,
+    # and leaves the field as it was.
+    system = linear_system(beta=10.0)
+    cfg = RunConfig(order=3, cfl=0.1, alpha=2.0, t_out=0.1, boundary="periodic")
+    fld = initial_field(system, Grid(0.0, 1.0, 16), cfg)
+    before = fld.interior.copy()
+    with pytest.raises(predictor.PredictorError, match="^singular linear predictor: ") as err:
+        step(system, fld, cfg, 0.1)
+    assert 0.1 in err.value.details["tau"]
+    assert "cells" not in err.value.details
+    np.testing.assert_array_equal(fld.interior, before)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import Legendre, Polynomial
 
-from aderfv import solver
+from aderfv import solver, vonneumann
 from aderfv.ckjet import ck_time_derivatives
 from aderfv.grid import CellField, Grid, RunConfig
-from aderfv.predictor import PredictorError, predictor_operators, space_time_rules
+from aderfv.predictor import predictor_operators, space_time_rules
 from aderfv.systems import scalar_advection_reaction
 from aderfv.vonneumann import (
     DEFAULT_R_GRID,
@@ -209,6 +209,69 @@ def test_stability_map_matches_pointwise_fractions():
     assert np.array_equal(frac, stability_map(query, c_values, r_values))
 
 
+def test_batched_raster_equals_pointwise_fractions_byte_for_byte():
+    # More points than one batched block, with the singular column r = 1
+    # (1 - tau r = 0 at the trace time tau = 1): every point equals its own
+    # stability_fraction call, the singular column reads 0, and the other
+    # columns are those of the raster without it.
+    query = StabilityQuery(order=2, n_theta=32, n_scenarios=12, seed=4)
+    c_values = np.round(np.arange(1, 13) * 0.1, 10)
+    r_values = np.array([-1.0, 0.0, 1.0])
+    assert c_values.size * r_values.size > vonneumann._BLOCK
+    frac = stability_map(query, c_values, r_values)
+    for i, c in enumerate(c_values):
+        for j, r in enumerate(r_values):
+            rng = np.random.default_rng(np.random.SeedSequence([query.seed, i, j]))
+            want = stability_fraction(float(c), float(r), query, rng)
+            assert frac[i, j].tobytes() == np.float64(want).tobytes(), (c, r)
+    assert np.all(frac[:, 2] == 0.0)
+    assert frac[:, :2].tobytes() == stability_map(query, c_values, r_values[:2]).tobytes()
+
+
+@pytest.mark.parametrize("predictor", ["explicit", "implicit"])
+def test_amplitude_of_many_points_is_each_points_own(predictor):
+    # P points in one call, with a singular one: each point's amplitudes are
+    # those of its own scalar call, bit for bit.
+    query = StabilityQuery(order=5, predictor=predictor, n_scenarios=7)
+    c = np.array([0.05, 0.7, 1.15, 0.5, 0.9])
+    r = np.array([0.0, -4.0, 0.3, 1.0, -10.0])
+    rngs = [np.random.default_rng(k) for k in range(c.size)]
+    blends = _scenario_blends(query, *rngs)
+    assert blends.shape == (c.size * 7, 5, 9)
+    th = theta_grid(64)
+    with np.errstate(invalid="ignore"):
+        amp = amplitude(th, c, r, query, blends)
+        assert amp.shape == (c.size, 7, 64)
+        for p in range(c.size):
+            own = amplitude(th, float(c[p]), float(r[p]), query, blends[7 * p : 7 * (p + 1)])
+            assert amp[p].tobytes() == own.tobytes()
+            assert max_amplitude(c, r, query, blends)[p].tobytes() == max_amplitude(
+                float(c[p]), float(r[p]), query, blends[7 * p : 7 * (p + 1)]
+            ).tobytes()
+    central = amplitude(th, c, r, StabilityQuery(order=5, predictor=predictor))
+    assert central.shape == (c.size, 64)
+
+
+def test_stability_map_calls_amplitude_through_the_module(monkeypatch):
+    # A wrapper set on the module attribute sees every block, with the angles
+    # and the blends of all the block's scenarios passed by position.
+    calls = []
+    exact = vonneumann.amplitude
+
+    def counted(*args, **kwargs):
+        calls.append((args[0].size, len(args[4])))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(vonneumann, "amplitude", counted)
+    query = StabilityQuery(order=3, n_theta=16, n_scenarios=5)
+    n_points = vonneumann._BLOCK + 3
+    stability_map(query, np.linspace(0.1, 1.0, n_points), np.array([-1.0]))
+    assert calls == [(16, 5 * vonneumann._BLOCK), (16, 5 * 3)]
+    calls.clear()
+    stability_fraction(0.5, -1.0, query)
+    assert calls == [(16, 5)]
+
+
 def test_stability_map_degenerate_grid():
     query = StabilityQuery(order=1, predictor="explicit", n_theta=16, n_scenarios=5)
     frac = stability_map(query, np.array([0.5]), np.array([0.0]))
@@ -360,10 +423,7 @@ def _tensor_amplitude(theta, c, r, query, blends):
         g = ck_time_derivatives(system, units[..., None], degree)[..., 0]
         rows = units[0] + np.cumprod(taus[:, None] / np.arange(1, degree + 1), axis=1) @ g.T
     else:
-        try:
-            rows = predictor_operators(system.closed_ck(degree), taus)[:, 0]
-        except PredictorError:
-            rows = np.full((taus.size, degree + 1), np.nan)
+        rows = predictor_operators(system.closed_ck(degree), taus)[:, 0]  # NaN where singular
     n_tau = rules.tau_rule.n
     q_int = np.einsum("tj,jxk->txk", rows[:n_tau], w_int)
     q_tr = np.einsum("tj,jxk->txk", rows[n_tau:], w_tr)
