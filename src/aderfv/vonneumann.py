@@ -33,26 +33,31 @@ coefficients beta = blend . phase, where phase holds the mode's values
 e^{i k theta} on the window k = -M..M, and A weights each of the four by a
 factor of (c, theta). The predictor rows, quadrature weights and basis values
 collapse into one real (4, M+1) functional F(c, r), the factors fold into the
-phases as one (4(2M+1), n_theta) kernel K, and all modes of all scenarios
-come from the single product A = 1 + (F blend) K.
+phases as one (4(2M+1), n_theta) kernel K, and A = 1 + (F blend) K. A blend
+is the weighted sum sum_s w_s C_s of the three candidate stencils' operators,
+so A - 1 is linear in the stencil weights w: each point takes three kernel
+rows B_s = (F C_s) K, and all modes of all its scenarios come from the one
+product A = 1 + W B, with one row of weights W per scenario. That is about a
+ninth of the work of forming every scenario's blend and its modes.
 
 Because the nonlinear stencil weights depend on the data, each map point is
 judged over an ensemble of random weight scenarios; the reported number is
 the fraction of scenarios whose amplification stays below one for every
 sampled angle.
 
-A raster is evaluated in one batched pass per block of up to ``_BLOCK``
-points. Each point draws its scenarios from its own seed substream, the
-closed CK tables of the block come from one ``linear_ck_matrices`` call over
-a leading point axis, ``predictor_operators`` solves the whole stack, and
-the functionals, kernels, products and largest moduli are taken for the
-block at once. What depends only on the order and the angle count (the
-angle grid, e^{+-i theta}, the window phases, the node times and the
-x-weights) is built once and kept read-only. Every product still runs on
-one point's operands, in the order and with the shapes a point alone gives
-it, so a point's amplitudes, and its fraction, are those of its own call
-bit for bit: ``stability_fraction`` and a scalar ``amplitude`` are the same
-pass at one point.
+A raster is evaluated in one batched pass per block of points, as many as
+keep the pass's temporaries within a fixed byte budget (32 points at the
+default sampling). Each point draws its scenarios from its own seed
+substream, the closed CK tables of the block come from one
+``linear_ck_matrices`` call over a leading point axis,
+``predictor_operators`` solves the whole stack, and the functionals, kernels,
+products and largest moduli are taken for the block at once. What depends
+only on the order and the angle count (the angle grid, e^{+-i theta}, the
+window phases, the node times and the x-weights) is built once and kept
+read-only. Every product still runs on one point's operands, in the order
+and with the shapes a point alone gives it, so a point's amplitudes, and its
+fraction, are those of its own call bit for bit: ``stability_fraction`` and
+a scalar ``amplitude`` are the same pass at one point.
 
 Two scenario models are available. The default ("weno-law") feeds randomized
 order-one smoothness indicators through the reconstruction's own weight
@@ -79,7 +84,7 @@ import numpy as np
 from .grid import check_count
 from .predictor import predictor_operators, space_time_rules
 from .systems import linear_ck_matrices
-from .weno import _candidate_stack, nonlinear_weights, window_candidate_matrix
+from .weno import _candidate_stack, nonlinear_weights
 
 __all__ = [
     "StabilityQuery",
@@ -98,9 +103,12 @@ DEFAULT_C_GRID = np.round(np.arange(1, 121) * 0.01, 10)        # 0.01 .. 1.20
 DEFAULT_R_GRID = np.round(np.linspace(-10.0, 0.0, 101), 10)    # -10.0 .. 0.0
 # A scenario is stable where every sampled amplitude is at most 1 + this.
 _STABLE_TOL = 1e-12
-# Raster points evaluated in one batched pass of ``stability_map``: about
-# 0.4 MB of temporaries a point at the default sampling.
-_BLOCK = 32
+# The weights of the central stencil alone, amplitude's default.
+_CENTRAL = np.array([0.0, 1.0, 0.0])
+_CENTRAL.flags.writeable = False
+# Bytes of temporaries one batched pass of ``stability_map`` may take: 32
+# points at the default sampling (see ``_block_points``).
+_BLOCK_BYTES = 12_800_000
 
 
 @dataclass(frozen=True)
@@ -230,55 +238,79 @@ def _functionals(c: np.ndarray, r: np.ndarray, query: StabilityQuery) -> np.ndar
     return out
 
 
+def _checked_points(name: str, values, scalar: bool = False) -> np.ndarray:
+    """``values`` as a float array; a ValueError names them unless they are
+    finite and 1-D, or a scalar where ``scalar`` allows one."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 and not (scalar and values.ndim == 0):
+        want = "a scalar or 1-D" if scalar else "1-D"
+        raise ValueError(f"{name} must be {want}, got shape {values.shape}: {_shown(values)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {_shown(values[~np.isfinite(values)])}")
+    return values
+
+
+def _shown(values: np.ndarray) -> str:
+    return np.array2string(values, separator=", ", threshold=8)
+
+
 def amplitude(
     theta: np.ndarray,
     c,
     r,
     query: StabilityQuery,
-    blends: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
     *,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Amplification factor of one step for each angle and weight scenario.
 
-    ``c`` and ``r`` are one (c, r) point as scalars, or P points as 1-D
-    arrays. ``blends`` holds reconstruction operators of shape
-    (P S, M+1, 2M+1), the S scenarios of each point in turn; by default the
-    single central-stencil operator at every point. Returns a complex array
-    of shape (P, S, n_theta), without the P axis for scalar c and r and
-    without the S axis when blends is None; it is written into ``out``, a
-    contiguous complex (P, S, n_theta) array, if one is given. Each point's
-    amplitudes are those of its own call, bit for bit: every product runs on
-    one point at a time.
+    ``c`` and ``r`` are one (c, r) point as finite scalars, or P points as
+    finite 1-D arrays of one shape. ``weights`` holds the (left, central,
+    right) stencil weights of the reconstruction, shape (P S, 3), the S
+    scenarios of each point in turn; by default the central stencil alone
+    at every point. Returns a complex array of shape (P, S, n_theta),
+    without the P axis for scalar c and r and without the S axis when
+    weights is None; it is written into ``out``, a contiguous complex
+    (P, S, n_theta) array, if one is given. Each point's amplitudes are
+    those of its own call, bit for bit: every product runs on one point at a
+    time.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    c, r = np.asarray(c, dtype=float), np.asarray(r, dtype=float)
+    c, r = _checked_points("c", c, scalar=True), _checked_points("r", r, scalar=True)
+    if c.shape != r.shape:
+        raise ValueError(f"c and r must have one shape, got {c.shape} and {r.shape}")
     shape = c.shape
     c, r = c.reshape(-1), r.reshape(-1)
     degree = query.order - 1
-    squeeze = blends is None
-    if blends is None:
-        central = window_candidate_matrix(degree, "central")
-        blends = np.broadcast_to(central, (c.size,) + central.shape)
-    blends = np.asarray(blends, dtype=float).reshape(c.size, -1, degree + 1, 2 * degree + 1)
+    squeeze = weights is None
+    if weights is None:
+        weights = np.broadcast_to(_CENTRAL, (c.size, 3))
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != 3 or weights.shape[0] % max(c.size, 1):
+        raise ValueError(f"weights must have shape (P S, 3) for P = {c.size} points, "
+                         f"got {weights.shape}")
+    weights = weights.reshape(c.size, -1, 3)
 
-    # The four functionals' weights, from the flux difference, source and volume
-    # term, times the phases: the (4, 2M+1, n_theta) kernel of each point,
-    # read as real pairs.
+    # The four functionals' factors, from the flux difference, source and
+    # volume term, times the phases: the (4, 2M+1, n_theta) kernel of each
+    # point, read as real pairs.
     # The sampling grid's tables are built once; other angles build theirs.
     if theta is theta_grid(theta.size):
         ph_less_1, one_less_conj, phases = _grid_phase_tables(degree, theta.size)
     else:
         ph_less_1, one_less_conj, phases = _phase_tables(degree, theta)
     d = 0.25 * (query.alpha * c * c + 1.0 / query.alpha)
-    weights = np.empty((c.size, 4, theta.size), dtype=complex)  # of shat, ahat, qL, qR
-    weights[:, 0], weights[:, 1] = r[:, None], -c[:, None]
-    weights[:, 2] = (d - 0.5 * c)[:, None] * ph_less_1 - c[:, None]
-    weights[:, 3] = c[:, None] - (0.5 * c + d)[:, None] * one_less_conj
-    kernel = (weights[:, :, None] * phases).view(float).reshape(c.size, -1, 2 * theta.size)
-    modes = _functionals(c, r, query)[:, None] @ blends                # (P, S, 4, 2M+1)
-    product = np.matmul(modes.reshape(modes.shape[:2] + (-1,)), kernel,
-                        out=None if out is None else out.view(float))
+    factors = np.empty((c.size, 4, theta.size), dtype=complex)  # of shat, ahat, qL, qR
+    factors[:, 0], factors[:, 1] = r[:, None], -c[:, None]
+    factors[:, 2] = (d - 0.5 * c)[:, None] * ph_less_1 - c[:, None]
+    factors[:, 3] = c[:, None] - (0.5 * c + d)[:, None] * one_less_conj
+    kernel = (factors[:, :, None] * phases).view(float).reshape(c.size, -1, 2 * theta.size)
+    # A - 1 is linear in the stencil weights: the three candidates' modes
+    # (F C_s) K of each point, and every scenario's as their weighted sum.
+    modes = _functionals(c, r, query)[:, None] @ _candidate_stack(degree)  # (P, 3, 4, 2M+1)
+    kernels = modes.reshape(c.size, 3, -1) @ kernel                        # (P, 3, 2 n_theta)
+    product = np.matmul(weights, kernels, out=None if out is None else out.view(float))
     amp = product.view(complex)
     amp += 1.0
     amp = amp.reshape(shape + amp.shape[1:])
@@ -286,37 +318,35 @@ def amplitude(
 
 
 def max_amplitude(
-    c, r, query: StabilityQuery, blends: np.ndarray | None = None, *, out: np.ndarray | None = None
+    c, r, query: StabilityQuery, weights: np.ndarray | None = None, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Largest |A| over the angle grid; non-finite amplitudes count as inf.
 
-    ``c``, ``r``, ``blends`` and the workspace ``out`` are those of
+    ``c``, ``r``, ``weights`` and the workspace ``out`` are those of
     ``amplitude``; the angle axis is reduced.
     """
-    parts = amplitude(theta_grid(query.n_theta), c, r, query, blends, out=out).view(float)
+    parts = amplitude(theta_grid(query.n_theta), c, r, query, weights, out=out).view(float)
     with np.errstate(over="ignore"):  # |A|^2 is NaN or inf if A is, inf past |A| ~ 1e154
         parts *= parts
         largest = (parts[..., ::2] + parts[..., 1::2]).max(axis=-1)
     return np.where(np.isnan(largest), np.inf, np.sqrt(largest))
 
 
-def _scenario_blends(query: StabilityQuery, *rngs: np.random.Generator) -> np.ndarray:
-    """Window-to-coefficient operators for ``n_scenarios`` random weight draws
-    from each generator in turn, shape (len(rngs) n_scenarios, M+1, 2M+1).
+def _scenario_weights(query: StabilityQuery, *rngs: np.random.Generator) -> np.ndarray:
+    """Stencil weights of ``n_scenarios`` random draws from each generator in
+    turn, shape (len(rngs) n_scenarios, 3).
 
     "weno-law" evaluates the production weight formula on smoothness
     indicators drawn from [1, 2) - mutually comparable, as they are for any
     mode the grid resolves - so the central preference of the weight law is
     retained. "uniform" normalizes unconstrained draws from [0, 1)^3 instead.
-    Both act on each draw alone, so a generator's operators do not depend on
+    Both act on each draw alone, so a generator's weights do not depend on
     the others.
     """
     draws = np.concatenate([rng.random((query.n_scenarios, 3)) for rng in rngs])
     if query.weight_model == "weno-law":
-        weights = nonlinear_weights(1.0 + draws)
-    else:
-        weights = draws / draws.sum(axis=1, keepdims=True)
-    return blend_matrix(query.order - 1, weights)
+        return nonlinear_weights(1.0 + draws)
+    return draws / draws.sum(axis=1, keepdims=True)
 
 
 def _stable_share(amps: np.ndarray) -> np.ndarray:
@@ -330,7 +360,20 @@ def stability_fraction(
     """Fraction of random weight scenarios stable at this (c, r) point."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([query.seed]))
-    return float(_stable_share(max_amplitude(c, r, query, _scenario_blends(query, rng))))
+    return float(_stable_share(max_amplitude(c, r, query, _scenario_weights(query, rng))))
+
+
+def _block_points(query: StabilityQuery) -> int:
+    """Raster points in one batched pass of ``stability_map``, at least one.
+
+    A point takes, per angle, 24 B a scenario for its amplitudes and their
+    squared moduli, and 16 B for each of the complex kernel's 4 (2M+1) rows,
+    its four factors and its three candidate rows; a block takes as many
+    points as fit in ``_BLOCK_BYTES``.
+    """
+    degree = query.order - 1
+    per_point = query.n_theta * (24 * query.n_scenarios + 16 * (4 * (2 * degree + 1) + 7))
+    return max(1, _BLOCK_BYTES // per_point)
 
 
 def stability_map(
@@ -342,24 +385,26 @@ def stability_map(
 
     Every raster point draws its scenarios from its own seed substream, so the
     map is reproducible point by point regardless of evaluation order. The
-    points are taken ``_BLOCK`` at a time, row by row, in one batched pass
-    each; a point's fraction is the one ``stability_fraction`` gives it alone.
+    points are taken ``_block_points`` at a time, row by row, in one batched
+    pass each; a point's fraction is the one ``stability_fraction`` gives it
+    alone. ``c_values`` and ``r_values`` must be finite and 1-D.
     The blocks share one amplitude workspace: a fresh array that large is
     mapped and faulted in page by page, once a block.
     """
-    c_values = DEFAULT_C_GRID if c_values is None else np.asarray(c_values, dtype=float)
-    r_values = DEFAULT_R_GRID if r_values is None else np.asarray(r_values, dtype=float)
+    c_values = DEFAULT_C_GRID if c_values is None else _checked_points("c", c_values)
+    r_values = DEFAULT_R_GRID if r_values is None else _checked_points("r", r_values)
     out = np.empty((c_values.size, r_values.size))
     flat = out.reshape(-1)
-    workspace = np.empty((min(_BLOCK, flat.size), query.n_scenarios, query.n_theta), dtype=complex)
-    for start in range(0, flat.size, _BLOCK):
-        points = range(start, min(start + _BLOCK, flat.size))
-        blends = _scenario_blends(query, *(
+    block = _block_points(query)
+    workspace = np.empty((min(block, flat.size), query.n_scenarios, query.n_theta), dtype=complex)
+    for start in range(0, flat.size, block):
+        points = range(start, min(start + block, flat.size))
+        weights = _scenario_weights(query, *(
             np.random.default_rng(np.random.SeedSequence([query.seed, *divmod(k, r_values.size)]))
             for k in points
         ))
         i, j = np.divmod(np.arange(start, points.stop), r_values.size)
-        amps = max_amplitude(c_values[i], r_values[j], query, blends, out=workspace[: len(points)])
+        amps = max_amplitude(c_values[i], r_values[j], query, weights, out=workspace[: len(points)])
         flat[start : points.stop] = _stable_share(amps)
     return out
 

@@ -1,6 +1,7 @@
 """Stability-analysis tests: amplification oracles, regions, determinism."""
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from aderfv.systems import scalar_advection_reaction
 from aderfv.vonneumann import (
     DEFAULT_R_GRID,
     StabilityQuery,
-    _scenario_blends,
+    _scenario_weights,
     amplitude,
     blend_matrix,
     max_amplitude,
@@ -148,7 +149,10 @@ def test_weno_law_scenarios_concentrate_near_central():
     """The weight law's central preference caps the side weights near 1e-4."""
     query = StabilityQuery(order=4, n_scenarios=50)
     rng = np.random.default_rng(np.random.SeedSequence([3]))
-    blends = _scenario_blends(query, rng)
+    weights = _scenario_weights(query, rng)
+    assert weights.shape == (50, 3)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-15)
+    blends = blend_matrix(3, weights)
     central = blend_matrix(3, np.array([0.0, 1.0, 0.0]))
     spread = np.abs(blends - central).max(axis=(1, 2))
     assert spread.max() < 1e-3
@@ -167,7 +171,7 @@ def test_uniform_model_reports_one_sided_instability():
     for c in (0.01, 0.1):
         assert stability_fraction(c, 0.0, query) < 0.5
     # One-sided blends are the extreme case: unstable by a wide margin.
-    left = blend_matrix(4, np.array([1.0, 0.0, 0.0]))[None]
+    left = np.array([[1.0, 0.0, 0.0]])
     amp = max_amplitude(0.1, 0.0, query, left)
     assert amp[0] > 2.0
     # The same draw is comfortably damped once the reaction kicks in.
@@ -209,15 +213,17 @@ def test_stability_map_matches_pointwise_fractions():
     assert np.array_equal(frac, stability_map(query, c_values, r_values))
 
 
-def test_batched_raster_equals_pointwise_fractions_byte_for_byte():
-    # More points than one batched block, with the singular column r = 1
-    # (1 - tau r = 0 at the trace time tau = 1): every point equals its own
-    # stability_fraction call, the singular column reads 0, and the other
-    # columns are those of the raster without it.
+def test_batched_raster_equals_pointwise_fractions_byte_for_byte(monkeypatch):
+    # More points than one batched block, the last block short, with the
+    # singular column r = 1 (1 - tau r = 0 at the trace time tau = 1): every
+    # point equals its own stability_fraction call, the singular column reads
+    # 0, and the other columns are those of the raster without it. A smaller
+    # byte budget makes blocks of 10 points at this sampling.
+    monkeypatch.setattr(vonneumann, "_BLOCK_BYTES", vonneumann._BLOCK_BYTES // 64)
     query = StabilityQuery(order=2, n_theta=32, n_scenarios=12, seed=4)
     c_values = np.round(np.arange(1, 13) * 0.1, 10)
     r_values = np.array([-1.0, 0.0, 1.0])
-    assert c_values.size * r_values.size > vonneumann._BLOCK
+    assert vonneumann._block_points(query) == 10
     frac = stability_map(query, c_values, r_values)
     for i, c in enumerate(c_values):
         for j, r in enumerate(r_values):
@@ -236,17 +242,17 @@ def test_amplitude_of_many_points_is_each_points_own(predictor):
     c = np.array([0.05, 0.7, 1.15, 0.5, 0.9])
     r = np.array([0.0, -4.0, 0.3, 1.0, -10.0])
     rngs = [np.random.default_rng(k) for k in range(c.size)]
-    blends = _scenario_blends(query, *rngs)
-    assert blends.shape == (c.size * 7, 5, 9)
+    weights = _scenario_weights(query, *rngs)
+    assert weights.shape == (c.size * 7, 3)
     th = theta_grid(64)
     with np.errstate(invalid="ignore"):
-        amp = amplitude(th, c, r, query, blends)
+        amp = amplitude(th, c, r, query, weights)
         assert amp.shape == (c.size, 7, 64)
         for p in range(c.size):
-            own = amplitude(th, float(c[p]), float(r[p]), query, blends[7 * p : 7 * (p + 1)])
+            own = amplitude(th, float(c[p]), float(r[p]), query, weights[7 * p : 7 * (p + 1)])
             assert amp[p].tobytes() == own.tobytes()
-            assert max_amplitude(c, r, query, blends)[p].tobytes() == max_amplitude(
-                float(c[p]), float(r[p]), query, blends[7 * p : 7 * (p + 1)]
+            assert max_amplitude(c, r, query, weights)[p].tobytes() == max_amplitude(
+                float(c[p]), float(r[p]), query, weights[7 * p : 7 * (p + 1)]
             ).tobytes()
     central = amplitude(th, c, r, StabilityQuery(order=5, predictor=predictor))
     assert central.shape == (c.size, 64)
@@ -254,7 +260,7 @@ def test_amplitude_of_many_points_is_each_points_own(predictor):
 
 def test_stability_map_calls_amplitude_through_the_module(monkeypatch):
     # A wrapper set on the module attribute sees every block, with the angles
-    # and the blends of all the block's scenarios passed by position.
+    # and the stencil weights of all the block's scenarios passed by position.
     calls = []
     exact = vonneumann.amplitude
 
@@ -264,12 +270,77 @@ def test_stability_map_calls_amplitude_through_the_module(monkeypatch):
 
     monkeypatch.setattr(vonneumann, "amplitude", counted)
     query = StabilityQuery(order=3, n_theta=16, n_scenarios=5)
-    n_points = vonneumann._BLOCK + 3
-    stability_map(query, np.linspace(0.1, 1.0, n_points), np.array([-1.0]))
-    assert calls == [(16, 5 * vonneumann._BLOCK), (16, 5 * 3)]
+    block = vonneumann._block_points(query)
+    stability_map(query, np.linspace(0.1, 1.0, block + 3), np.array([-1.0]))
+    assert calls == [(16, 5 * block), (16, 5 * 3)]
     calls.clear()
     stability_fraction(0.5, -1.0, query)
     assert calls == [(16, 5)]
+
+
+@pytest.mark.parametrize(
+    "order, n_scenarios, n_theta, n_points",
+    [(2, 100, 512, 16), (5, 1, 4096, 8)],
+)
+def test_stability_map_block_stays_within_its_byte_budget(order, n_scenarios, n_theta, n_points):
+    # Many scenarios, and one scenario of many angles, where the kernel
+    # outweighs the amplitudes: one call's traced peak stays within the
+    # block byte budget.
+    query = StabilityQuery(order=order, n_scenarios=n_scenarios, n_theta=n_theta)
+    c_values, r_values = np.linspace(0.1, 1.0, n_points), np.array([-1.0])
+    assert 1 < vonneumann._block_points(query) < n_points
+    stability_map(query, c_values[:1], r_values)  # the cached tables
+    tracemalloc.start()
+    try:
+        stability_map(query, c_values, r_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vonneumann._BLOCK_BYTES, peak
+
+
+def test_default_sampling_takes_32_points_a_block():
+    assert vonneumann._block_points(StabilityQuery(order=5)) == 32
+
+
+@pytest.mark.parametrize(
+    "c, r, message",
+    [
+        ([np.nan], [0.0], r"c must be finite, got \[nan\]"),
+        ([0.5], [-np.inf], r"r must be finite, got \[-inf\]"),
+        ([[0.5, 0.6]], [0.0], r"c must be 1-D, got shape \(1, 2\): \[\[0.5, 0.6\]\]"),
+    ],
+)
+def test_stability_map_rejects_bad_points(c, r, message):
+    with pytest.raises(ValueError, match=message):
+        stability_map(StabilityQuery(order=3), c, r)
+
+
+@pytest.mark.parametrize(
+    "c, r, message",
+    [
+        (np.nan, 0.0, r"c must be finite, got \[nan\]"),
+        ([0.5, 0.6], [0.0, -np.inf], r"r must be finite, got \[-inf\]"),
+        ([[0.5, 0.6]], [[0.0, 0.0]], r"c must be a scalar or 1-D, got shape \(1, 2\)"),
+        ([0.5, 0.6], [0.0], r"c and r must have one shape, got \(2,\) and \(1,\)"),
+    ],
+)
+def test_amplitude_rejects_bad_points(c, r, message):
+    query = StabilityQuery(order=3)
+    with pytest.raises(ValueError, match=message):
+        amplitude(theta_grid(8), c, r, query)
+    with pytest.raises(ValueError, match=message):
+        max_amplitude(c, r, query)
+
+
+def test_amplitude_rejects_weights_of_another_shape():
+    # A blend operator per scenario, (S, M+1, 2M+1), is not a weight row.
+    query = StabilityQuery(order=5)
+    blends = blend_matrix(4, np.full((2, 3), 1.0 / 3.0))
+    with pytest.raises(ValueError, match=r"weights must have shape \(P S, 3\) for P = 1 "):
+        amplitude(theta_grid(8), 0.5, 0.0, query, blends)
+    with pytest.raises(ValueError, match=r"for P = 2 points, got \(3, 3\)"):
+        max_amplitude([0.5, 0.6], [0.0, 0.0], query, np.eye(3))
 
 
 def test_stability_map_degenerate_grid():
@@ -401,14 +472,16 @@ def test_singular_predictor_counts_as_unstable():
     assert stability_fraction(0.5, 1.0, query) == 0.0
 
 
-def _tensor_amplitude(theta, c, r, query, blends):
+def _tensor_amplitude(theta, c, r, query, weights):
     """Reference amplitude: every mode pushed through the predictor tensors.
 
-    The reconstruction coefficients of all (scenario, angle) modes, their
+    Each scenario's stencil weights are formed into its blend operator, and
+    the reconstruction coefficients of all (scenario, angle) modes, their
     interior and trace derivative stacks, and the predictor values at every
     space-time node are formed one tensor at a time before the quadratures.
     """
     degree = query.order - 1
+    blends = blend_matrix(degree, weights)
     n_s = blends.shape[0]
     offsets = np.arange(-degree, degree + 1)
     phases = np.exp(1j * np.outer(offsets, theta))
@@ -449,18 +522,40 @@ def test_amplitude_matches_tensor_oracle(order, predictor, weight_model):
     # round-off; r = 1 puts tau r = 1 on the trace time tau = 1.
     query = StabilityQuery(order=order, predictor=predictor, alpha=1.3, n_scenarios=6,
                            weight_model=weight_model)
-    blends = _scenario_blends(query, np.random.default_rng(order))
+    weights = _scenario_weights(query, np.random.default_rng(order))
     th = theta_grid(24)
     for c, r in [(0.05, 0.0), (0.4, -0.7), (0.9, -6.0), (1.15, 0.3), (0.5, 1.0)]:
-        got = amplitude(th, c, r, query, blends)
-        ref = _tensor_amplitude(th, c, r, query, blends)
+        got = amplitude(th, c, r, query, weights)
+        ref = _tensor_amplitude(th, c, r, query, weights)
         assert got.shape == ref.shape == (6, 24)
         finite = np.isfinite(ref)
         assert np.array_equal(np.isfinite(got), finite), (c, r)
         err = np.abs(got[finite] - ref[finite])
         assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref[finite]))), (c, r, err.max())
     if order > 1 and predictor == "implicit":
-        assert not np.isfinite(amplitude(th, 0.5, 1.0, query, blends)).any()
+        assert not np.isfinite(amplitude(th, 0.5, 1.0, query, weights)).any()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("predictor", ["explicit", "implicit"])
+def test_amplitude_is_affine_in_the_stencil_weights(order, predictor):
+    # A - 1 = sum_s w_s (A(e_s) - 1) for any weights, convex or not: the
+    # candidates' amplitudes span every scenario's.
+    query = StabilityQuery(order=order, predictor=predictor, alpha=1.3)
+    rng = np.random.default_rng(70 + order)
+    weights = np.concatenate([
+        rng.dirichlet(np.ones(3), 4),
+        rng.uniform(-2.0, 3.0, (4, 3)),
+        [[0.0, 0.0, 0.0], [2.0, -1.0, 0.5], [-0.3, 0.0, 1.7]],
+    ])
+    th = theta_grid(48)
+    for c, r in [(0.05, 0.0), (0.4, -0.7), (0.9, -6.0), (1.15, 0.3)]:
+        units = amplitude(th, c, r, query, np.eye(3)) - 1.0
+        got = amplitude(th, c, r, query, weights) - 1.0
+        want = np.einsum("ks,sn->kn", weights, units)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), (c, r)
+        np.testing.assert_array_equal(amplitude(th, c, r, query, [[0.0, 0.0, 0.0]]), 1.0)
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])
@@ -469,11 +564,11 @@ def test_amplitude_at_arbitrary_angles_matches_tensor_oracle(order, predictor):
     # The folded kernel takes its angles as given: an odd, unsorted count
     # with pi and an angle past 2 pi, against the oracle at the same angles.
     query = StabilityQuery(order=order, predictor=predictor, alpha=0.8, n_scenarios=5)
-    blends = _scenario_blends(query, np.random.default_rng(40 + order))
+    weights = _scenario_weights(query, np.random.default_rng(40 + order))
     th = np.array([2.9, np.pi, 0.0, 7.1, 1e-3, 4.4, -0.6])
-    central = window_candidate_matrix(order - 1, "central")[None]
+    central = np.array([[0.0, 1.0, 0.0]])
     for c, r in [(0.3, 0.0), (0.85, -3.5), (1.1, 0.4)]:
-        for scenarios in (blends, central):
+        for scenarios in (weights, central):
             got = amplitude(th, c, r, query, scenarios)
             ref = _tensor_amplitude(th, c, r, query, scenarios)
             assert got.shape == ref.shape == (len(scenarios), th.size)
@@ -488,12 +583,12 @@ def test_max_amplitude_is_the_largest_modulus():
     # The reduction on squared real pairs against abs -> isfinite -> max; a
     # singular predictor (0.5, 1.0) leaves every scenario at inf.
     query = StabilityQuery(order=5, n_theta=64, n_scenarios=6)
-    blends = _scenario_blends(query, np.random.default_rng(8))
+    weights = _scenario_weights(query, np.random.default_rng(8))
     for c, r in [(0.7, -4.0), (1.15, 0.3), (0.5, 1.0)]:
-        amp = amplitude(theta_grid(64), c, r, query, blends)
+        amp = amplitude(theta_grid(64), c, r, query, weights)
         want = np.where(np.isfinite(amp), np.abs(amp), np.inf).max(axis=-1)
-        np.testing.assert_allclose(max_amplitude(c, r, query, blends), want, rtol=1e-15)
-    assert np.all(max_amplitude(0.5, 1.0, query, blends) == np.inf)
+        np.testing.assert_allclose(max_amplitude(c, r, query, weights), want, rtol=1e-15)
+    assert np.all(max_amplitude(0.5, 1.0, query, weights) == np.inf)
 
 
 # Stable scenarios (out of 8) on the _PIN_C x _PIN_R raster: one string per
